@@ -291,45 +291,49 @@ def _common_path_sequence(
             if steps_taken >= max_length:
                 continue
             remaining = max_length - steps_taken - 1
-            min_degree = min(offsets[v + 1] - offsets[v] for v in positions)
+            # a child costs k positions plus k visited sets one node longer
+            child_cells = k * (steps_taken + 3)
+            bases = [offsets[v] for v in positions]
+            min_degree = min(offsets[v + 1] - base for v, base in zip(positions, bases))
             for port in range(min_degree):
                 next_nodes: List[int] = []
-                incoming_ports = set()
-                blocked = False
-                for i, v in enumerate(positions):
-                    dart = offsets[v] + port
+                # CPPE needs one incoming port shared by every member: the
+                # first member's fixes it, and any other port blocks the
+                # extension just like a revisit does
+                incoming = reverse_ports[bases[0] + port]
+                for i, base in enumerate(bases):
+                    dart = base + port
                     u = neighbors[dart]
-                    if u in visited[i] or distances[u] > remaining:
-                        # revisit, or provably unable to reach the leader
+                    if (
+                        u in visited[i]
+                        or distances[u] > remaining
+                        or (complete and reverse_ports[dart] != incoming)
+                    ):
+                        # revisit, provably unable to reach the leader
                         # within the simple-path budget (distance lower
-                        # bound; never triggers for the leader itself)
-                        blocked = True
+                        # bound; never triggers for the leader itself), or
+                        # a second incoming port
                         break
                     next_nodes.append(u)
-                    incoming_ports.add(reverse_ports[dart])
-                if blocked:
+                if len(next_nodes) < k:
                     continue
-                if complete and len(incoming_ports) != 1:
-                    continue
-                if complete:
-                    new_sequence = sequence + (port, next(iter(incoming_ports)))
-                else:
-                    new_sequence = sequence + (port,)
-                if all(u == leader for u in next_nodes):
-                    return new_sequence
-                if any(u == leader for u in next_nodes):
+                hits = next_nodes.count(leader)
+                if 0 < hits < k:
                     # Some members reached the leader early: their simple path
                     # can no longer end at the leader later: a dead branch.
                     continue
+                new_sequence = sequence + ((port, incoming) if complete else (port,))
+                if hits:
+                    return new_sequence
                 new_positions = tuple(next_nodes)
                 new_visited = tuple(
-                    visited[i] | {next_nodes[i]} for i in range(k)
+                    path | {u} for path, u in zip(visited, next_nodes)
                 )
                 key = (new_positions, new_visited)
                 if key in seen:
                     continue
                 seen.add(key)
-                cells += k + k * (steps_taken + 2)
+                cells += child_cells
                 if len(seen) > max_states or cells > max_cells:
                     stats["limit_hits"] += 1
                     raise SearchLimitExceeded(
@@ -393,13 +397,15 @@ def _path_index(
     max_depth: Optional[int],
     max_states: int,
     max_cells: Optional[int] = None,
+    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
+    """The smallest depth from ``max(ψ_S, lower_bound)`` with a PPE/CPPE assignment."""
     refinement = refinement if refinement is not None else _default_refinement(graph)
     start = refinement.first_depth_with_unique_node(max_depth=max_depth)
     if start is None:
         return None
     stable = refinement.ensure_stable()
-    depth = start
+    depth = start if lower_bound is None else max(start, lower_bound)
     while max_depth is None or depth <= max_depth:
         assignment = path_election_assignment(
             graph,
@@ -424,8 +430,13 @@ def port_path_election_index(
     max_depth: Optional[int] = None,
     max_states: int = 200_000,
     max_cells: Optional[int] = None,
+    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
-    """ψ_PPE(G) (exact, bounded search)."""
+    """ψ_PPE(G) (exact, bounded search).
+
+    ``lower_bound``, a proven lower bound on the index, seeds the depth
+    search (see :func:`election_index`).
+    """
     return _path_index(
         graph,
         complete=False,
@@ -433,6 +444,7 @@ def port_path_election_index(
         max_depth=max_depth,
         max_states=max_states,
         max_cells=max_cells,
+        lower_bound=lower_bound,
     )
 
 
@@ -443,8 +455,13 @@ def complete_port_path_election_index(
     max_depth: Optional[int] = None,
     max_states: int = 200_000,
     max_cells: Optional[int] = None,
+    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
-    """ψ_CPPE(G) (exact, bounded search)."""
+    """ψ_CPPE(G) (exact, bounded search).
+
+    ``lower_bound``, a proven lower bound on the index, seeds the depth
+    search (see :func:`election_index`).
+    """
     return _path_index(
         graph,
         complete=True,
@@ -452,6 +469,7 @@ def complete_port_path_election_index(
         max_depth=max_depth,
         max_states=max_states,
         max_cells=max_cells,
+        lower_bound=lower_bound,
     )
 
 
@@ -465,19 +483,39 @@ def election_index(
     refinement: Optional[ViewRefinement] = None,
     max_depth: Optional[int] = None,
     max_states: int = 200_000,
+    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
-    """ψ_Z(G) for any of the four tasks Z."""
+    """ψ_Z(G) for any of the four tasks Z.
+
+    ``lower_bound`` seeds the PPE/CPPE depth search: it starts at
+    ``max(ψ_S, lower_bound)`` instead of ψ_S.  It must be a proven lower
+    bound on the index under the same ``max_depth``, such as the exact
+    weaker index of Fact 1.1 (ψ_PE for PPE, ψ_PPE for CPPE); every skipped
+    depth then has no assignment, so the value is unchanged.  A skipped
+    depth cannot exhaust ``max_states`` either, so a seeded search may
+    return an exact value where the unseeded one raises
+    :class:`SearchLimitExceeded`.  S and PE ignore ``lower_bound``: their
+    searches already start at ψ_S, the weakest index.
+    """
     if task is Task.SELECTION:
         return selection_index(graph, refinement=refinement)
     if task is Task.PORT_ELECTION:
         return port_election_index(graph, refinement=refinement, max_depth=max_depth)
     if task is Task.PORT_PATH_ELECTION:
         return port_path_election_index(
-            graph, refinement=refinement, max_depth=max_depth, max_states=max_states
+            graph,
+            refinement=refinement,
+            max_depth=max_depth,
+            max_states=max_states,
+            lower_bound=lower_bound,
         )
     if task is Task.COMPLETE_PORT_PATH_ELECTION:
         return complete_port_path_election_index(
-            graph, refinement=refinement, max_depth=max_depth, max_states=max_states
+            graph,
+            refinement=refinement,
+            max_depth=max_depth,
+            max_states=max_states,
+            lower_bound=lower_bound,
         )
     raise ValueError(f"unknown task {task!r}")
 
@@ -488,7 +526,12 @@ def all_election_indices(
     max_depth: Optional[int] = None,
     max_states: int = 200_000,
 ) -> Dict[Task, Optional[int]]:
-    """ψ_Z(G) for all four tasks, sharing one (process-cached) refinement."""
+    """ψ_Z(G) for all four tasks, sharing one (process-cached) refinement.
+
+    Each index is searched independently and never seeded with a weaker one
+    (no ``lower_bound``), so the result is the unseeded reference against
+    which Fact 1.1 (:func:`~repro.core.hierarchy.verify_fact_1_1`) is checked.
+    """
     refinement = _default_refinement(graph)
     return {
         task: election_index(

@@ -42,7 +42,13 @@ def indices_respect_hierarchy(indices: Mapping[Task, Optional[int]]) -> bool:
 
 
 def verify_fact_1_1(graph: PortLabeledGraph, **kwargs) -> Dict[Task, Optional[int]]:
-    """Compute all four indices of ``graph`` and assert the Fact 1.1 ordering."""
+    """Compute all four indices of ``graph`` and assert the Fact 1.1 ordering.
+
+    The indices come from :func:`~repro.core.election_index.all_election_indices`,
+    which never seeds a search with a weaker index, so the check is
+    independent: seeded values (as the runner computes them) satisfy the
+    ordering by construction and could not test it.
+    """
     indices = all_election_indices(graph, **kwargs)
     if not indices_respect_hierarchy(indices):
         raise AssertionError(f"Fact 1.1 violated: {indices}")

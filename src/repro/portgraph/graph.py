@@ -270,6 +270,32 @@ class PortLabeledGraph:
         self._engine = engine
         return True
 
+    def adopt_from(self, other: "PortLabeledGraph") -> None:
+        """Share what an equal instance has already computed, computing nothing.
+
+        Used by the runner's cache when a request graph equals a cached
+        instance: the request graph takes over the cached CSR view, the
+        engine once it has reached its fixpoint (it never refines again, so
+        sharing it is safe), and the fingerprint once computed.  A later
+        :meth:`fingerprint` of the request graph then costs no refinement
+        pass outside the cache's ledger.  State this instance already built
+        itself is kept.  The caller guarantees ``other == self``.
+        """
+        if other is self:
+            return
+        if self._csr is None:
+            self._csr = other._csr
+        engine = other._engine
+        if (
+            self._engine is None
+            and engine is not None
+            and engine.stable_depth is not None
+            and engine.csr is self._csr
+        ):
+            self._engine = engine
+        if self._fingerprint is None:
+            self._fingerprint = other._fingerprint
+
     # ------------------------------------------------------------------ #
     # structural helpers
     # ------------------------------------------------------------------ #
@@ -336,13 +362,15 @@ class PortLabeledGraph:
         # longer splits there, but the label chain still deepens by one
         # neighbourhood radius, which is what separates graphs whose
         # *partitions* agree while their signature structures differ (the old
-        # 3-round aliasing families).
+        # 3-round aliasing families).  The cap holds even when someone else
+        # has already refined the shared engine further, and only the class
+        # counts up to the final depth are digested, so the fingerprint never
+        # depends on who refined the engine first.
         engine.ensure_depth(_FINGERPRINT_LABEL_ROUNDS)
         stable = engine.stable_depth
-        final_depth = min(
-            engine.computed_depth,
-            _FINGERPRINT_LABEL_ROUNDS if stable is None else stable + 1,
-        )
+        final_depth = min(engine.computed_depth, _FINGERPRINT_LABEL_ROUNDS)
+        if stable is not None:
+            final_depth = min(final_depth, stable + 1)
         csr = self.csr()
         # Invariant label chain, one value per class per depth: the label of a
         # class is the digest of its (port-ordered) signature over the labels
@@ -371,7 +399,7 @@ class PortLabeledGraph:
             self.num_nodes,
             self.num_edges,
             tuple(sorted(self.degree_histogram().items())),
-            engine.class_counts,
+            engine.class_counts[: final_depth + 1],
             tuple(sorted((labels[c], len(final_members[c])) for c in range(len(labels)))),
         )
         self._fingerprint = hashlib.sha256(repr(summary).encode("ascii")).hexdigest()

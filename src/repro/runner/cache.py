@@ -192,6 +192,13 @@ class RefinementCache:
     def entry(self, graph: PortLabeledGraph) -> CacheEntry:
         """The cache entry of ``graph`` (created on first request).
 
+        On a hit by an equal but distinct instance, ``graph`` adopts what the
+        cached instance has already computed (CSR view, stable engine,
+        fingerprint; :meth:`~repro.portgraph.graph.PortLabeledGraph.adopt_from`),
+        as a store hit adopts the record's, so the caller's own later
+        ``graph.fingerprint()`` refines nothing outside the ledger.  Nothing
+        is refined under the lock.
+
         With a store attached, an in-memory miss first *reads through* the
         store: a record of an exactly equal graph warm-starts the entry
         (partitions installed, fingerprint seeded, ψ/feasibility memo
@@ -212,12 +219,14 @@ class RefinementCache:
                 for stored in bucket:
                     if stored.graph == graph:
                         self._hits += 1
+                        graph.adopt_from(stored.graph)
                         return stored
             probation_bucket = self._probation.get(key)
             if probation_bucket is not None:
                 for stored in probation_bucket:
                     if stored.graph == graph:
                         self._hits += 1
+                        graph.adopt_from(stored.graph)
                         if request:
                             # second observed request: promote to the main LRU
                             probation_bucket.remove(stored)

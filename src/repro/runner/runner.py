@@ -27,6 +27,7 @@ import os
 from ..core.election_index import SearchLimitExceeded, election_index
 from ..core.feasibility import is_feasible
 from ..core.election_index import search_statistics
+from ..core.tasks import Task
 from ..kernel.backend import BACKEND_ENV_VAR
 from ..obs import span as obs_span
 from .bootstrap import attach_store_path, bootstrap_worker
@@ -56,6 +57,13 @@ def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> D
     at the end.  A PPE or CPPE search that exceeds ``sweep.max_states``
     records ``None`` for the index and lists the task under
     ``search_limited`` instead of aborting the whole sweep.
+
+    The PPE and CPPE depth searches start at the memoised exact index of
+    the next-weaker shade (ψ_PE, respectively ψ_PPE) when one was computed
+    under the same budget: by Fact 1.1 no shallower depth can succeed, so
+    the values are unchanged, but a task listed under ``search_limited``
+    unseeded may come out exact, because a skipped depth cannot run out of
+    budget.
     """
     with obs_span("evaluate_graph") as profile_span:
         return _evaluate_graph_traced(graph, sweep, label, profile_span)
@@ -79,6 +87,31 @@ def _cheap_counters() -> Dict[str, int]:
         counters["store_bytes_read"] = 0
         counters["store_bytes_written"] = 0
     return counters
+
+
+#: The next-weaker shade of each joint-search task in the Fact 1.1 order.
+_WEAKER_TASK = {
+    Task.PORT_PATH_ELECTION: Task.PORT_ELECTION,
+    Task.COMPLETE_PORT_PATH_ELECTION: Task.PORT_PATH_ELECTION,
+}
+
+
+def _weaker_index(memo: Dict[Tuple, Any], task: Task, sweep: SweepSpec) -> Optional[int]:
+    """The memoised exact ψ of ``task``'s next-weaker shade, else ``None``.
+
+    Fact 1.1 makes it a lower bound on ψ of ``task``, so the PPE/CPPE depth
+    search may start there.  Only an exact value (``("ok", int)``) computed
+    under this sweep's ``max_depth`` and ``max_states`` seeds the search: a
+    limited or infeasible outcome, a missing one, or one stored under
+    another budget leaves the search unseeded.
+    """
+    weaker = _WEAKER_TASK.get(task)
+    if weaker is None:
+        return None
+    outcome = memo.get(("psi", weaker.value, sweep.max_depth, sweep.max_states))
+    if outcome is None or outcome[0] != "ok":
+        return None
+    return outcome[1]
 
 
 def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict[str, Any]:
@@ -110,6 +143,7 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict
                     refinement=refinement,
                     max_depth=sweep.max_depth,
                     max_states=sweep.max_states,
+                    lower_bound=_weaker_index(entry.memo, task, sweep),
                 ))
             except SearchLimitExceeded:
                 outcome = ("limited", None)

@@ -156,3 +156,58 @@ class TestCacheKey:
             generators.complete_graph(4).cache_key(),
         }
         assert len(keys) == 5
+
+
+def never_refined_copy(graph: PortLabeledGraph) -> PortLabeledGraph:
+    return PortLabeledGraph([graph.adjacency(v) for v in graph.nodes()], validate=False)
+
+
+def deep_fixpoint_graphs():
+    """Graphs whose refinement fixpoint lies past the fingerprint's 64-round cap."""
+    from repro.runner import GraphSpec
+
+    return [
+        generators.path_graph(300),
+        GraphSpec.make("beacon-tail", blob=100, tail=200, seed=3).build(),
+    ]
+
+
+class TestFingerprintRoundCap:
+    """The fingerprint must not depend on who refined the shared engine first."""
+
+    def test_deep_fixpoints_really_pass_the_cap(self):
+        for graph in deep_fixpoint_graphs():
+            assert graph.refinement_engine().ensure_stable() + 1 > 64
+
+    def test_refined_engine_gives_the_fresh_fingerprint(self):
+        for graph in deep_fixpoint_graphs():
+            graph.refinement_engine().ensure_stable()
+            assert graph.fingerprint() == never_refined_copy(graph).fingerprint()
+
+    def test_delta_replayed_engine_gives_the_fresh_fingerprint(self, isolated_refinement_cache):
+        from repro.scenarios import mutation_stream
+
+        base = deep_fixpoint_graphs()[1]
+        scripts = mutation_stream(
+            base,
+            seed=1,
+            length=2,
+            kinds=("add-edge", "remove-edge", "relabel-ports"),
+            region=range(100),
+        )
+        for script in scripts:
+            entry = isolated_refinement_cache.delta_entry(base, script)
+            assert entry.graph.refinement_engine().stable_depth + 1 > 64
+            assert entry.graph.fingerprint() == never_refined_copy(entry.graph).fingerprint()
+
+    def test_shallow_fixpoint_digests_are_pinned(self):
+        # fixpoints well under the cap: the capped digest equals the old one
+        pinned = {
+            "560ec89d4f2ff412266372ea75e94510e4b01d8f56416567cba910fea90a587d": generators.asymmetric_cycle(9),
+            "cb10cf9d978ee04238f2ddd199586601a8bb2ea0e5d54bac9702d28a9605bfbe": (
+                generators.random_connected_graph(30, extra_edges=10, seed=5)
+            ),
+        }
+        for digest, graph in pinned.items():
+            assert graph.refinement_engine().ensure_stable() + 1 <= 63
+            assert graph.fingerprint() == digest

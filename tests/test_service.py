@@ -172,6 +172,39 @@ def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path):
     assert stats["cache"]["store_hits"] == 1
 
 
+def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(monkeypatch):
+    """A memory hit by an equal request graph adopts the cached instance's
+    engine and fingerprint, so a warm replay runs no real refinement pass:
+    the ledger's ``refinement_passes`` certificate sees every pass."""
+    from repro.kernel.refine import CSRPartitionRefinement
+    from repro.kernel.refine_numpy import NumpyPartitionRefinement
+    from repro.scenarios import corpus_specs
+
+    real_passes = []
+    for engine_class in (CSRPartitionRefinement, NumpyPartitionRefinement):
+        def counted(self, _original=engine_class._refine_once):
+            real_passes.append(type(self).__name__)
+            return _original(self)
+
+        monkeypatch.setattr(engine_class, "_refine_once", counted)
+    payloads = [
+        {"graph": graph_to_dict(spec.build())}
+        for spec in corpus_specs(16, seed=7, corpus="mixed")
+    ]
+    # thread backend on purpose: the passes must run in this process to be counted
+    with _RunningServer(ElectionService(backend="thread", workers=1)) as running:
+        cold = [running.post("/election", payload) for payload in payloads]
+        cold_passes = len(real_passes)
+        ledger_before = running.get("/stats")["cache"]["refinement_passes"]
+        warm = [running.post("/election", payload) for payload in payloads]
+        ledger_after = running.get("/stats")["cache"]["refinement_passes"]
+    assert cold_passes > 0  # the counting wrapper sees real work
+    assert len(real_passes) == cold_passes
+    assert ledger_after == ledger_before
+    assert [r["fingerprint"] for r in warm] == [r["fingerprint"] for r in cold]
+    assert [r["indices"] for r in warm] == [r["indices"] for r in cold]
+
+
 def test_stats_surfaces_every_layer(tmp_path):
     service = make_service(store=ArtifactStore(str(tmp_path)), workers=3)
     with _RunningServer(service) as running:
