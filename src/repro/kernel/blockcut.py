@@ -60,6 +60,7 @@ class BlockCutTree:
         "_blocks",
         "_articulation",
         "_articulation_mask",
+        "_numpy",
     )
 
     def __init__(self, csr: CSRGraph, root: int = 0) -> None:
@@ -74,6 +75,9 @@ class BlockCutTree:
         self._blocks: List[Tuple[int, ...]] = []
         self._articulation: Set[int] = set()
         self._articulation_mask = None  # numpy bool mask, built on first batch query
+        # the backend binds per object (see kernel.backend): resolve it once
+        # here, not on every class_port_ok call of the ψ_PE port search
+        self._numpy = numpy_or_none() if active_backend() == "numpy" else None
         self._dfs()
         self._child_tins = [
             array(INT_TYPECODE, [self._tin[c] for c in kids]) for kids in self._children
@@ -211,9 +215,10 @@ class BlockCutTree:
         neighbour via ``port``, and the only members left for exact
         per-removed-node component queries are the articulation points whose
         neighbour is not the target itself — on the paper's families almost
-        always a tiny minority of the class.
+        always a tiny minority of the class.  The backend is the one active
+        when the tree was built.
         """
-        numpy = numpy_or_none() if active_backend() == "numpy" else None
+        numpy = self._numpy
         if numpy is None or len(members) < 8:
             return all(self.starts_simple_path(v, port, target) for v in members)
         dtype = numpy.dtype(INT_TYPECODE)

@@ -57,6 +57,7 @@ class PortLabeledGraph:
         "_max_degree",
         "_fingerprint",
         "_cache_key",
+        "_hash",
         "_csr",
         "_engine",
     )
@@ -66,13 +67,16 @@ class PortLabeledGraph:
             validate_adjacency(adjacency, require_contiguous_ports=True, require_connected=True)
         adj: List[Tuple[Endpoint, ...]] = []
         for entry in adjacency:
-            if type(entry) is tuple and all(type(pair) is tuple for pair in entry):
+            kind = type(entry)
+            if kind is tuple and all(type(pair) is tuple for pair in entry):
                 # already-canonical row (e.g. shared from another graph's
                 # adjacency by the copy-on-write delta path): adopt as-is
                 row = entry
-            elif isinstance(entry, Mapping):
-                degree = len(entry)
-                row = tuple(tuple(entry[p]) for p in range(degree))
+            elif kind is dict or (
+                kind is not list and kind is not tuple and isinstance(entry, Mapping)
+            ):
+                # concrete types first: the ABC check is the slow fallback
+                row = tuple(tuple(entry[p]) for p in range(len(entry)))
             else:
                 row = tuple(tuple(pair) for pair in entry)
             adj.append(row)
@@ -82,6 +86,7 @@ class PortLabeledGraph:
         self._max_degree = max((len(row) for row in self._adj), default=0)
         self._fingerprint: Optional[str] = None
         self._cache_key: Optional[str] = None
+        self._hash: Optional[int] = None
         self._csr = None
         self._engine = None
 
@@ -324,11 +329,10 @@ class PortLabeledGraph:
         by handle.  It is sensitive to everything a handle-blind observer can
         see -- node/edge counts, degrees, and the port numbers on both sides
         of every edge, refined *to the fixpoint* of port-aware colour
-        refinement -- which makes it the cache key used by
-        :mod:`repro.runner.cache` to share :class:`~repro.views.refinement.ViewRefinement`
-        instances across repeated sweeps.  (Graphs that colour refinement
-        cannot tell apart share a fingerprint; consumers that need exact
-        identity additionally compare adjacency, as the runner cache does.)
+        refinement -- which makes it the content address of the artifact
+        store (:mod:`repro.store`).  (Graphs that colour refinement cannot
+        tell apart share a fingerprint; consumers that need exact identity
+        key on the graph itself or on :meth:`cache_key`.)
 
         Refinement runs until the class-count sequence stabilises, capped at
         :data:`_FINGERPRINT_LABEL_ROUNDS` rounds (the cap bounds both the
@@ -406,38 +410,25 @@ class PortLabeledGraph:
         return self._fingerprint
 
     def cache_key(self) -> str:
-        """A fast, relabeling-invariant *bucket* key (hex digest).
+        """The exact identity key of the labeled graph (hex digest), name ignored.
 
-        Three port-aware colour-refinement hash rounds over the adjacency --
-        O(n + m), no partition engine involved.  Unlike :meth:`fingerprint`
-        it may alias structurally different graphs whose refinements only
-        diverge at depth >= 4; that is fine for its one consumer, the
-        runner's :class:`~repro.runner.cache.RefinementCache`, which resolves
-        every bucket by exact labeled-graph equality anyway.  Keeping the
-        bucket key shallow means a warm cache lookup costs O(n + m), not a
-        refinement to the fixpoint.
+        BLAKE2b over the name-free body of
+        :func:`~repro.portgraph.io.graph_to_bytes` (``n``, ``m`` and the edge
+        varints in canonical order), so two graphs share a key exactly when
+        they are equal (``==``) -- a relabeled copy gets its own key, and a
+        graph submitted under two names keeps one.  Its one consumer is the
+        artifact store's manifest index
+        (:meth:`~repro.store.store.ArtifactStore.load_for_graph`), which
+        still confirms every candidate by graph equality; in-memory lookups
+        key on the graph itself (:meth:`__hash__` / :meth:`__eq__`) and never
+        call this.  Stable across processes; memoised on the instance.
         """
-        if self._cache_key is not None:
-            return self._cache_key
+        if self._cache_key is None:
+            from .io import write_graph_body  # lazy: io imports this module
 
-        def _digest(payload: str) -> int:
-            return int.from_bytes(
-                hashlib.blake2b(payload.encode("ascii"), digest_size=8).digest(), "big"
-            )
-
-        colors: List[int] = [len(row) for row in self._adj]
-        for _ in range(3):
-            colors = [
-                _digest(repr((colors[v], tuple((q, colors[u]) for u, q in row))))
-                for v, row in enumerate(self._adj)
-            ]
-        summary = (
-            self.num_nodes,
-            self.num_edges,
-            tuple(sorted(self.degree_histogram().items())),
-            tuple(sorted(colors)),
-        )
-        self._cache_key = hashlib.sha256(repr(summary).encode("ascii")).hexdigest()
+            body = bytearray()
+            write_graph_body(body, self)
+            self._cache_key = hashlib.blake2b(body, digest_size=16).hexdigest()
         return self._cache_key
 
     def degree_histogram(self) -> Dict[int, int]:
@@ -464,7 +455,10 @@ class PortLabeledGraph:
         return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        """Hash of the exact adjacency (name ignored, like :meth:`__eq__`), memoised."""
+        if self._hash is None:
+            self._hash = hash(self._adj)
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self._name!r}" if self._name else ""

@@ -11,7 +11,8 @@ round-trip used by the on-disk artifact store (:mod:`repro.store`):
 unsigned-LEB128 varints over the canonical ``v < u`` edge iteration order, so
 the encoding of a graph is a pure function of its labeled adjacency --
 byte-identical across processes and Python versions, and typically 4-6x
-smaller than the JSON form.
+smaller than the JSON form.  Its name-free body (:func:`write_graph_body`)
+is also what :meth:`PortLabeledGraph.cache_key` digests.
 """
 
 from __future__ import annotations
@@ -68,6 +69,22 @@ def read_uvarint(data: bytes, offset: int) -> "tuple[int, int]":
             raise ValueError("varint too long")
 
 
+def write_graph_body(out: bytearray, graph: PortLabeledGraph) -> None:
+    """Append the name-free part of :func:`graph_to_bytes`: ``n, m`` and the edges.
+
+    A pure function of the labeled adjacency, so two graphs encode to equal
+    bodies exactly when they are equal (``==``), whatever their names --
+    which is what :meth:`PortLabeledGraph.cache_key` digests.
+    """
+    write_uvarint(out, graph.num_nodes)
+    write_uvarint(out, graph.num_edges)
+    for v, pv, u, pu in graph.edges():
+        write_uvarint(out, v)
+        write_uvarint(out, pv)
+        write_uvarint(out, u)
+        write_uvarint(out, pu)
+
+
 def graph_to_bytes(graph: PortLabeledGraph) -> bytes:
     """Compact, canonical binary encoding of a graph (name included).
 
@@ -80,13 +97,7 @@ def graph_to_bytes(graph: PortLabeledGraph) -> bytes:
     name = graph.name.encode("utf-8")
     write_uvarint(out, len(name))
     out.extend(name)
-    write_uvarint(out, graph.num_nodes)
-    write_uvarint(out, graph.num_edges)
-    for v, pv, u, pu in graph.edges():
-        write_uvarint(out, v)
-        write_uvarint(out, pv)
-        write_uvarint(out, u)
-        write_uvarint(out, pu)
+    write_graph_body(out, graph)
     return bytes(out)
 
 

@@ -7,18 +7,14 @@ on the graph.  Before this cache existed, each benchmark script and each
 ``all_election_indices`` call rebuilt the refinement from scratch, so a sweep
 that touches the same graph from five angles paid for five refinements.
 
-:class:`RefinementCache` is a small LRU keyed on the *shallow bucket key* of
-the graph (:meth:`repro.portgraph.graph.PortLabeledGraph.cache_key` -- three
-O(n + m) hash rounds, deliberately cheaper than the fixpoint-precise
-:meth:`~repro.portgraph.graph.PortLabeledGraph.fingerprint`, so a warm
-lookup never refines).  Because the key is relabeling-invariant and shallow
-it may collide for graphs with different node handles (isomorphic copies, or
-structurally different graphs whose refinements only diverge deep), and a
-refinement's colour lists are indexed by handle -- so each key maps to a
-*bucket* of ``(graph, refinement)`` pairs compared by exact labeled
-equality.  A hit therefore always returns a refinement that is correct for
-the exact graph asked about, while the key keeps lookups O(1) in the number
-of distinct graphs seen.
+:class:`RefinementCache` is a small LRU keyed on the graph itself: exact
+labeled equality (:meth:`~repro.portgraph.graph.PortLabeledGraph.__eq__`,
+node handles, ports and edges; the name is ignored) under a hash memoised on
+the instance, so a warm lookup costs one C-speed hash the first time an
+instance is seen and a dict probe after that -- never a refinement, never a
+digest.  A refinement's colour lists are indexed by node handle, so a
+relabeled copy is a different key with its own entry; a hit therefore always
+returns a refinement that is correct for the exact graph asked about.
 
 The module-level singleton :data:`refinement_cache` is what the rest of the
 library uses: :func:`shared_refinement` is the default source of refinements
@@ -35,8 +31,9 @@ CLI certify cache reuse.
 Since the store subsystem (PR 3) the cache can additionally be backed by a
 persistent :class:`~repro.store.store.ArtifactStore`
 (:meth:`RefinementCache.attach_store`): a miss then *reads through* the
-store -- looked up by the same shallow key, resolved by exact graph
-equality, and warm-started via the record's stored partitions so not a
+store -- looked up by the exact identity digest
+:meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key`, confirmed by
+graph equality, and warm-started via the record's stored partitions so not a
 single refinement pass is paid -- and computed entries are *written
 through* with :meth:`RefinementCache.persist` /
 :meth:`RefinementCache.flush_to_store`.  That is how a cold process (a CI
@@ -48,7 +45,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..kernel import GraphKernel
 from ..portgraph.graph import PortLabeledGraph
@@ -63,7 +61,7 @@ __all__ = [
     "shared_kernel",
 ]
 
-#: Default number of distinct bucket keys kept by the process-wide cache.
+#: Default number of entries (exact graphs) kept by the process-wide cache.
 DEFAULT_MAXSIZE = 128
 
 
@@ -114,9 +112,8 @@ class CacheEntry:
 class RefinementCache:
     """An LRU cache of :class:`ViewRefinement` objects, one per exact graph.
 
-    ``maxsize`` bounds the total number of *entries* (exact graphs), not
-    bucket keys: a bucket of relabeled copies of one graph is evicted
-    entry-by-entry like everything else.
+    ``maxsize`` bounds the number of entries; relabeled copies of one graph
+    are distinct keys and are evicted one by one like everything else.
 
     The LRU bookkeeping and the counters are guarded by a lock, so lookups
     may be issued from multiple threads; the *returned* objects
@@ -131,10 +128,9 @@ class RefinementCache:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self._maxsize = maxsize
-        # bucket key -> list of entries; the bucket resolves key
-        # collisions by exact labeled-graph equality.
-        self._buckets: "OrderedDict[str, List[CacheEntry]]" = OrderedDict()
-        self._num_entries = 0
+        # graph -> entry, least recently used first; the key is the entry's
+        # own graph instance, compared by exact labeled equality
+        self._entries: "OrderedDict[PortLabeledGraph, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -146,8 +142,7 @@ class RefinementCache:
         self._store_misses = 0
         # admission policy state (see set_admission)
         self._admission = ""
-        self._probation: "OrderedDict[str, List[CacheEntry]]" = OrderedDict()
-        self._probation_entries = 0
+        self._probation: "OrderedDict[PortLabeledGraph, CacheEntry]" = OrderedDict()
         self._admissions = 0
         self._admission_rejects = 0
         self.set_admission(admission)
@@ -187,7 +182,7 @@ class RefinementCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return self._num_entries
+            return len(self._entries)
 
     def entry(self, graph: PortLabeledGraph) -> CacheEntry:
         """The cache entry of ``graph`` (created on first request).
@@ -211,31 +206,24 @@ class RefinementCache:
         return self._entry(graph, request=True)
 
     def _entry(self, graph: PortLabeledGraph, *, request: bool) -> CacheEntry:
-        key = graph.cache_key()
+        hash(graph)  # memoised on the instance: pay the O(n + m) once, unlocked
         with self._lock:
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                self._buckets.move_to_end(key)
-                for stored in bucket:
-                    if stored.graph == graph:
-                        self._hits += 1
-                        graph.adopt_from(stored.graph)
-                        return stored
-            probation_bucket = self._probation.get(key)
-            if probation_bucket is not None:
-                for stored in probation_bucket:
-                    if stored.graph == graph:
-                        self._hits += 1
-                        graph.adopt_from(stored.graph)
-                        if request:
-                            # second observed request: promote to the main LRU
-                            probation_bucket.remove(stored)
-                            if not probation_bucket:
-                                del self._probation[key]
-                            self._probation_entries -= 1
-                            self._admit_locked(key, stored)
-                            self._admissions += 1
-                        return stored
+            stored = self._entries.get(graph)
+            if stored is not None:
+                self._entries.move_to_end(graph)
+                self._hits += 1
+                graph.adopt_from(stored.graph)
+                return stored
+            stored = self._probation.get(graph)
+            if stored is not None:
+                self._hits += 1
+                graph.adopt_from(stored.graph)
+                if request:
+                    # second observed request: promote to the main LRU
+                    del self._probation[graph]
+                    self._admit_locked(stored)
+                    self._admissions += 1
+                return stored
             self._misses += 1
             memo_seed = None
             if self._store is not None:
@@ -250,46 +238,41 @@ class RefinementCache:
             if memo_seed:
                 entry.memo.update(memo_seed)
             if self._admission == "second-touch":
-                self._probation.setdefault(key, []).append(entry)
-                self._probation_entries += 1
-                while self._probation_entries > self._probation_capacity():
-                    oldest_key = next(iter(self._probation))
-                    oldest_bucket = self._probation[oldest_key]
-                    rejected = oldest_bucket.pop(0)
-                    if not oldest_bucket:
-                        del self._probation[oldest_key]
-                    self._probation_entries -= 1
+                self._probation[graph] = entry
+                while len(self._probation) > self._probation_capacity():
+                    _graph, rejected = self._probation.popitem(last=False)
                     self._admission_rejects += 1
-                    # keep refinement_passes monotone across the drop
-                    self._evicted_passes += rejected.refinement.passes
-                    self._evicted_bytes += rejected.estimated_bytes()
+                    self._retire_locked(rejected)
             else:
-                self._admit_locked(key, entry)
+                self._admit_locked(entry)
             return entry
 
-    def _admit_locked(self, key: str, entry: CacheEntry) -> None:
-        """Insert ``entry`` into the main LRU and evict down to ``maxsize``."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [entry]
-        else:
-            bucket.append(entry)
-        self._buckets.move_to_end(key)
-        self._num_entries += 1
-        while self._num_entries > self._maxsize:
-            # evict the oldest entry of the least-recently-used bucket;
-            # the entry's kernel objects (CSR, block-cut tree, BFS
-            # distance arrays) go with it, and their footprint is
-            # accounted in evicted_bytes
-            oldest_key = next(iter(self._buckets))
-            oldest_bucket = self._buckets[oldest_key]
-            evicted = oldest_bucket.pop(0)
-            if not oldest_bucket:
-                del self._buckets[oldest_key]
-            self._num_entries -= 1
+    def _admit_locked(self, entry: CacheEntry) -> None:
+        """Insert ``entry`` into the main LRU and evict down to ``maxsize``.
+
+        An equal resident is popped first, so the key is always the entry's
+        own graph instance (a plain assignment would keep the old key object,
+        and with it the old instance's engine and CSR view).
+        """
+        previous = self._entries.pop(entry.graph, None)
+        if previous is not None:
+            self._retire_locked(previous)
+        self._entries[entry.graph] = entry
+        while len(self._entries) > self._maxsize:
+            # the entry's kernel objects (CSR, block-cut tree, BFS distance
+            # arrays) go with it, accounted in evicted_bytes
+            _graph, evicted = self._entries.popitem(last=False)
             self._evictions += 1
-            self._evicted_passes += evicted.refinement.passes
-            self._evicted_bytes += evicted.estimated_bytes()
+            self._retire_locked(evicted)
+
+    def _retire_locked(self, entry: CacheEntry) -> None:
+        """Fold a dropped entry into the counters, so ``refinement_passes``
+        stays monotone across evictions, rejects and replacements."""
+        self._evicted_passes += entry.refinement.passes
+        self._evicted_bytes += entry.estimated_bytes()
+
+    def _live_locked(self) -> Iterator[CacheEntry]:
+        return chain(self._entries.values(), self._probation.values())
 
     def get(self, graph: PortLabeledGraph) -> ViewRefinement:
         """The memoised refinement of ``graph`` (created on first request)."""
@@ -332,16 +315,16 @@ class RefinementCache:
         """
         result = delta.apply_to(base_graph)
         graph = result.graph
-        key = graph.cache_key()
+        hash(graph)  # as in _entry: memoise the hash outside the lock
         with self._lock:
-            for collection in (self._buckets.get(key), self._probation.get(key)):
-                if collection:
-                    for stored in collection:
-                        if stored.graph == graph:
-                            self._hits += 1
-                            if events is not None:
-                                events.append("cache_hit")
-                            return stored
+            stored = self._entries.get(graph)
+            if stored is None:
+                stored = self._probation.get(graph)
+            if stored is not None:
+                self._hits += 1
+                if events is not None:
+                    events.append("cache_hit")
+                return stored
         if self._store is not None:
             # an exact record of the mutated graph beats a replay outright
             record = self._store.load_for_graph(graph)
@@ -352,7 +335,7 @@ class RefinementCache:
                 entry = CacheEntry(graph, ViewRefinement(graph))
                 entry.memo.update(record.memo_entries())
                 with self._lock:
-                    self._admit_locked(key, entry)
+                    self._admit_locked(entry)
                 if events is not None:
                     events.append("cache_hit")
                 return entry
@@ -391,38 +374,26 @@ class RefinementCache:
             self._misses += 1
             # computing the base above may have admitted an entry for this
             # very labeling (a delta that composes back to the identity):
-            # replace it, or a later lookup -- persist() in particular --
-            # would resolve the lineage-less duplicate first.  Equality is
-            # exact labeled equality, so the duplicate's memos answer for
-            # the same graph and carry over soundly.
-            for collection, counter in (
-                (self._buckets, "_num_entries"),
-                (self._probation, "_probation_entries"),
-            ):
-                bucket = collection.get(key)
-                if not bucket:
-                    continue
-                for stored in list(bucket):
-                    if stored.graph == graph:
-                        bucket.remove(stored)
-                        setattr(self, counter, getattr(self, counter) - 1)
-                        self._evicted_passes += stored.refinement.passes
-                        self._evicted_bytes += stored.estimated_bytes()
-                        for memo_key, value in stored.memo.items():
-                            entry.memo.setdefault(memo_key, value)
-                if not bucket:
-                    del collection[key]
-            self._admit_locked(key, entry)
+            # replace it -- pop, then insert, so the key becomes this graph
+            # instance and a later lookup (persist() in particular) finds
+            # the entry carrying the lineage.  Equality is exact labeled
+            # equality, so the old entry's memos answer for the same graph
+            # and carry over soundly.
+            for table in (self._entries, self._probation):
+                stored = table.pop(graph, None)
+                if stored is not None:
+                    self._retire_locked(stored)
+                    for memo_key, value in stored.memo.items():
+                        entry.memo.setdefault(memo_key, value)
+            self._admit_locked(entry)
         return entry
 
     def clear(self) -> None:
         """Drop all entries and reset the counters (the store and the
         admission policy stay as configured)."""
         with self._lock:
-            self._buckets.clear()
-            self._num_entries = 0
+            self._entries.clear()
             self._probation.clear()
-            self._probation_entries = 0
             self._hits = 0
             self._misses = 0
             self._evictions = 0
@@ -497,8 +468,7 @@ class RefinementCache:
         if self._store is None:
             return 0
         with self._lock:
-            entries = [entry for bucket in self._buckets.values() for entry in bucket]
-            entries += [entry for bucket in self._probation.values() for entry in bucket]
+            entries = list(self._live_locked())
         written = 0
         for entry in entries:
             if self.persist(entry.graph):
@@ -528,16 +498,7 @@ class RefinementCache:
         partitions.
         """
         with self._lock:
-            live = sum(
-                entry.refinement.passes
-                for bucket in self._buckets.values()
-                for entry in bucket
-            )
-            live += sum(
-                entry.refinement.passes
-                for bucket in self._probation.values()
-                for entry in bucket
-            )
+            live = sum(entry.refinement.passes for entry in self._live_locked())
             return live + self._evicted_passes
 
     @property
@@ -568,15 +529,7 @@ class RefinementCache:
     def live_bytes(self) -> int:
         """Estimated retained footprint of all live entries (bytes)."""
         with self._lock:
-            return sum(
-                entry.estimated_bytes()
-                for bucket in self._buckets.values()
-                for entry in bucket
-            ) + sum(
-                entry.estimated_bytes()
-                for bucket in self._probation.values()
-                for entry in bucket
-            )
+            return sum(entry.estimated_bytes() for entry in self._live_locked())
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of all counters (suitable for printing or diffing)."""
@@ -591,7 +544,7 @@ class RefinementCache:
             "live_bytes": self.live_bytes(),
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
-            "probation": self._probation_entries,
+            "probation": len(self._probation),
             "admissions": self.admissions,
             "admission_rejects": self.admission_rejects,
         }

@@ -13,9 +13,10 @@ This package is the durable layer that makes that true across processes:
   skip-identical write-through work.
 * :mod:`repro.store.store` -- the :class:`ArtifactStore` directory:
   fingerprint-addressed objects written atomically (temp file +
-  ``os.replace``), a rebuildable manifest indexed by the shallow
-  ``cache_key`` for refinement-free lookup, and safe concurrent
-  readers/writers across processes.
+  ``os.replace``), a rebuildable manifest indexed by the exact graph digest
+  :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key` for
+  refinement-free lookup, and safe concurrent readers/writers across
+  processes.
 
 The runner's :class:`~repro.runner.cache.RefinementCache` reads and writes
 through this store when one is attached (see

@@ -17,15 +17,20 @@ graph and of the (deterministic) computations performed on it:
 * bit-exact advice strings (the full-map advice of Theorem 2.4's universal
   scheme by default).
 
-The byte encoding (format version 2) is canonical: unsigned-LEB128 varints
+The byte encoding (format version 3) is canonical: unsigned-LEB128 varints
 and length-prefixed UTF-8, sections in a fixed order, ψ entries and advice
 sorted -- so ``encode(decode(b)) == b`` and two processes that computed the
 same things about equal graphs produce identical record bytes.  That is what
 makes the store content-addressed *and* lets write-through skip rewrites.
-Version 2 appends the delta lineage section -- ``parent_fingerprint`` and
+Version 2 appended the delta lineage section -- ``parent_fingerprint`` and
 ``delta_digest``, naming the base record and edit script a delta-derived
-record was replayed from -- after the version-1 sections, so version-1
-records still decode (with empty lineage) and re-encode as version 2.
+record was replayed from -- after the version-1 sections.  Version 3 drops
+the relabeling-invariant bucket key that versions 1 and 2 stored after the
+fingerprint: the store's index key
+(:meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key`) is a pure
+function of the graph, so the record no longer carries it.  Version-1 and
+version-2 records still decode (the old key string is skipped, a v1 record
+gets empty lineage) and re-encode as version 3.
 Volatile observations (wall times, cumulative search-statistics snapshots)
 deliberately live in the store manifest, not in the record.
 """
@@ -42,9 +47,10 @@ from ..portgraph.io import graph_from_bytes, graph_to_bytes, read_uvarint, write
 __all__ = ["ArtifactRecord", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = b"RPLE"
-FORMAT_VERSION = 2
-#: Versions :meth:`ArtifactRecord.from_bytes` accepts (v1 = no lineage).
-_DECODABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+#: Versions :meth:`ArtifactRecord.from_bytes` accepts (v1 = no lineage;
+#: v1 and v2 carry a bucket-key string after the fingerprint).
+_DECODABLE_VERSIONS = (1, 2, 3)
 
 #: One computed ψ_Z outcome: (task code, max_depth, max_states, status, value)
 #: with status ``"ok"`` or ``"limited"`` (search budget exceeded).
@@ -93,7 +99,6 @@ class ArtifactRecord:
     """The persisted artifact of one graph (see the module docstring)."""
 
     fingerprint: str
-    cache_key: str
     graph: PortLabeledGraph
     stable_depth: int
     color_tables: Tuple[Tuple[int, ...], ...]
@@ -151,7 +156,6 @@ class ArtifactRecord:
             advice.append(("map", encode_map_advice(graph)))
         return cls(
             fingerprint=fingerprint,
-            cache_key=graph.cache_key(),
             graph=graph,
             stable_depth=stable,
             color_tables=tables,
@@ -186,7 +190,6 @@ class ArtifactRecord:
         deeper = self if len(self.color_tables) >= len(other.color_tables) else other
         return ArtifactRecord(
             fingerprint=self.fingerprint,
-            cache_key=self.cache_key,
             graph=self.graph,
             stable_depth=deeper.stable_depth,
             color_tables=deeper.color_tables,
@@ -232,7 +235,6 @@ class ArtifactRecord:
         out = bytearray(MAGIC)
         write_uvarint(out, FORMAT_VERSION)
         _write_str(out, self.fingerprint)
-        _write_str(out, self.cache_key)
         out.extend(graph_to_bytes(self.graph))
         csr = self.graph.csr()
         for arr in (csr.offsets, csr.neighbors, csr.reverse_ports):
@@ -273,7 +275,8 @@ class ArtifactRecord:
         if version not in _DECODABLE_VERSIONS:
             raise ValueError(f"unsupported record format version {version}")
         fingerprint, offset = _read_str(data, offset)
-        cache_key, offset = _read_str(data, offset)
+        if version < 3:
+            _bucket_key, offset = _read_str(data, offset)
         graph, offset = graph_from_bytes(data, offset=offset, validate=False)
         arrays = []
         for _ in range(3):
@@ -330,7 +333,6 @@ class ArtifactRecord:
             delta_digest, offset = _read_str(data, offset)
         record = cls(
             fingerprint=fingerprint,
-            cache_key=cache_key,
             graph=graph,
             stable_depth=stable_depth,
             color_tables=tuple(tables),

@@ -18,11 +18,13 @@ Consistency model
   record or no record, never a torn one.  Re-putting unchanged content is
   detected by byte comparison and skipped.
 * **The manifest is an index, not a source of truth.**  It maps storage keys
-  to metadata (graph label, sizes, the shallow ``cache_key`` used for
+  to metadata (graph label, sizes, the exact ``cache_key`` used for
   read-through lookups, observed compute cost) and is rewritten atomically
-  under an ``flock``; if it is lost or stale it can be rebuilt from the
-  objects directory with :meth:`ArtifactStore.rebuild_manifest`.  Readers
-  never need it to resolve a known fingerprint.
+  under an ``flock``; if it is lost it can be rebuilt from the objects
+  directory with :meth:`ArtifactStore.rebuild_manifest`, and a corrupt
+  manifest, or one whose ``format_version`` is not the current record
+  format (its index keys are another format's), is rebuilt on first use.
+  Readers never need it to resolve a known fingerprint.
 * **Colliding labelings spill.**  The fingerprint is relabeling-invariant
   and only as discriminating as colour refinement, so two *different*
   labeled graphs can share one fingerprint (relabeled copies; or genuinely
@@ -37,10 +39,11 @@ Consistency model
 Read-through by graph (not by fingerprint) is the hot path of the runner
 cache: computing a fingerprint requires refining the graph, which is exactly
 the work a warm start wants to avoid.  :meth:`ArtifactStore.load_for_graph`
-therefore looks up candidates by the O(n + m) shallow
-:meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key` recorded in the
-manifest and resolves collisions by exact labeled-graph equality, so a cold
-process finds its record without a single refinement pass.
+therefore looks up candidates by
+:meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key` -- an O(n + m)
+digest of the exact labeled graph, name ignored -- recorded in the manifest,
+and confirms each candidate by graph equality, so a cold process finds its
+record without a single refinement pass.
 """
 
 from __future__ import annotations
@@ -343,8 +346,10 @@ class ArtifactStore:
 
     def _load_manifest_file(self) -> Optional[dict]:
         """Parse the manifest file: an empty manifest if absent, ``None`` if
-        the file is *present but corrupt* (truncated write, garbage bytes,
-        wrong shape) -- the two cases recover differently."""
+        the file is *present but unusable* -- corrupt (truncated write,
+        garbage bytes, wrong shape), or written for another record format,
+        whose index keys this code does not compute.  The two cases recover
+        differently."""
         try:
             with open(self._manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
@@ -354,16 +359,26 @@ class ArtifactStore:
             return None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("records"), dict):
             return None
+        if manifest.get("format_version") != FORMAT_VERSION:
+            return None
         # manifests written before compaction existed carry no generation
         if not isinstance(manifest.get("generation"), int):
             manifest["generation"] = 0
         return manifest
 
     def _read_manifest(self) -> dict:
-        # used under the manifest lock (read-modify-write): never recurses
-        # into a rebuild, a corrupt manifest just starts the rewrite empty
+        # used under the manifest lock (read-modify-write), so it cannot call
+        # rebuild_manifest(), which takes the lock: an unusable manifest is
+        # re-indexed from the objects right here, so the rewrite keeps every
+        # record it does not touch
         manifest = self._load_manifest_file()
-        return manifest if manifest is not None else self._empty_manifest()
+        if manifest is None:
+            with self._counter_lock:
+                self._manifest_rebuilds += 1
+            manifest = self._empty_manifest()
+            manifest["generation"] = 1
+            manifest["records"] = self._scan_records()
+        return manifest
 
     def _manifest_stat(self) -> Tuple[int, int, int]:
         """The cache key of the manifest file: ``(mtime_ns, size, inode)``.
@@ -445,7 +460,7 @@ class ArtifactStore:
     @staticmethod
     def _record_meta(record: ArtifactRecord, payload_size: int) -> dict:
         meta = {
-            "cache_key": record.cache_key,
+            "cache_key": record.graph.cache_key(),
             "name": record.graph.name,
             "n": record.graph.num_nodes,
             "m": record.graph.num_edges,
@@ -465,16 +480,7 @@ class ArtifactStore:
         The rewritten manifest carries ``generation + 1``, so every other
         handle's stat-keyed cache notices the new index.
         """
-        records = {}
-        for fingerprint in self.fingerprints():
-            payload = self.get_bytes(fingerprint)
-            if payload is None:
-                continue
-            try:
-                record = ArtifactRecord.from_bytes(payload)
-            except _DECODE_ERRORS:
-                continue  # a corrupt object must not block recovering the rest
-            records[fingerprint] = self._record_meta(record, len(payload))
+        records = self._scan_records()
         with self._manifest_lock():
             current = self._load_manifest_file()
             manifest = self._empty_manifest()
@@ -482,6 +488,20 @@ class ArtifactStore:
             manifest["records"] = records
             self._write_manifest(manifest)
         return len(records)
+
+    def _scan_records(self) -> Dict[str, dict]:
+        """Manifest metadata of every object that decodes, by storage key."""
+        records = {}
+        for key in self.fingerprints():
+            payload = self.get_bytes(key)
+            if payload is None:
+                continue
+            try:
+                record = ArtifactRecord.from_bytes(payload)
+            except _DECODE_ERRORS:
+                continue  # a corrupt object must not block recovering the rest
+            records[key] = self._record_meta(record, len(payload))
+        return records
 
     # ------------------------------------------------------------------ #
     # compaction / GC

@@ -205,6 +205,23 @@ class TestDeltaEntry:
         assert again == ["cache_hit"]
         assert hit is entry
 
+    def test_identity_composed_delta_replaces_the_base_entry(self):
+        # a delta that composes back to the base labeling, base not cached:
+        # computing the base admits an entry equal to the derived graph, and
+        # the derived entry replaces it -- pop, then insert, so the one key
+        # left is the derived instance (a plain dict update would keep the
+        # base instance, and with it an engine and CSR nothing else uses)
+        base = generators.grid_graph(3, 4)
+        identity = list(range(base.degree(0)))
+        delta = GraphDelta([{"op": "relabel-ports", "v": 0, "perm": identity}])
+        entry = refinement_cache.delta_entry(base, delta)
+        assert entry.graph == base and entry.graph is not base
+        assert entry.lineage == (base.fingerprint(), delta.digest())
+        assert len(refinement_cache) == 1
+        (key,) = refinement_cache._entries
+        assert key is entry.graph
+        assert refinement_cache.entry(_fresh_copy(base)) is entry
+
     def test_store_record_of_mutated_graph_beats_replay(self, tmp_path):
         base = generators.grid_graph(3, 4)
         delta = mutation_stream(base, seed=5, length=1)[0]

@@ -117,6 +117,82 @@ class TestBlockCutTree:
             tree.component_key(1, 1)
 
 
+def _class_port_cases(graph):
+    """Every (class, port, target) of ψ_PE's port search over all depths:
+    classes of the refinement at each depth up to the fixpoint, every port
+    below the class's minimum degree, every target node."""
+    engine = graph.refinement_engine()
+    stable = engine.ensure_stable()
+    classes = {tuple(group) for depth in range(stable + 1) for group in engine.members_at(depth)}
+    for members in sorted(classes):
+        for port in range(min(graph.degree(v) for v in members)):
+            for target in graph.nodes():
+                yield list(members), port, target
+
+
+class TestClassPortScreen:
+    """``class_port_ok`` equals the per-member definition on both backends,
+    and a tree keeps the backend it was built under."""
+
+    @staticmethod
+    def _graphs():
+        from repro.families import build_gdk_member
+        from repro.scenarios import corpus_specs
+
+        graphs = [spec.build() for spec in corpus_specs(16, seed=7, corpus="mixed")]
+        return graphs + [build_gdk_member(4, 1, 1).graph]
+
+    def test_numpy_screen_and_python_loop_match_the_definition(self):
+        pytest.importorskip("numpy")
+        from repro.kernel import use_backend
+
+        screened = 0
+        for graph in self._graphs():
+            with use_backend("numpy"):
+                numpy_tree = BlockCutTree(graph.csr())
+            with use_backend("python"):
+                python_tree = BlockCutTree(graph.csr())
+            cut = numpy_tree.articulation_points()
+            for members, port, target in _class_port_cases(graph):
+                expected = all(
+                    python_tree.starts_simple_path(v, port, target) for v in members
+                )
+                assert numpy_tree.class_port_ok(members, port, target) == expected
+                assert python_tree.class_port_ok(members, port, target) == expected
+                if len(members) >= 8 and cut.intersection(members):
+                    screened += 1
+        # the bulk screen (classes of >= 8 members) ran on classes whose
+        # articulation members need the exact component comparison
+        assert screened > 0
+
+    @pytest.mark.parametrize("built_under, queried_under", [("numpy", "python"), ("python", "numpy")])
+    def test_tree_keeps_the_backend_it_was_built_under(self, monkeypatch, built_under, queried_under):
+        pytest.importorskip("numpy")
+        from repro.families import build_gdk_member
+        from repro.kernel import use_backend
+
+        graph = build_gdk_member(4, 1, 1).graph
+        with use_backend(built_under):
+            tree = BlockCutTree(graph.csr())
+        members, port, target = next(
+            case for case in _class_port_cases(graph) if len(case[0]) >= 8
+        )
+        expected = all(tree.starts_simple_path(v, port, target) for v in members)
+        calls = []
+        original = BlockCutTree.starts_simple_path
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(BlockCutTree, "starts_simple_path", counted)
+        with use_backend(queried_under):
+            assert tree.class_port_ok(members, port, target) == expected
+        # the python loop asks starts_simple_path per member; the numpy
+        # screen never does
+        assert (len(calls) == 0) == (built_under == "numpy")
+
+
 class TestGraphKernel:
     def test_kernel_memoises_blockcut_and_distances(self):
         graph = generators.random_connected_graph(9, extra_edges=3, seed=1)

@@ -1,4 +1,4 @@
-"""Regression tests for the fixpoint-precise ``fingerprint()`` and the shallow ``cache_key()``.
+"""Regression tests for the fixpoint-precise ``fingerprint()`` and the exact ``cache_key()``.
 
 The original fingerprint folded a *fixed* 3 rounds of port-aware colour
 refinement.  That aliases structurally different graphs whose refinements
@@ -128,24 +128,47 @@ class TestFingerprintCollisionFix:
 
 
 class TestCacheKey:
-    def test_cache_key_is_relabeling_invariant_and_deterministic(self):
+    def test_relabeled_copy_that_differs_gets_a_different_key(self):
+        # the key names the exact labeled graph: a relabeling that changes
+        # the adjacency is a different store-index key (the fingerprint,
+        # which is relabeling-invariant, stays equal)
         graph = generators.random_connected_graph(10, extra_edges=4, seed=3)
         n = graph.num_nodes
         perm = [(v * 3 + 1) % n for v in range(n)]
         assert sorted(perm) == list(range(n))
-        assert graph.cache_key() == graph.relabeled(perm).cache_key()
-        rebuilt = PortLabeledGraph([graph.adjacency(v) for v in graph.nodes()])
-        assert rebuilt.cache_key() == graph.cache_key()
+        relabeled = graph.relabeled(perm)
+        assert relabeled != graph
+        assert relabeled.fingerprint() == graph.fingerprint()
+        assert relabeled.cache_key() != graph.cache_key()
+        assert graph.cache_key() == graph.cache_key()
 
-    def test_cache_key_may_alias_where_fingerprint_does_not(self):
-        # the documented trade-off: the shallow bucket key aliases the
-        # de Bruijn pair, the precise fingerprint separates it, and the
-        # runner cache stays correct because buckets compare exact graphs
+    def test_debruijn_pair_gets_distinct_keys(self):
+        # the pair the old 3-round relabeling-invariant key aliased
         g1 = leaf_decorated_cycle(debruijn_prefer_one(7), "a")
         g2 = leaf_decorated_cycle(debruijn_fkm(7), "b")
-        assert g1.cache_key() == g2.cache_key()
-        assert g1.fingerprint() != g2.fingerprint()
         assert g1 != g2
+        assert g1.cache_key() != g2.cache_key()
+
+    def test_rebuilt_and_renamed_copies_share_the_key(self):
+        # equal graphs share the key whatever their names: one graph
+        # submitted as adjacency and as a spec must hit one store record
+        graph = generators.random_connected_graph(10, extra_edges=4, seed=3)
+        rows = [graph.adjacency(v) for v in graph.nodes()]
+        rebuilt = PortLabeledGraph(rows)
+        renamed = PortLabeledGraph(rows, name="a different name")
+        assert rebuilt == graph == renamed
+        assert rebuilt.cache_key() == graph.cache_key() == renamed.cache_key()
+
+    def test_cache_key_digest_is_pinned(self):
+        from repro.portgraph.io import graph_to_bytes
+
+        graph = generators.asymmetric_cycle(6)
+        # BLAKE2b-128 of the name-free body of graph_to_bytes: for an
+        # unnamed graph that is everything after the zero name length
+        unnamed = PortLabeledGraph([graph.adjacency(v) for v in graph.nodes()])
+        body = graph_to_bytes(unnamed)[1:]
+        assert graph.cache_key() == hashlib.blake2b(body, digest_size=16).hexdigest()
+        assert graph.cache_key() == "769fe3842008b4b85a8ad76c87209221"
 
     def test_distinct_small_graphs_get_distinct_cache_keys(self):
         keys = {

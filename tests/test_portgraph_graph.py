@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.portgraph import PortLabeledGraph, PortLabelingError, generators
@@ -53,6 +55,72 @@ class TestConstruction:
         ]
         with pytest.raises(PortLabelingError):
             PortLabeledGraph(adjacency)
+
+
+#: Invalid adjacencies as ``port -> (neighbour, neighbour port)`` rows, one
+#: per validation check.  The last two are expressible with mapping rows
+#: only: a list or tuple row always has ports 0..d-1.
+_INVALID_ADJACENCIES = {
+    "no-nodes": [],
+    "not-a-pair": [{0: (1,)}, {0: (0, 0)}],
+    "neighbour-out-of-range": [{0: (1, 0)}, {0: (0, 0), 1: (5, 0)}],
+    "self-loop": [{0: (0, 0)}],
+    "multi-edge": [{0: (1, 0), 1: (1, 1)}, {0: (0, 0), 1: (0, 1)}],
+    "missing-back-port": [{0: (1, 1)}, {0: (0, 0)}],
+    "bad-reciprocity": [{0: (1, 0)}, {0: (0, 0), 1: (2, 1)}, {0: (1, 1)}],
+    "disconnected": [{0: (1, 0)}, {0: (0, 0)}, {0: (3, 0)}, {0: (2, 0)}],
+    "negative-port": [{-1: (1, 0)}, {0: (0, -1)}],
+    "noncontiguous-ports": [{1: (1, 0)}, {0: (0, 1)}],
+}
+
+_ROW_FORMS = {
+    "dict": dict,
+    "list": lambda row: [row[p] for p in range(len(row))],
+    "tuple": lambda row: tuple(row[p] for p in range(len(row))),
+    "mappingproxy": lambda row: types.MappingProxyType(dict(row)),
+}
+
+
+def _in_form(rows, form):
+    """``rows`` with every row converted to ``form``; ``None`` if a sequence
+    form cannot express the ports."""
+    if form in ("list", "tuple") and any(set(row) != set(range(len(row))) for row in rows):
+        return None
+    return [_ROW_FORMS[form](row) for row in rows]
+
+
+class TestRowForms:
+    """Dict, list, tuple and read-only mapping rows validate and build alike."""
+
+    @pytest.mark.parametrize("case", sorted(_INVALID_ADJACENCIES))
+    def test_every_error_case_raises_the_same_error_in_every_form(self, case):
+        messages = {}
+        for form in _ROW_FORMS:
+            adjacency = _in_form(_INVALID_ADJACENCIES[case], form)
+            if adjacency is None:
+                continue
+            with pytest.raises(PortLabelingError) as error:
+                PortLabeledGraph(adjacency)
+            messages[form] = str(error.value)
+        assert "dict" in messages and "mappingproxy" in messages
+        assert len(set(messages.values())) == 1, messages
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generators.asymmetric_cycle(7),
+            generators.star_graph(4),
+            generators.random_connected_graph(12, extra_edges=5, seed=4),
+            generators.hypercube_graph(3),
+        ],
+        ids=lambda graph: graph.name,
+    )
+    def test_valid_graph_builds_equal_graphs_in_every_form(self, graph):
+        rows = [dict(enumerate(graph.adjacency(v))) for v in graph.nodes()]
+        for form in _ROW_FORMS:
+            built = PortLabeledGraph(_in_form(rows, form), name=graph.name)
+            assert built == graph, form
+            assert built.cache_key() == graph.cache_key()
 
 
 class TestAccessors:

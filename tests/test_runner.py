@@ -158,6 +158,62 @@ class TestRefinementCache:
         cache.clear()
         assert len(cache) == 0 and cache.misses == 0
 
+    def test_memory_lookups_never_compute_the_store_key(self, monkeypatch):
+        # the in-memory cache keys on the graph itself; cache_key() is the
+        # store index's digest and has no business on a memory lookup
+        calls = []
+        original = PortLabeledGraph.cache_key
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PortLabeledGraph, "cache_key", counted)
+        cache = RefinementCache()
+        graph = generators.asymmetric_cycle(7)
+        miss = cache.entry(graph)
+        assert cache.entry(graph) is miss
+        assert cache.entry(generators.asymmetric_cycle(7)) is miss  # equal instance
+        assert cache.misses == 1 and cache.hits == 2
+        assert calls == []
+
+    def test_concurrent_lookups_keep_counters_bound_and_identity(self):
+        import sys
+        import threading
+
+        cache = RefinementCache(maxsize=3, admission="second-touch")
+        base = [generators.asymmetric_cycle(n) for n in (5, 6, 7)]
+        variants = base + [graph.relabeled(_reversal_perm(graph)) for graph in base]
+        workers, rounds = 8, 40
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(rounds):
+                    source = variants[(seed + i) % len(variants)]
+                    # a fresh, equal instance per lookup, as served requests are
+                    graph = PortLabeledGraph([source.adjacency(v) for v in source.nodes()])
+                    if cache.entry(graph).graph != graph:
+                        errors.append((seed, i))
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == workers * rounds
+        assert stats["currsize"] <= 3 and stats["probation"] <= 3
+
     def test_shared_refinement_uses_process_cache(self):
         graph = generators.asymmetric_cycle(5)
         assert shared_refinement(graph) is shared_refinement(graph)

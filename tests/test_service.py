@@ -172,6 +172,30 @@ def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path):
     assert stats["cache"]["store_hits"] == 1
 
 
+def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path):
+    """The store index ignores the graph name: one graph submitted as a spec,
+    then as adjacency under another name, resolves to one record, and the
+    second lookup warm-starts from it with zero refinement passes."""
+    spec = {"kind": "asymmetric-cycle", "params": {"n": 7}}
+    graph_dict = graph_to_dict(generators.asymmetric_cycle(7))
+    graph_dict["name"] = "submitted-under-another-name"
+    store = ArtifactStore(str(tmp_path))
+    with _RunningServer(make_service(store=store, workers=1)) as running:
+        by_spec = running.post("/election", {"spec": spec})
+    assert store.stats()["records"] == 1
+
+    refinement_cache.clear()
+    with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
+        by_adjacency = running.post("/election", {"graph": graph_dict})
+        stats = running.get("/stats")
+    assert by_adjacency["graph"] == "submitted-under-another-name" != by_spec["graph"]
+    assert by_adjacency["indices"] == by_spec["indices"]
+    assert by_adjacency["fingerprint"] == by_spec["fingerprint"]
+    assert stats["cache"]["store_hits"] == 1
+    assert stats["cache"]["refinement_passes"] == 0
+    assert ArtifactStore(str(tmp_path)).stats()["records"] == 1
+
+
 def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(monkeypatch):
     """A memory hit by an equal request graph adopts the cached instance's
     engine and fingerprint, so a warm replay runs no real refinement pass:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.families import build_gdk_member
-from repro.portgraph import generators
+from repro.portgraph import PortLabeledGraph, generators
 from repro.portgraph.io import graph_from_bytes, graph_to_bytes
 from repro.runner import (
     GraphSpec,
@@ -83,7 +83,8 @@ class TestBinaryGraphEncoding:
 
 
 class TestArtifactRecord:
-    def test_encode_decode_byte_identical(self):
+    def test_encode_decode_byte_identical(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
         for graph in _sample_graphs():
             record = _computed_record(graph)
             payload = record.to_bytes()
@@ -91,7 +92,11 @@ class TestArtifactRecord:
             assert decoded.to_bytes() == payload
             assert decoded.graph == graph
             assert decoded.fingerprint == graph.fingerprint()
-            assert decoded.cache_key == graph.cache_key()
+            # the record no longer carries its index key: the manifest
+            # derives it from the graph
+            store.put(decoded)
+            meta = store.manifest()["records"][decoded.fingerprint]
+            assert meta["cache_key"] == graph.cache_key()
             assert decoded.psi == record.psi
             assert decoded.advice == record.advice
             refinement_cache.clear()
@@ -413,6 +418,76 @@ class TestArtifactStore:
             thread.join()
         assert not errors
         assert ArtifactStore(str(tmp_path)).stats()["records"] == 4
+
+
+def _as_format_2(payload):
+    """A format-3 record payload rewritten as format 2: version byte 2 and a
+    bucket-key string spliced in after the fingerprint, as v2 writers did."""
+    from repro.store.record import FORMAT_VERSION, MAGIC
+
+    assert payload[: len(MAGIC)] == MAGIC and payload[len(MAGIC)] == FORMAT_VERSION == 3
+    start = len(MAGIC) + 1
+    fingerprint_length = payload[start]  # 64 hex chars: a one-byte varint
+    end = start + 1 + fingerprint_length
+    old_key = ("0f" * 32).encode("ascii")
+    return (
+        payload[: len(MAGIC)] + bytes([2]) + payload[start:end]
+        + bytes([len(old_key)]) + old_key + payload[end:]
+    )
+
+
+class TestFormatUpgrade:
+    """A store written at format 2 (records and manifest) stays readable."""
+
+    @staticmethod
+    def _format_2_store(root):
+        import json
+
+        store = ArtifactStore(root)
+        graphs = _sample_graphs()[:3]
+        v3_payloads = {}
+        for graph in graphs:
+            record = _computed_record(graph)
+            store.put(record)
+            v3_payloads[record.fingerprint] = record.to_bytes()
+            refinement_cache.clear()
+        for key, payload in v3_payloads.items():
+            v2 = _as_format_2(payload)
+            assert ArtifactRecord.from_bytes(v2).to_bytes() == payload
+            with open(os.path.join(root, "objects", key[:2], key + ".rple"), "wb") as handle:
+                handle.write(v2)
+        # a v2 manifest indexed every record under the old bucket key
+        manifest_path = os.path.join(root, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format_version"] = 2
+        for meta in manifest["records"].values():
+            meta["cache_key"] = "0f" * 32
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        return graphs, v3_payloads
+
+    @pytest.mark.parametrize("first_operation", ["lookup", "put"])
+    def test_format_2_records_are_found_after_opening(self, tmp_path, first_operation):
+        root = str(tmp_path)
+        graphs, v3_payloads = self._format_2_store(root)
+        store = ArtifactStore(root)
+        if first_operation == "put":
+            other = generators.hypercube_graph(3)
+            assert all(graph != other for graph in graphs)
+            assert store.put(_computed_record(other)) is True
+            refinement_cache.clear()
+            assert store.load_for_graph(generators.hypercube_graph(3)) is not None
+        for graph in graphs:
+            rebuilt = PortLabeledGraph([graph.adjacency(v) for v in graph.nodes()])
+            found = store.load_for_graph(rebuilt)
+            assert found is not None and found.graph == graph
+            # decoded from the v2 object, re-encoded as v3 byte for byte
+            assert found.to_bytes() == v3_payloads[found.fingerprint]
+        stats = store.stats()
+        assert stats["manifest_rebuilds"] == 1
+        assert stats["records"] == len(graphs) + (first_operation == "put")
+        assert store.manifest()["format_version"] == 3
 
 
 class TestManifestStatKeying:
