@@ -38,7 +38,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.8",
     # The library is dependency-free by design; numpy unlocks the vectorised
-    # kernel backend (byte-identical results, just faster cold sweeps).
+    # refinement engine (byte-identical results, just faster cold sweeps).
     extras_require={"fast": ["numpy"]},
     entry_points={
         "console_scripts": [

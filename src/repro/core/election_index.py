@@ -158,9 +158,9 @@ def _pe_class_port(
     ``cut`` is the graph's :class:`~repro.kernel.blockcut.BlockCutTree`: one
     DFS per graph answers every "does this port start a simple path to the
     leader?" question in O(log Δ), replacing the per-removed-node BFS family
-    this helper used to drive.  Whole classes are screened at once via
-    :meth:`~repro.kernel.blockcut.BlockCutTree.class_port_ok`, which the
-    numpy backend vectorises down to the articulation-point members.
+    this helper used to drive.  Each class is checked by
+    :meth:`~repro.kernel.blockcut.BlockCutTree.class_port_ok`, which stops
+    at the first member the port fails.
     """
     min_degree = min(graph.degree(v) for v in members)
     for port in range(min_degree):

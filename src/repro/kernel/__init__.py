@@ -7,20 +7,21 @@ common-sequence searches behind ψ_PPE/ψ_CPPE.  This package is their common
 low-level substrate:
 
 * :mod:`repro.kernel.csr` — the flat compressed-sparse-row encoding of a
-  port-labeled graph (``offsets`` / ``neighbors`` / ``ports`` /
-  ``reverse_ports`` int arrays) plus array-level BFS.  Built lazily and
-  memoised per graph via :meth:`repro.portgraph.graph.PortLabeledGraph.csr`.
+  port-labeled graph (``offsets`` / ``neighbors`` / ``reverse_ports`` int
+  arrays) plus array-level BFS.  Built lazily and memoised per graph via
+  :meth:`repro.portgraph.graph.PortLabeledGraph.csr`.
 * :mod:`repro.kernel.refine` — incremental worklist partition refinement on
   CSR: after the first pass only nodes adjacent to classes that split are
   re-signatured, and inverse indexes (class → members, per-depth unique-node
   lists) make the class queries O(1)/O(output).
 * :mod:`repro.kernel.backend` / :mod:`repro.kernel.refine_numpy` — runtime
-  selection of a vectorised numpy twin of the hot loops (refinement,
-  BFS, block-cut prefilters, inbox routing).  Byte-identical results on
-  both backends; numpy stays an optional extra, selected via
-  ``REPRO_KERNEL_BACKEND`` / :func:`set_backend` and defaulting to
-  numpy-when-importable.  Construct engines via :func:`make_refinement` /
-  :func:`refinement_from_stored` so the choice applies.
+  selection of the refinement engine: the incremental python one above or
+  a batched numpy twin.  Byte-identical results on both; numpy stays an
+  optional extra, selected via ``REPRO_KERNEL_BACKEND`` /
+  :func:`set_backend` and defaulting to numpy-when-importable.  Construct
+  engines via :func:`make_refinement` / :func:`refinement_from_stored` so
+  the choice applies.  BFS, block-cut queries and message routing have a
+  single python implementation.
 * :mod:`repro.kernel.blockcut` — one block-cut-tree (biconnected components)
   DFS per graph, answering every "does port ``p`` at ``v`` start a simple
   path to the leader?" query of ψ_PE without a per-removed-node BFS.
@@ -41,7 +42,7 @@ from .backend import (
     use_backend,
 )
 from .blockcut import BlockCutTree
-from .csr import CSRGraph, as_numpy, bfs_distances_csr, build_csr, from_numpy
+from .csr import CSRGraph, bfs_distances_csr, build_csr
 from .refine import (
     CSRPartitionRefinement,
     make_refinement,
@@ -54,8 +55,6 @@ __all__ = [
     "CSRGraph",
     "build_csr",
     "bfs_distances_csr",
-    "as_numpy",
-    "from_numpy",
     "CSRPartitionRefinement",
     "make_refinement",
     "refinement_from_stored",

@@ -1,14 +1,18 @@
 """Runtime selection of the kernel compute backend (pure python vs numpy).
 
-The kernel has two interchangeable implementations of its hot loops:
+The backend picks the refinement engine, the one hot loop with two
+interchangeable implementations:
 
 * the **python** backend -- the original, dependency-free ``array``-module
-  code paths (incremental worklist refinement, deque BFS, per-member
-  block-cut queries, per-dart inbox scans);
-* the **numpy** backend -- the same computations expressed as dense array
+  engine (incremental worklist refinement);
+* the **numpy** backend -- the same partitions computed as dense array
   operations (full-width ``lexsort``/boundary signature grouping per
-  refinement pass, frontier-at-once BFS masking, vectorised block-cut
-  prefilters, fancy-indexed inbox stamping).
+  refinement pass).
+
+Only the factories in :mod:`repro.kernel.refine` act on the selection.
+BFS, block-cut queries and message routing have one python implementation
+whichever backend is active, and :meth:`repro.kernel.csr.CSRGraph.patched`
+uses numpy for its offset shift whenever it is importable.
 
 Both backends are *byte-identical* in everything observable: canonical
 colour tables, class counts, stable depths, ψ_Z values, advice bits and

@@ -39,7 +39,6 @@ from array import array
 from bisect import bisect_right
 from typing import List, Sequence, Set, Tuple
 
-from .backend import active_backend, numpy_or_none
 from .csr import INT_TYPECODE, CSRGraph
 
 __all__ = ["BlockCutTree"]
@@ -59,8 +58,6 @@ class BlockCutTree:
         "_child_tins",
         "_blocks",
         "_articulation",
-        "_articulation_mask",
-        "_numpy",
     )
 
     def __init__(self, csr: CSRGraph, root: int = 0) -> None:
@@ -74,10 +71,6 @@ class BlockCutTree:
         self._children: List[List[int]] = [[] for _ in range(n)]
         self._blocks: List[Tuple[int, ...]] = []
         self._articulation: Set[int] = set()
-        self._articulation_mask = None  # numpy bool mask, built on first batch query
-        # the backend binds per object (see kernel.backend): resolve it once
-        # here, not on every class_port_ok call of the ψ_PE port search
-        self._numpy = numpy_or_none() if active_backend() == "numpy" else None
         self._dfs()
         self._child_tins = [
             array(INT_TYPECODE, [self._tin[c] for c in kids]) for kids in self._children
@@ -208,41 +201,10 @@ class BlockCutTree:
     def class_port_ok(self, members: Sequence[int], port: int, target: int) -> bool:
         """Whether ``port`` starts a simple path to ``target`` from *every* member.
 
-        Semantically ``all(starts_simple_path(v, port, target) for v in
-        members)`` — the per-class feasibility test of ψ_PE's port search
-        (``port`` must be < every member's degree).  Under the numpy backend
-        the class is screened in bulk: one gather resolves every member's
-        neighbour via ``port``, and the only members left for exact
-        per-removed-node component queries are the articulation points whose
-        neighbour is not the target itself — on the paper's families almost
-        always a tiny minority of the class.  The backend is the one active
-        when the tree was built.
+        The per-class feasibility test of ψ_PE's port search (``port`` must
+        be < every member's degree); stops at the first member that fails.
         """
-        numpy = self._numpy
-        if numpy is None or len(members) < 8:
-            return all(self.starts_simple_path(v, port, target) for v in members)
-        dtype = numpy.dtype(INT_TYPECODE)
-        nodes = numpy.asarray(members, dtype=dtype)
-        if bool((nodes == target).any()):
-            return False  # no simple path from the target to itself
-        offsets = numpy.frombuffer(self._csr.offsets, dtype=dtype)
-        neighbors = numpy.frombuffer(self._csr.neighbors, dtype=dtype)
-        via = neighbors[offsets[nodes] + port]
-        undecided = via != target
-        if not bool(undecided.any()):
-            return True
-        if self._articulation_mask is None:
-            mask = numpy.zeros(self._csr.num_nodes, dtype=bool)
-            if self._articulation:
-                mask[numpy.asarray(sorted(self._articulation), dtype=dtype)] = True
-            self._articulation_mask = mask
-        # removing a non-cut vertex keeps the graph connected, so only
-        # articulation members still need the exact component comparison
-        critical = undecided & self._articulation_mask[nodes]
-        return all(
-            self.same_component_without(w, target, v)
-            for v, w in zip(nodes[critical].tolist(), via[critical].tolist())
-        )
+        return all(self.starts_simple_path(v, port, target) for v in members)
 
     def starts_simple_path(self, v: int, port: int, target: int) -> bool:
         """Whether ``port`` at ``v`` is the first port of a simple path ``v -> target``.

@@ -2,32 +2,31 @@
 
 A port-labeled graph stores, per node ``v`` of degree ``d``, the port table
 ``(neighbour, neighbour_port)`` for ports ``0..d-1``.  Because ports are
-contiguous by the model's definition, the whole graph flattens into four int
+contiguous by the model's definition, the whole graph flattens into three int
 arrays with *darts* (directed edge slots) as the unit:
 
-* ``offsets[v] .. offsets[v+1]`` — the dart range of node ``v``;
+* ``offsets[v] .. offsets[v+1]`` — the dart range of node ``v`` (the
+  outgoing port of dart ``i`` is ``i - offsets[v]``);
 * ``neighbors[offsets[v] + p]`` — the node reached from ``v`` via port ``p``;
-* ``ports[i]`` — the outgoing port of dart ``i`` (i.e. ``i - offsets[v]``);
 * ``reverse_ports[offsets[v] + p]`` — the port number on the far side.
 
 Every hot loop of the kernel (refinement signatures, block-cut DFS, BFS,
 message routing) walks these arrays instead of tuples-of-tuples, which avoids
 one Python object dereference per edge visit.  The arrays use the standard
-:mod:`array` module so the kernel stays dependency-free; :func:`as_numpy`
-exposes zero-copy ``numpy`` views of them when numpy happens to be installed
-(it is optional and never imported unless asked for), and :func:`from_numpy`
-closes the round trip for numeric producers.
+:mod:`array` module so the kernel stays dependency-free; numpy, when
+installed, only shifts the offsets suffix in :meth:`CSRGraph.patched` (the
+numpy refinement engine reads the arrays through zero-copy views of its own).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .backend import active_backend, numpy_or_none
+from .backend import numpy_or_none
 
-__all__ = ["CSRGraph", "build_csr", "bfs_distances_csr", "as_numpy", "from_numpy"]
+__all__ = ["CSRGraph", "build_csr", "bfs_distances_csr"]
 
 #: array typecode for all kernel int arrays (signed, at least 32 bits).
 INT_TYPECODE = "l"
@@ -47,7 +46,6 @@ class CSRGraph:
         "offsets",
         "neighbors",
         "reverse_ports",
-        "_ports",
         "_twin_darts",
     )
 
@@ -64,25 +62,7 @@ class CSRGraph:
         self.offsets = offsets
         self.neighbors = neighbors
         self.reverse_ports = reverse_ports
-        self._ports = None  # built on first access; no hot path reads it
         self._twin_darts = None  # built on first access (message routing)
-
-    @property
-    def ports(self) -> array:
-        """Outgoing port of every dart: ``ports[offsets[v] + p] == p``.
-
-        Derivable from ``offsets`` alone, so it is materialised lazily — the
-        kernel's hot loops (refinement, block-cut DFS, BFS, message routing)
-        never read it; it exists for dart-indexed consumers such as
-        :func:`as_numpy`.
-        """
-        if self._ports is None:
-            ports = array(INT_TYPECODE, [0] * self.offsets[self.num_nodes])
-            for v in range(self.num_nodes):
-                for p in range(self.offsets[v], self.offsets[v + 1]):
-                    ports[p] = p - self.offsets[v]
-            self._ports = ports
-        return self._ports
 
     @property
     def twin_darts(self) -> array:
@@ -90,29 +70,19 @@ class CSRGraph:
 
         ``twin[dart] = offsets[neighbors[dart]] + reverse_ports[dart]`` — a
         message sent out of ``dart`` arrives in dart ``twin[dart]``'s inbox
-        slot.  Materialised lazily (only message routing reads it), with
-        numpy when available since it is one fancy-indexed add over all
-        darts; the stored result is the same :mod:`array` value either way.
+        slot.  Materialised lazily: only message routing reads it.
         """
         if self._twin_darts is None:
-            numpy = numpy_or_none()
-            if numpy is not None:
-                views = as_numpy(self)
-                twins_np = views["offsets"][views["neighbors"]] + views["reverse_ports"]
-                twins = array(INT_TYPECODE)
-                twins.frombytes(twins_np.astype(numpy.dtype(INT_TYPECODE), copy=False).tobytes())
-            else:
-                offsets = self.offsets
-                neighbors = self.neighbors
-                reverse_ports = self.reverse_ports
-                twins = array(
-                    INT_TYPECODE,
-                    [
-                        offsets[neighbors[dart]] + reverse_ports[dart]
-                        for dart in range(len(neighbors))
-                    ],
-                )
-            self._twin_darts = twins
+            offsets = self.offsets
+            neighbors = self.neighbors
+            reverse_ports = self.reverse_ports
+            self._twin_darts = array(
+                INT_TYPECODE,
+                [
+                    offsets[neighbors[dart]] + reverse_ports[dart]
+                    for dart in range(len(neighbors))
+                ],
+            )
         return self._twin_darts
 
     def nbytes(self) -> int:
@@ -120,8 +90,6 @@ class CSRGraph:
         total = 0
         for arr in (self.offsets, self.neighbors, self.reverse_ports):
             total += len(arr) * arr.itemsize
-        if self._ports is not None:
-            total += len(self._ports) * self._ports.itemsize
         if self._twin_darts is not None:
             total += len(self._twin_darts) * self._twin_darts.itemsize
         return total
@@ -154,7 +122,7 @@ class CSRGraph:
         — and rows adjacent to a renamed handle, whose neighbour ids must be
         rewritten — are rebuilt entry-by-entry.  The returned view is a
         fresh instance, so this one's arrays and its lazily-built
-        ``ports`` / ``twin_darts`` memos are untouched (delta consumers
+        ``twin_darts`` memo are untouched (delta consumers
         invalidate those implicitly by starting from a clean instance; the
         kernel-level memos are carried or dropped by
         :meth:`repro.kernel.GraphKernel.derived`).
@@ -264,7 +232,8 @@ def build_csr(graph) -> CSRGraph:
     return CSRGraph(n, total // 2, offsets, neighbors, reverse_ports)
 
 
-def _bfs_distances_python(csr: CSRGraph, source: int) -> array:
+def bfs_distances_csr(csr: CSRGraph, source: int) -> array:
+    """Hop distances from ``source`` to every node (-1 if unreachable)."""
     dist = array(INT_TYPECODE, [-1] * csr.num_nodes)
     dist[source] = 0
     offsets = csr.offsets
@@ -279,108 +248,3 @@ def _bfs_distances_python(csr: CSRGraph, source: int) -> array:
                 dist[u] = next_dist
                 queue.append(u)
     return dist
-
-
-def _bfs_distances_numpy(csr: CSRGraph, source: int) -> array:
-    """Frontier-at-once BFS: each level is one batch of array operations.
-
-    The whole frontier's dart ranges are expanded in one ragged-arange step,
-    every target inspected with one mask.  Hop distances are unique per node
-    whatever the traversal order, so the result is byte-identical to the
-    queue-based python walk.
-    """
-    numpy = numpy_or_none()
-    views = as_numpy(csr)
-    offsets = views["offsets"]
-    neighbors = views["neighbors"]
-    dtype = numpy.dtype(INT_TYPECODE)
-    dist = numpy.full(csr.num_nodes, -1, dtype=dtype)
-    dist[source] = 0
-    frontier = numpy.asarray([source], dtype=dtype)
-    level = 0
-    while frontier.size:
-        level += 1
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # ragged arange: concatenate(arange(start_i, start_i + count_i))
-        bases = numpy.repeat(starts, counts)
-        resets = numpy.repeat(numpy.cumsum(counts) - counts, counts)
-        targets = neighbors[bases + (numpy.arange(total, dtype=dtype) - resets)]
-        fresh = targets[dist[targets] < 0]
-        if fresh.size == 0:
-            break
-        frontier = numpy.unique(fresh)
-        dist[frontier] = level
-    out = array(INT_TYPECODE)
-    out.frombytes(dist.tobytes())
-    return out
-
-
-def bfs_distances_csr(csr: CSRGraph, source: int) -> array:
-    """Hop distances from ``source`` to every node (-1 if unreachable).
-
-    Dispatches on the active kernel backend; both implementations return the
-    same :mod:`array` value.
-    """
-    if active_backend() == "numpy":
-        return _bfs_distances_numpy(csr, source)
-    return _bfs_distances_python(csr, source)
-
-
-def as_numpy(csr: CSRGraph) -> Dict[str, "object"]:
-    """Zero-copy numpy views of the CSR arrays, if numpy is installed.
-
-    The returned arrays share memory with the :mod:`array` buffers (no copy,
-    no conversion), so the bridge is free at any graph size.  Treat them as
-    read-only: the CSR encoding is immutable by convention.  Raises
-    ``RuntimeError`` when numpy is unavailable — the kernel itself never
-    needs it.
-    """
-    numpy = numpy_or_none()
-    if numpy is None:
-        raise RuntimeError("numpy is not installed; the kernel runs on the array module")
-    dtype = numpy.dtype(INT_TYPECODE)
-    return {
-        "offsets": numpy.frombuffer(csr.offsets, dtype=dtype),
-        "neighbors": numpy.frombuffer(csr.neighbors, dtype=dtype),
-        "ports": numpy.frombuffer(csr.ports, dtype=dtype),
-        "reverse_ports": numpy.frombuffer(csr.reverse_ports, dtype=dtype),
-    }
-
-
-def from_numpy(arrays: Dict[str, "object"]) -> CSRGraph:
-    """Rebuild a :class:`CSRGraph` from numpy CSR arrays (the bridge back).
-
-    Accepts the mapping shape :func:`as_numpy` produces — ``offsets``,
-    ``neighbors`` and ``reverse_ports`` are required, ``ports`` is ignored
-    (it is derivable) — so ``from_numpy(as_numpy(csr))`` round-trips to an
-    equal graph.  Integer dtypes are cast as needed; the constructed graph
-    owns fresh :mod:`array` buffers and is independent of the inputs.
-    """
-    numpy = numpy_or_none()
-    if numpy is None:
-        raise RuntimeError("numpy is not installed; the kernel runs on the array module")
-    dtype = numpy.dtype(INT_TYPECODE)
-
-    def as_array(name: str) -> array:
-        values = numpy.ascontiguousarray(arrays[name]).astype(dtype, copy=False)
-        if values.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional")
-        out = array(INT_TYPECODE)
-        out.frombytes(values.tobytes())
-        return out
-
-    offsets = as_array("offsets")
-    neighbors = as_array("neighbors")
-    reverse_ports = as_array("reverse_ports")
-    if len(offsets) == 0:
-        raise ValueError("offsets must contain at least the terminating sentinel")
-    num_nodes = len(offsets) - 1
-    if offsets[0] != 0 or offsets[num_nodes] != len(neighbors):
-        raise ValueError("offsets do not describe the dart range of neighbors")
-    if len(neighbors) != len(reverse_ports):
-        raise ValueError("neighbors and reverse_ports must have one entry per dart")
-    return CSRGraph(num_nodes, len(neighbors) // 2, offsets, neighbors, reverse_ports)

@@ -54,7 +54,72 @@ __all__ = [
 ]
 
 
-class CSRPartitionRefinement:
+class RefinementQueries:
+    """The query surface both refinement engines share, over their own state.
+
+    Slot-free, so each engine keeps its own ``__slots__``.  An engine holds
+    ``_csr``, ``_raw`` (one colour table per materialised depth),
+    ``_num_classes``, ``_stable_depth``, ``_passes`` and ``_unique``, and
+    defines ``colors_at`` and ``members_at`` itself;
+    :class:`CSRPartitionRefinement` and
+    :class:`repro.kernel.refine_numpy.NumpyPartitionRefinement` each also
+    define ``ensure_depth`` and ``ensure_stable`` in their own class body.
+    """
+
+    __slots__ = ()
+
+    @property
+    def csr(self) -> CSRGraph:
+        return self._csr
+
+    @property
+    def passes(self) -> int:
+        return self._passes
+
+    @property
+    def stable_depth(self) -> Optional[int]:
+        return self._stable_depth
+
+    @property
+    def computed_depth(self) -> int:
+        """Deepest depth whose partition has been materialised."""
+        return len(self._raw) - 1
+
+    @property
+    def class_counts(self) -> Tuple[int, ...]:
+        """Class counts of every materialised depth (0..computed_depth)."""
+        return tuple(self._num_classes)
+
+    # ------------------------------------------------------------------ #
+    # O(1) / O(output) queries (depth must already be effective)
+    # ------------------------------------------------------------------ #
+    def num_classes_at(self, effective: int) -> int:
+        return self._num_classes[effective]
+
+    def unique_at(self, effective: int) -> List[int]:
+        """Nodes in singleton classes (ascending), built lazily per depth."""
+        cached = self._unique.get(effective)
+        if cached is None:
+            cached = sorted(
+                group[0] for group in self.members_at(effective) if len(group) == 1
+            )
+            self._unique[effective] = cached
+        return cached
+
+    def class_members(self, node: int, effective: int) -> List[int]:
+        return self.members_at(effective)[self.colors_at(effective)[node]]
+
+    def canonical_tables(self) -> List[List[int]]:
+        """Canonical colour tables for every materialised depth (0..computed).
+
+        This is the payload the artifact store persists and ``from_stored``
+        re-installs; round-tripping through it preserves every public colour
+        query byte-for-byte.
+        """
+        return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
+
+
+class CSRPartitionRefinement(RefinementQueries):
     """Lazy per-depth view-equivalence partitions of one CSR graph.
 
     The partitions (and the canonical colour numberings exposed by
@@ -168,29 +233,6 @@ class CSRPartitionRefinement:
         engine._members = {}
         engine._unique = {}
         return engine
-
-    # ------------------------------------------------------------------ #
-    @property
-    def csr(self) -> CSRGraph:
-        return self._csr
-
-    @property
-    def passes(self) -> int:
-        return self._passes
-
-    @property
-    def stable_depth(self) -> Optional[int]:
-        return self._stable_depth
-
-    @property
-    def computed_depth(self) -> int:
-        """Deepest depth whose partition has been materialised."""
-        return len(self._raw) - 1
-
-    @property
-    def class_counts(self) -> Tuple[int, ...]:
-        """Class counts of every materialised depth (0..computed_depth)."""
-        return tuple(self._num_classes)
 
     # ------------------------------------------------------------------ #
     def apply_delta(self, csr: CSRGraph, node_map, touched) -> "CSRPartitionRefinement":
@@ -723,9 +765,6 @@ class CSRPartitionRefinement:
             self._canonical[effective] = cached
         return cached
 
-    def num_classes_at(self, effective: int) -> int:
-        return self._num_classes[effective]
-
     def members_at(self, effective: int) -> List[List[int]]:
         """Canonical class → members (ascending node order), built lazily."""
         cached = self._members.get(effective)
@@ -736,29 +775,7 @@ class CSRPartitionRefinement:
             self._members[effective] = cached
         return cached
 
-    def unique_at(self, effective: int) -> List[int]:
-        """Nodes in singleton classes (ascending), built lazily per depth."""
-        cached = self._unique.get(effective)
-        if cached is None:
-            cached = sorted(
-                group[0] for group in self.members_at(effective) if len(group) == 1
-            )
-            self._unique[effective] = cached
-        return cached
-
-    def class_members(self, node: int, effective: int) -> List[int]:
-        return self.members_at(effective)[self.colors_at(effective)[node]]
-
     # ------------------------------------------------------------------ #
-    def canonical_tables(self) -> List[List[int]]:
-        """Canonical colour tables for every materialised depth (0..computed).
-
-        This is the payload the artifact store persists and
-        :meth:`from_stored` re-installs; round-tripping through it preserves
-        every public colour query byte-for-byte.
-        """
-        return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
-
     def estimated_bytes(self) -> int:
         """Rough retained footprint of the engine's per-depth state (bytes).
 

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .backend import numpy_or_none
 from .csr import INT_TYPECODE, CSRGraph
+from .refine import RefinementQueries
 
 __all__ = ["NumpyPartitionRefinement"]
 
@@ -86,7 +87,7 @@ def _group_words(numpy, words):
     return int(ids_sorted[-1]) + 1, ids
 
 
-class NumpyPartitionRefinement:
+class NumpyPartitionRefinement(RefinementQueries):
     """Lazy per-depth view-equivalence partitions, computed with numpy.
 
     Drop-in for :class:`repro.kernel.refine.CSRPartitionRefinement`: same
@@ -183,29 +184,6 @@ class NumpyPartitionRefinement:
         engine._members = {}
         engine._unique = {}
         return engine
-
-    # ------------------------------------------------------------------ #
-    @property
-    def csr(self) -> CSRGraph:
-        return self._csr
-
-    @property
-    def passes(self) -> int:
-        return self._passes
-
-    @property
-    def stable_depth(self) -> Optional[int]:
-        return self._stable_depth
-
-    @property
-    def computed_depth(self) -> int:
-        """Deepest depth whose partition has been materialised."""
-        return len(self._raw) - 1
-
-    @property
-    def class_counts(self) -> Tuple[int, ...]:
-        """Class counts of every materialised depth (0..computed_depth)."""
-        return tuple(self._num_classes)
 
     # ------------------------------------------------------------------ #
     def _ensure_buckets(self) -> List[Tuple]:
@@ -361,9 +339,6 @@ class NumpyPartitionRefinement:
             self._canonical[effective] = cached
         return cached
 
-    def num_classes_at(self, effective: int) -> int:
-        return self._num_classes[effective]
-
     def members_at(self, effective: int) -> List[List[int]]:
         """Canonical class → members (ascending node order), built lazily."""
         cached = self._members.get(effective)
@@ -379,24 +354,7 @@ class NumpyPartitionRefinement:
             self._members[effective] = cached
         return cached
 
-    def unique_at(self, effective: int) -> List[int]:
-        """Nodes in singleton classes (ascending), built lazily per depth."""
-        cached = self._unique.get(effective)
-        if cached is None:
-            cached = sorted(
-                group[0] for group in self.members_at(effective) if len(group) == 1
-            )
-            self._unique[effective] = cached
-        return cached
-
-    def class_members(self, node: int, effective: int) -> List[int]:
-        return self.members_at(effective)[self.colors_at(effective)[node]]
-
     # ------------------------------------------------------------------ #
-    def canonical_tables(self) -> List[List[int]]:
-        """Canonical colour tables for every materialised depth (0..computed)."""
-        return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
-
     def estimated_bytes(self) -> int:
         """Rough retained footprint of the engine's per-depth state (bytes).
 

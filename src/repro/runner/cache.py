@@ -318,7 +318,9 @@ class RefinementCache:
         hash(graph)  # as in _entry: memoise the hash outside the lock
         with self._lock:
             stored = self._entries.get(graph)
-            if stored is None:
+            if stored is not None:
+                self._entries.move_to_end(graph)  # a hit refreshes recency, as in _entry
+            else:
                 stored = self._probation.get(graph)
             if stored is not None:
                 self._hits += 1

@@ -71,11 +71,12 @@ def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> D
 
 def _cheap_counters() -> Dict[str, int]:
     """Point-read counters only -- no cache scan, no manifest read -- so a
-    traced warm evaluation stays within the tracing-overhead budget."""
+    traced warm evaluation stays within the tracing-overhead budget.  (The
+    span's ``refinement_passes`` tag is read off the evaluated entry's own
+    engine instead: the cache-wide ledger sums every live entry.)"""
     counters = dict(search_statistics())
     counters["cache_hits"] = refinement_cache.hits
     counters["cache_misses"] = refinement_cache.misses
-    counters["refinement_passes"] = refinement_cache.refinement_passes
     counters["store_hits"] = refinement_cache.store_hits
     counters["store_misses"] = refinement_cache.store_misses
     store = refinement_cache.store
@@ -119,6 +120,9 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict
         before = _cheap_counters()
     entry = refinement_cache.entry(graph)
     refinement = entry.refinement
+    # creating an entry runs no pass (engine construction and store
+    # warm-start are pass-free), so this delta is this evaluation's work
+    passes_before = refinement.passes
     memo_size_before = len(entry.memo)
     feasible = entry.memo.get(("feasible",))
     if feasible is None:
@@ -165,6 +169,7 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict
     if profile_span.recording:
         after = _cheap_counters()
         tags = {key: after[key] - before[key] for key in after}
+        tags["refinement_passes"] = refinement.passes - passes_before
         tags["search_states"] = tags.pop("states")
         tags["search_cells"] = tags.pop("cells")
         tags["graph"] = record["graph"]

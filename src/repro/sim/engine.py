@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..kernel.backend import active_backend, numpy_or_none
-from ..kernel.csr import INT_TYPECODE
 from ..portgraph.graph import PortLabeledGraph
 from .model import Advice, NodeAlgorithm
 from .trace import ExecutionTrace
@@ -96,71 +94,40 @@ def run_synchronous(
 
     # Message routing runs on the graph's CSR view: one preallocated flat
     # inbox slot per dart (directed edge side) addressed through the
-    # precomputed twin-dart involution.  The python path stamps slots with
-    # the round number instead of clearing them; the numpy path instead
-    # sorts the round's arrival darts and resolves (node, port) for all of
-    # them in two array operations, so a round costs O(messages log messages)
-    # rather than a scan of every dart.  Both build the identical ascending
-    # per-port dicts the algorithms' `receive` contract requires.
+    # precomputed twin-dart involution.  Slots are stamped with the round
+    # number instead of being cleared, and each node reads its own dart range
+    # in port order, which builds the ascending per-port dicts the
+    # algorithms' `receive` contract requires.
     csr = graph.csr()
     offsets = csr.offsets
     twin_darts = csr.twin_darts
     num_darts = offsets[csr.num_nodes]
     inbox_flat: list = [None] * num_darts
-    numpy = numpy_or_none() if active_backend() == "numpy" else None
-    if numpy is not None:
-        offsets_np = numpy.frombuffer(offsets, dtype=numpy.dtype(INT_TYPECODE))
-    else:
-        inbox_stamp = [0] * num_darts
+    inbox_stamp = [0] * num_darts
 
     for round_number in range(1, total_rounds + 1):
         outboxes: Dict[int, Dict[int, Any]] = {
             v: algorithms[v].messages_to_send(round_number) for v in graph.nodes()
         }
         message_count = 0
-        if numpy is not None:
-            arrivals: list = []
-            for v, outbox in outboxes.items():
-                base = offsets[v]
-                degree = offsets[v + 1] - base
-                for port, payload in outbox.items():
-                    if port < 0 or port >= degree:
-                        raise RuntimeError(f"node {v} tried to send on missing port {port}")
-                    target_dart = twin_darts[base + port]
-                    inbox_flat[target_dart] = payload
-                    arrivals.append(target_dart)
-            message_count = len(arrivals)
-            received: Dict[int, Dict[int, Any]] = {}
-            if arrivals:
-                darts = numpy.asarray(arrivals, dtype=offsets_np.dtype)
-                darts.sort()  # ascending darts = ascending ports within a node
-                node_of = numpy.searchsorted(offsets_np, darts, side="right") - 1
-                port_of = darts - offsets_np[node_of]
-                for dart, node, port in zip(
-                    darts.tolist(), node_of.tolist(), port_of.tolist()
-                ):
-                    received.setdefault(node, {})[port] = inbox_flat[dart]
-            for v in graph.nodes():
-                algorithms[v].receive(round_number, received.get(v) or {})
-        else:
-            for v, outbox in outboxes.items():
-                base = offsets[v]
-                degree = offsets[v + 1] - base
-                for port, payload in outbox.items():
-                    if port < 0 or port >= degree:
-                        raise RuntimeError(f"node {v} tried to send on missing port {port}")
-                    target_dart = twin_darts[base + port]
-                    inbox_flat[target_dart] = payload
-                    inbox_stamp[target_dart] = round_number
-                    message_count += 1
-            for v in graph.nodes():
-                base = offsets[v]
-                messages = {
-                    port: inbox_flat[base + port]
-                    for port in range(offsets[v + 1] - base)
-                    if inbox_stamp[base + port] == round_number
-                }
-                algorithms[v].receive(round_number, messages)
+        for v, outbox in outboxes.items():
+            base = offsets[v]
+            degree = offsets[v + 1] - base
+            for port, payload in outbox.items():
+                if port < 0 or port >= degree:
+                    raise RuntimeError(f"node {v} tried to send on missing port {port}")
+                target_dart = twin_darts[base + port]
+                inbox_flat[target_dart] = payload
+                inbox_stamp[target_dart] = round_number
+                message_count += 1
+        for v in graph.nodes():
+            base = offsets[v]
+            messages = {
+                port: inbox_flat[base + port]
+                for port in range(offsets[v + 1] - base)
+                if inbox_stamp[base + port] == round_number
+            }
+            algorithms[v].receive(round_number, messages)
         trace.record_round(round_number, message_count)
 
     outputs = {v: algorithms[v].output() for v in graph.nodes()}

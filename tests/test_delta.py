@@ -186,7 +186,31 @@ class TestKernelReplay:
             assert patched.offsets == built.offsets
             assert patched.neighbors == built.neighbors
             assert patched.reverse_ports == built.reverse_ports
-            assert patched.ports == built.ports
+
+    def test_offset_shift_without_numpy_matches_built_csr(self, monkeypatch):
+        # the identity fast path shifts the offsets suffix with numpy whenever
+        # it is importable, whatever the backend; force the python loop
+        from repro.kernel import csr as csr_module
+
+        monkeypatch.setattr(csr_module, "numpy_or_none", lambda: None)
+        base = generators.torus_graph(4, 5)
+        for delta in mutation_stream(base, seed=4, length=4, kinds=("add-edge", "remove-edge")):
+            result = delta.apply_to(base)
+            patched = base.csr().patched(result)
+            built = _fresh_copy(result.graph).csr()
+            assert patched.offsets != base.csr().offsets  # degrees shifted
+            assert patched.offsets == built.offsets
+            assert patched.neighbors == built.neighbors
+            assert patched.reverse_ports == built.reverse_ports
+
+    def test_patched_csr_builds_its_own_twin_darts(self):
+        base = generators.torus_graph(4, 5)
+        base_twins = base.csr().twin_darts
+        for delta in mutation_stream(base, seed=6, length=3):
+            result = delta.apply_to(base)
+            patched = base.csr().patched(result)
+            assert patched.twin_darts == _fresh_copy(result.graph).csr().twin_darts
+        assert base.csr().twin_darts is base_twins
 
 
 # --------------------------------------------------------------------- #
@@ -204,6 +228,20 @@ class TestDeltaEntry:
         hit = refinement_cache.delta_entry(base, delta, events=again)
         assert again == ["cache_hit"]
         assert hit is entry
+
+    def test_delta_hit_refreshes_lru_recency(self):
+        from repro.runner import RefinementCache
+
+        cache = RefinementCache(maxsize=3)
+        base = generators.grid_graph(3, 4)
+        first = GraphDelta([{"op": "add-edge", "v": 0, "u": 5}])
+        second = GraphDelta([{"op": "add-edge", "v": 0, "u": 6}])
+        derived = cache.delta_entry(base, first)  # LRU: base, first
+        cache.delta_entry(base, second)  # LRU: first, base, second
+        assert cache.delta_entry(base, first) is derived  # the hit moves it last
+        cache.entry(generators.path_graph(4))  # evicts the least recent: base
+        assert cache.evictions == 1
+        assert cache.entry(_fresh_copy(derived.graph)) is derived
 
     def test_identity_composed_delta_replaces_the_base_entry(self):
         # a delta that composes back to the base labeling, base not cached:

@@ -28,9 +28,6 @@ from repro.core import (
 from repro.kernel import (
     BACKEND_ENV_VAR,
     active_backend,
-    as_numpy,
-    bfs_distances_csr,
-    from_numpy,
     make_refinement,
     numpy_available,
     refinement_from_stored,
@@ -185,17 +182,6 @@ class TestByteIdentity:
         observed = _per_backend(graph, lambda fresh: fresh.fingerprint())
         assert observed["python"] == observed["numpy"]
 
-    @given(graph=small_graph_strategy, source=st.integers(min_value=0, max_value=10))
-    @settings(max_examples=15, deadline=None)
-    def test_bfs_distances_identical(self, graph, source):
-        source %= graph.num_nodes
-        csr = graph.csr()
-        with use_backend("python"):
-            python_dist = bfs_distances_csr(csr, source)
-        with use_backend("numpy"):
-            numpy_dist = bfs_distances_csr(csr, source)
-        assert python_dist.tobytes() == numpy_dist.tobytes()
-
     @given(graph=small_graph_strategy)
     @settings(max_examples=10, deadline=None)
     def test_from_stored_serves_python_tables_unchanged(self, graph):
@@ -268,43 +254,3 @@ class TestDeBruijnRegressionPair:
 
             observed = _per_backend(graph, tables)
             assert observed["python"] == observed["numpy"]
-
-
-# --------------------------------------------------------------------------- #
-# the numpy bridge
-# --------------------------------------------------------------------------- #
-@needs_numpy
-class TestNumpyBridge:
-    @given(graph=small_graph_strategy)
-    @settings(max_examples=20, deadline=None)
-    def test_as_numpy_round_trips_through_from_numpy(self, graph):
-        csr = graph.csr()
-        rebuilt = from_numpy(as_numpy(csr))
-        assert rebuilt.num_nodes == csr.num_nodes
-        assert rebuilt.num_edges == csr.num_edges
-        assert rebuilt.offsets == csr.offsets
-        assert rebuilt.neighbors == csr.neighbors
-        assert rebuilt.reverse_ports == csr.reverse_ports
-
-    def test_as_numpy_views_are_zero_copy(self):
-        import numpy
-
-        csr = generators.asymmetric_cycle(8).csr()
-        views = as_numpy(csr)
-        for name in ("offsets", "neighbors", "ports", "reverse_ports"):
-            assert views[name].base is not None  # a view, not an owning copy
-        assert numpy.shares_memory(
-            views["offsets"], numpy.frombuffer(csr.offsets, dtype=views["offsets"].dtype)
-        )
-
-    def test_from_numpy_rejects_malformed_arrays(self):
-        import numpy
-
-        with pytest.raises(ValueError):
-            from_numpy(
-                {
-                    "offsets": numpy.asarray([0, 2]),
-                    "neighbors": numpy.asarray([1]),  # offsets say two darts
-                    "reverse_ports": numpy.asarray([0]),
-                }
-            )

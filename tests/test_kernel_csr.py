@@ -28,7 +28,7 @@ class TestCSRGraph:
         csr = graph.csr()
         assert csr.num_nodes == graph.num_nodes
         assert csr.num_edges == graph.num_edges
-        assert len(csr.neighbors) == len(csr.ports) == len(csr.reverse_ports)
+        assert len(csr.neighbors) == len(csr.reverse_ports)
         assert csr.offsets[csr.num_nodes] == 2 * csr.num_edges
         for v in graph.nodes():
             assert csr.degree(v) == graph.degree(v)
@@ -36,7 +36,20 @@ class TestCSRGraph:
             for p in graph.ports(v):
                 assert csr.endpoint(v, p) == graph.endpoint(v, p)
                 assert csr.neighbor(v, p) == graph.neighbor(v, p)
-                assert csr.ports[csr.offsets[v] + p] == p
+
+    @given(graph=graph_strategy)
+    @settings(max_examples=30, deadline=None)
+    def test_twin_darts_is_the_reverse_dart_involution(self, graph):
+        csr = graph.csr()
+        twin = csr.twin_darts
+        assert len(twin) == 2 * csr.num_edges
+        for v in graph.nodes():
+            for p in graph.ports(v):
+                u, q = graph.endpoint(v, p)
+                dart = csr.offsets[v] + p
+                assert twin[dart] == csr.offsets[u] + q
+                assert twin[twin[dart]] == dart
+        assert csr.twin_darts is twin
 
     @given(graph=graph_strategy, source=st.integers(min_value=0, max_value=13))
     @settings(max_examples=30, deadline=None)
@@ -131,8 +144,8 @@ def _class_port_cases(graph):
 
 
 class TestClassPortScreen:
-    """``class_port_ok`` equals the per-member definition on both backends,
-    and a tree keeps the backend it was built under."""
+    """``class_port_ok`` is the per-member definition, whichever backend was
+    active when the tree was built."""
 
     @staticmethod
     def _graphs():
@@ -142,32 +155,24 @@ class TestClassPortScreen:
         graphs = [spec.build() for spec in corpus_specs(16, seed=7, corpus="mixed")]
         return graphs + [build_gdk_member(4, 1, 1).graph]
 
-    def test_numpy_screen_and_python_loop_match_the_definition(self):
-        pytest.importorskip("numpy")
-        from repro.kernel import use_backend
-
-        screened = 0
+    def test_class_port_ok_matches_the_definition(self):
+        large_with_cuts = 0
         for graph in self._graphs():
-            with use_backend("numpy"):
-                numpy_tree = BlockCutTree(graph.csr())
-            with use_backend("python"):
-                python_tree = BlockCutTree(graph.csr())
-            cut = numpy_tree.articulation_points()
+            tree = BlockCutTree(graph.csr())
+            cut = tree.articulation_points()
             for members, port, target in _class_port_cases(graph):
-                expected = all(
-                    python_tree.starts_simple_path(v, port, target) for v in members
-                )
-                assert numpy_tree.class_port_ok(members, port, target) == expected
-                assert python_tree.class_port_ok(members, port, target) == expected
+                expected = all(tree.starts_simple_path(v, port, target) for v in members)
+                assert tree.class_port_ok(members, port, target) == expected
                 if len(members) >= 8 and cut.intersection(members):
-                    screened += 1
-        # the bulk screen (classes of >= 8 members) ran on classes whose
-        # articulation members need the exact component comparison
-        assert screened > 0
+                    large_with_cuts += 1
+        # the cases cover large classes whose articulation members need the
+        # exact removed-node component comparison
+        assert large_with_cuts > 0
 
-    @pytest.mark.parametrize("built_under, queried_under", [("numpy", "python"), ("python", "numpy")])
-    def test_tree_keeps_the_backend_it_was_built_under(self, monkeypatch, built_under, queried_under):
-        pytest.importorskip("numpy")
+    @pytest.mark.parametrize("built_under", ["numpy", "python"])
+    def test_tree_built_under_either_backend_asks_every_member(self, monkeypatch, built_under):
+        if built_under == "numpy":
+            pytest.importorskip("numpy")
         from repro.families import build_gdk_member
         from repro.kernel import use_backend
 
@@ -175,9 +180,11 @@ class TestClassPortScreen:
         with use_backend(built_under):
             tree = BlockCutTree(graph.csr())
         members, port, target = next(
-            case for case in _class_port_cases(graph) if len(case[0]) >= 8
+            (members, port, target)
+            for members, port, target in _class_port_cases(graph)
+            if len(members) >= 8
+            and all(tree.starts_simple_path(v, port, target) for v in members)
         )
-        expected = all(tree.starts_simple_path(v, port, target) for v in members)
         calls = []
         original = BlockCutTree.starts_simple_path
 
@@ -186,11 +193,8 @@ class TestClassPortScreen:
             return original(self, *args)
 
         monkeypatch.setattr(BlockCutTree, "starts_simple_path", counted)
-        with use_backend(queried_under):
-            assert tree.class_port_ok(members, port, target) == expected
-        # the python loop asks starts_simple_path per member; the numpy
-        # screen never does
-        assert (len(calls) == 0) == (built_under == "numpy")
+        assert tree.class_port_ok(members, port, target)
+        assert calls == [(v, port, target) for v in members]
 
 
 class TestGraphKernel:

@@ -321,6 +321,40 @@ class TestRunner:
         entry = refinement_cache.entry(spec.build())
         assert ("psi", "CPPE", None, 200_000) in entry.memo
 
+    def test_traced_evaluation_tags_its_own_passes_without_a_cache_scan(self, monkeypatch):
+        from repro.obs import default_recorder, new_trace_id, span
+        from repro.runner.runner import evaluate_graph
+
+        for n in range(2, 102):  # 100 live entries a cache-wide pass sum would scan
+            refinement_cache.entry(generators.path_graph(n))
+        scans = []
+        original = RefinementCache._live_locked
+
+        def counted(self):
+            scans.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RefinementCache, "_live_locked", counted)
+        sweep = SweepSpec.make([])
+
+        def traced_tags(graph):
+            trace_id = new_trace_id()
+            with span("test", trace_id=trace_id):
+                evaluate_graph(graph, sweep)
+            spans = default_recorder.pop_trace(trace_id)
+            (tags,) = [s["tags"] for s in spans if s["name"] == "evaluate_graph"]
+            return tags
+
+        graph = generators.asymmetric_cycle(9)
+        cold = traced_tags(graph)
+        engine = graph.refinement_engine()
+        assert cold["refinement_passes"] == engine.passes > 0
+        passes = engine.passes
+        warm = traced_tags(generators.asymmetric_cycle(9))
+        assert warm["refinement_passes"] == 0
+        assert engine.passes == passes
+        assert scans == []
+
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(workers=0)
