@@ -273,7 +273,7 @@ class CSRPartitionRefinement(RefinementQueries):
         only a changed port table can make the *next* depth's signature
         deviate from a conforming labeling.  Local edits therefore replay
         in O(|touched|) per depth instead of O(ball), which is what the
-        delta-vs-cold speedup gate in ``bench_pr10_delta`` measures.
+        delta-vs-cold speed floor in ``tests/test_speed_floors.py`` measures.
 
         Since first-appearance canonicalisation is a pure function of the
         partition, every ``colors_at`` table of the returned engine is

@@ -25,8 +25,9 @@ shallow, or slowly-churning workloads), this engine is *batched*: every
 pass costs O((n + m) log n) in C-speed primitives regardless of churn,
 which wins by a wide margin on the cold bounded-depth sweeps the paper's
 exponential families generate (the 132k-node J_{µ,k} member, the E14
-substrate benchmarks).  ``benchmarks/ci_gate.py`` enforces the speedup;
-the three-way equivalence matrix enforces that nothing else differs.
+substrate benchmarks).  The kernel speed floor in
+``tests/test_speed_floors.py`` enforces the speedup; the three-way
+equivalence matrix enforces that nothing else differs.
 
 Everything observable is **byte-identical** to the python engine:
 :meth:`~NumpyPartitionRefinement.colors_at` returns the same canonical

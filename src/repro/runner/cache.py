@@ -35,10 +35,9 @@ store -- looked up by the exact identity digest
 :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key`, confirmed by
 graph equality, and warm-started via the record's stored partitions so not a
 single refinement pass is paid -- and computed entries are *written
-through* with :meth:`RefinementCache.persist` /
-:meth:`RefinementCache.flush_to_store`.  That is how a cold process (a CI
-run, a fresh benchmark, a service worker) inherits every refinement and
-ψ_Z search any previous process performed.
+through* with :meth:`RefinementCache.persist`.  That is how a cold process
+(a CI run, a fresh benchmark, a service worker) inherits every refinement
+and ψ_Z search any previous process performed.
 """
 
 from __future__ import annotations
@@ -327,10 +326,16 @@ class RefinementCache:
                 if events is not None:
                     events.append("cache_hit")
                 return stored
+            # one in-memory miss for the mutated graph, and (below) one store
+            # outcome for it, as in _entry: misses == store hits + store misses
+            self._misses += 1
         if self._store is not None:
             # an exact record of the mutated graph beats a replay outright
             record = self._store.load_for_graph(graph)
-            if record is not None:
+            if record is None:
+                with self._lock:
+                    self._store_misses += 1
+            else:
                 with self._lock:
                     self._store_hits += 1
                 record.adopt_onto(graph)
@@ -373,7 +378,6 @@ class RefinementCache:
         ):
             entry.memo[("feasible",)] = base_feasible
         with self._lock:
-            self._misses += 1
             # computing the base above may have admitted an entry for this
             # very labeling (a delta that composes back to the identity):
             # replace it -- pop, then insert, so the key becomes this graph
@@ -418,7 +422,8 @@ class RefinementCache:
         """Back this cache with a persistent store (``None`` detaches).
 
         Attaching only affects *future* lookups; existing entries stay
-        in memory and can be persisted with :meth:`flush_to_store`.
+        in memory, and each reaches the store when :meth:`persist` writes
+        it through.
         """
         with self._lock:
             self._store = store
@@ -464,18 +469,6 @@ class RefinementCache:
             except ValueError:  # pragma: no cover - defensive
                 pass
         return store.put(record)
-
-    def flush_to_store(self) -> int:
-        """Persist every live entry; returns how many records were written."""
-        if self._store is None:
-            return 0
-        with self._lock:
-            entries = list(self._live_locked())
-        written = 0
-        for entry in entries:
-            if self.persist(entry.graph):
-                written += 1
-        return written
 
     # ------------------------------------------------------------------ #
     @property

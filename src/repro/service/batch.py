@@ -21,8 +21,9 @@ trailer line with totals.  Consistency model:
   dropped -- every item goes through the very same coalescing/query path,
   so identical in-flight items (within a batch or across requests)
   share one computation, and with a store attached every item warm-starts
-  from and writes through the same artifact set.  ``ci_gate.py`` certifies
-  both properties on a 200-graph mixed-corpus sweep.
+  from and writes through the same artifact set.
+  ``tests/test_service_workers.py`` certifies both properties on a
+  200-graph mixed-corpus sweep.
 * **Backpressure is a bounded in-flight window.**  At most ``window`` items
   are being computed or buffered ahead of the line the client has consumed;
   a slow reader therefore stalls the sweep's *computation*, not the event

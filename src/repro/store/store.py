@@ -289,39 +289,19 @@ class ArtifactStore:
         :meth:`_spill_key`, which is a pure function of the labeled graph --
         so the primary never churns, every labeling has exactly one home,
         and concurrent writers of one labeling still race only between
-        identical byte strings.
+        identical byte strings.  A new key is created with an exclusive
+        link, never a replace: when two first writers of different
+        labelings race for one primary, the loser finds the winner's bytes
+        and spills instead of overwriting them.
         """
         payload = record.to_bytes()
-        key = record.fingerprint
-        path = self._object_path(key)
-        wrote = False
-        try:
-            with open(path, "rb") as handle:
-                existing = handle.read()
-        except FileNotFoundError:
-            existing = None
-        if existing is not None and existing != payload:
-            try:
-                incumbent = ArtifactRecord.from_bytes(existing)
-            except ValueError:
-                incumbent = None  # corrupt incumbent: replace it
-            if incumbent is not None and incumbent.graph != record.graph:
-                key = self._spill_key(record)
-                path = self._object_path(key)
-                try:
-                    with open(path, "rb") as handle:
-                        existing = handle.read()
-                except FileNotFoundError:
-                    existing = None
-                with self._counter_lock:
-                    self._put_spills += 1
-        if existing != payload:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp_path, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, path)
-            wrote = True
+        while True:
+            key, existing = self._home(record, payload)
+            wrote = existing != payload
+            if not wrote or self._write_object(key, payload, replace=existing is not None):
+                break
+            # a concurrent writer created the key first: decide again
+        if wrote:
             with self._counter_lock:
                 self._puts += 1
                 self._bytes_written += len(payload)
@@ -337,6 +317,51 @@ class ArtifactStore:
             meta["cost"] = cost
         self._ensure_manifest_entry(key, meta, force=wrote)
         return wrote
+
+    def _home(self, record: ArtifactRecord, payload: bytes) -> Tuple[str, Optional[bytes]]:
+        """The key ``record`` belongs under, and the bytes stored there now."""
+        key = record.fingerprint
+        existing = self._read_object(key)
+        if existing is not None and existing != payload:
+            try:
+                incumbent = ArtifactRecord.from_bytes(existing)
+            except ValueError:
+                incumbent = None  # corrupt incumbent: replace it
+            if incumbent is not None and incumbent.graph != record.graph:
+                key = self._spill_key(record)
+                existing = self._read_object(key)
+                with self._counter_lock:
+                    self._put_spills += 1
+        return key, existing
+
+    def _read_object(self, key: str) -> Optional[bytes]:
+        try:
+            with open(self._object_path(key), "rb") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            return None
+
+    def _write_object(self, key: str, payload: bytes, *, replace: bool) -> bool:
+        """Write ``payload`` under ``key`` atomically.
+
+        Without ``replace`` the key must not exist yet: returns ``False``,
+        writing nothing, when a concurrent writer created it first.
+        """
+        path = self._object_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        with open(tmp_path, "wb") as handle:
+            handle.write(payload)
+        if replace:
+            os.replace(tmp_path, path)
+            return True
+        try:
+            os.link(tmp_path, path)
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(tmp_path)
+        return True
 
     # ------------------------------------------------------------------ #
     # manifest

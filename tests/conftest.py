@@ -15,6 +15,7 @@ reproducible stream regardless of test ordering or parallelism.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -43,6 +44,49 @@ def isolated_refinement_cache():
     yield refinement_cache
     refinement_cache.attach_store(None)
     refinement_cache.clear()
+
+
+class RealPassCounter:
+    """The refinement passes this process actually ran, counted at the engines."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def add(self, passes: int) -> None:
+        with self._lock:
+            self.count += passes
+
+
+@pytest.fixture
+def real_refinement_passes(monkeypatch):
+    """Count every refinement pass run in this process, outside the ledger.
+
+    Wraps ``_refine_once`` on both engines and every ``apply_delta`` replay
+    (whose per-depth passes bypass ``_refine_once``), so a zero-pass
+    certificate read from the cache's ``refinement_passes`` ledger can be
+    checked against the work that really happened.  Passes run in other
+    processes (shard workers, children) are not seen.
+    """
+    from repro.kernel.refine import CSRPartitionRefinement
+    from repro.kernel.refine_numpy import NumpyPartitionRefinement
+
+    counter = RealPassCounter()
+    for engine_class in (CSRPartitionRefinement, NumpyPartitionRefinement):
+        def counted(self, _original=engine_class._refine_once):
+            counter.add(1)
+            return _original(self)
+
+        monkeypatch.setattr(engine_class, "_refine_once", counted)
+    replay = CSRPartitionRefinement.apply_delta
+
+    def counted_replay(base_engine, csr, node_map, touched):
+        engine = replay(base_engine, csr, node_map, touched)
+        counter.add(engine.passes)
+        return engine
+
+    monkeypatch.setattr(CSRPartitionRefinement, "apply_delta", counted_replay)
+    return counter
 
 
 @pytest.fixture(scope="session")

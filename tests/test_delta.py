@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_kernel_equivalence import _fresh_copy, legacy_color_history
 
 from repro.core import Task, is_feasible
 from repro.kernel import numpy_available, use_backend
+from repro.kernel.refine import refinement_delta
 from repro.portgraph import generators
 from repro.portgraph.delta import DELTA_OPS, DeltaError, GraphDelta
-from repro.portgraph.graph import PortLabeledGraph
 from repro.portgraph.io import graph_to_dict
 from repro.runner import GraphSpec, SweepSpec, refinement_cache
 from repro.runner.runner import evaluate_graph
@@ -57,13 +58,6 @@ BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
 @pytest.fixture(autouse=True)
 def _detached_cache(isolated_refinement_cache):
     yield
-
-
-def _fresh_copy(graph) -> PortLabeledGraph:
-    """An independent instance of the same labeled graph (no memoised state)."""
-    return PortLabeledGraph(
-        [graph.adjacency(v) for v in graph.nodes()], name=graph.name, validate=False
-    )
 
 
 def _cold_tables(graph):
@@ -158,8 +152,6 @@ class TestKernelReplay:
                 result = delta.apply_to(base)
                 warm = result.graph
                 warm.adopt_csr(base.csr().patched(result))
-                from repro.kernel.refine import refinement_delta
-
                 engine = refinement_delta(
                     base.refinement_engine(), warm.csr(), result.node_map, result.touched
                 )
@@ -167,6 +159,32 @@ class TestKernelReplay:
                 cold_tables, cold_counts, cold_fp = _cold_tables(warm)
                 assert engine.canonical_tables() == cold_tables
                 assert engine.class_counts == cold_counts
+
+    def test_legacy_cold_and_replay_partitions_agree_on_dynamic_corpus(self):
+        """The three-way matrix: a faithful legacy full-sweep refinement, the
+        cold kernel and the delta replay reach one fixpoint partition."""
+
+        def partition(colors):
+            classes = {}
+            for node, color in enumerate(colors):
+                classes.setdefault(color, []).append(node)
+            return frozenset(frozenset(members) for members in classes.values())
+
+        with use_backend("python"):
+            for spec in corpus_specs(5, seed=10, corpus="dynamic"):
+                base = spec.build()
+                delta = mutation_stream(base, seed=10, length=2)[-1]
+                result = delta.apply_to(base)
+                legacy = partition(legacy_color_history(result.graph)[-1])
+                cold = _fresh_copy(result.graph).refinement_engine()
+                replay = refinement_delta(
+                    base.refinement_engine(),
+                    base.csr().patched(result),
+                    result.node_map,
+                    result.touched,
+                )
+                assert legacy == partition(cold.colors_at(cold.ensure_stable())), spec.label
+                assert legacy == partition(replay.colors_at(replay.ensure_stable())), spec.label
 
     @pytest.mark.parametrize(
         "kinds",
@@ -274,6 +292,30 @@ class TestDeltaEntry:
         assert events == ["cache_hit"]
         assert entry.memo  # arrived warm, ψ memos included
         refinement_cache.attach_store(None)
+
+    def test_store_lookup_counts_as_one_miss_and_one_store_outcome(self, tmp_path):
+        """Every in-memory miss has exactly one store outcome, as in entry()."""
+        from repro.runner import RefinementCache
+
+        base = generators.asymmetric_cycle(8)
+        delta = GraphDelta([{"op": "add-edge", "v": 0, "u": 4}])
+        mutated = delta.apply_to(base).graph
+        # the store holds the mutated graph: one miss, served by the store
+        store = ArtifactStore(tmp_path / "full")
+        writer = RefinementCache()
+        writer.attach_store(store)
+        assert writer.persist(mutated)
+        cache = RefinementCache()
+        cache.attach_store(store)
+        cache.delta_entry(base, delta)
+        stats = cache.stats()
+        assert (stats["misses"], stats["store_hits"], stats["store_misses"]) == (1, 1, 0)
+        # an empty store: the mutated graph and the base each miss both tiers
+        cache = RefinementCache()
+        cache.attach_store(ArtifactStore(tmp_path / "empty"))
+        cache.delta_entry(base, delta)
+        stats = cache.stats()
+        assert (stats["misses"], stats["store_hits"], stats["store_misses"]) == (2, 0, 2)
 
     def test_feasibility_memo_not_carried_across_partition_change(self):
         base = generators.circulant_graph(8, (1,))  # symmetric: infeasible
@@ -537,6 +579,26 @@ class TestServiceDelta:
                 )
             )
         assert info.value.status == 400
+
+    def test_mutation_sweep_items_match_plain_submissions(self):
+        """Every ``{base, delta}`` item of a mutation sweep replays through the
+        verified lifecycle and answers as a plain submission of the mutated
+        graph does."""
+        specs = corpus_specs(5, seed=10, corpus="dynamic")
+        items = mutation_sweep_items(specs, seed=10, per_graph=2)
+        assert len(items) == 10
+        for item in items:
+            refinement_cache.clear()
+            replayed = compute_election(dict(_parsed(item), max_states=50_000))
+            assert replayed["delta_path"][1:4] == ["base_hit", "memos_invalidated", "replayed"]
+            base = next(spec.build() for spec in specs if spec.to_dict() == item["base"])
+            mutated = GraphDelta(item["delta"]).apply_to(base).graph
+            refinement_cache.clear()
+            plain = compute_election(
+                dict(_parsed({"graph": graph_to_dict(mutated)}), max_states=50_000)
+            )
+            for key in ("fingerprint", "feasible", "indices", "n", "m", "max_degree"):
+                assert replayed[key] == plain[key], (item["base"], key)
 
     def test_delta_path_is_volatile_in_deterministic_response(self):
         spec = {"kind": "grid", "params": {"rows": 3, "cols": 3}}

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core import Task, all_election_indices
+from repro.core import Task, all_election_indices, search_statistics
 from repro.portgraph import generators
 from repro.portgraph.graph import PortLabeledGraph
 from repro.runner import (
@@ -281,13 +281,20 @@ class TestRunner:
         assert record["feasible"] is False
         assert all(record[f"psi_{task.value}"] is None for task in Task.ordered())
 
-    def test_second_run_performs_no_new_refinement_passes(self):
+    def test_second_run_performs_no_new_refinement_passes(self, real_refinement_passes):
         runner = ExperimentRunner()
+        states_at_start = search_statistics()["states"]
         first = runner.run(self._sweep())
         before = refinement_cache.stats()
+        cold_passes = real_refinement_passes.count
+        states_before = search_statistics()["states"]
+        assert states_before > states_at_start  # the cold run searched
         second = runner.run(self._sweep())
         after = refinement_cache.stats()
+        assert cold_passes == before["refinement_passes"] > 0
         assert after["refinement_passes"] == before["refinement_passes"]
+        assert real_refinement_passes.count == cold_passes
+        assert search_statistics()["states"] == states_before
         assert after["misses"] == before["misses"]
         assert after["hits"] > before["hits"]
         assert second.table == first.table

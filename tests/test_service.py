@@ -152,13 +152,26 @@ def test_identical_inflight_requests_coalesce():
     assert sum(1 for result in results if result["coalesced"]) == 3
 
 
-def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path):
+def assert_real_passes(counter, expected: int) -> None:
+    """On the thread backend the counted real passes equal ``expected``.
+
+    Under the process backend the work runs in shard workers, which the
+    in-process counter cannot see; only the ledger is checked there.
+    """
+    if SERVICE_BACKEND == "thread":
+        assert counter.count == expected
+
+
+def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path, real_refinement_passes):
     graph = generators.asymmetric_cycle(7)
     payload = {"graph": graph_to_dict(graph), "advice": True}
     store = ArtifactStore(str(tmp_path))
     with _RunningServer(make_service(store=store, workers=1)) as running:
         warm = running.post("/election", payload)
+        cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
     assert store.stats()["records"] == 1
+    assert cold_ledger > 0
+    assert_real_passes(real_refinement_passes, cold_ledger)
 
     # simulate a service restart: fresh process-wide cache, same store
     refinement_cache.clear()
@@ -170,9 +183,10 @@ def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path):
     assert cold["fingerprint"] == warm["fingerprint"]
     assert stats["cache"]["refinement_passes"] == 0
     assert stats["cache"]["store_hits"] == 1
+    assert_real_passes(real_refinement_passes, cold_ledger)
 
 
-def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path):
+def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path, real_refinement_passes):
     """The store index ignores the graph name: one graph submitted as a spec,
     then as adjacency under another name, resolves to one record, and the
     second lookup warm-starts from it with zero refinement passes."""
@@ -182,7 +196,10 @@ def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path):
     store = ArtifactStore(str(tmp_path))
     with _RunningServer(make_service(store=store, workers=1)) as running:
         by_spec = running.post("/election", {"spec": spec})
+        cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
     assert store.stats()["records"] == 1
+    assert cold_ledger > 0
+    assert_real_passes(real_refinement_passes, cold_ledger)
 
     refinement_cache.clear()
     with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
@@ -193,24 +210,16 @@ def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path):
     assert by_adjacency["fingerprint"] == by_spec["fingerprint"]
     assert stats["cache"]["store_hits"] == 1
     assert stats["cache"]["refinement_passes"] == 0
+    assert_real_passes(real_refinement_passes, cold_ledger)
     assert ArtifactStore(str(tmp_path)).stats()["records"] == 1
 
 
-def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(monkeypatch):
+def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(real_refinement_passes):
     """A memory hit by an equal request graph adopts the cached instance's
     engine and fingerprint, so a warm replay runs no real refinement pass:
     the ledger's ``refinement_passes`` certificate sees every pass."""
-    from repro.kernel.refine import CSRPartitionRefinement
-    from repro.kernel.refine_numpy import NumpyPartitionRefinement
     from repro.scenarios import corpus_specs
 
-    real_passes = []
-    for engine_class in (CSRPartitionRefinement, NumpyPartitionRefinement):
-        def counted(self, _original=engine_class._refine_once):
-            real_passes.append(type(self).__name__)
-            return _original(self)
-
-        monkeypatch.setattr(engine_class, "_refine_once", counted)
     payloads = [
         {"graph": graph_to_dict(spec.build())}
         for spec in corpus_specs(16, seed=7, corpus="mixed")
@@ -218,12 +227,12 @@ def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(monkeypatch):
     # thread backend on purpose: the passes must run in this process to be counted
     with _RunningServer(ElectionService(backend="thread", workers=1)) as running:
         cold = [running.post("/election", payload) for payload in payloads]
-        cold_passes = len(real_passes)
+        cold_passes = real_refinement_passes.count
         ledger_before = running.get("/stats")["cache"]["refinement_passes"]
         warm = [running.post("/election", payload) for payload in payloads]
         ledger_after = running.get("/stats")["cache"]["refinement_passes"]
-    assert cold_passes > 0  # the counting wrapper sees real work
-    assert len(real_passes) == cold_passes
+    assert cold_passes == ledger_before > 0  # the counting wrapper sees real work
+    assert real_refinement_passes.count == cold_passes
     assert ledger_after == ledger_before
     assert [r["fingerprint"] for r in warm] == [r["fingerprint"] for r in cold]
     assert [r["indices"] for r in warm] == [r["indices"] for r in cold]

@@ -16,7 +16,7 @@ import urllib.error
 import urllib.request
 
 import pytest
-from test_service import _RunningServer, make_service
+from test_service import _RunningServer, assert_real_passes, make_service
 
 from repro.runner import refinement_cache
 from repro.service import deterministic_response
@@ -250,10 +250,13 @@ def test_sweep_status_listing_and_unknown_id():
             assert error.code == 404
 
 
-def test_sweep_status_persists_across_service_restart(tmp_path):
+def test_sweep_status_persists_across_service_restart(tmp_path, real_refinement_passes):
     payload = {"sweep": {"corpus": "mixed", "count": 4, "seed": 2}}
     with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
         sweep_id = _post_stream(running, payload)[0]["sweep"]
+        cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
+    assert cold_ledger > 0
+    assert_real_passes(real_refinement_passes, cold_ledger)
     refinement_cache.clear()
     with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
         status = running.get(f"/sweeps/{sweep_id}")
@@ -264,4 +267,5 @@ def test_sweep_status_persists_across_service_restart(tmp_path):
         assert replay[-1]["ok"] == 4
         stats = running.get("/stats")
     assert stats["cache"]["refinement_passes"] == 0
+    assert_real_passes(real_refinement_passes, cold_ledger)
     assert stats["cache"]["store_hits"] == 4

@@ -29,9 +29,12 @@ from repro.service import (
     BatchCoordinator,
     ElectionService,
     ServiceError,
+    deterministic_response,
     shard_index,
 )
 from repro.service import workers as worker_backends
+from repro.service.batch import expand_sweep
+from repro.store import ArtifactStore
 
 
 @pytest.fixture(autouse=True)
@@ -97,9 +100,37 @@ def test_shard_caches_stay_sticky_for_repeat_submissions():
 # --------------------------------------------------------------------------- #
 # thread/process equivalence
 # --------------------------------------------------------------------------- #
-def test_process_backend_byte_identical_to_thread_on_mixed_corpus():
-    with _RunningServer(ElectionService(backend="thread", workers=4)) as running:
+def _strip_trace(lines):
+    # trace ids are per-request (and per-server-nonce) by design: the only
+    # field allowed to differ between two streams of the same batch
+    return [{k: v for k, v in line.items() if k != "trace_id"} for line in lines]
+
+
+def test_process_backend_byte_identical_to_thread_on_mixed_corpus(
+    tmp_path, real_refinement_passes
+):
+    """Cold thread and cold 4-shard process streams are byte-identical; the
+    cold stream equals sequential singles; store-warm thread and process
+    replays of it equal it again, with zero refinement passes."""
+    store_path = str(tmp_path / "store")
+    with _RunningServer(
+        ElectionService(store=ArtifactStore(store_path), backend="thread", workers=4)
+    ) as running:
         thread_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
+        cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
+        cold_passes = real_refinement_passes.count
+        # every streamed item equals a sequential POST /election
+        for payload, line in zip(expand_sweep(MIXED_SWEEP), thread_lines[1:-1]):
+            single = deterministic_response(running.post("/election", payload))
+            streamed = {
+                k: v for k, v in line.items() if k not in ("index", "status", "trace_id")
+            }
+            assert streamed == single, line["index"]
+    assert thread_lines[-1]["ok"] == MIXED_SWEEP["count"]
+    assert not thread_lines[-1]["errors"]
+    assert cold_passes == cold_ledger > 0
+    cold_items = _strip_trace(thread_lines[1:-1])
+
     refinement_cache.clear()
     with _RunningServer(
         ElectionService(backend="process", shards=4, workers=4)
@@ -107,18 +138,31 @@ def test_process_backend_byte_identical_to_thread_on_mixed_corpus():
         process_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
         stats = running.get("/stats")
     assert stats["service"]["backend"] == "process"
-    assert thread_lines[-1]["ok"] == MIXED_SWEEP["count"]
-    # trace ids are per-request (and per-server-nonce) by design: the only
-    # field allowed to differ between the two streams
-    strip = lambda lines: [
-        {k: v for k, v in line.items() if k != "trace_id"} for line in lines
-    ]
-    assert json.dumps(strip(thread_lines), sort_keys=True) == json.dumps(
-        strip(process_lines), sort_keys=True
+    assert json.dumps(_strip_trace(thread_lines), sort_keys=True) == json.dumps(
+        _strip_trace(process_lines), sort_keys=True
     ), "process-backend NDJSON must be byte-identical to the thread backend"
     # the work genuinely happened in the shard workers, not the parent
     assert stats["cache"]["misses"] > 0
     assert refinement_cache.stats()["misses"] == 0
+
+    # store-warm replays: a fresh service over the same store, on each backend
+    for backend in ("thread", "process"):
+        refinement_cache.clear()
+        replay_passes = real_refinement_passes.count
+        with _RunningServer(
+            ElectionService(
+                store=ArtifactStore(store_path), backend=backend, shards=4, workers=4
+            )
+        ) as running:
+            replay_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
+            stats = running.get("/stats")
+        assert stats["service"]["backend"] == backend, "no fallback"
+        if backend == "process":
+            assert stats["shards"]["crashes"] == 0
+        assert replay_lines[-1]["ok"] == MIXED_SWEEP["count"]
+        assert _strip_trace(replay_lines[1:-1]) == cold_items, backend
+        assert stats["cache"]["refinement_passes"] == 0, backend
+        assert real_refinement_passes.count == replay_passes, backend
 
 
 # --------------------------------------------------------------------------- #

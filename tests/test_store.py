@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Task
 from repro.families import build_gdk_member
+from repro.kernel import numpy_available, use_backend
 from repro.portgraph import PortLabeledGraph, generators
 from repro.portgraph.io import graph_from_bytes, graph_to_bytes
 from repro.runner import (
+    ExperimentRunner,
     GraphSpec,
     RefinementCache,
     SweepSpec,
@@ -45,8 +51,6 @@ def _sample_graphs():
 
 def _computed_record(graph, *, tasks=("S", "PE")):
     """A record carrying real ψ memo entries, produced the way the runner does."""
-    from repro.core import Task
-
     sweep = SweepSpec.make((), tasks=[Task(code) for code in tasks])
     evaluate_graph(graph, sweep)
     entry = refinement_cache.entry(graph)
@@ -219,6 +223,37 @@ class TestArtifactStore:
         # the two records remain unmergeable (different labeled graphs)
         with pytest.raises(ValueError):
             record.merged_with(other)
+
+    def test_racing_first_writers_of_two_labelings_both_keep_a_record(
+        self, tmp_path, monkeypatch
+    ):
+        """A writer that read the primary as absent just before a writer of
+        another labeling created it must spill, not replace that object."""
+        store = ArtifactStore(str(tmp_path))
+        graph = generators.asymmetric_cycle(7)
+        winner = _computed_record(graph)
+        relabeled = graph.relabeled(list(range(graph.num_nodes))[::-1])
+        refinement_cache.clear()
+        loser = _computed_record(relabeled)
+        store.put(winner)
+        winner_bytes = store.get_bytes(winner.fingerprint)
+        real_read = ArtifactStore._read_object
+        stale = [loser.fingerprint]
+
+        def read_before_the_winner_wrote(self, key):
+            if key in stale:
+                stale.remove(key)
+                return None
+            return real_read(self, key)
+
+        monkeypatch.setattr(ArtifactStore, "_read_object", read_before_the_winner_wrote)
+        assert store.put(loser) is True
+        assert not stale
+        assert store.get_bytes(winner.fingerprint) == winner_bytes
+        assert store.stats()["put_spills"] == 1
+        fresh = ArtifactStore(str(tmp_path))
+        assert fresh.load_for_graph(graph).graph == graph
+        assert fresh.load_for_graph(relabeled).graph == relabeled
 
     def test_colliding_distinct_graphs_both_warm_start(self, tmp_path):
         """A torus and a twisted torus of one size share a fingerprint but
@@ -771,11 +806,78 @@ class TestAdmissionPolicy:
             cache.set_admission("clairvoyant")
 
 
-class TestCacheStoreIntegration:
-    def test_cold_process_warm_starts_from_store(self, tmp_path):
-        """The acceptance property: populated store => zero refinement passes."""
-        from repro.core import Task
+#: A small fixed sweep over every hot path: a G_{Δ,k} member for refinement
+#: and block-cut, small mixed graphs for the PPE/CPPE joint searches.
+REPLAY_SWEEP = SweepSpec.make(
+    [
+        GraphSpec.make("gdk", delta=4, k=1, index=3),
+        GraphSpec.make("asymmetric-cycle", n=7),
+        GraphSpec.make("star", leaves=4),
+        GraphSpec.make("random", n=9, extra_edges=4, seed=2),
+    ],
+    tasks=Task.ordered(),
+    profile_depths=(1,),
+)
 
+#: A genuinely cold process answering a sweep from a store: it prints what
+#: it had to compute (argv: store path, sweep JSON).
+_REPLAY_CHILD = """
+import json, sys
+from repro.core import search_statistics
+from repro.runner import ExperimentRunner, SweepSpec, refinement_cache
+
+report = ExperimentRunner(store_path=sys.argv[1]).run(SweepSpec.from_json(sys.argv[2]))
+print(json.dumps({
+    "refinement_passes": refinement_cache.refinement_passes,
+    "search_states": search_statistics()["states"],
+    "store_hits": report.cache_stats["store_hits"],
+    "table_json": report.table.to_json(),
+}))
+"""
+
+
+class TestCacheStoreIntegration:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "numpy",
+                marks=pytest.mark.skipif(not numpy_available(), reason="numpy not installed"),
+            ),
+        ],
+    )
+    def test_cold_child_process_replays_a_sweep_from_the_store(
+        self, tmp_path, backend, real_refinement_passes
+    ):
+        """A store written through by one process serves a fresh child process
+        on the same kernel backend: no refinement pass, no search state, one
+        store hit per graph, and the cold run's table byte for byte."""
+        import repro
+
+        store_path = str(tmp_path / "store")
+        with use_backend(backend):
+            cold = ExperimentRunner(store_path=store_path).run(REPLAY_SWEEP)
+        assert real_refinement_passes.count == refinement_cache.refinement_passes > 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, REPRO_KERNEL_BACKEND=backend)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", _REPLAY_CHILD, store_path, REPLAY_SWEEP.to_json()],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        replay = json.loads(child.stdout)
+        assert replay["refinement_passes"] == 0
+        assert replay["search_states"] == 0
+        assert replay["store_hits"] == len(REPLAY_SWEEP.graphs)
+        assert replay["table_json"] == cold.table.to_json()
+
+    def test_cold_process_warm_starts_from_store(self, tmp_path, real_refinement_passes):
+        """The acceptance property: populated store => zero refinement passes."""
         sweep = SweepSpec.make(
             [GraphSpec.make("asymmetric-cycle", n=7), GraphSpec.make("star", leaves=4)],
             tasks=Task.ordered(),
@@ -792,6 +894,8 @@ class TestCacheStoreIntegration:
             warm_cache.entry(graph).memo.update(refinement_cache.entry(graph).memo)
             warm_cache.persist(graph)
         assert store.stats()["records"] == 2
+        cold_passes = real_refinement_passes.count
+        assert cold_passes == refinement_cache.refinement_passes > 0
 
         # a "cold process": a brand-new cache and brand-new graph instances
         cold_cache = RefinementCache()
@@ -804,11 +908,10 @@ class TestCacheStoreIntegration:
             assert graph.refinement_engine().passes == 0
         stats = cold_cache.stats()
         assert stats["refinement_passes"] == 0
+        assert real_refinement_passes.count == cold_passes
         assert stats["store_hits"] == 2 and stats["store_misses"] == 0
 
     def test_write_through_merges_with_existing_record(self, tmp_path):
-        from repro.core import Task
-
         store = ArtifactStore(str(tmp_path))
         refinement_cache.attach_store(store)
         graph = generators.asymmetric_cycle(7)

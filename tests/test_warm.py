@@ -11,19 +11,18 @@ valid across :meth:`ElectionService.close`.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
-import threading
 
 import pytest
+from test_service import _RunningServer
 
 from repro.core import Task, all_election_indices
 from repro.runner import WarmReport, refinement_cache, warm_sweep
 from repro.runner.spec import SweepSpec
 from repro.runner.warm import batch_items
 from repro.scenarios.corpus import corpus_specs
-from repro.service import ElectionServer, ElectionService, deterministic_response
+from repro.service import ElectionService, deterministic_response
 from repro.store import ArtifactStore
 
 
@@ -34,55 +33,6 @@ def _detached_process_cache(isolated_refinement_cache):
 
 def _small_sweep(count: int = 4, seed: int = 11) -> SweepSpec:
     return SweepSpec.make(corpus_specs(count, seed=seed), max_states=50_000)
-
-
-class _RunningServer:
-    """A server on an ephemeral port, driven by a background event loop."""
-
-    def __init__(self, service: ElectionService) -> None:
-        self.service = service
-        self.server = ElectionServer(service, port=0)
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_until_complete(self.server.start())
-        self._started.set()
-        self._loop.run_forever()
-
-    def __enter__(self) -> "_RunningServer":
-        self._thread.start()
-        assert self._started.wait(10), "server failed to start"
-        self.base = f"http://127.0.0.1:{self.server.port}"
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        async def _shutdown() -> None:
-            await self.server.close()
-            await asyncio.sleep(0.05)
-
-        asyncio.run_coroutine_threadsafe(_shutdown(), self._loop).result(10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(10)
-
-    def get(self, path: str):
-        import urllib.request
-
-        with urllib.request.urlopen(f"{self.base}{path}") as response:
-            return json.loads(response.read())
-
-    def post(self, path: str, payload) -> dict:
-        import urllib.request
-
-        request = urllib.request.Request(
-            f"{self.base}{path}",
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request) as response:
-            return json.loads(response.read())
 
 
 # --------------------------------------------------------------------------- #
@@ -199,7 +149,9 @@ class TestWarmServiceInterop:
         assert status["completed"] == report.total
         assert status["state"] == "done"
 
-    def test_live_service_picks_up_warm_writes_without_restart(self, tmp_path):
+    def test_live_service_picks_up_warm_writes_without_restart(
+        self, tmp_path, real_refinement_passes
+    ):
         """Warm into a store a running service already serves from: the next
         query must be a store hit (zero refinement passes) and byte-identical
         to the cold-computed answer -- no restart, no cache flush."""
@@ -212,6 +164,8 @@ class TestWarmServiceInterop:
         with _RunningServer(service) as running:
             # warm lands while the service is live (separate store handle)
             warm_sweep(sweep, store_path, shared={"max_states": 50_000})
+            cold_passes = real_refinement_passes.count
+            assert cold_passes == refinement_cache.refinement_passes > 0
             # the in-process warm populated the process-wide cache; flush it
             # so the service's next query genuinely reads the store
             refinement_cache.clear()
@@ -222,6 +176,7 @@ class TestWarmServiceInterop:
             assert refinement_cache.refinement_passes == before, (
                 "a warm-written record should replay with zero refinement passes"
             )
+            assert real_refinement_passes.count == cold_passes
             # byte-identity against the direct in-process computation
             graph = spec.build()
             direct = all_election_indices(graph)
@@ -247,11 +202,12 @@ class TestWarmServiceInterop:
         assert refinement_cache.admission == "always"
 
     def test_hot_and_cold_serving_are_byte_identical(self, tmp_path):
-        """The CI gate's contract in miniature: a hot-tier service and a
-        cold store-less service answer every corpus query identically."""
+        """A hot-tier service answering from a warmed store and a cold
+        store-less service answer every corpus query identically."""
         sweep = _small_sweep(count=3, seed=31)
         store_path = str(tmp_path / "store")
         warm_sweep(sweep, store_path, shared={"max_states": 50_000})
+        refinement_cache.clear()  # make the hot service read the store
         payloads = [
             {"spec": spec.to_dict(), "max_states": 50_000} for spec in sweep.graphs
         ]
@@ -260,6 +216,7 @@ class TestWarmServiceInterop:
         )
         with _RunningServer(hot_service) as running:
             hot = [deterministic_response(running.post("/election", p)) for p in payloads]
+            assert running.get("/stats")["store"]["hits"] > 0
         refinement_cache.clear()  # make the cold service actually compute
         with _RunningServer(ElectionService(workers=1)) as running:
             cold = [deterministic_response(running.post("/election", p)) for p in payloads]
