@@ -22,7 +22,7 @@ __all__ = ["PortLabeledGraph"]
 
 Endpoint = Tuple[int, int]
 
-#: Cap on the refinement depth (passes *and* per-class label-chain rounds)
+#: Cap on the refinement depth (passes *and* label-chain rounds)
 #: folded into :meth:`PortLabeledGraph.fingerprint`.  The digest normally
 #: stops one round past the refinement fixpoint; on adversarially
 #: slow-stabilising graphs (long quasi-symmetric cycles, where the fixpoint
@@ -325,38 +325,38 @@ class PortLabeledGraph:
         The fingerprint is invariant under relabeling of the node handles:
         ``g.fingerprint() == g.relabeled(perm).fingerprint()`` for every
         permutation ``perm``, because it hashes the *sorted multiset* of
-        port-aware colour-refinement signatures rather than anything indexed
-        by handle.  It is sensitive to everything a handle-blind observer can
-        see -- node/edge counts, degrees, and the port numbers on both sides
-        of every edge, refined *to the fixpoint* of port-aware colour
-        refinement -- which makes it the content address of the artifact
-        store (:mod:`repro.store`).  (Graphs that colour refinement cannot
-        tell apart share a fingerprint; consumers that need exact identity
-        key on the graph itself or on :meth:`cache_key`.)
+        per-class labels rather than anything indexed by handle.  It is
+        sensitive to everything a handle-blind observer can see -- node/edge
+        counts, degrees, and the port numbers on both sides of every edge,
+        refined *to the fixpoint* of port-aware colour refinement -- which
+        makes it the content address of the artifact store
+        (:mod:`repro.store`).  (Graphs that colour refinement cannot tell
+        apart share a fingerprint; consumers that need exact identity key on
+        the graph itself or on :meth:`cache_key`.)
 
         Refinement runs until the class-count sequence stabilises, capped at
         :data:`_FINGERPRINT_LABEL_ROUNDS` rounds (the cap bounds both the
-        passes of the shared incremental engine and the per-class label
-        chain, so fingerprinting stays fast even on graphs whose fixpoint
-        takes ~n/2 passes); the digest folds in the materialised class-count
-        sequence plus the sorted multiset of ``(class label, class size)``
-        pairs one round *past* stabilisation (or at the cap).
-        An earlier scheme truncated at a fixed 3 refinement rounds, which
-        aliased structurally different graphs whose refinements only diverge
-        at depth >= 4 -- see ``tests/test_portgraph_fingerprint.py`` for an
-        explicit colliding pair and the regression test.
+        passes of the shared incremental engine and the label chain, so
+        fingerprinting stays fast even on graphs whose fixpoint takes ~n/2
+        passes).  The label chain (:mod:`repro.portgraph.labels`) names each
+        view class at each depth by a 64-bit integer mix of its port-ordered
+        signature; the digest folds in ``n``, ``m``, the degree histogram,
+        the materialised class-count sequence and the sorted multiset of
+        ``(class label, class size)`` pairs one round *past* stabilisation
+        (or at the cap).  An earlier scheme truncated at a fixed 3
+        refinement rounds, which aliased structurally different graphs whose
+        refinements only diverge at depth >= 4 -- see
+        ``tests/test_portgraph_fingerprint.py`` for an explicit colliding
+        pair and the regression test.
 
-        The digest is stable across processes and Python versions: it is
-        computed with BLAKE2b over an explicit byte encoding, never with the
-        salted built-in ``hash``.  The result is memoised on the instance.
+        The digest is SHA-256 over the ASCII ``repr`` of that summary, and
+        the labels are fixed 64-bit arithmetic, never the salted built-in
+        ``hash``, so it is stable across processes, Python versions and
+        kernel backends.  The result is memoised on the instance.
         """
         if self._fingerprint is not None:
             return self._fingerprint
-
-        def _digest(payload: str) -> int:
-            return int.from_bytes(
-                hashlib.blake2b(payload.encode("ascii"), digest_size=8).digest(), "big"
-            )
+        from .labels import class_label_pairs  # lazy: imports the kernel
 
         engine = self.refinement_engine()
         # Refine to the fixpoint, but never past the round cap: the cap keeps
@@ -375,36 +375,12 @@ class PortLabeledGraph:
         final_depth = min(engine.computed_depth, _FINGERPRINT_LABEL_ROUNDS)
         if stable is not None:
             final_depth = min(final_depth, stable + 1)
-        csr = self.csr()
-        # Invariant label chain, one value per class per depth: the label of a
-        # class is the digest of its (port-ordered) signature over the labels
-        # of the previous depth, read off any representative member -- all
-        # members share that signature by definition of the partition.
-        labels: List[int] = [
-            len(self._adj[group[0]]) for group in engine.members_at(0)
-        ]
-        for depth in range(1, final_depth + 1):
-            previous_colors = engine.colors_at(depth - 1)
-            new_labels: List[int] = []
-            for group in engine.members_at(depth):
-                rep = group[0]
-                base = csr.offsets[rep]
-                signature = (
-                    labels[previous_colors[rep]],
-                    tuple(
-                        (csr.reverse_ports[i], labels[previous_colors[csr.neighbors[i]]])
-                        for i in range(base, csr.offsets[rep + 1])
-                    ),
-                )
-                new_labels.append(_digest(repr(signature)))
-            labels = new_labels
-        final_members = engine.members_at(final_depth)
         summary = (
             self.num_nodes,
             self.num_edges,
             tuple(sorted(self.degree_histogram().items())),
             engine.class_counts[: final_depth + 1],
-            tuple(sorted((labels[c], len(final_members[c])) for c in range(len(labels)))),
+            class_label_pairs(engine, final_depth),
         )
         self._fingerprint = hashlib.sha256(repr(summary).encode("ascii")).hexdigest()
         return self._fingerprint

@@ -56,6 +56,11 @@ __all__ = [
 #: searches and the event loop from accidental monster submissions.
 MAX_SUBMITTED_NODES = 100_000
 
+#: Hard cap on the ops of one ``delta`` edit script, checked when the query
+#: is parsed: building the base, applying the edit and replaying it all come
+#: after, and the node cap above is only checked once they are done.
+MAX_DELTA_OPS = 4_096
+
 #: Response fields that legitimately vary between otherwise identical
 #: queries (wall time, whether this request drafted behind another, the
 #: serving request's trace id, which lifecycle path a delta item took --
@@ -502,6 +507,8 @@ class ElectionService:
                 )
             if not isinstance(delta_ops, list) or not delta_ops:
                 raise ServiceError(400, "'base' requires a non-empty 'delta' op list")
+            if len(delta_ops) > MAX_DELTA_OPS:
+                raise ServiceError(400, f"delta too large (> {MAX_DELTA_OPS} ops)")
         elif delta_ops is not None:
             raise ServiceError(400, "'delta' requires a 'base' to apply to")
         if spec_dict is not None:

@@ -17,20 +17,20 @@ graph and of the (deterministic) computations performed on it:
 * bit-exact advice strings (the full-map advice of Theorem 2.4's universal
   scheme by default).
 
-The byte encoding (format version 3) is canonical: unsigned-LEB128 varints
+The byte encoding (format version 4) is canonical: unsigned-LEB128 varints
 and length-prefixed UTF-8, sections in a fixed order, ψ entries and advice
 sorted -- so ``encode(decode(b)) == b`` and two processes that computed the
 same things about equal graphs produce identical record bytes.  That is what
 makes the store content-addressed *and* lets write-through skip rewrites.
 Version 2 appended the delta lineage section -- ``parent_fingerprint`` and
 ``delta_digest``, naming the base record and edit script a delta-derived
-record was replayed from -- after the version-1 sections.  Version 3 drops
-the relabeling-invariant bucket key that versions 1 and 2 stored after the
-fingerprint: the store's index key
-(:meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key`) is a pure
-function of the graph, so the record no longer carries it.  Version-1 and
-version-2 records still decode (the old key string is skipped, a v1 record
-gets empty lineage) and re-encode as version 3.
+record was replayed from.  Version 3 dropped the relabeling-invariant
+bucket key that versions 1 and 2 stored after the fingerprint.  Version 4
+keeps the version-3 layout byte for byte but names records by the
+fingerprint's 64-bit integer label chain (:mod:`repro.portgraph.labels`):
+every fingerprint changed, so versions 1 to 3 no longer decode.  A store
+that still decoded them would adopt an old-scheme fingerprint onto a warm
+graph while a cold process computed the new one.
 Volatile observations (wall times, cumulative search-statistics snapshots)
 deliberately live in the store manifest, not in the record.
 """
@@ -47,10 +47,11 @@ from ..portgraph.io import graph_from_bytes, graph_to_bytes, read_uvarint, write
 __all__ = ["ArtifactRecord", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = b"RPLE"
-FORMAT_VERSION = 3
-#: Versions :meth:`ArtifactRecord.from_bytes` accepts (v1 = no lineage;
-#: v1 and v2 carry a bucket-key string after the fingerprint).
-_DECODABLE_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+#: Versions :meth:`ArtifactRecord.from_bytes` accepts: only the current
+#: one, since every earlier version names its record by an old-scheme
+#: fingerprint.
+_DECODABLE_VERSIONS = (4,)
 
 #: One computed ψ_Z outcome: (task code, max_depth, max_states, status, value)
 #: with status ``"ok"`` or ``"limited"`` (search budget exceeded).
@@ -261,7 +262,7 @@ class ArtifactRecord:
             packed = _pack_bits(bits)
             write_uvarint(out, len(packed))
             out.extend(packed)
-        # format v2: the delta lineage section sits after every v1 section
+        # the delta lineage section comes last
         _write_str(out, self.parent_fingerprint)
         _write_str(out, self.delta_digest)
         return bytes(out)
@@ -275,8 +276,6 @@ class ArtifactRecord:
         if version not in _DECODABLE_VERSIONS:
             raise ValueError(f"unsupported record format version {version}")
         fingerprint, offset = _read_str(data, offset)
-        if version < 3:
-            _bucket_key, offset = _read_str(data, offset)
         graph, offset = graph_from_bytes(data, offset=offset, validate=False)
         arrays = []
         for _ in range(3):
@@ -327,10 +326,8 @@ class ArtifactRecord:
             packed = data[offset : offset + packed_length]
             offset += packed_length
             advice.append((name, _unpack_bits(packed, bit_length)))
-        parent_fingerprint = delta_digest = ""
-        if version >= 2:
-            parent_fingerprint, offset = _read_str(data, offset)
-            delta_digest, offset = _read_str(data, offset)
+        parent_fingerprint, offset = _read_str(data, offset)
+        delta_digest, offset = _read_str(data, offset)
         record = cls(
             fingerprint=fingerprint,
             graph=graph,

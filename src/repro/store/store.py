@@ -691,26 +691,58 @@ class ArtifactStore:
         return snapshot
 
 
+#: One in-process lock per lock-file path.  ``flock`` locks belong to the
+#: open file description, so two threads of one process would otherwise
+#: contend through ``LOCK_NB`` polling; with this lock taken first they block
+#: and wake on release, and only cross-process contention polls.  Keyed by
+#: path because every handle on one store root must share it; one entry per
+#: store root a process opens.
+_thread_locks: Dict[str, threading.Lock] = {}
+_thread_locks_guard = threading.Lock()
+
+
+def _thread_lock(path: str) -> threading.Lock:
+    with _thread_locks_guard:
+        lock = _thread_locks.get(path)
+        if lock is None:
+            lock = _thread_locks[path] = threading.Lock()
+        return lock
+
+
 class _FileLock:
-    """A small blocking ``flock`` wrapper with a timeout (POSIX; no-op elsewhere)."""
+    """A small blocking ``flock`` wrapper with a timeout (POSIX; no-op elsewhere).
+
+    The per-path thread lock is taken before the ``flock`` and released
+    after it, within the same timeout.
+    """
 
     def __init__(self, path: str, *, timeout: float) -> None:
         self._path = path
         self._timeout = timeout
         self._handle = None
+        self._thread_lock = _thread_lock(path)
 
     def __enter__(self) -> "_FileLock":
+        deadline = time.monotonic() + self._timeout
+        if not self._thread_lock.acquire(timeout=self._timeout):
+            raise TimeoutError(f"could not lock {self._path} within {self._timeout}s")
+        try:
+            self._handle = self._flock(deadline)
+        except BaseException:
+            self._thread_lock.release()
+            raise
+        return self
+
+    def _flock(self, deadline: float):
         try:
             import fcntl
         except ImportError:  # non-POSIX: fall back to atomic-replace-only safety
-            return self
+            return None
         handle = open(self._path, "a+b")
-        deadline = time.monotonic() + self._timeout
         while True:
             try:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                self._handle = handle
-                return self
+                return handle
             except OSError:
                 if time.monotonic() >= deadline:
                     handle.close()
@@ -724,3 +756,4 @@ class _FileLock:
             fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
             self._handle.close()
             self._handle = None
+        self._thread_lock.release()

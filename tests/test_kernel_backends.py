@@ -181,6 +181,13 @@ class TestByteIdentity:
     def test_fingerprints_identical(self, graph):
         observed = _per_backend(graph, lambda fresh: fresh.fingerprint())
         assert observed["python"] == observed["numpy"]
+        # the label chain runs on numpy whenever it imports, whatever the
+        # engine: hide numpy from the chain alone to take its python path
+        from test_portgraph_fingerprint import label_path
+
+        with label_path("python"):
+            python_path = _per_backend(graph, lambda fresh: fresh.fingerprint())
+        assert python_path == observed
 
     @given(graph=small_graph_strategy)
     @settings(max_examples=10, deadline=None)

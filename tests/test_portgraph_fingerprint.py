@@ -8,12 +8,24 @@ de Bruijn sequences of order 7 (length 128).  Every 7-bit window occurs
 exactly once in each sequence, so the multisets of radius-3 neighbourhoods —
 everything 3 refinement rounds can see — coincide, while the sequences (and
 hence the graphs, and their refinement fixpoints) differ.
+
+The label chain has two implementations (:mod:`repro.portgraph.labels`):
+the tests at the end require them to agree, and each to keep the
+fingerprint's properties.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.kernel import numpy_available, use_backend
+from repro.portgraph import labels as label_chain
 from repro.portgraph.graph import PortLabeledGraph
 from repro.portgraph import generators
 
@@ -224,13 +236,142 @@ class TestFingerprintRoundCap:
             assert entry.graph.fingerprint() == never_refined_copy(entry.graph).fingerprint()
 
     def test_shallow_fixpoint_digests_are_pinned(self):
-        # fixpoints well under the cap: the capped digest equals the old one
+        # fixpoints well under the cap, digested with the 64-bit label chain
+        # of record format 4
         pinned = {
-            "560ec89d4f2ff412266372ea75e94510e4b01d8f56416567cba910fea90a587d": generators.asymmetric_cycle(9),
-            "cb10cf9d978ee04238f2ddd199586601a8bb2ea0e5d54bac9702d28a9605bfbe": (
+            "373f42671695ee704bc90318e7a86e86f2cd3b26021167a1291fa789f55ef949": generators.asymmetric_cycle(9),
+            "0216fceec9194a652ae25fc4446afd6d015833d4b125f6484adcc98eef81bc11": (
                 generators.random_connected_graph(30, extra_edges=10, seed=5)
             ),
         }
         for digest, graph in pinned.items():
             assert graph.refinement_engine().ensure_stable() + 1 <= 63
             assert graph.fingerprint() == digest
+
+
+# --------------------------------------------------------------------------- #
+# the label chain's two implementations
+# --------------------------------------------------------------------------- #
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+#: The label chain's implementations: numpy whenever it imports, python
+#: only without it (forced here by hiding numpy from the chain alone).
+LABEL_PATHS = [pytest.param("numpy", marks=needs_numpy), "python"]
+
+
+@contextmanager
+def label_path(path: str):
+    """Compute fingerprints on one implementation of the label chain."""
+    if path == "python":
+        with mock.patch.object(label_chain, "numpy_or_none", lambda: None):
+            yield
+    else:
+        yield
+
+
+def path_fingerprint(graph: PortLabeledGraph, path: str) -> str:
+    """``fingerprint()`` of a never-refined copy of ``graph`` on ``path``."""
+    with label_path(path):
+        return never_refined_copy(graph).fingerprint()
+
+
+def _small_connected_graph(n: int, extra_edges: int, seed: int) -> PortLabeledGraph:
+    if n == 1:
+        return PortLabeledGraph([{}], name="K1")
+    return generators.random_connected_graph(n, extra_edges, seed=seed)
+
+
+small_connected_graphs = st.builds(
+    _small_connected_graph,
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+def alternating_cycle(n: int) -> PortLabeledGraph:
+    """An even cycle whose edges alternate the port pairs 0-0 and 1-1.
+
+    Like the oriented :func:`generators.cycle_graph` (every edge 0-1), every
+    node has one port 0 and one port 1 with reverse ports 0 and 1 behind
+    them, and every node has the same view at every depth; only which
+    reverse port sits behind which port differs.
+    """
+    assert n % 2 == 0
+    adjacency = [{} for _ in range(n)]
+    for v in range(n):
+        u = (v + 1) % n
+        port = v % 2
+        adjacency[v][port] = (u, port)
+        adjacency[u][port] = (v, port)
+    return PortLabeledGraph(adjacency, name=f"alternating-cycle-{n}")
+
+
+@needs_numpy
+class TestLabelChainPathsAgree:
+    """The python path (per class) and the numpy path (per node) give one value."""
+
+    @given(graph=small_connected_graphs)
+    @example(graph=PortLabeledGraph([{}]))  # n = 1: no darts
+    @example(graph=generators.two_node_graph())
+    @settings(max_examples=60, deadline=None)
+    def test_random_connected_graphs(self, graph):
+        assert path_fingerprint(graph, "python") == path_fingerprint(graph, "numpy")
+
+    def test_deep_fixpoints_past_the_round_cap(self):
+        for graph in deep_fixpoint_graphs():
+            assert path_fingerprint(graph, "python") == path_fingerprint(graph, "numpy")
+
+    def test_delta_replayed_engine_under_numpy(self, isolated_refinement_cache):
+        from repro.scenarios import mutation_stream
+
+        with use_backend("numpy"):
+            base = deep_fixpoint_graphs()[1]
+            assert type(base.refinement_engine()).__name__ == "NumpyPartitionRefinement"
+            scripts = mutation_stream(
+                base,
+                seed=2,
+                length=2,
+                kinds=("add-edge", "remove-edge", "relabel-ports"),
+                region=range(100),
+            )
+            for script in scripts:
+                replayed = isolated_refinement_cache.delta_entry(base, script).graph
+                engine = replayed.refinement_engine()
+                # the replay hands back the python engine even under numpy
+                assert type(engine).__name__ == "CSRPartitionRefinement"
+                twin = never_refined_copy(replayed)
+                twin.adopt_csr(replayed.csr())
+                twin.adopt_engine(engine)
+                with label_path("python"):
+                    python_value = twin.fingerprint()
+                assert replayed.fingerprint() == python_value
+                assert python_value == never_refined_copy(replayed).fingerprint()
+
+
+@pytest.mark.parametrize("path", LABEL_PATHS)
+class TestFingerprintPropertiesOnEachLabelPath:
+    def test_relabeling_invariant(self, path):
+        for graph in (
+            leaf_decorated_cycle(debruijn_prefer_one(4), "small-necklace"),
+            generators.random_connected_graph(12, extra_edges=5, seed=9),
+        ):
+            n = graph.num_nodes
+            perm = [(v * 7 + 3) % n for v in range(n)]
+            assert sorted(perm) == list(range(n))
+            assert path_fingerprint(graph, path) == path_fingerprint(graph.relabeled(perm), path)
+
+    def test_debruijn_pair_stays_distinct(self, path):
+        g1 = leaf_decorated_cycle(debruijn_prefer_one(7), "debruijn-prefer-one")
+        g2 = leaf_decorated_cycle(debruijn_fkm(7), "debruijn-fkm")
+        assert path_fingerprint(g1, path) != path_fingerprint(g2, path)
+
+    def test_port_order_is_part_of_the_label(self, path):
+        # same n, m, degrees and class counts (one class at every depth):
+        # only the pairing of ports with reverse ports tells them apart
+        oriented = generators.cycle_graph(8)
+        alternating = alternating_cycle(8)
+        for graph in (oriented, alternating):
+            engine = graph.refinement_engine()
+            assert engine.ensure_stable() == 0 and engine.class_counts == (1, 1)
+        assert path_fingerprint(oriented, path) != path_fingerprint(alternating, path)

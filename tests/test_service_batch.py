@@ -18,6 +18,8 @@ import urllib.request
 import pytest
 from test_service import _RunningServer, assert_real_passes, make_service
 
+from repro.portgraph import generators
+from repro.portgraph.io import graph_to_dict
 from repro.runner import refinement_cache
 from repro.service import deterministic_response
 from repro.service.batch import MAX_BATCH_ITEMS, expand_sweep
@@ -141,6 +143,34 @@ def test_item_level_query_errors_do_not_abort_the_stream():
     assert "unknown graph kind" in lines[1]["error"]
     assert "unknown task" in lines[2]["error"]
     assert lines[4]["graph"] == "star(leaves=4)"
+
+
+def test_oversized_delta_is_a_400_before_any_graph_is_built(monkeypatch):
+    from repro.runner import GraphSpec
+    from repro.service.service import MAX_DELTA_OPS
+
+    builds = []
+    real_build = GraphSpec.build
+
+    def counting_build(self):
+        builds.append(self.label)
+        return real_build(self)
+
+    monkeypatch.setattr(GraphSpec, "build", counting_build)
+    oversized = {
+        "base": {"kind": "grid", "params": {"rows": 3, "cols": 3}},
+        "delta": [{"op": "add-edge", "v": 0, "u": 4}] * (MAX_DELTA_OPS + 1),
+    }
+    plain = {"graph": graph_to_dict(generators.asymmetric_cycle(7))}
+    # the thread backend computes in this process, where the patch counts
+    with _RunningServer(make_service(workers=2, backend="thread")) as running:
+        code, body = running.post_expecting_error("/election", oversized)
+        assert code == 400 and "delta too large" in body["error"]
+        lines = _post_stream(running, {"items": [plain, oversized, plain]})
+    items = lines[1:-1]
+    assert [line["status"] for line in items] == ["ok", "error", "ok"]
+    assert "delta too large" in items[1]["error"]
+    assert builds == []
 
 
 def test_envelope_errors_are_400s():

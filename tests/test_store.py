@@ -455,74 +455,182 @@ class TestArtifactStore:
         assert ArtifactStore(str(tmp_path)).stats()["records"] == 4
 
 
-def _as_format_2(payload):
-    """A format-3 record payload rewritten as format 2: version byte 2 and a
-    bucket-key string spliced in after the fingerprint, as v2 writers did."""
+def _as_format_3(payload, fingerprint):
+    """A format-3 object: a format-4 payload with version byte 3, named by
+    ``fingerprint`` (the two layouts are equal; a v3 object carries a
+    fingerprint of the old label scheme)."""
     from repro.store.record import FORMAT_VERSION, MAGIC
 
-    assert payload[: len(MAGIC)] == MAGIC and payload[len(MAGIC)] == FORMAT_VERSION == 3
+    assert payload[: len(MAGIC)] == MAGIC and payload[len(MAGIC)] == FORMAT_VERSION == 4
     start = len(MAGIC) + 1
-    fingerprint_length = payload[start]  # 64 hex chars: a one-byte varint
-    end = start + 1 + fingerprint_length
-    old_key = ("0f" * 32).encode("ascii")
-    return (
-        payload[: len(MAGIC)] + bytes([2]) + payload[start:end]
-        + bytes([len(old_key)]) + old_key + payload[end:]
+    assert payload[start] == len(fingerprint) == 64  # a one-byte varint length
+    end = start + 1 + len(fingerprint)
+    return payload[: len(MAGIC)] + bytes([3]) + payload[start : start + 1] + (
+        fingerprint.encode("ascii") + payload[end:]
     )
 
 
+def _served_fingerprint(graph):
+    """The ``fingerprint`` a ``POST /election`` of ``graph``'s adjacency returns."""
+    from repro.portgraph.io import graph_to_dict
+    from repro.service.service import compute_election
+
+    response = compute_election(
+        {
+            "graph": graph_to_dict(graph),
+            "spec": None,
+            "base": None,
+            "delta": None,
+            "tasks": [Task("S"), Task("PE")],
+            "max_depth": None,
+            "max_states": 200_000,
+            "advice": False,
+        }
+    )
+    return response["fingerprint"]
+
+
 class TestFormatUpgrade:
-    """A store written at format 2 (records and manifest) stays readable."""
+    """A store written at format 3 (objects and manifest) is rebuilt once,
+    never serves a record, is recomputed at format 4 under the new keys and
+    gives its v3 objects up to compaction."""
 
     @staticmethod
-    def _format_2_store(root):
-        import json
+    def _format_3_store(root):
+        import hashlib
 
-        store = ArtifactStore(root)
         graphs = _sample_graphs()[:3]
-        v3_payloads = {}
+        records = {}
         for graph in graphs:
             record = _computed_record(graph)
-            store.put(record)
-            v3_payloads[record.fingerprint] = record.to_bytes()
             refinement_cache.clear()
-        for key, payload in v3_payloads.items():
-            v2 = _as_format_2(payload)
-            assert ArtifactRecord.from_bytes(v2).to_bytes() == payload
-            with open(os.path.join(root, "objects", key[:2], key + ".rple"), "wb") as handle:
-                handle.write(v2)
-        # a v2 manifest indexed every record under the old bucket key
-        manifest_path = os.path.join(root, "manifest.json")
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        manifest["format_version"] = 2
-        for meta in manifest["records"].values():
-            meta["cache_key"] = "0f" * 32
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-        return graphs, v3_payloads
+            # a stand-in for the fingerprint the old label scheme gave it
+            old_key = hashlib.sha256(b"v3:" + record.fingerprint.encode("ascii")).hexdigest()
+            payload = _as_format_3(record.to_bytes(), old_key)
+            with pytest.raises(ValueError, match="unsupported record format version 3"):
+                ArtifactRecord.from_bytes(payload)
+            path = os.path.join(root, "objects", old_key[:2], old_key + ".rple")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(payload)
+            records[old_key] = ArtifactStore._record_meta(record, len(payload))
+        # a v3 manifest indexed every object under its exact cache key
+        with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as handle:
+            json.dump({"format_version": 3, "generation": 4, "records": records}, handle)
+        return graphs, sorted(records)
 
     @pytest.mark.parametrize("first_operation", ["lookup", "put"])
-    def test_format_2_records_are_found_after_opening(self, tmp_path, first_operation):
+    def test_format_3_store_is_rebuilt_recomputed_and_compacted(
+        self, tmp_path, first_operation
+    ):
+        from repro.store.record import MAGIC
+
         root = str(tmp_path)
-        graphs, v3_payloads = self._format_2_store(root)
+        graphs, old_keys = self._format_3_store(root)
         store = ArtifactStore(root)
         if first_operation == "put":
             other = generators.hypercube_graph(3)
             assert all(graph != other for graph in graphs)
             assert store.put(_computed_record(other)) is True
             refinement_cache.clear()
-            assert store.load_for_graph(generators.hypercube_graph(3)) is not None
-        for graph in graphs:
-            rebuilt = PortLabeledGraph([graph.adjacency(v) for v in graph.nodes()])
-            found = store.load_for_graph(rebuilt)
-            assert found is not None and found.graph == graph
-            # decoded from the v2 object, re-encoded as v3 byte for byte
-            assert found.to_bytes() == v3_payloads[found.fingerprint]
+        else:
+            rebuilt = PortLabeledGraph([graphs[0].adjacency(v) for v in graphs[0].nodes()])
+            assert store.load_for_graph(rebuilt) is None
+        # rebuilt once from the objects, none of which decodes
+        assert store.stats()["manifest_rebuilds"] == 1
+        assert store.manifest()["format_version"] == 4
+        assert not set(store.manifest()["records"]) & set(old_keys)
+        # served through the store, every graph misses and is recomputed,
+        # so no response carries an old fingerprint
+        refinement_cache.attach_store(store)
+        try:
+            served = [_served_fingerprint(graph) for graph in graphs]
+        finally:
+            refinement_cache.attach_store(None)
+        assert refinement_cache.store_hits == 0
+        cold = [
+            PortLabeledGraph([g.adjacency(v) for v in g.nodes()]).fingerprint() for g in graphs
+        ]
+        assert served == cold
+        assert not set(served) & set(old_keys)
+        # ... and written through at format 4 under the new keys
+        new_keys = set(store.fingerprints()) - set(old_keys)
+        assert set(served) <= new_keys
+        for key in new_keys:
+            payload = store.get_bytes(key)
+            assert payload[len(MAGIC)] == 4
+            assert ArtifactRecord.from_bytes(payload).fingerprint == key
         stats = store.stats()
+        assert stats["records"] == len(new_keys) == len(graphs) + (first_operation == "put")
         assert stats["manifest_rebuilds"] == 1
-        assert stats["records"] == len(graphs) + (first_operation == "put")
-        assert store.manifest()["format_version"] == 3
+        # a lookup by an old fingerprint (a delta item's base) misses too
+        assert store.get(old_keys[0]) is None
+        summary = store.compact()
+        assert summary["removed_quarantined"] == 1
+        assert summary["removed_corrupt"] == len(old_keys) - 1
+        assert summary["live_records"] == len(new_keys)
+        assert set(store.fingerprints()) == new_keys
+
+
+class TestManifestLock:
+    def test_threads_of_one_process_wait_without_polling(self, tmp_path, monkeypatch):
+        """``flock`` locks belong to the open file description, so between two
+        threads of one process the ``flock`` could only be polled (``LOCK_NB``
+        and 10 ms sleeps).  A same-process waiter must block on the per-path
+        thread lock and wake on release, even through another handle on the
+        same root, without one poll sleep."""
+        import time
+
+        from repro.store import store as store_module
+
+        real_sleep = time.sleep
+        sleeps = []
+
+        def recording_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(store_module.time, "sleep", recording_sleep)
+        holder = ArtifactStore(str(tmp_path))
+        waiter_handle = ArtifactStore(str(tmp_path))
+        entering = threading.Event()
+        acquired = threading.Event()
+
+        def wait_for_lock():
+            entering.set()
+            with waiter_handle._manifest_lock():
+                acquired.set()
+
+        with holder._manifest_lock():
+            waiter = threading.Thread(target=wait_for_lock)
+            waiter.start()
+            assert entering.wait(10)
+            real_sleep(0.2)  # time for the waiter to reach the lock
+            assert not acquired.is_set()
+        waiter.join(10)
+        assert not waiter.is_alive()
+        assert acquired.is_set()
+        assert sleeps == []
+
+    def test_a_held_lock_still_times_out(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        errors = []
+
+        def try_briefly():
+            try:
+                with store._manifest_lock(timeout=0.05):
+                    pass
+            except TimeoutError as error:
+                errors.append(error)
+
+        with store._manifest_lock():
+            waiter = threading.Thread(target=try_briefly)
+            waiter.start()
+            waiter.join(10)
+            assert not waiter.is_alive()
+        assert len(errors) == 1
+        with store._manifest_lock(timeout=1.0):
+            pass  # released cleanly: the next taker gets it at once
 
 
 class TestManifestStatKeying:
