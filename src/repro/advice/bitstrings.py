@@ -137,12 +137,29 @@ def decode_symbols(bits: str) -> Tuple[int, ...]:
 
 
 def bits_from_bytes(payload: bytes) -> str:
-    """Bit-string view of a byte string (big-endian per byte)."""
-    return "".join(format(byte, "08b") for byte in payload)
+    """Bit-string view of a byte string (big-endian per byte).
+
+    Eight characters per byte, most significant bit first, produced by one
+    ``int.from_bytes`` and one zero-padded ``format`` of the whole payload.
+    An empty payload is the empty string (``format(0, "00b")`` is ``"0"``).
+    """
+    if not payload:
+        return ""
+    return format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
 
 
 def bytes_from_bits(bits: str) -> bytes:
-    """Inverse of :func:`bits_from_bytes` (length must be a multiple of 8)."""
+    """Inverse of :func:`bits_from_bytes`.
+
+    The length must be a multiple of 8 and every character a ``'0'`` or a
+    ``'1'``; anything else raises :class:`ValueError`, including the sign,
+    underscores and whitespace ``int(..., 2)`` alone would accept.  One
+    ``int(bits, 2)`` and one ``int.to_bytes`` convert the whole string.
+    """
     if len(bits) % 8 != 0:
         raise ValueError("bit string length must be a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    if bits.strip("01"):
+        raise ValueError("bit strings may only contain '0' and '1'")
+    if not bits:
+        return b""
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")

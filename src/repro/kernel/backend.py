@@ -11,8 +11,11 @@ interchangeable implementations:
 
 Only the factories in :mod:`repro.kernel.refine` act on the selection.
 BFS, block-cut queries and message routing have one python implementation
-whichever backend is active, and :meth:`repro.kernel.csr.CSRGraph.patched`
-uses numpy for its offset shift whenever it is importable.
+whichever backend is active.  A few array steps use numpy whenever it is
+importable, whatever the selection:
+:meth:`repro.kernel.csr.CSRGraph.patched`'s offset shift and the python
+engine's canonical renumbering
+(:func:`repro.kernel.refine.first_appearance_ranks`).
 
 Both backends are *byte-identical* in everything observable: canonical
 colour tables, class counts, stable depths, ψ_Z values, advice bits and

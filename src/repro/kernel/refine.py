@@ -44,6 +44,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Tuple
 
+from .backend import numpy_or_none
 from .csr import INT_TYPECODE, CSRGraph
 
 __all__ = [
@@ -52,6 +53,22 @@ __all__ = [
     "refinement_from_stored",
     "refinement_delta",
 ]
+
+
+def first_appearance_ranks(numpy, raw, dtype):
+    """Canonical colours of one raw colour table, as a numpy array of ``dtype``.
+
+    Renumbers the classes ``0..c-1`` in the order of their first appearance
+    in node order -- a pure function of the partition.  Both engines call
+    this: the numpy engine on its own tables, the python engine on a
+    zero-copy view of its ``array`` tables whenever numpy imports.
+    """
+    _distinct, first_index, inverse = numpy.unique(raw, return_index=True, return_inverse=True)
+    # class rank = order of the class's first appearance in node order
+    order = numpy.argsort(first_index)
+    rank = numpy.empty(order.shape[0], dtype=dtype)
+    rank[order] = numpy.arange(order.shape[0], dtype=dtype)
+    return rank[inverse]
 
 
 class RefinementQueries:
@@ -377,14 +394,16 @@ class CSRPartitionRefinement(RefinementQueries):
                             ),
                         )
                     ] = label
-            else:
+            elif candidate_prev:
                 # narrow candidate set: C-level occurrence scans per class
+                # (on a list: array.index takes a start only from Python 3.10)
+                scan = prev.tolist()
                 for parent in candidate_prev:
                     probed: set = set()
                     i = -1
                     while True:
                         try:
-                            i = prev.index(parent, i + 1)
+                            i = scan.index(parent, i + 1)
                         except ValueError:
                             break
                         if dirty[i]:
@@ -748,20 +767,28 @@ class CSRPartitionRefinement(RefinementQueries):
 
         Byte-identical to the lists the classic full-sweep implementation
         produced, because first-appearance renumbering is a pure function of
-        the partition.  Built lazily and cached per depth.
+        the partition.  Built lazily and cached per depth: by
+        :func:`first_appearance_ranks` when numpy imports, else by one dict
+        pass over the nodes.
         """
         cached = self._canonical.get(effective)
         if cached is None:
             raw = self._raw[effective]
-            mapping: Dict[int, int] = {}
-            mapping_get = mapping.get
-            cached = array(INT_TYPECODE, raw)
-            for v, r in enumerate(raw):
-                color = mapping_get(r)
-                if color is None:
-                    color = len(mapping)
-                    mapping[r] = color
-                cached[v] = color
+            numpy = numpy_or_none()
+            if numpy is not None:
+                dtype = numpy.dtype(INT_TYPECODE)
+                ranks = first_appearance_ranks(numpy, numpy.frombuffer(raw, dtype=dtype), dtype)
+                cached = array(INT_TYPECODE, ranks.tobytes())
+            else:
+                mapping: Dict[int, int] = {}
+                mapping_get = mapping.get
+                cached = array(INT_TYPECODE, raw)
+                for v, r in enumerate(raw):
+                    color = mapping_get(r)
+                    if color is None:
+                        color = len(mapping)
+                        mapping[r] = color
+                    cached[v] = color
             self._canonical[effective] = cached
         return cached
 

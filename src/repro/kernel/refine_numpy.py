@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .backend import numpy_or_none
 from .csr import INT_TYPECODE, CSRGraph
-from .refine import RefinementQueries
+from .refine import RefinementQueries, first_appearance_ranks
 
 __all__ = ["NumpyPartitionRefinement"]
 
@@ -312,16 +312,7 @@ class NumpyPartitionRefinement(RefinementQueries):
         """Canonical colours as a numpy array (first appearance in node order)."""
         cached = self._canonical_np.get(effective)
         if cached is None:
-            numpy = self._numpy
-            raw = self._raw[effective]
-            _distinct, first_index, inverse = numpy.unique(
-                raw, return_index=True, return_inverse=True
-            )
-            # class rank = order of the class's first appearance in node order
-            order = numpy.argsort(first_index)
-            rank = numpy.empty(order.shape[0], dtype=self._dtype)
-            rank[order] = numpy.arange(order.shape[0], dtype=self._dtype)
-            cached = rank[inverse]
+            cached = first_appearance_ranks(self._numpy, self._raw[effective], self._dtype)
             self._canonical_np[effective] = cached
         return cached
 

@@ -33,16 +33,30 @@ that still decoded them would adopt an old-scheme fingerprint onto a warm
 graph while a cold process computed the new one.
 Volatile observations (wall times, cumulative search-statistics snapshots)
 deliberately live in the store manifest, not in the record.
+
+The encoder writes whole sections, not single integers: each CSR array and
+the concatenated colour tables go out through one
+:func:`~repro.portgraph.io.write_uvarints` call (one vectorised pass when
+numpy imports), and each advice string is packed by one integer
+conversion.  The bytes are exactly those of the per-value encoding, with or
+without numpy; decoding still reads one varint at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..kernel.csr import CSRGraph
 from ..portgraph.graph import PortLabeledGraph
-from ..portgraph.io import graph_from_bytes, graph_to_bytes, read_uvarint, write_uvarint
+from ..portgraph.io import (
+    graph_from_bytes,
+    graph_to_bytes,
+    read_uvarint,
+    write_uvarint,
+    write_uvarints,
+)
 
 __all__ = ["ArtifactRecord", "FORMAT_VERSION", "MAGIC"]
 
@@ -83,16 +97,25 @@ def _read_optional(data: bytes, offset: int) -> Tuple[Optional[int], int]:
 
 
 def _pack_bits(bits: str) -> bytes:
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        chunk = bits[start : start + 8]
-        out.append(int(chunk.ljust(8, "0"), 2))
-    return bytes(out)
+    """Pack a '0'/'1' string eight bits per byte, zero-padding the last byte on the right.
+
+    One ``int``/``to_bytes`` conversion of the whole string.
+    """
+    if not bits:
+        return b""
+    padding = -len(bits) % 8
+    return (int(bits, 2) << padding).to_bytes((len(bits) + padding) // 8, "big")
 
 
 def _unpack_bits(payload: bytes, bit_length: int) -> str:
-    bits = "".join(f"{byte:08b}" for byte in payload)
-    return bits[:bit_length]
+    """Inverse of :func:`_pack_bits`: the first ``bit_length`` bits of ``payload``.
+
+    One ``int.from_bytes``/``format`` conversion; an empty payload is an
+    empty string (``format(0, "00b")`` would be ``"0"``).
+    """
+    if not payload:
+        return ""
+    return format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")[:bit_length]
 
 
 @dataclass(frozen=True)
@@ -138,7 +161,7 @@ class ArtifactRecord:
         fingerprint = graph.fingerprint()
         engine = graph.refinement_engine()
         stable = engine.ensure_stable()
-        tables = tuple(tuple(table) for table in engine.canonical_tables())
+        tables = tuple(tuple(engine.colors_at(depth)) for depth in range(engine.computed_depth + 1))
         memo = memo or {}
         feasible = memo.get(("feasible",))
         if feasible is None:
@@ -240,13 +263,10 @@ class ArtifactRecord:
         csr = self.graph.csr()
         for arr in (csr.offsets, csr.neighbors, csr.reverse_ports):
             write_uvarint(out, len(arr))
-            for value in arr:
-                write_uvarint(out, value)
+            write_uvarints(out, arr)
         write_uvarint(out, self.stable_depth)
         write_uvarint(out, len(self.color_tables))
-        for table in self.color_tables:
-            for color in table:
-                write_uvarint(out, color)
+        write_uvarints(out, list(chain.from_iterable(self.color_tables)))
         out.append(1 if self.feasible else 0)
         write_uvarint(out, len(self.psi))
         for task_code, max_depth, max_states, status, value in self.psi:

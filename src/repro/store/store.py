@@ -325,7 +325,7 @@ class ArtifactStore:
         if existing is not None and existing != payload:
             try:
                 incumbent = ArtifactRecord.from_bytes(existing)
-            except ValueError:
+            except _DECODE_ERRORS:
                 incumbent = None  # corrupt incumbent: replace it
             if incumbent is not None and incumbent.graph != record.graph:
                 key = self._spill_key(record)
@@ -462,9 +462,10 @@ class ArtifactStore:
 
     def _write_manifest(self, manifest: dict) -> None:
         tmp_path = f"{self._manifest_path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        # one-shot compact dumps: the only form CPython encodes in C
+        text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
         os.replace(tmp_path, self._manifest_path)
         self._manifest_cache = None
 

@@ -95,3 +95,9 @@ class TestByteConversion:
     def test_partial_byte_rejected(self):
         with pytest.raises(ValueError):
             bytes_from_bits("0101")
+
+    @pytest.mark.parametrize("bits", ["+0000001", "0000_001", " 0000001"])
+    def test_characters_other_than_0_and_1_rejected(self, bits):
+        # int(chunk, 2) alone would accept a sign, underscores and whitespace
+        with pytest.raises(ValueError):
+            bytes_from_bits(bits)

@@ -293,6 +293,41 @@ class TestArtifactStore:
         assert cache.persist(entry.graph) is True
         assert store.get(record.fingerprint) is not None
 
+    def test_put_replaces_a_torn_incumbent_whose_decode_overruns(self, tmp_path):
+        """A torn object may end just before a single-byte field, whose read
+        raises ``IndexError``, not ``ValueError``.  ``put`` must still treat
+        that incumbent as corrupt and replace it, for the same record and
+        for a relabeled copy behind the same fingerprint."""
+        graph = generators.random_connected_graph(12, extra_edges=4, seed=3)
+        record = _computed_record(graph)
+        relabeled_graph = graph.relabeled(list(range(graph.num_nodes))[::-1])
+        refinement_cache.clear()
+        relabeled = _computed_record(relabeled_graph)
+        assert relabeled.fingerprint == record.fingerprint
+        assert relabeled.graph != record.graph
+        payload = record.to_bytes()
+        cuts = []
+        for cut in range(len(payload)):
+            try:
+                ArtifactRecord.from_bytes(payload[:cut])
+            except IndexError:
+                cuts.append(cut)
+            except ValueError:
+                pass
+        assert cuts, "no truncation point overruns a single-byte field"
+        for cut in cuts:
+            for label, candidate in (("same", record), ("relabeled", relabeled)):
+                root = str(tmp_path / f"{label}-{cut}")
+                store = ArtifactStore(root)
+                store.put(record)
+                path = os.path.join(root, "objects", record.fingerprint[:2],
+                                    record.fingerprint + ".rple")
+                with open(path, "r+b") as handle:
+                    handle.truncate(cut)
+                assert store.put(candidate) is True
+                stored = ArtifactStore(root).get(candidate.fingerprint)
+                assert stored is not None and stored.graph == candidate.graph
+
     @pytest.mark.parametrize(
         "corruption",
         [b'{"format_version": 1, "records": {"trunc', b"\x00\xff garbage \xfe", b"[]"],
