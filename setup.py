@@ -37,8 +37,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.8",
-    # The library is dependency-free by design; numpy unlocks the vectorised
-    # refinement engine (byte-identical results, just faster cold sweeps).
+    # The library is dependency-free by design; numpy unlocks the refinement
+    # engine's vector passes (byte-identical results, just faster passes on
+    # graphs where many nodes change class).
     extras_require={"fast": ["numpy"]},
     entry_points={
         "console_scripts": [

@@ -179,16 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace the run (one span per stage/graph) and print a per-stage "
         "profile table to stderr when it finishes",
     )
-    bench.add_argument(
-        "--kernel-backend",
-        choices=["auto", "python", "numpy"],
-        default=None,
-        help=(
-            "force the kernel compute backend for this run (and its worker "
-            "processes); default honours REPRO_KERNEL_BACKEND, then 'auto' "
-            "(numpy when installed).  Results are byte-identical either way."
-        ),
-    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -505,16 +495,6 @@ def _build_sweep(args: argparse.Namespace):
 def _command_bench(args: argparse.Namespace) -> int:
     from .runner import ExperimentRunner, refinement_cache
 
-    if args.kernel_backend is not None:
-        from .kernel import set_backend
-
-        try:
-            # pins the backend in-process and exports REPRO_KERNEL_BACKEND so
-            # pool worker processes resolve the same choice
-            set_backend(args.kernel_backend)
-        except RuntimeError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
     try:
         sweep = _build_sweep(args)
     except (ValueError, OSError) as error:

@@ -10,18 +10,16 @@ low-level substrate:
   port-labeled graph (``offsets`` / ``neighbors`` / ``reverse_ports`` int
   arrays) plus array-level BFS.  Built lazily and memoised per graph via
   :meth:`repro.portgraph.graph.PortLabeledGraph.csr`.
-* :mod:`repro.kernel.refine` — incremental worklist partition refinement on
-  CSR: after the first pass only nodes adjacent to classes that split are
-  re-signatured, and inverse indexes (class → members, per-depth unique-node
+* :mod:`repro.kernel.refine` — partition refinement on CSR, one engine with
+  two pass kinds: vector passes in whole-array numpy operations while many
+  nodes change class, worklist passes that re-signature only the
+  neighbourhood of the previous pass's splits once few do (and always
+  without numpy).  Inverse indexes (class → members, per-depth unique-node
   lists) make the class queries O(1)/O(output).
-* :mod:`repro.kernel.backend` / :mod:`repro.kernel.refine_numpy` — runtime
-  selection of the refinement engine: the incremental python one above or
-  a batched numpy twin.  Byte-identical results on both; numpy stays an
-  optional extra, selected via ``REPRO_KERNEL_BACKEND`` /
-  :func:`set_backend` and defaulting to numpy-when-importable.  Construct
-  engines via :func:`make_refinement` / :func:`refinement_from_stored` so
-  the choice applies.  BFS, block-cut queries and message routing have a
-  single python implementation.
+* :mod:`repro.kernel.backend` — numpy detection and :func:`use_backend`, the
+  in-process hook that forces one pass kind.  Results are byte-identical
+  whichever kinds run; numpy stays an optional extra.  BFS, block-cut
+  queries and message routing have a single python implementation.
 * :mod:`repro.kernel.blockcut` — one block-cut-tree (biconnected components)
   DFS per graph, answering every "does port ``p`` at ``v`` start a simple
   path to the leader?" query of ψ_PE without a per-removed-node BFS.
@@ -33,38 +31,21 @@ The kernel sits directly above :mod:`repro.portgraph` in the layer diagram;
 :mod:`repro.views`, :mod:`repro.core` and :mod:`repro.sim` build on it.
 """
 
-from .backend import (
-    BACKEND_ENV_VAR,
-    active_backend,
-    numpy_available,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from .backend import active_backend, numpy_available, use_backend
 from .blockcut import BlockCutTree
 from .csr import CSRGraph, bfs_distances_csr, build_csr
-from .refine import (
-    CSRPartitionRefinement,
-    make_refinement,
-    refinement_delta,
-    refinement_from_stored,
-)
+from .refine import CSRPartitionRefinement, refinement_delta
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "CSRGraph",
     "build_csr",
     "bfs_distances_csr",
     "CSRPartitionRefinement",
-    "make_refinement",
-    "refinement_from_stored",
     "refinement_delta",
     "BlockCutTree",
     "GraphKernel",
     "active_backend",
     "numpy_available",
-    "resolve_backend",
-    "set_backend",
     "use_backend",
 ]
 

@@ -14,8 +14,9 @@ Every hot loop of the kernel (refinement signatures, block-cut DFS, BFS,
 message routing) walks these arrays instead of tuples-of-tuples, which avoids
 one Python object dereference per edge visit.  The arrays use the standard
 :mod:`array` module so the kernel stays dependency-free; numpy, when
-installed, only shifts the offsets suffix in :meth:`CSRGraph.patched` (the
-numpy refinement engine reads the arrays through zero-copy views of its own).
+installed, shifts the offsets suffix in :meth:`CSRGraph.patched`, and the
+refinement engine's vector passes read the arrays through zero-copy views
+typed by each array's own typecode.
 """
 
 from __future__ import annotations

@@ -1,42 +1,59 @@
-"""Incremental worklist partition refinement on CSR arrays.
+"""View-equivalence partition refinement on CSR arrays: one engine, two pass kinds.
 
 The view-equivalence partitions of a port-labeled graph (depth-``h`` classes
 = equal truncated views ``B^h``) are computed by iterated signature
 refinement: the depth-``h`` class of ``v`` is determined by its depth-(h-1)
 class together with the port-ordered ``(incoming port, neighbour's class)``
-pairs.  The naive scheme re-signatures *every* node at *every* depth —
-O((n + m) · h) with a large constant, because each signature allocates a
-nested tuple.
+pairs.  :class:`CSRPartitionRefinement` computes one depth per *pass* and
+runs each pass as one of two kinds:
 
-This engine is incremental in the style of Hopcroft / Paige–Tarjan.  Classes
-carry stable ids across depths; when a class splits, one fragment (the
-largest — the deterministic "retained" fragment) keeps the id and only the
-members of the *other* fragments enter the worklist.  A pass then
-re-signatures exactly the classes containing a worklist node or one of its
-CSR neighbours, skipping singletons (they can never split):
+* a **vector pass** re-signatures every node of every non-singleton class in
+  whole-array numpy operations.  Nodes are bucketed by degree once (classes
+  never cross degrees, so within a bucket a signature is a fixed-width row);
+  each row is packed into as few 63-bit words as fit, and rows are grouped
+  exactly by a lexicographic sort and a boundary scan -- no hashing.  A
+  vector pass costs O((n + m) log n) in C-speed primitives, however few
+  nodes change class.
+* a **worklist pass** re-signatures only the neighbourhood of the previous
+  pass's splits, in the style of Hopcroft / Paige–Tarjan.  When a class
+  splits, one fragment (the largest -- the deterministic "retained"
+  fragment) keeps the id and only the members of the *other* fragments
+  enter the worklist.  A pass then re-signatures exactly the classes
+  containing a worklist node or one of its CSR neighbours, skipping
+  singletons (they can never split):
 
-* a class none of whose members or members' neighbours changed class cannot
-  split — restricted to that neighbourhood, the partition is literally the
-  same equivalence relation as one depth earlier;
-* a neighbour that stayed in the *retained* fragment of its old class kept
-  its class id, so signatures referencing it are unchanged — which is why
-  retained-fragment members may be excluded from the worklist (two
-  same-class neighbours both in retained fragments of one old class are
-  still in one class).
+  * a class none of whose members or members' neighbours changed class
+    cannot split -- restricted to that neighbourhood, the partition is
+    literally the same equivalence relation as one depth earlier;
+  * a neighbour that stayed in the *retained* fragment of its old class
+    kept its class id, so signatures referencing it are unchanged -- which
+    is why retained-fragment members may be excluded from the worklist.
 
-On rapidly-discretising graphs every pass touches everything and the cost
-matches a full sweep minus the already-discrete regions; on slowly
-stabilising graphs (long quasi-symmetric cycles and paths) a pass touches
-only the O(Δ)-sized frontier where classes are still splitting, turning the
-O((n + m) · n) worst case into O(n + m + total churn).
+  On slowly stabilising graphs (long quasi-symmetric cycles, paths, beacon
+  tails) a pass touches only the O(Δ)-sized frontier where classes are
+  still splitting, turning the O((n + m) · n) worst case into
+  O(n + m + total churn).
 
-Colours are materialised per depth as raw id arrays (an O(n) C-level copy
-per pass) and canonicalised lazily — renumbered 0..c-1 by first appearance
-in node order — only for depths actually queried, which keeps the public
-colour lists byte-identical to the classic full-sweep implementation.
-Inverse indexes (``members_at``: class → node list, ``unique_at``) are also
-built lazily per depth and cached, so class/twin/uniqueness queries are
-O(1) / O(output) after a one-off O(n) build per queried depth.
+Both kinds number classes alike: ids are ``0..c-1``, a class's largest
+fragment keeps its id and the other fragments take fresh ids above every
+previous id.  The nodes whose id a pass changed are its *churn*, which is
+exactly the worklist the next worklist pass takes, so the engine can switch
+kinds between any two passes.  It picks vector passes while the churn is a
+large share of the nodes still in non-singleton classes and worklist passes
+once it is small (:data:`VECTOR_MIN_NODES`, :data:`CHURN_RATIO`); without
+numpy every pass is a worklist pass.  :func:`repro.kernel.use_backend`
+forces one kind, for tests and reference answers.
+
+Colours are materialised per depth as raw id tables (``array`` of
+:data:`~repro.kernel.csr.INT_TYPECODE`; a vector pass reads them and the
+CSR arrays through zero-copy numpy views) and canonicalised lazily --
+renumbered 0..c-1 by first appearance in node order -- only for depths
+actually queried.  Canonical renumbering is a pure function of the
+partition, so the public colour lists are byte-identical whichever kinds
+ran, and byte-identical to the classic full-sweep implementation.  Inverse
+indexes (``members_at``: class → node list, ``unique_at``) are built lazily
+per depth and cached, so class/twin/uniqueness queries are O(1) / O(output)
+after a one-off O(n) build per queried depth.
 """
 
 from __future__ import annotations
@@ -44,24 +61,50 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from .backend import numpy_or_none
+from .backend import numpy_or_none, selected_backend
 from .csr import INT_TYPECODE, CSRGraph
 
 __all__ = [
+    "CHURN_RATIO",
     "CSRPartitionRefinement",
-    "make_refinement",
-    "refinement_from_stored",
+    "VECTOR_MIN_NODES",
     "refinement_delta",
 ]
+
+#: Fewest nodes for which the engine starts on a vector pass, and fewest
+#: worklist nodes that send a worklist pass back to vector passes.  Below it
+#: numpy's per-call overhead loses.  Cold refinement, worklist passes
+#: against vector passes (2-core VM, Python 3.11, numpy 2.4): the 24-node
+#: G_{Δ=4,k=1}[1] 0.33 against 1.00 ms; random graphs break even near 200
+#: nodes (100 nodes: 0.54 against 0.74 ms); the 16×16 grid 2.2 against
+#: 1.5 ms.
+VECTOR_MIN_NODES = 256
+
+#: Vector passes go on while churn × CHURN_RATIO ≥ the active nodes (those
+#: in non-singleton classes, all of which a vector pass re-signatures); a
+#: worklist pass goes back to vector passes when its worklist holds at least
+#: n / CHURN_RATIO nodes.  A worklist pass costs ~6 µs per churned node on
+#: grids and a vector pass ~0.1 µs per active node.  Set on two graphs
+#: (same machine): the 72×72 grid moves 284 of up to 5 148 active nodes
+#: per pass and refines in 18.6 ms on vector passes only (62.4 ms on
+#: worklist passes, 59.0 ms with a ratio of 8, which hands it over after
+#: one pass); the beacon-tail (blob 1 000, tail 5 000) moves 25 and then 2
+#: of ~5 000 active nodes per pass from its third pass to its 2 500th, and
+#: hands over there: 88.5 ms, against 98.5 ms on worklist passes only and
+#: 938 ms on vector passes only.
+CHURN_RATIO = 32
+
+
+def _view(numpy, values: array):
+    """A zero-copy numpy view of an ``array``, typed by its own typecode."""
+    return numpy.frombuffer(values, dtype=numpy.dtype(values.typecode))
 
 
 def first_appearance_ranks(numpy, raw, dtype):
     """Canonical colours of one raw colour table, as a numpy array of ``dtype``.
 
     Renumbers the classes ``0..c-1`` in the order of their first appearance
-    in node order -- a pure function of the partition.  Both engines call
-    this: the numpy engine on its own tables, the python engine on a
-    zero-copy view of its ``array`` tables whenever numpy imports.
+    in node order -- a pure function of the partition.
     """
     _distinct, first_index, inverse = numpy.unique(raw, return_index=True, return_inverse=True)
     # class rank = order of the class's first appearance in node order
@@ -71,19 +114,216 @@ def first_appearance_ranks(numpy, raw, dtype):
     return rank[inverse]
 
 
-class RefinementQueries:
-    """The query surface both refinement engines share, over their own state.
+def pack_columns(numpy, columns) -> list:
+    """Pack ``(column, bits)`` pairs, in order, into as few int64 words as fit.
 
-    Slot-free, so each engine keeps its own ``__slots__``.  An engine holds
-    ``_csr``, ``_raw`` (one colour table per materialised depth),
-    ``_num_classes``, ``_stable_depth``, ``_passes`` and ``_unique``, and
-    defines ``colors_at`` and ``members_at`` itself;
-    :class:`CSRPartitionRefinement` and
-    :class:`repro.kernel.refine_numpy.NumpyPartitionRefinement` each also
-    define ``ensure_depth`` and ``ensure_stable`` in their own class body.
+    Each word holds consecutive columns in at most 63 bits, so it stays
+    non-negative; every value of a column must lie in ``0..2**bits - 1``.
+    The words are int64 whatever the columns' dtype: where C ``long`` is 32
+    bits, shifting in the table dtype would overflow and merge distinct
+    signatures.
+    """
+    words = []
+    word, used = None, 0
+    for column, bits in columns:
+        if word is not None and used + bits <= 63:
+            word = (word << bits) | column
+            used += bits
+        else:
+            if word is not None:
+                words.append(word)
+            word, used = column.astype(numpy.int64), bits
+    words.append(word)
+    return words
+
+
+def _group_words(numpy, words):
+    """Exact row grouping of packed key words: ``(count, per-row group ids)``.
+
+    Each row's signature is spread across the same positions of the arrays
+    in ``words``; rows are grouped by full equality via one lexicographic
+    sort and a boundary scan -- no hashing, so no collisions.  Group ids are
+    dense, ordered by the rows' lexicographic rank.
+    """
+    rows = words[0].shape[0]
+    dtype = words[0].dtype
+    if rows == 1:
+        return 1, numpy.zeros(1, dtype=dtype)
+    if len(words) == 1:
+        _distinct, ids = numpy.unique(words[0], return_inverse=True)
+        return int(_distinct.shape[0]), ids
+    order = numpy.lexsort(words)
+    differs = numpy.zeros(rows - 1, dtype=bool)
+    for word in words:
+        ordered = word[order]
+        differs |= ordered[1:] != ordered[:-1]
+    ids_sorted = numpy.empty(rows, dtype=dtype)
+    ids_sorted[0] = 0
+    numpy.cumsum(differs, out=ids_sorted[1:])
+    ids = numpy.empty(rows, dtype=dtype)
+    ids[order] = ids_sorted
+    return int(ids_sorted[-1]) + 1, ids
+
+
+def _class_lists(table: array, count: int) -> List[List[int]]:
+    """Class id → its nodes in ascending order, for a table of ids ``0..count-1``."""
+    numpy = numpy_or_none()
+    if numpy is None:
+        groups: List[List[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(table):
+            groups[c].append(v)
+        return groups
+    ids = _view(numpy, table)
+    # a stable argsort groups nodes by class in ascending node order
+    order = numpy.argsort(ids, kind="stable")
+    bounds = numpy.cumsum(numpy.bincount(ids, minlength=count))[:-1]
+    return [group.tolist() for group in numpy.split(order, bounds)]
+
+
+def _canonical_class_counts(tables: List[array], n: int) -> List[int]:
+    """The class count of each table; ``ValueError`` unless all are canonical.
+
+    A canonical table is its own first-appearance numbering: its first entry
+    is 0, and every entry is non-negative and at most one above every entry
+    before it.
+    """
+    if n == 0:
+        return [0] * len(tables)
+    numpy = numpy_or_none()
+    counts = []
+    for table in tables:
+        if numpy is not None:
+            ids = _view(numpy, table)
+            ceiling = numpy.maximum.accumulate(ids)
+            canonical = ids[0] == 0 and ids.min() >= 0 and not (ids[1:] > ceiling[:-1] + 1).any()
+            top = int(ceiling[-1])
+        else:
+            canonical, top = True, -1
+            for c in table:
+                if c < 0 or c > top + 1:
+                    canonical = False
+                    break
+                if c > top:
+                    top = c
+        if not canonical:
+            raise ValueError("colour tables must be canonical (first-appearance numbered)")
+        counts.append(top + 1)
+    return counts
+
+
+class CSRPartitionRefinement:
+    """Lazy per-depth view-equivalence partitions of one CSR graph.
+
+    The partitions (and the canonical colour numberings exposed by
+    :meth:`colors_at`) are exactly those of the classic full-sweep
+    refinement; each pass is a vector or a worklist pass, picked from the
+    churn of the pass before (see the module docstring).
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "_csr",
+        "_raw",
+        "_num_classes",
+        "_stable_depth",
+        "_passes",
+        "_backend",
+        "_buckets",
+        "_churn",
+        "_active",
+        "_current_members",
+        "_class_size",
+        "_next_id",
+        "_changed",
+        "_canonical",
+        "_members",
+        "_unique",
+    )
+
+    def __init__(self, csr: CSRGraph) -> None:
+        n = csr.num_nodes
+        offsets = csr.offsets
+        # depth 0: classes are degrees, numbered by first appearance
+        degree_ids: Dict[int, int] = {}
+        initial = array(
+            INT_TYPECODE,
+            [degree_ids.setdefault(offsets[v + 1] - offsets[v], len(degree_ids)) for v in range(n)],
+        )
+        self._setup(csr, [initial], [len(degree_ids)])
+        if n == 1 or len(degree_ids) == n:
+            self._stable_depth = 0
+
+    def _setup(self, csr: CSRGraph, raw: List[array], num_classes: List[int]) -> None:
+        self._csr = csr
+        #: raw colour tables per depth (ids 0..c-1, stable across depths in
+        #: each class's largest fragment) and their class counts.
+        self._raw = raw
+        self._num_classes = num_classes
+        self._stable_depth: Optional[int] = None
+        self._passes = 0
+        #: the pass kinds this engine may run, bound from
+        #: :func:`repro.kernel.use_backend` at construction: "auto" picks per
+        #: pass, "python" runs worklist passes only, "numpy" vector passes only.
+        self._backend = "python" if numpy_or_none() is None else selected_backend()
+        #: vector-pass state: the per-degree bucket matrices (built on the
+        #: first vector pass), and the churn and active-node count of the
+        #: last pass when it was a vector pass.
+        self._buckets: Optional[List[Tuple]] = None
+        self._churn = 0
+        self._active = 0
+        #: worklist-pass state, built by the first worklist pass after
+        #: construction or after vector passes (:meth:`_start_worklist`) and
+        #: dropped by a vector pass: live class id -> member list (which may
+        #: hold *stale* entries: nodes split off to a fresh id since; a node
+        #: v is a live member of d iff the latest raw colours say so), live
+        #: class id -> exact live member count, the next fresh id, and the
+        #: worklist (members of non-retained fragments of the latest pass;
+        #: ``None`` means "everything", before the first pass).
+        self._current_members: Optional[Dict[int, List[int]]] = None
+        self._class_size: Optional[Dict[int, int]] = None
+        self._next_id = 0
+        self._changed: Optional[List[int]] = None
+        #: lazily-built per-depth views: canonical colours, class -> members,
+        #: unique-node lists.
+        self._canonical: Dict[int, array] = {}
+        self._members: Dict[int, List[List[int]]] = {}
+        self._unique: Dict[int, List[int]] = {}
+
+    @classmethod
+    def from_stored(
+        cls,
+        csr: CSRGraph,
+        tables: "List[List[int]]",
+        stable_depth: int,
+    ) -> "CSRPartitionRefinement":
+        """An engine pre-loaded with partitions computed by an earlier process.
+
+        ``tables`` must be *canonical* colour tables (ids ``0..c-1`` by first
+        appearance in node order, exactly what :meth:`colors_at` returns) for
+        depths ``0..len(tables)-1``, with ``stable_depth <= len(tables)-1``
+        the refinement fixpoint; anything else raises :class:`ValueError`.
+        The loaded engine answers every depth query from the installed
+        tables and, because the fixpoint is known, never runs a refinement
+        pass: :attr:`passes` stays ``0``, which is what lets the store-warm
+        CI gate certify that a cold process replaying a sweep from the
+        artifact store performs zero refinement work.
+        """
+        n = csr.num_nodes
+        if stable_depth < 0 or len(tables) < stable_depth + 1:
+            raise ValueError("tables must cover depths 0..stable_depth")
+        raw: List[array] = []
+        for table in tables:
+            if len(table) != n:
+                raise ValueError("each colour table must have one entry per node")
+            try:
+                raw.append(array(INT_TYPECODE, table))
+            except OverflowError as error:  # past C long, 32 bits on some platforms
+                raise ValueError("colour id out of range") from error
+        engine = cls.__new__(cls)
+        engine._setup(csr, raw, _canonical_class_counts(raw, n))
+        engine._stable_depth = stable_depth
+        # a canonical table is its own colors_at answer
+        engine._canonical = dict(enumerate(raw))
+        return engine
 
     @property
     def csr(self) -> CSRGraph:
@@ -106,150 +346,6 @@ class RefinementQueries:
     def class_counts(self) -> Tuple[int, ...]:
         """Class counts of every materialised depth (0..computed_depth)."""
         return tuple(self._num_classes)
-
-    # ------------------------------------------------------------------ #
-    # O(1) / O(output) queries (depth must already be effective)
-    # ------------------------------------------------------------------ #
-    def num_classes_at(self, effective: int) -> int:
-        return self._num_classes[effective]
-
-    def unique_at(self, effective: int) -> List[int]:
-        """Nodes in singleton classes (ascending), built lazily per depth."""
-        cached = self._unique.get(effective)
-        if cached is None:
-            cached = sorted(
-                group[0] for group in self.members_at(effective) if len(group) == 1
-            )
-            self._unique[effective] = cached
-        return cached
-
-    def class_members(self, node: int, effective: int) -> List[int]:
-        return self.members_at(effective)[self.colors_at(effective)[node]]
-
-    def canonical_tables(self) -> List[List[int]]:
-        """Canonical colour tables for every materialised depth (0..computed).
-
-        This is the payload the artifact store persists and ``from_stored``
-        re-installs; round-tripping through it preserves every public colour
-        query byte-for-byte.
-        """
-        return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
-
-
-class CSRPartitionRefinement(RefinementQueries):
-    """Lazy per-depth view-equivalence partitions of one CSR graph.
-
-    The partitions (and the canonical colour numberings exposed by
-    :meth:`colors_at`) are exactly those of the classic full-sweep
-    refinement; only the work per pass is reduced to the neighbourhood of the
-    previous pass's splits.
-    """
-
-    __slots__ = (
-        "_csr",
-        "_raw",
-        "_num_classes",
-        "_current_members",
-        "_class_size",
-        "_next_id",
-        "_changed",
-        "_stable_depth",
-        "_passes",
-        "_canonical",
-        "_members",
-        "_unique",
-    )
-
-    def __init__(self, csr: CSRGraph) -> None:
-        self._csr = csr
-        n = csr.num_nodes
-        offsets = csr.offsets
-        initial = array(INT_TYPECODE, [0] * n)
-        mapping: Dict[int, int] = {}
-        members: Dict[int, List[int]] = {}
-        for v in range(n):
-            degree = offsets[v + 1] - offsets[v]
-            color = mapping.get(degree)
-            if color is None:
-                color = len(mapping)
-                mapping[degree] = color
-                members[color] = []
-            initial[v] = color
-            members[color].append(v)
-        #: raw (stable-id) colour arrays per depth.
-        self._raw: List[array] = [initial]
-        self._num_classes: List[int] = [len(mapping)]
-        #: live class id -> member list.  Lists may contain *stale* entries
-        #: (nodes split off to a fresh id since): a node v is a live member
-        #: of d iff the latest raw colours say so.  Stale entries are
-        #: filtered on touch and compacted when they outnumber live ones.
-        self._current_members = members
-        #: live class id -> exact live member count.
-        self._class_size: Dict[int, int] = {d: len(group) for d, group in members.items()}
-        self._next_id = len(mapping)
-        #: worklist: members of non-retained fragments of the latest pass.
-        #: ``None`` means "everything" (before the first pass).
-        self._changed: Optional[List[int]] = None
-        self._stable_depth: Optional[int] = None
-        self._passes = 0
-        #: lazily-built per-depth views: canonical colours, class -> members,
-        #: unique-node lists.
-        self._canonical: Dict[int, array] = {}
-        self._members: Dict[int, List[List[int]]] = {}
-        self._unique: Dict[int, List[int]] = {}
-        if n == 1 or self._num_classes[0] == n:
-            self._stable_depth = 0
-
-    @classmethod
-    def from_stored(
-        cls,
-        csr: CSRGraph,
-        tables: "List[List[int]]",
-        stable_depth: int,
-    ) -> "CSRPartitionRefinement":
-        """An engine pre-loaded with partitions computed by an earlier process.
-
-        ``tables`` must be *canonical* colour tables (ids ``0..c-1`` by first
-        appearance in node order, exactly what :meth:`colors_at` returns) for
-        depths ``0..len(tables)-1``, with ``stable_depth <= len(tables)-1``
-        the refinement fixpoint.  The loaded engine answers every depth query
-        from the installed tables and, because the fixpoint is known, never
-        runs a refinement pass: :attr:`passes` stays ``0``, which is what
-        lets the store-warm CI gate certify that a cold process replaying a
-        sweep from the artifact store performs zero refinement work.
-        """
-        n = csr.num_nodes
-        if stable_depth < 0 or len(tables) < stable_depth + 1:
-            raise ValueError("tables must cover depths 0..stable_depth")
-        engine = cls(csr)
-        raw: List[array] = []
-        num_classes: List[int] = []
-        for table in tables:
-            if len(table) != n:
-                raise ValueError("each colour table must have one entry per node")
-            arr = array(INT_TYPECODE, table)
-            raw.append(arr)
-            num_classes.append((max(arr) + 1) if n else 0)
-        members: Dict[int, List[int]] = {}
-        last = raw[-1]
-        for v in range(n):
-            group = members.get(last[v])
-            if group is None:
-                members[last[v]] = [v]
-            else:
-                group.append(v)
-        engine._raw = raw
-        engine._num_classes = num_classes
-        engine._current_members = members
-        engine._class_size = {c: len(group) for c, group in members.items()}
-        engine._next_id = num_classes[-1]
-        engine._changed = []
-        engine._stable_depth = stable_depth
-        engine._passes = 0
-        engine._canonical = {}
-        engine._members = {}
-        engine._unique = {}
-        return engine
 
     # ------------------------------------------------------------------ #
     def apply_delta(self, csr: CSRGraph, node_map, touched) -> "CSRPartitionRefinement":
@@ -304,21 +400,7 @@ class CSRPartitionRefinement(RefinementQueries):
             return engine  # single node or already-discrete depth 0
         self.ensure_stable()
         base_stable = self.stable_depth
-        # normalise to stdlib arrays lazily: a numpy base engine (delegating
-        # here) holds numpy tables, which lack the C-level index/count scans
-        # the replay leans on, and most replays touch few distinct depths
         base_tables = self._raw
-        norm_cache: Dict[int, array] = {}
-
-        def base_raw(d: int) -> array:
-            t = base_tables[d]
-            if isinstance(t, array):
-                return t
-            got = norm_cache.get(d)
-            if got is None:
-                got = norm_cache[d] = array(INT_TYPECODE, t.tolist())
-            return got
-
         n = csr.num_nodes
         offsets = csr.offsets
         neighbors = csr.neighbors
@@ -361,7 +443,7 @@ class CSRPartitionRefinement(RefinementQueries):
                             frontier.append(u)
                 if frontier:
                     dirty_list = sorted(dirty_list + frontier)
-            table = base_raw(min(depth, base_stable))
+            table = base_tables[min(depth, base_stable)]
             # previous-depth labels under which a dirty node could still
             # coincide with a clean class (negative = fresh, never matches;
             # a known-singleton base class has no clean members to probe)
@@ -514,7 +596,7 @@ class CSRPartitionRefinement(RefinementQueries):
                     while count != engine._num_classes[-2]:
                         depth += 1
                         effective = min(depth, base_stable)
-                        cur = base_raw(effective)
+                        cur = base_tables[effective]
                         count = base_counts[effective]
                         engine._raw.append(cur)
                         engine._num_classes.append(count)
@@ -555,15 +637,6 @@ class CSRPartitionRefinement(RefinementQueries):
                 engine._stable_depth = depth - 1
                 break
             prev = cur
-
-        last = engine._raw[-1]
-        members: Dict[int, List[int]] = {}
-        for v in range(n):
-            members.setdefault(last[v], []).append(v)
-        engine._current_members = members
-        engine._class_size = {c: len(group) for c, group in members.items()}
-        engine._next_id = engine._num_classes[-1]
-        engine._changed = []
         return engine
 
     # ------------------------------------------------------------------ #
@@ -604,7 +677,10 @@ class CSRPartitionRefinement(RefinementQueries):
             if index != retained_index:
                 changed_next.extend(part)
 
-    def _refine_once(self) -> None:
+    def _worklist_pass(self) -> None:
+        """Re-signature only the neighbourhood of the previous pass's splits."""
+        if self._current_members is None:
+            self._start_worklist()
         csr = self._csr
         offsets = csr.offsets
         neighbors = csr.neighbors
@@ -612,7 +688,6 @@ class CSRPartitionRefinement(RefinementQueries):
         current_members = self._current_members
         class_size = self._class_size
         changed = self._changed
-        self._passes += 1
 
         new_colors = array(INT_TYPECODE, previous)
         changed_next: List[int] = []
@@ -734,7 +809,127 @@ class CSRPartitionRefinement(RefinementQueries):
         self._num_classes.append(self._num_classes[-1] + splits)
         self._changed = changed_next
 
-        if self._stable_depth is None and splits == 0:
+    def _start_worklist(self) -> None:
+        """Build the worklist state of the last table, for a worklist pass.
+
+        Before any pass the worklist is "everything".  After vector passes it
+        is the churn of the last one: the nodes whose id it changed, read off
+        the last two tables, since vector passes number classes as worklist
+        passes do.  Member lists are built here, not at construction, so an
+        engine that runs vector passes only holds no per-node Python lists.
+        """
+        last = self._raw[-1]
+        count = self._num_classes[-1]
+        if len(self._raw) == 1:
+            self._changed = None
+        else:
+            numpy = numpy_or_none()
+            moved = _view(numpy, last) != _view(numpy, self._raw[-2])
+            self._changed = numpy.flatnonzero(moved).tolist()
+        groups = _class_lists(last, count)
+        self._current_members = dict(enumerate(groups))
+        self._class_size = {c: len(group) for c, group in enumerate(groups)}
+        self._next_id = count
+
+    def _ensure_buckets(self, numpy) -> List[Tuple]:
+        """Per-degree (nodes, neighbour matrix, reverse-port matrix) triples.
+
+        Each matrix has shape (nodes of the bucket, degree).  They depend
+        only on the CSR arrays, so they are built once and reused by every
+        vector pass; together they are an O(n + m) footprint.
+        """
+        if self._buckets is None:
+            csr = self._csr
+            offsets = _view(numpy, csr.offsets)
+            neighbors = _view(numpy, csr.neighbors)
+            reverse_ports = _view(numpy, csr.reverse_ports)
+            degrees = offsets[1:] - offsets[:-1]
+            buckets: List[Tuple] = []
+            for degree in numpy.unique(degrees).tolist():
+                if degree == 0:
+                    continue  # a degree-0 node only exists when n == 1 (stable at depth 0)
+                nodes = numpy.flatnonzero(degrees == degree)
+                darts = offsets[nodes][:, None] + numpy.arange(degree)
+                buckets.append((nodes, neighbors[darts], reverse_ports[darts]))
+            self._buckets = buckets
+        return self._buckets
+
+    def _vector_pass(self) -> None:
+        """Re-signature every node of every non-singleton class, in whole arrays."""
+        numpy = numpy_or_none()
+        previous = _view(numpy, self._raw[-1])
+        previous_count = self._num_classes[-1]
+        active = numpy.bincount(previous, minlength=previous_count)[previous] > 1
+        buckets = self._ensure_buckets(numpy)
+        # field widths: previous ids are 0..previous_count-1, reverse ports
+        # below the largest degree
+        colour_bits = max(1, (previous_count - 1).bit_length())
+        port_bits = max(1, (buckets[-1][1].shape[1] - 1).bit_length())
+        # regrouped nodes get ids from previous_count up, so they never
+        # collide with an unsplit singleton class, which keeps its id
+        scratch = previous.astype(numpy.int64)
+        next_fresh = previous_count
+        for nodes, neighbor_matrix, port_matrix in buckets:
+            mask = active[nodes]
+            if not mask.any():
+                continue
+            selected = nodes[mask]
+            neighbor_rows = neighbor_matrix[mask]
+            port_rows = port_matrix[mask]
+            # the signature of v: prev[v], then per port the reverse port and
+            # the neighbour's previous colour
+            columns = [(previous[selected], colour_bits)]
+            for port in range(neighbor_rows.shape[1]):
+                columns.append((port_rows[:, port], port_bits))
+                columns.append((previous[neighbor_rows[:, port]], colour_bits))
+            group_count, group_ids = _group_words(numpy, pack_columns(numpy, columns))
+            scratch[selected] = next_fresh + group_ids
+            next_fresh += group_count
+        # number the fragments as a worklist pass does: each previous class's
+        # largest fragment (the first by scratch id among equals) keeps the
+        # previous id, the others take fresh ids from previous_count up.
+        # Scratch ids of regrouped classes are unused; they get size 0 and
+        # their own id as parent, so no previous class counts them.
+        sizes = numpy.bincount(scratch, minlength=next_fresh)
+        parent = numpy.arange(next_fresh)
+        parent[scratch] = previous
+        largest = numpy.zeros(previous_count, dtype=sizes.dtype)
+        numpy.maximum.at(largest, parent, sizes)
+        retained = numpy.full(previous_count, next_fresh, dtype=parent.dtype)
+        candidates = numpy.flatnonzero(sizes == largest[parent])
+        numpy.minimum.at(retained, parent[candidates], candidates)
+        fresh = sizes > 0
+        fresh[retained] = False
+        count = previous_count + int(fresh.sum())
+        ids = numpy.empty(next_fresh, dtype=numpy.dtype(INT_TYPECODE))
+        ids[retained] = numpy.arange(previous_count)
+        ids[fresh] = numpy.arange(previous_count, count)
+        self._raw.append(array(INT_TYPECODE, ids[scratch].tobytes()))
+        self._num_classes.append(count)
+        self._churn = self._csr.num_nodes - int(largest.sum())
+        self._active = int(sizes[sizes > 1].sum())
+        self._current_members = self._class_size = self._changed = None
+
+    def _next_pass_is_vector(self) -> bool:
+        """The engine's choice of kind for the next pass (see the constants)."""
+        if self._backend != "auto":
+            return self._backend == "numpy"
+        n = self._csr.num_nodes
+        if len(self._raw) == 1:
+            return n >= VECTOR_MIN_NODES
+        if self._current_members is None:  # the last pass was a vector pass
+            return self._churn * CHURN_RATIO >= self._active
+        worklist = len(self._changed)
+        return worklist >= VECTOR_MIN_NODES and worklist * CHURN_RATIO >= n
+
+    def _refine_once(self) -> None:
+        """Materialise the next depth with one pass of the chosen kind."""
+        self._passes += 1
+        if self._next_pass_is_vector():
+            self._vector_pass()
+        else:
+            self._worklist_pass()
+        if self._stable_depth is None and self._num_classes[-1] == self._num_classes[-2]:
             # refinement only splits classes: a pass with no splits means the
             # partition reached its fixpoint one depth earlier.
             self._stable_depth = len(self._raw) - 2
@@ -762,6 +957,9 @@ class CSRPartitionRefinement(RefinementQueries):
     # ------------------------------------------------------------------ #
     # O(1) / O(output) queries (depth must already be effective)
     # ------------------------------------------------------------------ #
+    def num_classes_at(self, effective: int) -> int:
+        return self._num_classes[effective]
+
     def colors_at(self, effective: int) -> array:
         """Canonical colours at a materialised depth (0..c-1 by first appearance).
 
@@ -796,74 +994,68 @@ class CSRPartitionRefinement(RefinementQueries):
         """Canonical class → members (ascending node order), built lazily."""
         cached = self._members.get(effective)
         if cached is None:
-            cached = [[] for _ in range(self._num_classes[effective])]
-            for v, c in enumerate(self.colors_at(effective)):
-                cached[c].append(v)
+            cached = _class_lists(self.colors_at(effective), self._num_classes[effective])
             self._members[effective] = cached
         return cached
 
+    def unique_at(self, effective: int) -> List[int]:
+        """Nodes in singleton classes (ascending), built lazily per depth."""
+        cached = self._unique.get(effective)
+        if cached is None:
+            cached = sorted(
+                group[0] for group in self.members_at(effective) if len(group) == 1
+            )
+            self._unique[effective] = cached
+        return cached
+
+    def class_members(self, node: int, effective: int) -> List[int]:
+        return self.members_at(effective)[self.colors_at(effective)[node]]
+
+    def canonical_tables(self) -> List[List[int]]:
+        """Canonical colour tables for every materialised depth (0..computed).
+
+        This is the payload the artifact store persists and ``from_stored``
+        re-installs; round-tripping through it preserves every public colour
+        query byte-for-byte.
+        """
+        return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
+
     # ------------------------------------------------------------------ #
     def estimated_bytes(self) -> int:
-        """Rough retained footprint of the engine's per-depth state (bytes).
+        """Rough retained footprint of the engine's state (bytes).
 
-        Counts the raw and canonical colour arrays exactly and the inverse
-        indexes (member/unique lists) at Python-list rates; used by the
-        runner cache's eviction accounting, not for allocation decisions.
+        Counts the raw and canonical colour arrays and the degree-bucket
+        matrices exactly, and the inverse indexes and the worklist state
+        (member lists, worklist) at Python-list rates; used by the runner
+        cache's eviction accounting, not for allocation decisions.
         """
         total = 0
         for arr in self._raw:
             total += len(arr) * arr.itemsize
-        for arr in self._canonical.values():
-            total += len(arr) * arr.itemsize
+        for depth, arr in self._canonical.items():
+            if arr is not self._raw[depth]:  # from_stored installs one array as both
+                total += len(arr) * arr.itemsize
+        if self._buckets is not None:
+            for matrices in self._buckets:
+                total += sum(matrix.nbytes for matrix in matrices)
         for groups in self._members.values():
             total += sum(56 + 8 * len(group) for group in groups)
         for group in self._unique.values():
             total += 56 + 8 * len(group)
-        for group in self._current_members.values():
-            total += 56 + 8 * len(group)
+        if self._current_members is not None:
+            for group in self._current_members.values():
+                total += 56 + 8 * len(group)
+        if self._changed is not None:
+            total += 56 + 8 * len(self._changed)
         return total
-
-
-# ---------------------------------------------------------------------- #
-# backend-dispatching factories
-# ---------------------------------------------------------------------- #
-def make_refinement(csr):
-    """A refinement engine for ``csr`` on the active kernel backend.
-
-    Both engines expose the same surface and answer byte-identically (see
-    ``repro.kernel.backend``); the binding is per object — an engine keeps
-    the backend it was built with even if the selection later changes.
-    """
-    from .backend import active_backend
-
-    if active_backend() == "numpy":
-        from .refine_numpy import NumpyPartitionRefinement
-
-        return NumpyPartitionRefinement(csr)
-    return CSRPartitionRefinement(csr)
-
-
-def refinement_from_stored(csr, tables, stable_depth):
-    """A pre-loaded engine (``passes == 0``) on the active kernel backend."""
-    from .backend import active_backend
-
-    if active_backend() == "numpy":
-        from .refine_numpy import NumpyPartitionRefinement
-
-        return NumpyPartitionRefinement.from_stored(csr, tables, stable_depth)
-    return CSRPartitionRefinement.from_stored(csr, tables, stable_depth)
 
 
 def refinement_delta(base_engine, csr, node_map, touched):
     """An engine for an edited graph, replayed from its base's partitions.
 
-    The delta path always runs :meth:`CSRPartitionRefinement.apply_delta` —
-    the **certified python fallback**: the replay's per-depth work is the
-    dirty ball plus one cheap O(n) inheritance sweep, which the batched
-    full-width numpy passes cannot exploit, and its output is certified
-    byte-identical to both backends' cold refinement by the delta
-    equivalence suite.  The base engine may be either backend (its raw
-    tables are read through the shared accessor surface); the returned
-    engine is always the python one.
+    Runs :meth:`CSRPartitionRefinement.apply_delta`: per depth the replay
+    signatures only the dirty ball plus one cheap O(n) inheritance sweep,
+    work that vector passes cannot exploit, and its output is certified
+    byte-identical to a cold refinement by the delta equivalence suite.
     """
     return CSRPartitionRefinement.apply_delta(base_engine, csr, node_map, touched)

@@ -198,15 +198,14 @@ class PortLabeledGraph:
         :meth:`fingerprint` (which refines to the fixpoint),
         :class:`repro.views.refinement.ViewRefinement` (the query facade) and
         the runner's cache, so the graph is refined at most once per instance
-        no matter who asks first.  Built by
-        :func:`repro.kernel.refine.make_refinement`, which picks the
-        incremental python engine or its byte-identical vectorised numpy twin
-        per the active kernel backend; the binding is per instance.
+        no matter who asks first.  The engine is
+        :class:`repro.kernel.refine.CSRPartitionRefinement`, which picks a
+        vector or a worklist pass for each depth.
         """
         if self._engine is None:
-            from ..kernel.refine import make_refinement  # lazy, as in csr()
+            from ..kernel.refine import CSRPartitionRefinement  # lazy, as in csr()
 
-            self._engine = make_refinement(self.csr())
+            self._engine = CSRPartitionRefinement(self.csr())
         return self._engine
 
     def adopt_fingerprint(self, fingerprint: str) -> None:
@@ -251,9 +250,9 @@ class PortLabeledGraph:
         """
         if self._engine is not None:
             return False
-        from ..kernel.refine import refinement_from_stored  # lazy, as in csr()
+        from ..kernel.refine import CSRPartitionRefinement  # lazy, as in csr()
 
-        self._engine = refinement_from_stored(self.csr(), tables, stable_depth)
+        self._engine = CSRPartitionRefinement.from_stored(self.csr(), tables, stable_depth)
         return True
 
     def adopt_engine(self, engine) -> bool:
@@ -352,7 +351,7 @@ class PortLabeledGraph:
         The digest is SHA-256 over the ASCII ``repr`` of that summary, and
         the labels are fixed 64-bit arithmetic, never the salted built-in
         ``hash``, so it is stable across processes, Python versions and
-        kernel backends.  The result is memoised on the instance.
+        refinement pass kinds.  The result is memoised on the instance.
         """
         if self._fingerprint is not None:
             return self._fingerprint

@@ -15,12 +15,13 @@ port orders apart.  Nodes of one depth-``d`` class share their signature, so
 by induction on ``d`` they share ``label_d``: per node and per class the
 chain gives the same values.
 
-Two implementations, the same split as the two refinement engines:
+Two implementations, the same split as the refinement engine's two pass
+kinds:
 
 * with numpy importable, per node, one depth at a time over whole arrays
   (gather through ``neighbors``, mix, ``add.reduceat`` over ``offsets``),
-  whatever engine refined the graph -- a delta replay returns the python
-  engine, and the chain must not care;
+  whatever passes refined the graph -- a delta replay runs none of either
+  kind, and the chain must not care;
 * without numpy, per class, on first-appearance representatives.
 
 Only :func:`class_label_pairs` is public.  A 64-bit collision makes two

@@ -39,30 +39,18 @@ def attach_store_path(store_path: str) -> None:
 
 def bootstrap_worker(
     store_path: Optional[str] = None,
-    kernel_backend: Optional[str] = None,
     hot_tier_bytes: int = 0,
     cache_admission: Optional[str] = None,
 ) -> None:
     """Initialise one worker process (runner pool worker or service shard).
 
-    Attaches the store when one is configured, and pins the kernel compute
-    backend to the parent's selection.  The environment variable alone would
-    cover spawn-context children (``os.environ`` is inherited), but carrying
-    the choice in the initializer keeps the propagation explicit and robust
-    to a scrubbed environment; ``"auto"`` is passed through as *auto*, so a
-    worker without numpy still falls back rather than failing.
-
-    ``hot_tier_bytes``, when positive, enables the attached store's
-    in-process hot tier with that byte budget (service shards serving
-    repeat traffic); ``cache_admission`` selects the refinement cache's
-    admission policy (e.g. ``"second-touch"`` for zipf-shaped service
-    traffic) -- both are no-ops by default so runner pool workers keep the
-    historical sweep-oriented behaviour.
+    Attaches the store when one is configured.  ``hot_tier_bytes``, when
+    positive, enables the attached store's in-process hot tier with that
+    byte budget (service shards serving repeat traffic); ``cache_admission``
+    selects the refinement cache's admission policy (e.g. ``"second-touch"``
+    for zipf-shaped service traffic) -- both are no-ops by default so runner
+    pool workers keep the historical sweep-oriented behaviour.
     """
-    if kernel_backend is not None:
-        from ..kernel.backend import set_backend  # lazy: keep workers import-light
-
-        set_backend(kernel_backend)
     if store_path is not None:
         attach_store_path(store_path)
         if hot_tier_bytes > 0 and refinement_cache.store is not None:

@@ -22,13 +22,10 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-import os
-
 from ..core.election_index import SearchLimitExceeded, election_index
 from ..core.feasibility import is_feasible
 from ..core.election_index import search_statistics
 from ..core.tasks import Task
-from ..kernel.backend import BACKEND_ENV_VAR
 from ..obs import span as obs_span
 from .bootstrap import attach_store_path, bootstrap_worker
 from .cache import refinement_cache
@@ -270,15 +267,6 @@ class ExperimentRunner:
             return self._chunk_size
         return max(1, num_jobs // (self._workers * 4))
 
-    def _worker_initargs(self) -> Tuple[Optional[str], str]:
-        """Arguments for :func:`bootstrap_worker` in each pool worker.
-
-        Forwards the store path and the parent's kernel-backend request (the
-        request -- e.g. ``auto`` -- not its resolution, so a worker without
-        numpy still falls back instead of failing).
-        """
-        return (self._store_path, os.environ.get(BACKEND_ENV_VAR, "auto"))
-
     def run(self, sweep: SweepSpec) -> RunReport:
         """Evaluate the sweep and return the (deterministically ordered) report."""
         if self._store_path is not None:
@@ -295,7 +283,7 @@ class ExperimentRunner:
             with multiprocessing.Pool(
                 processes=self._workers,
                 initializer=bootstrap_worker,
-                initargs=self._worker_initargs(),
+                initargs=(self._store_path,),
             ) as pool:
                 indexed = pool.map(_evaluate_indexed, jobs, chunksize=chunk)
         indexed.sort(key=lambda pair: pair[0])
@@ -334,7 +322,7 @@ class ExperimentRunner:
         with multiprocessing.Pool(
             processes=self._workers,
             initializer=bootstrap_worker,
-            initargs=self._worker_initargs(),
+            initargs=(self._store_path,),
         ) as pool:
             for item in pool.imap(_evaluate_guarded, jobs, chunksize=chunk):
                 yield item

@@ -312,7 +312,7 @@ class ElectionServer:
         )
         metrics.gauge(
             "repro_kernel_backend_info",
-            "Active kernel compute backend (1 on the active label).",
+            "Refinement pass kinds available: numpy = vector and worklist, python = worklist only.",
             ("backend",),
             callback=lambda: {
                 (name,): 1 if name == _active_kernel_backend() else 0

@@ -51,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
 from ..core import search_statistics
-from ..kernel.backend import BACKEND_ENV_VAR
 from ..obs import activate as activate_trace
 from ..obs import current_context, default_recorder, record_span
 from ..runner.bootstrap import bootstrap_worker
@@ -234,14 +233,12 @@ def _shard_main(
     store_path: Optional[str],
     compute_delay: float,
     recycle_after: int,
-    kernel_backend: Optional[str] = None,
     hot_tier_bytes: int = 0,
     cache_admission: Optional[str] = None,
 ) -> None:
     """One shard worker: serve jobs off a pipe until recycled or told to exit."""
     bootstrap_worker(
         store_path,
-        kernel_backend,
         hot_tier_bytes=hot_tier_bytes,
         cache_admission=cache_admission,
     )
@@ -356,9 +353,6 @@ class _Shard:
                 self._store_path,
                 self._compute_delay,
                 self._recycle_after,
-                # the parent's backend *request* (not its resolution), so a
-                # shard without numpy falls back instead of failing
-                os.environ.get(BACKEND_ENV_VAR, "auto"),
                 self._hot_tier_bytes,
                 self._cache_admission,
             ),

@@ -62,22 +62,23 @@ class RealPassCounter:
 def real_refinement_passes(monkeypatch):
     """Count every refinement pass run in this process, outside the ledger.
 
-    Wraps ``_refine_once`` on both engines and every ``apply_delta`` replay
-    (whose per-depth passes bypass ``_refine_once``), so a zero-pass
-    certificate read from the cache's ``refinement_passes`` ledger can be
-    checked against the work that really happened.  Passes run in other
-    processes (shard workers, children) are not seen.
+    Wraps the engine's ``_refine_once``, which runs every vector and
+    worklist pass, and every ``apply_delta`` replay (whose per-depth passes
+    bypass ``_refine_once``), so a zero-pass certificate read from the
+    cache's ``refinement_passes`` ledger can be checked against the work
+    that really happened.  Passes run in other processes (shard workers,
+    children) are not seen.
     """
     from repro.kernel.refine import CSRPartitionRefinement
-    from repro.kernel.refine_numpy import NumpyPartitionRefinement
 
     counter = RealPassCounter()
-    for engine_class in (CSRPartitionRefinement, NumpyPartitionRefinement):
-        def counted(self, _original=engine_class._refine_once):
-            counter.add(1)
-            return _original(self)
+    refine_once = CSRPartitionRefinement._refine_once
 
-        monkeypatch.setattr(engine_class, "_refine_once", counted)
+    def counted(self):
+        counter.add(1)
+        return refine_once(self)
+
+    monkeypatch.setattr(CSRPartitionRefinement, "_refine_once", counted)
     replay = CSRPartitionRefinement.apply_delta
 
     def counted_replay(base_engine, csr, node_map, touched):

@@ -5,7 +5,7 @@ The contract under test is *byte-identity*: a mutation applied as a
 graph's warm state -- patched CSR, dirty-ball partition replay, carried
 kernel memos -- must be indistinguishable, in every observable, from
 building the mutated graph cold.  The hypothesis suite at the bottom
-drives random seeded edit scripts through both kernel backends and a
+drives random seeded edit scripts through both forced pass kinds and a
 store round-trip; the targeted classes above it pin the individual
 layers (op validation, cache lifecycle events, the ψ-memo write-through
 regression, the service envelope, the verified delta-lifecycle model).

@@ -1,24 +1,31 @@
-"""Dual-backend byte-identity property suite.
+"""Pass-kind byte-identity property suite.
 
-The numpy kernel backend must be *byte-identical* to the pure-python one in
-everything observable -- canonical colour tables, ψ indices, advice
-bitstrings, store record bytes, fingerprints -- across the seeded scenario
-corpus and the known hard cases (the de Bruijn fingerprint-collision
-regression pair).  These properties are what lets every layer above the
-kernel (cache, store, runner, service) treat the backend as a pure speed
-knob; the selection machinery itself (env var, pinning, fallback) is
-exercised here too.
+The refinement engine runs each pass as a *vector* pass (whole-array numpy)
+or a *worklist* pass (Python loops over the previous pass's splits), picked
+per pass.  Whichever kinds run, everything observable must be
+*byte-identical* -- canonical colour tables, ψ indices, advice bitstrings,
+store record bytes, fingerprints -- across the seeded scenario corpus and
+the known hard cases (the de Bruijn fingerprint-collision regression pair).
+These properties are what lets every layer above the kernel (cache, store,
+runner, service) ignore which kinds ran.  The pass choice itself, the hook
+that forces it, the vector pass's signature packing and the check on stored
+tables are exercised here too.
 
-Everything backend-comparing is skipped cleanly when numpy is absent --
-that environment instead exercises the fallback path of the whole suite.
+Everything that runs vector passes is skipped cleanly when numpy is absent
+-- that environment runs worklist passes only.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
+from array import array
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_kernel_equivalence import _fresh_copy, kinds_of, pass_log
+from test_portgraph_fingerprint import label_path
 
 from repro.core import (
     complete_port_path_election_index,
@@ -26,16 +33,15 @@ from repro.core import (
     selection_index,
 )
 from repro.kernel import (
-    BACKEND_ENV_VAR,
+    CSRPartitionRefinement,
     active_backend,
-    make_refinement,
     numpy_available,
-    refinement_from_stored,
-    resolve_backend,
     use_backend,
 )
+from repro.kernel import backend as backend_module
+from repro.kernel.csr import CSRGraph
+from repro.kernel.refine import VECTOR_MIN_NODES, pack_columns
 from repro.portgraph import generators
-from repro.portgraph.graph import PortLabeledGraph
 from repro.runner import refinement_cache
 from repro.scenarios import corpus_specs
 from repro.store import ArtifactRecord
@@ -43,15 +49,8 @@ from repro.store import ArtifactRecord
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
-def _fresh_copy(graph) -> PortLabeledGraph:
-    """An independent instance of the same labeled graph (no memoised state)."""
-    return PortLabeledGraph(
-        [graph.adjacency(v) for v in graph.nodes()], name=graph.name, validate=False
-    )
-
-
 def _per_backend(graph, compute):
-    """``compute(fresh_graph)`` under each backend, with the cache isolated."""
+    """``compute(fresh_graph)`` with worklist passes only and vector passes only."""
     observed = {}
     for backend in ("python", "numpy"):
         with use_backend(backend):
@@ -80,25 +79,20 @@ small_graph_strategy = st.builds(
 
 
 # --------------------------------------------------------------------------- #
-# backend selection machinery
+# the hook that forces pass kinds
 # --------------------------------------------------------------------------- #
 class TestBackendSelection:
-    def test_resolve_rejects_unknown_names(self):
+    def test_use_backend_rejects_unknown_names(self):
         with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    def test_python_always_resolvable(self):
-        assert resolve_backend("python") == "python"
+            with use_backend("fortran"):
+                pass
 
     def test_use_backend_restores_prior_selection(self):
-        before_env = os.environ.get(BACKEND_ENV_VAR)
         before = active_backend()
         with use_backend("python") as resolved:
             assert resolved == "python"
             assert active_backend() == "python"
-            assert os.environ[BACKEND_ENV_VAR] == "python"
         assert active_backend() == before
-        assert os.environ.get(BACKEND_ENV_VAR) == before_env
 
     def test_auto_resolves_to_numpy_exactly_when_available(self):
         with use_backend("auto") as resolved:
@@ -107,18 +101,25 @@ class TestBackendSelection:
     @pytest.mark.skipif(numpy_available(), reason="needs a numpy-free interpreter")
     def test_forcing_numpy_without_numpy_raises(self):
         with pytest.raises(RuntimeError):
-            resolve_backend("numpy")
-
-    def test_engine_type_follows_backend(self):
-        graph = generators.asymmetric_cycle(7)
-        with use_backend("python"):
-            assert type(make_refinement(graph.csr())).__name__ == "CSRPartitionRefinement"
-        if numpy_available():
             with use_backend("numpy"):
-                assert (
-                    type(make_refinement(graph.csr())).__name__
-                    == "NumpyPartitionRefinement"
-                )
+                pass
+
+    def test_forced_kinds_bind_at_construction(self):
+        """An engine keeps the kinds forced when it was built, refined outside."""
+        graph = generators.grid_graph(24, 24)  # large enough for vector passes
+        forced = {"python": "worklist"}
+        if numpy_available():
+            forced["numpy"] = "vector"
+        engines = {}
+        for backend in forced:
+            with use_backend(backend):
+                engines[backend] = CSRPartitionRefinement(graph.csr())
+        with pass_log() as log:
+            for engine in engines.values():
+                engine.ensure_stable()
+        for backend, kind in forced.items():
+            assert set(kinds_of(log, engines[backend])) == {kind}
+            assert engines[backend].canonical_tables() == engines["python"].canonical_tables()
 
 
 # --------------------------------------------------------------------------- #
@@ -160,7 +161,7 @@ class TestByteIdentity:
             try:
                 bits = scheme.oracle.advise(fresh)
             except ValueError:
-                return None  # infeasible: identically so under both backends
+                return None  # infeasible: identically so under both pass kinds
             assert set(bits) <= {"0", "1"}
             return bits
 
@@ -182,38 +183,36 @@ class TestByteIdentity:
         observed = _per_backend(graph, lambda fresh: fresh.fingerprint())
         assert observed["python"] == observed["numpy"]
         # the label chain runs on numpy whenever it imports, whatever the
-        # engine: hide numpy from the chain alone to take its python path
-        from test_portgraph_fingerprint import label_path
-
+        # pass kinds: hide numpy from the chain alone to take its python path
         with label_path("python"):
             python_path = _per_backend(graph, lambda fresh: fresh.fingerprint())
         assert python_path == observed
 
     @given(graph=small_graph_strategy)
     @settings(max_examples=10, deadline=None)
-    def test_from_stored_serves_python_tables_unchanged(self, graph):
+    def test_from_stored_serves_worklist_tables_unchanged(self, graph):
         csr = graph.csr()
         with use_backend("python"):
-            python_engine = make_refinement(csr)
+            python_engine = CSRPartitionRefinement(csr)
         stable = python_engine.ensure_stable()
         tables = python_engine.canonical_tables()
         with use_backend("numpy"):
-            warmed = refinement_from_stored(csr, tables, stable)
-        assert type(warmed).__name__ == "NumpyPartitionRefinement"
+            warmed = CSRPartitionRefinement.from_stored(csr, tables, stable)
+        with pass_log() as log:
+            assert warmed.stable_depth == stable
+            assert warmed.canonical_tables() == tables
+            for depth in range(stable + 1):
+                assert warmed.colors_at(depth).tobytes() == python_engine.colors_at(depth).tobytes()
+                assert warmed.members_at(depth) == python_engine.members_at(depth)
+        assert log == []  # queries never trigger a pass of either kind
         assert warmed.passes == 0
-        assert warmed.stable_depth == stable
-        assert warmed.canonical_tables() == tables
-        for depth in range(stable + 1):
-            assert warmed.colors_at(depth).tobytes() == python_engine.colors_at(depth).tobytes()
-            assert warmed.members_at(depth) == python_engine.members_at(depth)
-        assert warmed.passes == 0  # queries never trigger refinement
 
     def test_colour_entries_are_plain_python_ints(self):
         # numpy scalars leaking into the public surface would break JSON
         # serialisation downstream (service responses, NDJSON streams)
         graph = generators.asymmetric_cycle(9)
         with use_backend("numpy"):
-            engine = make_refinement(graph.csr())
+            engine = CSRPartitionRefinement(graph.csr())
         stable = engine.ensure_stable()
         for depth in range(stable + 1):
             assert all(type(c) is int for c in engine.colors_at(depth))
@@ -229,7 +228,7 @@ class TestByteIdentity:
 @needs_numpy
 class TestDeBruijnRegressionPair:
     """The pair that aliased under 3-round fingerprints must behave the same
-    under both backends: identical per-backend fingerprints, and still
+    under both pass kinds: identical per-kind fingerprints, and still
     *distinct* from each other at the fixpoint."""
 
     def _pair(self):
@@ -261,3 +260,174 @@ class TestDeBruijnRegressionPair:
 
             observed = _per_backend(graph, tables)
             assert observed["python"] == observed["numpy"]
+
+
+# --------------------------------------------------------------------------- #
+# the engine's choice of pass kind
+# --------------------------------------------------------------------------- #
+def _beacon_tail(blob: int, tail: int, seed: int):
+    return generators.beacon_tail_graph(blob, tail, seed=seed)
+
+
+#: Graphs whose fixpoints lie from one to a few dozen depths deep.
+deep_or_shallow_strategy = st.one_of(
+    corpus_strategy,
+    st.builds(
+        generators.random_connected_graph,
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=0, max_value=30),
+        seed=st.integers(min_value=0, max_value=10_000),
+    ),
+    st.builds(
+        _beacon_tail,
+        st.integers(min_value=2, max_value=15).map(lambda half: 2 * half),  # a 3-regular beacon
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    st.builds(generators.asymmetric_cycle, st.integers(min_value=3, max_value=40)),
+)
+
+
+def _observed(engine):
+    return (
+        engine.canonical_tables(),
+        engine.class_counts,
+        engine.stable_depth,
+        engine.computed_depth,
+        engine.passes,
+    )
+
+
+@needs_numpy
+class TestPassChoice:
+    @given(
+        graph=deep_or_shallow_strategy,
+        kinds=st.lists(st.booleans(), min_size=1, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_sequence_of_pass_kinds_matches_worklist_passes(self, graph, kinds):
+        """Forcing each pass's kind -- hand-overs at every depth, and returns
+        to vector passes -- changes nothing observable."""
+        csr = graph.csr()
+        with use_backend("python"):
+            reference = CSRPartitionRefinement(csr)
+        reference.ensure_stable()
+        sequence = itertools.cycle(kinds)  # True = vector
+        with mock.patch.object(
+            CSRPartitionRefinement, "_next_pass_is_vector", lambda self: next(sequence)
+        ):
+            engine = CSRPartitionRefinement(csr)
+            engine.ensure_stable()
+        assert _observed(engine) == _observed(reference)
+
+    def _kinds(self, graph):
+        engine = CSRPartitionRefinement(graph.csr())
+        with pass_log() as log:
+            engine.ensure_stable()
+        return engine, kinds_of(log, engine)
+
+    def test_a_graph_under_the_size_constant_runs_worklist_passes_only(self):
+        graph = generators.asymmetric_cycle(VECTOR_MIN_NODES - 1)
+        _engine, kinds = self._kinds(graph)
+        assert set(kinds) == {"worklist"}
+
+    def test_beacon_tail_hands_over_to_worklist_passes_to_its_fixpoint(self):
+        engine, kinds = self._kinds(_beacon_tail(1_000, 5_000, 1))
+        vector = kinds.count("vector")
+        assert 1 <= vector <= 4
+        assert kinds == ["vector"] * vector + ["worklist"] * (len(kinds) - vector)
+        assert engine.stable_depth > 2_000
+
+    def test_a_random_graph_runs_vector_passes_only(self):
+        _engine, kinds = self._kinds(generators.random_connected_graph(5_000, 5_000, seed=1))
+        assert set(kinds) == {"vector"}
+
+    def test_without_numpy_every_pass_is_a_worklist_pass(self):
+        graph = generators.random_connected_graph(5_000, 5_000, seed=1)
+        with use_backend("python"):
+            reference = CSRPartitionRefinement(graph.csr())
+        reference.ensure_stable()
+        with mock.patch.object(backend_module, "_numpy", False):
+            engine, kinds = self._kinds(graph)
+            assert _observed(engine) == _observed(reference)
+        assert set(kinds) == {"worklist"}
+
+
+# --------------------------------------------------------------------------- #
+# the vector pass's signature packing
+# --------------------------------------------------------------------------- #
+@needs_numpy
+class TestVectorPacking:
+    def test_int32_columns_pack_like_python_ints(self):
+        import numpy
+
+        rng = numpy.random.default_rng(3)
+        widths = (20, 3, 20, 3, 20, 3, 20, 3, 20)  # words wider than 31 bits
+        columns = [
+            (rng.integers(0, 2**bits, size=50).astype(numpy.int32), bits) for bits in widths
+        ]
+        words = pack_columns(numpy, columns)
+        expected = []
+        for row in range(50):
+            packed, word, used = [], 0, 0
+            for column, bits in columns:
+                if used + bits > 63:
+                    packed.append(word)
+                    word, used = 0, 0
+                word = (word << bits) | int(column[row])
+                used += bits
+            packed.append(word)
+            expected.append(packed)
+        assert [[int(word[row]) for word in words] for row in range(50)] == expected
+
+    def test_vector_passes_read_csr_arrays_of_any_typecode(self):
+        """A CSR graph on 32-bit ``"i"`` arrays refines like the worklist passes."""
+        graph = generators.random_connected_graph(3_000, extra_edges=3_000, seed=0)
+        csr = graph.csr()
+        narrow = CSRGraph(
+            csr.num_nodes,
+            csr.num_edges,
+            array("i", csr.offsets),
+            array("i", csr.neighbors),
+            array("i", csr.reverse_ports),
+        )
+        with use_backend("python"):
+            reference = CSRPartitionRefinement(csr)
+        reference.ensure_stable()
+        with use_backend("numpy"):
+            engine = CSRPartitionRefinement(narrow)
+        engine.ensure_stable()
+        assert _observed(engine) == _observed(reference)
+
+
+# --------------------------------------------------------------------------- #
+# stored tables must be canonical
+# --------------------------------------------------------------------------- #
+class TestStoredTables:
+    def _stored(self):
+        graph = generators.asymmetric_cycle(7)
+        engine = CSRPartitionRefinement(graph.csr())
+        stable = engine.ensure_stable()
+        return graph.csr(), engine.canonical_tables(), stable
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda table: table[:-1] + [len(table)],  # an id >= n
+            lambda table: [2**40] + table[1:],
+            lambda table: [1, 0] + table[2:],  # not first-appearance order
+            lambda table: table[:-1] + [-1],
+        ],
+        ids=["id-at-least-n", "id-2**40", "second-id-first", "negative"],
+    )
+    @pytest.mark.parametrize("path", [pytest.param("numpy", marks=needs_numpy), "python"])
+    def test_from_stored_rejects_non_canonical_tables(self, tamper, path):
+        csr, tables, stable = self._stored()
+        hidden = path == "python"
+        with mock.patch.object(backend_module, "_numpy", False) if hidden else nullcontext():
+            assert CSRPartitionRefinement.from_stored(csr, tables, stable).passes == 0
+            for depth in range(len(tables)):
+                broken = list(tables)
+                broken[depth] = tamper(list(tables[depth]))
+                with pytest.raises(ValueError):
+                    CSRPartitionRefinement.from_stored(csr, broken, stable)

@@ -16,6 +16,7 @@ three lower-bound families, that
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -35,7 +36,7 @@ from repro.families import (
     jmuk_border_count,
     udk_tree_count,
 )
-from repro.kernel import make_refinement, numpy_available, use_backend
+from repro.kernel import CSRPartitionRefinement, numpy_available, use_backend
 from repro.portgraph import generators
 from repro.portgraph.graph import PortLabeledGraph
 from repro.views import ViewRefinement, augmented_view, view_key
@@ -414,7 +415,7 @@ class TestFamilyEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# three-way matrix: legacy views / python kernel / numpy kernel
+# four-way matrix: legacy views / worklist passes / vector passes / auto
 # --------------------------------------------------------------------------- #
 def _fresh_copy(graph) -> PortLabeledGraph:
     """An independent instance of the same labeled graph (no memoised state)."""
@@ -423,49 +424,86 @@ def _fresh_copy(graph) -> PortLabeledGraph:
     )
 
 
-def _three_way_partitions_identical(graph) -> None:
-    """Legacy full-sweep, python kernel and numpy kernel must agree exactly."""
+@contextmanager
+def pass_log():
+    """Log ``(engine, kind)`` for every refinement pass run inside the context."""
+    log = []
+    originals = {}
+    for kind in ("vector", "worklist"):
+        name = f"_{kind}_pass"
+        originals[name] = original = getattr(CSRPartitionRefinement, name)
+
+        def logged(self, _original=original, _kind=kind):
+            log.append((self, _kind))
+            return _original(self)
+
+        setattr(CSRPartitionRefinement, name, logged)
+    try:
+        yield log
+    finally:
+        for name, original in originals.items():
+            setattr(CSRPartitionRefinement, name, original)
+
+
+def kinds_of(log, engine):
+    """The pass kinds ``engine`` ran, in order, from a :func:`pass_log`."""
+    return [kind for owner, kind in log if owner is engine]
+
+
+#: The pass kinds each selection of the hook may run.
+KINDS_BY_BACKEND = {"python": {"worklist"}, "numpy": {"vector"}, "auto": {"vector", "worklist"}}
+
+
+def _four_way_partitions_identical(graph) -> None:
+    """Legacy full-sweep, worklist passes, vector passes and the engine's own
+    choice per pass must agree exactly."""
     history = legacy_color_history(graph, extra_depths=1)
     engines = {}
-    for backend in ("python", "numpy"):
+    for backend in KINDS_BY_BACKEND:
         with use_backend(backend):
-            engines[backend] = make_refinement(graph.csr())
+            engines[backend] = CSRPartitionRefinement(graph.csr())
     python_engine = engines["python"]
-    numpy_engine = engines["numpy"]
-    assert type(python_engine).__name__ == "CSRPartitionRefinement"
-    assert type(numpy_engine).__name__ == "NumpyPartitionRefinement"
-    stable = python_engine.ensure_stable()
-    assert numpy_engine.ensure_stable() == stable
-    assert python_engine.class_counts == numpy_engine.class_counts
-    assert python_engine.computed_depth == numpy_engine.computed_depth
+    with pass_log() as log:
+        stable = python_engine.ensure_stable()
+        for engine in engines.values():
+            assert engine.ensure_stable() == stable
+    for backend, engine in engines.items():
+        kinds = kinds_of(log, engine)
+        assert len(kinds) == engine.passes
+        assert set(kinds) <= KINDS_BY_BACKEND[backend]
     tables = python_engine.canonical_tables()
-    assert tables == numpy_engine.canonical_tables()
     for depth in range(min(len(tables), len(history))):
         assert tables[depth] == history[depth], f"depth {depth}"
-    for depth in range(stable + 1):
-        python_colors = python_engine.colors_at(depth)
-        numpy_colors = numpy_engine.colors_at(depth)
-        # byte identity, not just value equality: same array typecode too
-        assert python_colors.typecode == numpy_colors.typecode
-        assert python_colors.tobytes() == numpy_colors.tobytes()
-        assert python_engine.members_at(depth) == numpy_engine.members_at(depth)
-        assert python_engine.unique_at(depth) == numpy_engine.unique_at(depth)
-        assert python_engine.num_classes_at(depth) == numpy_engine.num_classes_at(depth)
+    for engine in (engines["numpy"], engines["auto"]):
+        assert engine.class_counts == python_engine.class_counts
+        assert engine.computed_depth == python_engine.computed_depth
+        assert engine.passes == python_engine.passes
+        assert engine.canonical_tables() == tables
+        for depth in range(stable + 1):
+            python_colors = python_engine.colors_at(depth)
+            colors = engine.colors_at(depth)
+            # byte identity, not just value equality: same array typecode too
+            assert python_colors.typecode == colors.typecode
+            assert python_colors.tobytes() == colors.tobytes()
+            assert python_engine.members_at(depth) == engine.members_at(depth)
+            assert python_engine.unique_at(depth) == engine.unique_at(depth)
+            assert python_engine.num_classes_at(depth) == engine.num_classes_at(depth)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-class TestThreeWayBackendMatrix:
-    """The numpy kernel joins the legacy-vs-python contract as a third column."""
+class TestFourWayPassKindMatrix:
+    """Vector passes and the engine's per-pass choice join the legacy-vs-worklist
+    contract as third and fourth columns."""
 
     @given(graph=graph_strategy)
     @settings(max_examples=30, deadline=None)
-    def test_partitions_identical_across_all_three(self, graph):
-        _three_way_partitions_identical(graph)
+    def test_partitions_identical_across_all_four(self, graph):
+        _four_way_partitions_identical(graph)
 
     @given(graph=corpus_strategy)
     @settings(max_examples=20, deadline=None)
-    def test_corpus_partitions_identical_across_all_three(self, graph):
-        _three_way_partitions_identical(graph)
+    def test_corpus_partitions_identical_across_all_four(self, graph):
+        _four_way_partitions_identical(graph)
 
     @given(graph=graph_strategy)
     @settings(max_examples=12, deadline=None)
@@ -473,7 +511,7 @@ class TestThreeWayBackendMatrix:
         from repro.runner import refinement_cache
 
         observed = {}
-        for backend in ("python", "numpy"):
+        for backend in KINDS_BY_BACKEND:
             with use_backend(backend):
                 refinement_cache.clear()  # no cross-backend entry reuse
                 fresh = _fresh_copy(graph)
@@ -486,7 +524,7 @@ class TestThreeWayBackendMatrix:
                     fresh.fingerprint(),
                 )
         refinement_cache.clear()
-        assert observed["python"] == observed["numpy"]
+        assert observed["python"] == observed["numpy"] == observed["auto"]
 
     def test_family_members_identical_across_backends(self):
         members = [
@@ -494,4 +532,4 @@ class TestThreeWayBackendMatrix:
             build_udk_member(4, 1, tuple(1 for _ in range(udk_tree_count(4, 1)))).graph,
         ]
         for graph in members:
-            _three_way_partitions_identical(graph)
+            _four_way_partitions_identical(graph)

@@ -323,11 +323,14 @@ class TestLabelChainPathsAgree:
             assert path_fingerprint(graph, "python") == path_fingerprint(graph, "numpy")
 
     def test_delta_replayed_engine_under_numpy(self, isolated_refinement_cache):
+        from test_kernel_equivalence import kinds_of, pass_log
+
         from repro.scenarios import mutation_stream
 
-        with use_backend("numpy"):
+        with use_backend("numpy"), pass_log() as log:
             base = deep_fixpoint_graphs()[1]
-            assert type(base.refinement_engine()).__name__ == "NumpyPartitionRefinement"
+            base.refinement_engine().ensure_stable()
+            assert set(kinds_of(log, base.refinement_engine())) == {"vector"}
             scripts = mutation_stream(
                 base,
                 seed=2,
@@ -338,8 +341,9 @@ class TestLabelChainPathsAgree:
             for script in scripts:
                 replayed = isolated_refinement_cache.delta_entry(base, script).graph
                 engine = replayed.refinement_engine()
-                # the replay hands back the python engine even under numpy
-                assert type(engine).__name__ == "CSRPartitionRefinement"
+                # the replay refines by its own per-depth replay, not by
+                # passes of either kind, even under numpy
+                assert engine.passes > 0 and kinds_of(log, engine) == []
                 twin = never_refined_copy(replayed)
                 twin.adopt_csr(replayed.csr())
                 twin.adopt_engine(engine)

@@ -6,7 +6,8 @@ ratio falls under its threshold:
 
 * **delta replay** -- at least 3x faster than a cold fixpoint at every edit
   distance 1-4 on the 6 000-node beacon-tail member;
-* **kernel** -- numpy cold refinement at least 3x faster than python;
+* **kernel** -- cold refinement on forced vector passes at least 3x faster
+  than on forced worklist passes;
 * **hot tier** -- hot-tier ``ArtifactStore.get`` p99 below the cold read p99;
 * **tracing** -- a traced warm replay within 3 % of an untraced one.
 
@@ -32,7 +33,7 @@ from test_kernel_equivalence import _fresh_copy
 
 from repro.core import Task
 from repro.families import build_jmuk_member, jmuk_border_count
-from repro.kernel import make_refinement, numpy_available, use_backend
+from repro.kernel import CSRPartitionRefinement, numpy_available, use_backend
 from repro.kernel.refine import refinement_delta
 from repro.obs import default_recorder, new_trace_id, set_tracing, span
 from repro.portgraph.generators import random_connected_graph
@@ -160,36 +161,43 @@ def test_numpy_beacon_tail_delta_curve_is_byte_identical():
 
 
 # --------------------------------------------------------------------------- #
-# kernel: numpy vs python cold refinement
+# kernel: vector passes vs worklist passes, cold
 # --------------------------------------------------------------------------- #
 #: Big enough that vectorisation wins by a wide margin; small graphs would
-#: measure per-call overhead, where numpy is slower by design.
+#: measure per-call overhead, where vector passes are slower by design.
 KERNEL_NODES = 12_000
 KERNEL_DEPTH = 6
 KERNEL_MIN_SPEEDUP = 3.0
 
 
 def _cold_refinement(csr, backend: str, depth: int, repeats: int):
-    """Best-of-``repeats`` cold refinement to ``depth``: ``(seconds, engine)``."""
+    """Best-of-``repeats`` cold refinement to ``depth``: ``(seconds, engine)``.
+
+    ``backend`` forces the pass kinds: ``"python"`` worklist passes only,
+    ``"numpy"`` vector passes only, ``"auto"`` the engine's choice.
+    """
     best, engine = float("inf"), None
     with use_backend(backend):
         for _ in range(repeats):
             started = time.perf_counter()
-            engine = make_refinement(csr)
+            engine = CSRPartitionRefinement(csr)
             engine.ensure_depth(depth)
             best = min(best, time.perf_counter() - started)
     return best, engine
 
 
 @needs_numpy
-def test_numpy_cold_refinement_is_3x_faster_than_python():
+def test_vector_passes_refine_3x_faster_than_worklist_passes():
     graph = random_connected_graph(KERNEL_NODES, extra_edges=KERNEL_NODES, seed=7)
     csr = graph.csr()
-    python_s, python_engine = _cold_refinement(csr, "python", KERNEL_DEPTH, 2)
-    numpy_s, numpy_engine = _cold_refinement(csr, "numpy", KERNEL_DEPTH, 2)
-    assert python_engine.canonical_tables() == numpy_engine.canonical_tables()
-    speedup = python_s / numpy_s
-    print(f"kernel floor: python {python_s:.3f}s, numpy {numpy_s:.3f}s, {speedup:.2f}x")
+    worklist_s, worklist_engine = _cold_refinement(csr, "python", KERNEL_DEPTH, 2)
+    vector_s, vector_engine = _cold_refinement(csr, "numpy", KERNEL_DEPTH, 2)
+    assert worklist_engine.canonical_tables() == vector_engine.canonical_tables()
+    speedup = worklist_s / vector_s
+    print(
+        f"kernel floor: worklist passes {worklist_s:.3f}s, "
+        f"vector passes {vector_s:.3f}s, {speedup:.2f}x"
+    )
     assert speedup >= KERNEL_MIN_SPEEDUP
 
 
@@ -207,11 +215,12 @@ def _jmuk_member_graph():
     ],
     ids=["random-20k", "jmuk-2-4"],
 )
-def test_backends_refine_large_graphs_to_identical_tables(build, depth):
+def test_pass_kinds_refine_large_graphs_to_identical_tables(build, depth):
     csr = build().csr()
     _, python_engine = _cold_refinement(csr, "python", depth, 1)
-    _, numpy_engine = _cold_refinement(csr, "numpy", depth, 1)
-    assert python_engine.canonical_tables() == numpy_engine.canonical_tables()
+    for backend in ("numpy", "auto"):
+        _, engine = _cold_refinement(csr, backend, depth, 1)
+        assert engine.canonical_tables() == python_engine.canonical_tables()
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -413,6 +414,34 @@ class TestArtifactStore:
         assert store.put(record) is True
         healed = store.get(record.fingerprint)
         assert healed is not None and healed.graph == record.graph
+
+    def test_a_non_canonical_colour_table_is_quarantined_and_recomputed(self, tmp_path):
+        """A record that decodes but carries colour id 2**40 at node 0 of
+        every table must not be installed: its engine would count 2**40 + 1
+        classes and read feasibility wrong.  ``get`` quarantines the object
+        and the cache recomputes the answer of a cold run."""
+        sweep = SweepSpec.make((), tasks=[Task("S"), Task("PE")])
+        cold = evaluate_graph(generators.asymmetric_cycle(7), sweep)
+        store = ArtifactStore(str(tmp_path))
+        record = _computed_record(generators.asymmetric_cycle(7))
+        store.put(record)
+        tampered = dataclasses.replace(
+            record,
+            color_tables=tuple((2**40,) + tuple(table[1:]) for table in record.color_tables),
+        )
+        path = os.path.join(str(tmp_path), "objects", record.fingerprint[:2],
+                            record.fingerprint + ".rple")
+        with open(path, "wb") as handle:
+            handle.write(tampered.to_bytes())
+
+        refinement_cache.clear()
+        refinement_cache.attach_store(store)
+        graph = generators.asymmetric_cycle(7)
+        assert evaluate_graph(graph, sweep) == cold
+        assert store.stats()["corrupt_objects"] == 1
+        engine = refinement_cache.entry(graph).graph.refinement_engine()
+        assert engine.passes > 0
+        assert engine.num_classes_at(engine.ensure_stable()) == graph.num_nodes
 
     def test_unreadable_object_is_a_miss_not_an_error(self, tmp_path, monkeypatch):
         """Any ``OSError`` on the object read degrades to a miss.
@@ -993,9 +1022,10 @@ class TestCacheStoreIntegration:
     def test_cold_child_process_replays_a_sweep_from_the_store(
         self, tmp_path, backend, real_refinement_passes
     ):
-        """A store written through by one process serves a fresh child process
-        on the same kernel backend: no refinement pass, no search state, one
-        store hit per graph, and the cold run's table byte for byte."""
+        """A store written through by one process, on either forced pass kind,
+        serves a fresh child process: no refinement pass of either kind, no
+        search state, one store hit per graph, and the cold run's table byte
+        for byte."""
         import repro
 
         store_path = str(tmp_path / "store")
@@ -1003,7 +1033,7 @@ class TestCacheStoreIntegration:
             cold = ExperimentRunner(store_path=store_path).run(REPLAY_SWEEP)
         assert real_refinement_passes.count == refinement_cache.refinement_passes > 0
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ, REPRO_KERNEL_BACKEND=backend)
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-c", _REPLAY_CHILD, store_path, REPLAY_SWEEP.to_json()],
