@@ -11,7 +11,7 @@ The package implements, in pure Python:
 * the three lower-bound graph families G_{Δ,k}, U_{Δ,k}, J_{µ,k},
 * analysis utilities used by the benchmark harness that regenerates every
   quantitative claim of the paper,
-* a persistent content-addressed artifact store (``repro.store``) and an
+* a persistent artifact store named by graph identity (``repro.store``) and an
   async JSON/HTTP query service (``repro.service``, the ``serve`` CLI
   subcommand) so computed refinements, indices and advice outlive the
   process and serve concurrent clients.

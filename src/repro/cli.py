@@ -346,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="compact the store (GC quarantined/superseded objects, under "
-        "the manifest flock) every SECONDS while serving; requires --store. "
+        help="compact the store (GC quarantined, misnamed and stale temp "
+        "files) every SECONDS while serving; requires --store. "
         "Runs surface as repro_store_events{event=\"compactions\"} on /metrics",
     )
 
@@ -889,8 +889,8 @@ def _command_warm(args: argparse.Namespace) -> int:
         compaction = report.compaction
         removed = sum(v for k, v in compaction.items() if k.startswith("removed_"))
         print(
-            f"warm: compacted store (generation {compaction['generation']}): "
-            f"{removed} objects reclaimed, {compaction['live_records']} live",
+            f"warm: compacted store: {removed} objects reclaimed, "
+            f"{compaction['live_records']} live",
             file=sys.stderr,
         )
     print(report.sweep_id)

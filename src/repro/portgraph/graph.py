@@ -327,11 +327,13 @@ class PortLabeledGraph:
         per-class labels rather than anything indexed by handle.  It is
         sensitive to everything a handle-blind observer can see -- node/edge
         counts, degrees, and the port numbers on both sides of every edge,
-        refined *to the fixpoint* of port-aware colour refinement -- which
-        makes it the content address of the artifact store
-        (:mod:`repro.store`).  (Graphs that colour refinement cannot tell
-        apart share a fingerprint; consumers that need exact identity key on
-        the graph itself or on :meth:`cache_key`.)
+        refined *to the fixpoint* of port-aware colour refinement.  Graphs
+        that colour refinement cannot tell apart share a fingerprint (a
+        relabeled copy; a torus and a twisted torus of one size), so it
+        names what an anonymous observer can see, not a graph: the artifact
+        store (:mod:`repro.store`) names records by :meth:`cache_key` and
+        keeps the fingerprint only as an alias, which it reports ambiguous
+        once two labeled graphs share it.
 
         Refinement runs until the class-count sequence stabilises, capped at
         :data:`_FINGERPRINT_LABEL_ROUNDS` rounds (the cap bounds both the
@@ -392,9 +394,9 @@ class PortLabeledGraph:
         varints in canonical order), so two graphs share a key exactly when
         they are equal (``==``) -- a relabeled copy gets its own key, and a
         graph submitted under two names keeps one.  Its one consumer is the
-        artifact store's manifest index
-        (:meth:`~repro.store.store.ArtifactStore.load_for_graph`), which
-        still confirms every candidate by graph equality; in-memory lookups
+        artifact store, which names each record's file by it
+        (:meth:`~repro.store.store.ArtifactStore.load_for_graph` is one read
+        of that file, still confirmed by graph equality); in-memory lookups
         key on the graph itself (:meth:`__hash__` / :meth:`__eq__`) and never
         call this.  Stable across processes; memoised on the instance.
         """

@@ -434,10 +434,10 @@ class RefinementCache:
         Ensures the entry exists (computing it if needed), snapshots it into
         an :class:`~repro.store.record.ArtifactRecord` -- refined to the
         fixpoint, with every memoised ψ/feasibility outcome -- merges it
-        with any record already stored for the fingerprint, and puts the
-        result.  Returns whether bytes were written (``False`` both when no
-        store is attached and when the stored record was already
-        up to date).
+        with any record already stored for the exact labeled graph, and
+        puts the result.  Returns whether bytes were written (``False``
+        both when no store is attached and when the stored record was
+        already up to date).
         """
         store = self._store
         if store is None:
@@ -460,8 +460,8 @@ class RefinementCache:
         )
         # merge with what the store holds for this *exact labeled graph* --
         # resolved through the same lookup the warm-start path uses, so a
-        # labeling spilled behind a colliding fingerprint merges with its
-        # own record, never with the primary owner's
+        # labeling that shares its fingerprint with another graph merges
+        # with its own record, never with the other graph's
         existing = store.load_for_graph(entry.graph)
         if existing is not None:
             try:

@@ -67,8 +67,8 @@ def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> D
 
 
 def _cheap_counters() -> Dict[str, int]:
-    """Point-read counters only -- no cache scan, no manifest read -- so a
-    traced warm evaluation stays within the tracing-overhead budget.  (The
+    """Point-read counters only -- no cache scan, no store directory walk --
+    so a traced warm evaluation stays within the tracing-overhead budget.  (The
     span's ``refinement_passes`` tag is read off the evaluated entry's own
     engine instead: the cache-wide ledger sums every live entry.)"""
     counters = dict(search_statistics())
@@ -239,8 +239,8 @@ class ExperimentRunner:
         store to their refinement cache: jobs warm-start from records any
         earlier process (or an earlier job of this very sweep) persisted,
         and write their own results through, so the fan-out exchanges
-        fingerprint-addressed artifacts on disk instead of recomputing per
-        process.
+        artifacts on disk, each named by its graph's identity key, instead
+        of recomputing per process.
     """
 
     def __init__(

@@ -78,6 +78,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -303,7 +304,7 @@ class ElectionServer:
         )
         metrics.gauge(
             "repro_store_events",
-            "Artifact-store counters (hits, spills, rebuilds), aggregated across shards.",
+            "Artifact-store counters (hits, puts, corrupt objects), aggregated across shards.",
             ("event",),
             callback=lambda: {
                 (event,): value
@@ -323,7 +324,7 @@ class ElectionServer:
             store = service.store
             metrics.gauge(
                 "repro_store_records",
-                "Records indexed by the artifact-store manifest.",
+                "Records in the artifact store's objects directory.",
                 callback=lambda: store.stats()["records"],
             )
 
@@ -481,7 +482,7 @@ class ElectionServer:
                 )
                 return method, path, 405
             # off the loop: gauge callbacks may take coordinator locks
-            # or read the store manifest
+            # or walk the store's objects directory
             loop = asyncio.get_running_loop()
             rendered = await loop.run_in_executor(None, self._metrics.render)
             writer.write(
@@ -626,10 +627,10 @@ def run_server(
 
     ``compact_interval_s`` (with a store) schedules
     :meth:`~repro.store.ArtifactStore.compact` every that many seconds, off
-    the event loop.  Compaction runs under the store's manifest flock, so it
-    is safe against concurrent writers (shard workers, a parallel ``repro
-    warm``); each run bumps the store's ``compactions`` counter, which the
-    existing stats plumbing surfaces as
+    the event loop.  Compaction needs no lock: it is safe against
+    concurrent writers (shard workers, a parallel ``repro warm``) and other
+    compactions.  Each run bumps the store's ``compactions`` counter, which
+    the existing stats plumbing surfaces as
     ``repro_store_events{event="compactions"}`` on ``GET /metrics``.
     """
     from ..store import ArtifactStore
@@ -662,9 +663,8 @@ def run_server(
                 removed = sum(v for k, v in report.items() if k.startswith("removed_"))
                 if removed:
                     print(
-                        f"repro serve: compacted store "
-                        f"(generation {report['generation']}): "
-                        f"{removed} objects reclaimed, {report['live_records']} live",
+                        f"repro serve: compacted store: {removed} objects reclaimed, "
+                        f"{report['live_records']} live",
                         file=sys.stderr,
                     )
 

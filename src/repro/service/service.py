@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import re
 import sys
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -43,7 +44,7 @@ from ..obs import span as obs_span
 from ..portgraph.io import graph_from_dict
 from ..portgraph.validation import PortLabelingError
 from ..runner import GraphSpec, SweepSpec, evaluate_graph, refinement_cache
-from ..store import ArtifactStore
+from ..store import AmbiguousFingerprint, ArtifactStore
 
 __all__ = [
     "ElectionService",
@@ -60,6 +61,10 @@ MAX_SUBMITTED_NODES = 100_000
 #: is parsed: building the base, applying the edit and replaying it all come
 #: after, and the node cap above is only checked once they are done.
 MAX_DELTA_OPS = 4_096
+
+#: A ``base`` given as a string must have the shape of a fingerprint: it
+#: names an alias file of the store, so no other string may reach a path.
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
 
 #: Response fields that legitimately vary between otherwise identical
 #: queries (wall time, whether this request drafted behind another, the
@@ -87,13 +92,22 @@ class ServiceError(Exception):
         self.message = message
 
 
+def _check_spec(spec: Any, what: str) -> None:
+    """Refuse a generator spec that is not ``{"kind": str, "params": {...}}``."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ServiceError(400, f"{what} must be an object with a string 'kind'")
+    if not isinstance(spec.get("params", {}), dict):
+        raise ServiceError(400, f"{what} 'params' must be an object")
+
+
 def _resolve_delta(parsed: Dict[str, Any]):
     """Resolve a ``{"base": ..., "delta": [...]}`` item into a warm cache entry.
 
     Drives the delta-item lifecycle (:mod:`repro.service.protocol`):
     ``lookup`` -> resolve the base (spec build, or store fingerprint; a
-    missing fingerprint is ``base_miss`` and, because the mutated graph
-    cannot be reconstructed without the base adjacency, fails the item) ->
+    missing fingerprint, or one more than one stored graph shares, is
+    ``base_miss`` and, because the mutated graph cannot be reconstructed
+    without the base adjacency, fails the item: 404, respectively 409) ->
     :meth:`~repro.runner.cache.RefinementCache.delta_entry` (which reports
     ``cache_hit``, or ``base_hit``/``memos_invalidated``/``replayed``).
     Returns ``(entry, label, delta_section, status)``; the caller finishes
@@ -120,15 +134,22 @@ def _resolve_delta(parsed: Dict[str, Any]):
         base_label = spec.label
     else:
         store = refinement_cache.store
-        record = store.get(base_ref) if store is not None else None
+        try:
+            record = store.by_fingerprint(base_ref) if store is not None else None
+            missing = (404, f"base fingerprint {base_ref!r} is not in the store")
+        except AmbiguousFingerprint:
+            record = None
+            missing = (
+                409,
+                f"base fingerprint {base_ref!r} names more than one stored graph; "
+                "send the base as a spec or adjacency",
+            )
         if record is None:
             status.apply("base_miss")
             # without the base adjacency the mutated graph cannot be built,
             # so the recompute fallback has nothing to recompute from
             status.apply("error")
-            raise ServiceError(
-                404, f"base fingerprint {base_ref!r} is not in the store"
-            )
+            raise ServiceError(*missing)
         base_graph = record.graph
         record.adopt_onto(base_graph)
         base_label = base_graph.name or base_ref[:12]
@@ -401,9 +422,8 @@ class ElectionService:
             observed = {"search": dict(search_statistics()), "store": {}}
         store_section = observed.setdefault("store", {})
         if self._store is not None:
-            for key, value in self._store.stats().items():
-                if key != "records" and isinstance(value, int):
-                    store_section[key] = store_section.get(key, 0) + value
+            for key, value in self._store.io_counters().items():
+                store_section[key] = store_section.get(key, 0) + value
         return observed
 
     def count_request(self) -> None:
@@ -499,11 +519,10 @@ class ElectionService:
             raise ServiceError(400, "provide exactly one of 'graph', 'spec' or 'base'")
         if base_ref is not None:
             if isinstance(base_ref, dict):
-                if "kind" not in base_ref:
-                    raise ServiceError(400, "'base' spec must be an object with a 'kind'")
-            elif not isinstance(base_ref, str):
+                _check_spec(base_ref, "'base' spec")
+            elif not isinstance(base_ref, str) or not _FINGERPRINT_RE.fullmatch(base_ref):
                 raise ServiceError(
-                    400, "'base' must be a generator spec object or a fingerprint string"
+                    400, "'base' must be a generator spec object or a 64-hex fingerprint"
                 )
             if not isinstance(delta_ops, list) or not delta_ops:
                 raise ServiceError(400, "'base' requires a non-empty 'delta' op list")
@@ -512,8 +531,7 @@ class ElectionService:
         elif delta_ops is not None:
             raise ServiceError(400, "'delta' requires a 'base' to apply to")
         if spec_dict is not None:
-            if not isinstance(spec_dict, dict) or "kind" not in spec_dict:
-                raise ServiceError(400, "'spec' must be an object with a 'kind'")
+            _check_spec(spec_dict, "'spec'")
         elif graph_dict is not None and not isinstance(graph_dict, dict):
             raise ServiceError(400, "'graph' must be the adjacency dict format")
         task_codes = payload.get("tasks")
@@ -605,12 +623,11 @@ class ElectionService:
         if "shards" in backend_stats:
             payload["shards"] = backend_stats["shards"]
         if self._store is not None:
-            # counter keys (hits, puts, put_spills, manifest_rebuilds, ...)
-            # sum the parent handle with the shard workers' handles; the
-            # record count is the shared manifest's and is not summed
-            store_section = dict(self._store.stats())
+            # counters (hits, puts, corrupt_objects, ...) sum the parent
+            # handle with the shard workers' handles, which report counters
+            # only; the record count is read once, off the shared directory
+            store_section = self._store.stats()
             for key, value in backend_stats.get("store", {}).items():
-                if key != "records" and isinstance(value, int):
-                    store_section[key] = store_section.get(key, 0) + value
+                store_section[key] = store_section.get(key, 0) + value
             payload["store"] = store_section
         return payload

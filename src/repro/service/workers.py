@@ -198,7 +198,7 @@ def _worker_stats(jobs_done: int) -> Dict[str, Any]:
         "jobs": jobs_done,
         "cache": refinement_cache.stats(),
         "search": search_statistics(),
-        "store": store.stats() if store is not None else {},
+        "store": store.io_counters() if store is not None else {},
     }
 
 
@@ -528,16 +528,10 @@ class _Shard:
     def _absorb(self, final_stats: Dict[str, Any]) -> None:
         """Fold a retiring worker's counters into this shard's cumulative totals."""
         self.retired_jobs += final_stats.get("jobs", 0)
-        store_section = {
-            # "records" is a gauge of the shared manifest, not a counter
-            key: value
-            for key, value in final_stats.get("store", {}).items()
-            if key != "records"
-        }
         for totals, section in (
             (self.retired_cache, final_stats.get("cache", {})),
             (self.retired_search, final_stats.get("search", {})),
-            (self.retired_store, store_section),
+            (self.retired_store, final_stats.get("store", {})),
         ):
             for key, value in section.items():
                 if isinstance(value, int):
@@ -710,11 +704,7 @@ class ProcessShardBackend(ComputeBackend):
                 sections += [
                     (cache_total, snapshot["cache"]),
                     (search_total, snapshot["search"]),
-                    (store_total, {
-                        key: value
-                        for key, value in snapshot.get("store", {}).items()
-                        if key != "records"
-                    }),
+                    (store_total, snapshot.get("store", {})),
                 ]
             for totals, section in sections:
                 for key, value in section.items():
@@ -776,11 +766,7 @@ class ProcessShardBackend(ComputeBackend):
                 (search_total, shard.retired_search),
                 (store_total, shard.retired_store),
                 (search_total, snapshot.get("search", {})),
-                (store_total, {
-                    key: value
-                    for key, value in snapshot.get("store", {}).items()
-                    if key != "records"
-                }),
+                (store_total, snapshot.get("store", {})),
             ]
             for totals, section in sections:
                 for key, value in section.items():

@@ -1,4 +1,4 @@
-"""Persistent, content-addressed artifact store for the election pipeline.
+"""Persistent artifact store for the election pipeline, named by graph identity.
 
 Everything the pipeline computes -- feasibility, the four ψ_Z election
 indices, refinement partitions, advice strings -- is a pure function of the
@@ -11,12 +11,13 @@ This package is the durable layer that makes that true across processes:
   cache's memo, and bit-exact advice strings.  Encoding is canonical
   (``encode(decode(b)) == b``), which is what makes content addressing and
   skip-identical write-through work.
-* :mod:`repro.store.store` -- the :class:`ArtifactStore` directory:
-  fingerprint-addressed objects written atomically (temp file +
-  ``os.replace``), a rebuildable manifest indexed by the exact graph digest
-  :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key` for
-  refinement-free lookup, and safe concurrent readers/writers across
-  processes.
+* :mod:`repro.store.store` -- the :class:`ArtifactStore` directory: one
+  object per exact labeled graph, named by its identity key
+  :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key` (so lookup
+  needs no refinement and no index) and written atomically (temp file +
+  ``os.replace``), plus a per-fingerprint alias that resolves a
+  fingerprint to its one stored graph or reports it ambiguous; safe for
+  concurrent readers and writers across processes, without a lock.
 
 The runner's :class:`~repro.runner.cache.RefinementCache` reads and writes
 through this store when one is attached (see
@@ -28,9 +29,10 @@ sweep with zero refinement passes.
 
 from .hottier import DEFAULT_HOT_TIER_BYTES, HotTier
 from .record import FORMAT_VERSION, ArtifactRecord
-from .store import ArtifactStore
+from .store import AmbiguousFingerprint, ArtifactStore
 
 __all__ = [
+    "AmbiguousFingerprint",
     "ArtifactRecord",
     "ArtifactStore",
     "DEFAULT_HOT_TIER_BYTES",

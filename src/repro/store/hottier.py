@@ -1,7 +1,7 @@
 """In-process read-only hot tier of mmap'd artifact records.
 
-Under sustained zipf-shaped traffic a handful of popular fingerprints
-dominate the request mix, and every :meth:`ArtifactStore.get` of one of them
+Under sustained zipf-shaped traffic a handful of popular graphs dominate
+the request mix, and every :meth:`ArtifactStore.get` of one of them
 pays the same open + read + deserialize tax.  The hot tier removes that tax
 for residents: an admitted object is an ``mmap`` of its immutable ``.rple``
 file plus the lazily decoded :class:`~repro.store.record.ArtifactRecord`,
@@ -15,11 +15,11 @@ Consistency model
 -----------------
 Records are immutable values and writes are atomic (``os.replace``), so a
 mapped buffer can never observe a torn write: it pins the inode it was
-admitted from, and a concurrent re-put of the same fingerprint replaces the
+admitted from, and a concurrent re-put of the same key replaces the
 *directory entry*, not the mapped bytes.  The only way a resident goes
 stale is a local :meth:`ArtifactStore.put` or compaction through the same
 handle, both of which invalidate the key.  Staleness across *processes* is
-benign by construction -- two objects with one fingerprint decode to
+benign by construction -- two objects with one identity key decode to
 records of the same graph, differing at most in memo coverage, and a
 lagging memo only costs a recompute (which writes through and re-admits).
 

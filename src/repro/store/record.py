@@ -21,7 +21,7 @@ The byte encoding (format version 4) is canonical: unsigned-LEB128 varints
 and length-prefixed UTF-8, sections in a fixed order, ψ entries and advice
 sorted -- so ``encode(decode(b)) == b`` and two processes that computed the
 same things about equal graphs produce identical record bytes.  That is what
-makes the store content-addressed *and* lets write-through skip rewrites.
+lets write-through skip rewrites by byte comparison.
 Version 2 appended the delta lineage section -- ``parent_fingerprint`` and
 ``delta_digest``, naming the base record and edit script a delta-derived
 record was replayed from.  Version 3 dropped the relabeling-invariant
@@ -32,7 +32,8 @@ every fingerprint changed, so versions 1 to 3 no longer decode.  A store
 that still decoded them would adopt an old-scheme fingerprint onto a warm
 graph while a cold process computed the new one.
 Volatile observations (wall times, cumulative search-statistics snapshots)
-deliberately live in the store manifest, not in the record.
+are deliberately not part of a record, whose bytes stay a pure function of
+the graph and its results.
 
 The encoder writes whole sections, not single integers: each CSR array and
 the concatenated colour tables go out through one

@@ -551,7 +551,45 @@ class TestServiceDelta:
                 )
             )
             assert response["delta"]["edit_distance"] == 1
+            assert response["delta"]["base"] == GraphSpec.from_dict(spec).build().name
             assert response["delta_path"][1] in ("base_hit", "cache_hit")
+        finally:
+            refinement_cache.attach_store(None)
+
+    @pytest.mark.parametrize("pair", ["torus-and-twisted-torus", "relabeled-copy"])
+    def test_a_fingerprint_two_stored_graphs_share_is_409(self, tmp_path, pair):
+        """A fingerprint names what colour refinement sees, not a graph: once
+        two labeled graphs behind one fingerprint are stored, a fingerprint
+        base must not resolve to either -- not even through a fresh store
+        handle, as a restarted service would open."""
+        if pair == "torus-and-twisted-torus":
+            first, second = generators.torus_graph(3, 4), generators.twisted_torus_graph(3, 4, 1)
+        else:
+            first = generators.grid_graph(3, 3)
+            second = first.relabeled(list(range(first.num_nodes))[::-1])
+        assert first.fingerprint() == second.fingerprint() and first != second
+        perm = list(range(first.degree(0)))[::-1]
+        store_path = tmp_path / "store"
+        refinement_cache.attach_store(ArtifactStore(store_path))
+        try:
+            served = [
+                compute_election(_parsed({"graph": graph_to_dict(graph)}))["fingerprint"]
+                for graph in (first, second)
+            ]
+            assert served == [first.fingerprint()] * 2
+            refinement_cache.clear()
+            refinement_cache.attach_store(ArtifactStore(store_path))
+            with pytest.raises(ServiceError) as info:
+                compute_election(
+                    _parsed(
+                        {
+                            "base": served[1],
+                            "delta": [{"op": "relabel-ports", "v": 0, "perm": perm}],
+                        }
+                    )
+                )
+            assert info.value.status == 409
+            assert "send the base as a spec or adjacency" in info.value.message
         finally:
             refinement_cache.attach_store(None)
 

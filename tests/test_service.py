@@ -238,6 +238,49 @@ def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(real_refinemen
     assert [r["indices"] for r in warm] == [r["indices"] for r in cold]
 
 
+def test_a_path_shaped_base_is_400_and_never_reaches_the_filesystem(tmp_path):
+    """A ``base`` string names a store alias, so only a fingerprint's shape
+    may reach a path: an absolute path used to be joined into the object
+    path, and the read-path quarantine renamed the file it named."""
+    from repro.service.service import ServiceError, compute_election
+
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "victim.rple").write_bytes(b"not a store object")
+    payload = {"base": str(outside / "victim"), "delta": [{"op": "add-edge", "v": 0, "u": 4}]}
+    store = ArtifactStore(str(tmp_path / "store"))
+    with _RunningServer(make_service(store=store, workers=1)) as running:
+        code, body = running.post_expecting_error("/election", payload)
+    assert code == 400 and "64-hex fingerprint" in body["error"]
+    # behind the parser, the store refuses the shape itself
+    refinement_cache.attach_store(store)
+    try:
+        with pytest.raises(ServiceError) as info:
+            compute_election(
+                dict(payload, graph=None, spec=None, tasks=[Task("S")], max_depth=None,
+                     max_states=1_000, advice=False)
+            )
+    finally:
+        refinement_cache.attach_store(None)
+    assert info.value.status == 404
+    assert sorted(os.listdir(outside)) == ["victim.rple"]
+    assert (outside / "victim.rple").read_bytes() == b"not a store object"
+    assert store.stats()["corrupt_objects"] == 0
+
+
+def test_an_ambiguous_fingerprint_base_is_a_409_conflict(tmp_path):
+    plain = generators.torus_graph(3, 4)
+    twisted = generators.twisted_torus_graph(3, 4, 1)
+    store = ArtifactStore(str(tmp_path))
+    with _RunningServer(make_service(store=store, workers=1)) as running:
+        for graph in (plain, twisted):
+            fingerprint = running.post("/election", {"graph": graph_to_dict(graph)})["fingerprint"]
+        code, body = running.post_expecting_error(
+            "/election", {"base": fingerprint, "delta": [{"op": "add-edge", "v": 0, "u": 5}]}
+        )
+    assert code == 409 and "spec or adjacency" in body["error"]
+
+
 def test_stats_surfaces_every_layer(tmp_path):
     service = make_service(store=ArtifactStore(str(tmp_path)), workers=3)
     with _RunningServer(service) as running:

@@ -173,6 +173,31 @@ def test_oversized_delta_is_a_400_before_any_graph_is_built(monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("field", ["spec", "base"])
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [
+        ({"kind": "path", "params": [9]}, "'params' must be an object"),
+        ({"kind": ["path"]}, "string 'kind'"),
+    ],
+    ids=["params-list", "kind-list"],
+)
+def test_a_malformed_spec_object_is_a_400_alone_and_in_a_batch(field, spec, fragment):
+    """A spec's ``kind`` must be a string and its ``params`` an object;
+    anything else used to raise ``TypeError`` out of the computation: a 500
+    on ``/election``, an internal error as a batch item."""
+    if field == "spec":
+        payload = {"spec": spec}
+    else:
+        payload = {"base": spec, "delta": [{"op": "add-edge", "v": 0, "u": 2}]}
+    with _RunningServer(make_service(workers=1)) as running:
+        code, body = running.post_expecting_error("/election", payload)
+        lines = _post_stream(running, {"items": [payload]})
+    assert code == 400 and fragment in body["error"]
+    assert lines[1]["status"] == "error" and fragment in lines[1]["error"]
+    assert not lines[1]["error"].startswith("internal error")
+
+
 def test_envelope_errors_are_400s():
     with _RunningServer(make_service(workers=1)) as running:
         for payload, fragment in [

@@ -248,7 +248,7 @@ def test_hot_tier_p99_beats_cold_store_reads(tmp_path):
     refinement_cache.clear()
 
     cold_store = ArtifactStore(store_dir)
-    keys = sorted(cold_store.manifest()["records"])
+    keys = sorted(cold_store.keys())
     weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(len(keys))]
     stream = random.Random(CORPUS_SEED).choices(keys, weights=weights, k=STORE_DRAWS)
 

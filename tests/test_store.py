@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from repro.core import Task
 from repro.families import build_gdk_member
 from repro.kernel import numpy_available, use_backend
-from repro.portgraph import PortLabeledGraph, generators
-from repro.portgraph.io import graph_from_bytes, graph_to_bytes
+from repro.portgraph import generators
+from repro.portgraph.io import graph_from_bytes, graph_to_bytes, graph_to_dict
 from repro.runner import (
     ExperimentRunner,
     GraphSpec,
@@ -26,7 +26,7 @@ from repro.runner import (
     evaluate_graph,
     refinement_cache,
 )
-from repro.store import ArtifactRecord, ArtifactStore
+from repro.store import AmbiguousFingerprint, ArtifactRecord, ArtifactStore
 
 
 @pytest.fixture(autouse=True)
@@ -97,11 +97,10 @@ class TestArtifactRecord:
             assert decoded.to_bytes() == payload
             assert decoded.graph == graph
             assert decoded.fingerprint == graph.fingerprint()
-            # the record no longer carries its index key: the manifest
-            # derives it from the graph
+            # the record carries no key of its own: the store names its file
+            # by the graph's identity key
             store.put(decoded)
-            meta = store.manifest()["records"][decoded.fingerprint]
-            assert meta["cache_key"] == graph.cache_key()
+            assert store.get_bytes(graph.cache_key()) == payload
             assert decoded.psi == record.psi
             assert decoded.advice == record.advice
             refinement_cache.clear()
@@ -157,12 +156,29 @@ class TestArtifactStore:
         record = _computed_record(generators.asymmetric_cycle(7))
         assert store.put(record) is True
         assert store.put(record) is False  # unchanged content is never rewritten
-        loaded = store.get(record.fingerprint)
+        loaded = store.get(record.graph.cache_key())
         assert loaded is not None and loaded.graph == record.graph
-        assert store.get("ff" * 32) is None
+        assert store.get("ff" * 16) is None
         stats = store.stats()
         assert stats["records"] == 1
         assert stats["puts"] == 1 and stats["put_skips"] == 1
+
+    @pytest.mark.parametrize(
+        "key", ["", "FF" * 16, "ff" * 15, "ff" * 17, "../" * 11, "/etc/passwd", "ff" * 32]
+    )
+    def test_a_malformed_key_is_a_miss_that_never_becomes_a_path(
+        self, tmp_path, monkeypatch, key
+    ):
+        from repro.store import store as store_module
+
+        store = ArtifactStore(str(tmp_path))
+        opened = []
+        monkeypatch.setattr(store_module, "open", lambda *a, **k: opened.append(a), raising=False)
+        before = store.stats()["misses"]
+        assert store.get_bytes(key) is None
+        assert store.get(key) is None
+        assert opened == []
+        assert store.stats()["misses"] == before + 2
 
     def test_load_for_graph_without_refining(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -174,62 +190,65 @@ class TestArtifactStore:
         assert fresh.refinement_engine().passes == 0
         assert store.load_for_graph(generators.star_graph(3)) is None
 
-    def test_atomic_objects_and_manifest_rebuild(self, tmp_path):
+    def test_objects_are_named_by_identity_key(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        fingerprints = set()
+        keys = set()
         for graph in _sample_graphs()[:3]:
-            record = _computed_record(graph)
-            store.put(record)
-            fingerprints.add(record.fingerprint)
+            store.put(_computed_record(graph))
+            keys.add(graph.cache_key())
             refinement_cache.clear()
-        assert set(store.fingerprints()) == fingerprints
-        os.remove(os.path.join(str(tmp_path), "manifest.json"))
+        assert set(store.keys()) == keys
+        for key in keys:
+            assert os.path.isfile(os.path.join(str(tmp_path), "objects", key[:2], key + ".rple"))
         fresh_handle = ArtifactStore(str(tmp_path))
-        assert fresh_handle.stats()["records"] == 0
-        assert fresh_handle.rebuild_manifest() == 3
         assert fresh_handle.stats()["records"] == 3
-        # read-through works again after the rebuild
         assert fresh_handle.load_for_graph(generators.three_node_line()) is not None
 
-    def test_relabeled_copy_spills_without_poisoning_the_incumbent(self, tmp_path):
+    def test_relabeled_copy_gets_its_own_object(self, tmp_path):
         """Fingerprints are relabeling-invariant; labelings must not mix.
 
-        The first writer owns the primary object; a different labeled graph
-        behind the same fingerprint spills to its own deterministic key, so
-        the incumbent's record stays byte-for-byte intact while *both*
-        labelings resolve through ``load_for_graph`` -- and re-putting the
-        spilled labeling is a skip, exactly like the primary path.
+        A different labeled graph behind the same fingerprint has another
+        identity key, so it gets its own object: the first record stays
+        byte-for-byte intact while *both* labelings resolve through
+        ``load_for_graph``, re-putting either is a skip, and the shared
+        fingerprint's alias turns ambiguous.
         """
         store = ArtifactStore(str(tmp_path))
         graph = generators.asymmetric_cycle(7)
         record = _computed_record(graph)
         store.put(record)
-        incumbent_bytes = store.get_bytes(record.fingerprint)
+        first_bytes = store.get_bytes(graph.cache_key())
+        assert store.by_fingerprint(graph.fingerprint()).graph == graph
 
         relabeled = graph.relabeled(list(range(graph.num_nodes))[::-1])
         assert relabeled.fingerprint() == graph.fingerprint()
+        assert relabeled.cache_key() != graph.cache_key()
         refinement_cache.clear()
         other = _computed_record(relabeled)
         assert store.put(other) is True
-        assert store.stats()["put_spills"] == 1
-        assert store.get_bytes(record.fingerprint) == incumbent_bytes
-        spilled = store.load_for_graph(relabeled)
-        assert spilled is not None and spilled.graph == relabeled
+        assert store.get_bytes(graph.cache_key()) == first_bytes
+        found = store.load_for_graph(relabeled)
+        assert found is not None and found.graph == relabeled
         loaded = store.load_for_graph(generators.asymmetric_cycle(7))
         assert loaded is not None and loaded.graph == graph
-        # idempotent: same labeling, same spill key, no rewrite
+        assert store.put(record) is False
         assert store.put(other) is False
-        assert store.stats()["put_skips"] >= 1
+        assert store.stats()["put_skips"] == 2
         assert store.stats()["records"] == 2
+        with pytest.raises(AmbiguousFingerprint):
+            store.by_fingerprint(graph.fingerprint())
         # the two records remain unmergeable (different labeled graphs)
         with pytest.raises(ValueError):
             record.merged_with(other)
 
-    def test_racing_first_writers_of_two_labelings_both_keep_a_record(
+    def test_a_racing_claim_of_another_labeling_marks_the_alias_ambiguous(
         self, tmp_path, monkeypatch
     ):
-        """A writer that read the primary as absent just before a writer of
-        another labeling created it must spill, not replace that object."""
+        """A writer that read the alias as absent just before a writer of
+        another labeling claimed it marks the alias ambiguous instead of
+        taking it, and both records stay readable."""
+        from repro.store import store as store_module
+
         store = ArtifactStore(str(tmp_path))
         graph = generators.asymmetric_cycle(7)
         winner = _computed_record(graph)
@@ -237,28 +256,31 @@ class TestArtifactStore:
         refinement_cache.clear()
         loser = _computed_record(relabeled)
         store.put(winner)
-        winner_bytes = store.get_bytes(winner.fingerprint)
-        real_read = ArtifactStore._read_object
-        stale = [loser.fingerprint]
+        winner_bytes = store.get_bytes(graph.cache_key())
+        real_read = store_module._read
+        stale = [store._alias_path(loser.fingerprint)]
 
-        def read_before_the_winner_wrote(self, key):
-            if key in stale:
-                stale.remove(key)
+        def read_before_the_winner_claimed(path):
+            if path in stale:
+                stale.remove(path)
                 return None
-            return real_read(self, key)
+            return real_read(path)
 
-        monkeypatch.setattr(ArtifactStore, "_read_object", read_before_the_winner_wrote)
+        monkeypatch.setattr(store_module, "_read", read_before_the_winner_claimed)
         assert store.put(loser) is True
         assert not stale
-        assert store.get_bytes(winner.fingerprint) == winner_bytes
-        assert store.stats()["put_spills"] == 1
+        monkeypatch.undo()
+        assert store.get_bytes(graph.cache_key()) == winner_bytes
         fresh = ArtifactStore(str(tmp_path))
+        with pytest.raises(AmbiguousFingerprint):
+            fresh.by_fingerprint(graph.fingerprint())
         assert fresh.load_for_graph(graph).graph == graph
         assert fresh.load_for_graph(relabeled).graph == relabeled
 
     def test_colliding_distinct_graphs_both_warm_start(self, tmp_path):
         """A torus and a twisted torus of one size share a fingerprint but
-        are different graphs; both must survive the store round trip."""
+        are different graphs; both must survive the store round trip, and
+        the fingerprint resolves to neither."""
         store = ArtifactStore(str(tmp_path))
         plain = generators.torus_graph(3, 4)
         twisted = generators.twisted_torus_graph(3, 4, 1)
@@ -266,23 +288,25 @@ class TestArtifactStore:
         assert plain != twisted
         refinement_cache.clear()
         store.put(_computed_record(plain))
+        plain_bytes = store.get_bytes(plain.cache_key())
         refinement_cache.clear()
-        store.put(_computed_record(twisted))
+        twisted_record = _computed_record(twisted)
+        store.put(twisted_record)
         assert store.stats()["records"] == 2
+        assert store.get_bytes(plain.cache_key()) == plain_bytes
         for original in (generators.torus_graph(3, 4), generators.twisted_torus_graph(3, 4, 1)):
             found = store.load_for_graph(original)
             assert found is not None and found.graph == original
-        # the rebuilt manifest resolves both labelings too
-        assert store.rebuild_manifest() == 2
-        assert store.load_for_graph(generators.twisted_torus_graph(3, 4, 1)) is not None
+        assert store.put(twisted_record) is False
+        with pytest.raises(AmbiguousFingerprint):
+            ArtifactStore(str(tmp_path)).by_fingerprint(plain.fingerprint())
 
     def test_read_through_survives_a_corrupt_object(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         record = _computed_record(generators.asymmetric_cycle(7))
         store.put(record)
-        path = os.path.join(str(tmp_path), "objects", record.fingerprint[:2],
-                            record.fingerprint + ".rple")
-        with open(path, "wb") as handle:
+        key = record.graph.cache_key()
+        with open(store._object_path(key), "wb") as handle:
             handle.write(b"garbage")
         # the warm-start path degrades to a miss, so the cache recomputes...
         cache = RefinementCache()
@@ -292,13 +316,14 @@ class TestArtifactStore:
         assert cache.stats()["store_misses"] == 1
         # ...and the write-through replaces the corrupt incumbent
         assert cache.persist(entry.graph) is True
-        assert store.get(record.fingerprint) is not None
+        assert store.get(key) is not None
 
     def test_put_replaces_a_torn_incumbent_whose_decode_overruns(self, tmp_path):
         """A torn object may end just before a single-byte field, whose read
-        raises ``IndexError``, not ``ValueError``.  ``put`` must still treat
-        that incumbent as corrupt and replace it, for the same record and
-        for a relabeled copy behind the same fingerprint."""
+        raises ``IndexError``, not ``ValueError``.  ``put`` never decodes
+        the incumbent, so it replaces the torn object of its own graph
+        whatever the tear, and a relabeled copy behind the same fingerprint
+        is written under its own key without touching it."""
         graph = generators.random_connected_graph(12, extra_edges=4, seed=3)
         record = _computed_record(graph)
         relabeled_graph = graph.relabeled(list(range(graph.num_nodes))[::-1])
@@ -321,55 +346,14 @@ class TestArtifactStore:
                 root = str(tmp_path / f"{label}-{cut}")
                 store = ArtifactStore(root)
                 store.put(record)
-                path = os.path.join(root, "objects", record.fingerprint[:2],
-                                    record.fingerprint + ".rple")
+                path = store._object_path(graph.cache_key())
                 with open(path, "r+b") as handle:
                     handle.truncate(cut)
                 assert store.put(candidate) is True
-                stored = ArtifactStore(root).get(candidate.fingerprint)
+                stored = ArtifactStore(root).get(candidate.graph.cache_key())
                 assert stored is not None and stored.graph == candidate.graph
-
-    @pytest.mark.parametrize(
-        "corruption",
-        [b'{"format_version": 1, "records": {"trunc', b"\x00\xff garbage \xfe", b"[]"],
-        ids=["truncated", "garbage-bytes", "wrong-shape"],
-    )
-    def test_corrupt_manifest_recovers_by_rebuilding_from_objects(
-        self, tmp_path, corruption
-    ):
-        """A corrupt-but-present manifest is not an empty store.
-
-        The objects directory is the source of truth; a torn or garbage
-        manifest triggers an automatic rebuild, after which read-through
-        lookups return byte-identical records to the pre-corruption store.
-        """
-        store = ArtifactStore(str(tmp_path))
-        baseline = {}
-        for graph in _sample_graphs()[:3]:
-            record = _computed_record(graph)
-            store.put(record)
-            baseline[record.fingerprint] = store.get_bytes(record.fingerprint)
-            refinement_cache.clear()
-        probe = generators.three_node_line()
-        before = ArtifactStore(str(tmp_path)).load_for_graph(probe)
-        assert before is not None
-
-        with open(os.path.join(str(tmp_path), "manifest.json"), "wb") as handle:
-            handle.write(corruption)
-        recovered = ArtifactStore(str(tmp_path))
-        after = recovered.load_for_graph(probe)
-        assert after is not None
-        assert after.to_bytes() == before.to_bytes(), "recovery must be byte-identical"
-        stats = recovered.stats()
-        assert stats["manifest_rebuilds"] == 1
-        assert stats["records"] == 3
-        for fingerprint, payload in baseline.items():
-            assert recovered.get_bytes(fingerprint) == payload
-        # the rebuilt manifest is clean: a fresh handle reads it without
-        # another rebuild
-        fresh = ArtifactStore(str(tmp_path))
-        assert fresh.stats()["records"] == 3
-        assert fresh.stats()["manifest_rebuilds"] == 0
+                if candidate is relabeled:
+                    assert os.path.getsize(path) == cut
 
     @pytest.mark.parametrize(
         "corruption",
@@ -386,8 +370,8 @@ class TestArtifactStore:
         store = ArtifactStore(str(tmp_path))
         record = _computed_record(generators.star_graph(3))
         store.put(record)
-        path = os.path.join(str(tmp_path), "objects", record.fingerprint[:2],
-                            record.fingerprint + ".rple")
+        key = record.graph.cache_key()
+        path = store._object_path(key)
         if corruption == "garbage":
             bad = b"\x00\xff garbage \xfe"
         elif corruption == "truncated":
@@ -401,7 +385,7 @@ class TestArtifactStore:
             handle.write(bad)
 
         before = store.stats()
-        assert store.get(record.fingerprint) is None
+        assert store.get(key) is None
         stats = store.stats()
         assert stats["corrupt_objects"] == 1
         assert stats["misses"] == before["misses"] + 1
@@ -409,10 +393,10 @@ class TestArtifactStore:
         assert not os.path.exists(path)
         assert os.path.exists(path + ".quarantine")
         # the slot is now a plain miss; a write-through heals it
-        assert store.get(record.fingerprint) is None
+        assert store.get(key) is None
         assert store.stats()["corrupt_objects"] == 1
         assert store.put(record) is True
-        healed = store.get(record.fingerprint)
+        healed = store.get(key)
         assert healed is not None and healed.graph == record.graph
 
     def test_a_non_canonical_colour_table_is_quarantined_and_recomputed(self, tmp_path):
@@ -429,9 +413,7 @@ class TestArtifactStore:
             record,
             color_tables=tuple((2**40,) + tuple(table[1:]) for table in record.color_tables),
         )
-        path = os.path.join(str(tmp_path), "objects", record.fingerprint[:2],
-                            record.fingerprint + ".rple")
-        with open(path, "wb") as handle:
+        with open(store._object_path(record.graph.cache_key()), "wb") as handle:
             handle.write(tampered.to_bytes())
 
         refinement_cache.clear()
@@ -453,12 +435,13 @@ class TestArtifactStore:
         store = ArtifactStore(str(tmp_path))
         record = _computed_record(generators.star_graph(3))
         store.put(record)
-        path = store._object_path(record.fingerprint)
+        key = record.graph.cache_key()
+        path = store._object_path(key)
 
         os.unlink(path)
         os.makedirs(path)  # a directory squatting on the object path
-        assert store.get_bytes(record.fingerprint) is None
-        assert store.get(record.fingerprint) is None
+        assert store.get_bytes(key) is None
+        assert store.get(key) is None
         os.rmdir(path)
 
         import builtins
@@ -473,16 +456,23 @@ class TestArtifactStore:
         store.put(record)
         monkeypatch.setattr(builtins, "open", denying_open)
         before = store.stats()["misses"]
-        assert store.get_bytes(record.fingerprint) is None
-        assert store.get(record.fingerprint) is None
+        assert store.get_bytes(key) is None
+        assert store.get(key) is None
         monkeypatch.setattr(builtins, "open", real_open)
         assert store.stats()["misses"] >= before + 2
-        assert store.get(record.fingerprint) is not None  # nothing quarantined
+        assert store.get(key) is not None  # nothing quarantined
 
     def test_concurrent_readers_and_writers(self, tmp_path):
-        """Torn reads must be impossible: writers replace atomically."""
+        """Torn reads must be impossible: writers replace atomically, and a
+        relabeled copy never resolves to the graph it was relabeled from."""
         store = ArtifactStore(str(tmp_path))
-        records = [_computed_record(g) for g in _sample_graphs()[:4]]
+        graphs = _sample_graphs()[:4]
+        graphs.append(graphs[1].relabeled(list(range(graphs[1].num_nodes))[::-1]))
+        records = []
+        for graph in graphs:
+            records.append(_computed_record(graph))
+            refinement_cache.clear()
+        payloads = {record.to_bytes() for record in records}
         errors = []
         stop = threading.Event()
 
@@ -499,10 +489,11 @@ class TestArtifactStore:
             try:
                 while not stop.is_set():
                     handle = ArtifactStore(str(tmp_path))
-                    for record in records:
-                        loaded = handle.get(record.fingerprint)
+                    for graph in graphs:
+                        loaded = handle.load_for_graph(graph)
                         if loaded is not None:
-                            assert loaded.graph == record.graph
+                            assert loaded.graph == graph
+                            assert loaded.to_bytes() in payloads
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -516,7 +507,7 @@ class TestArtifactStore:
         for thread in readers:
             thread.join()
         assert not errors
-        assert ArtifactStore(str(tmp_path)).stats()["records"] == 4
+        assert ArtifactStore(str(tmp_path)).stats()["records"] == 5
 
 
 def _as_format_3(payload, fingerprint):
@@ -554,267 +545,344 @@ def _served_fingerprint(graph):
     return response["fingerprint"]
 
 
-class TestFormatUpgrade:
-    """A store written at format 3 (objects and manifest) is rebuilt once,
-    never serves a record, is recomputed at format 4 under the new keys and
-    gives its v3 objects up to compaction."""
+class TestParentLayoutUpgrade:
+    """A store of the earlier layout -- objects named by fingerprint (one of
+    them still format 3), a spill of a relabeled copy, and a manifest -- is
+    upgraded without migration: no old object is served, write-through
+    stores the very same bytes under identity keys, and compaction reclaims
+    every old object.  The manifest is ignored."""
 
-    @staticmethod
-    def _format_3_store(root):
+    def test_parent_layout_store_is_recomputed_and_compacted(self, tmp_path):
         import hashlib
 
+        root = str(tmp_path)
         graphs = _sample_graphs()[:3]
-        records = {}
-        for graph in graphs:
-            record = _computed_record(graph)
+        graphs.append(graphs[1].relabeled(list(range(graphs[1].num_nodes))[::-1]))
+        payloads, old_names, manifest = [], [], {}
+        for index, graph in enumerate(graphs):
+            payload = _computed_record(graph).to_bytes()
             refinement_cache.clear()
-            # a stand-in for the fingerprint the old label scheme gave it
-            old_key = hashlib.sha256(b"v3:" + record.fingerprint.encode("ascii")).hexdigest()
-            payload = _as_format_3(record.to_bytes(), old_key)
-            with pytest.raises(ValueError, match="unsupported record format version 3"):
-                ArtifactRecord.from_bytes(payload)
-            path = os.path.join(root, "objects", old_key[:2], old_key + ".rple")
+            fingerprint = graph.fingerprint()
+            if index == 0:  # format 3, named by an old-scheme fingerprint
+                name = hashlib.sha256(b"v3:" + fingerprint.encode("ascii")).hexdigest()
+                stored = _as_format_3(payload, name)
+            elif index == 3:  # the relabeled copy spilled behind graph 1
+                digest = hashlib.blake2b(graph_to_bytes(graph), digest_size=8).hexdigest()
+                name, stored = f"{fingerprint}~{digest}", payload
+            else:
+                name, stored = fingerprint, payload
+            path = os.path.join(root, "objects", name[:2], name + ".rple")
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as handle:
-                handle.write(payload)
-            records[old_key] = ArtifactStore._record_meta(record, len(payload))
-        # a v3 manifest indexed every object under its exact cache key
-        with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as handle:
-            json.dump({"format_version": 3, "generation": 4, "records": records}, handle)
-        return graphs, sorted(records)
+                handle.write(stored)
+            payloads.append(payload)
+            old_names.append(name)
+            manifest[name] = {"cache_key": graph.cache_key(), "bytes": len(stored)}
+        manifest_path = os.path.join(root, "manifest.json")
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump({"format_version": 4, "generation": 3, "records": manifest}, handle)
 
-    @pytest.mark.parametrize("first_operation", ["lookup", "put"])
-    def test_format_3_store_is_rebuilt_recomputed_and_compacted(
-        self, tmp_path, first_operation
-    ):
-        from repro.store.record import MAGIC
-
-        root = str(tmp_path)
-        graphs, old_keys = self._format_3_store(root)
         store = ArtifactStore(root)
-        if first_operation == "put":
-            other = generators.hypercube_graph(3)
-            assert all(graph != other for graph in graphs)
-            assert store.put(_computed_record(other)) is True
-            refinement_cache.clear()
-        else:
-            rebuilt = PortLabeledGraph([graphs[0].adjacency(v) for v in graphs[0].nodes()])
-            assert store.load_for_graph(rebuilt) is None
-        # rebuilt once from the objects, none of which decodes
-        assert store.stats()["manifest_rebuilds"] == 1
-        assert store.manifest()["format_version"] == 4
-        assert not set(store.manifest()["records"]) & set(old_keys)
-        # served through the store, every graph misses and is recomputed,
-        # so no response carries an old fingerprint
+        assert store.keys() == [] and store.stats()["records"] == 0
+        for name in old_names:
+            assert store.get(name) is None
+            assert store.by_fingerprint(name) is None
+        # served through the store, every graph misses and is recomputed, so
+        # no response carries an old fingerprint...
         refinement_cache.attach_store(store)
         try:
             served = [_served_fingerprint(graph) for graph in graphs]
         finally:
             refinement_cache.attach_store(None)
         assert refinement_cache.store_hits == 0
-        cold = [
-            PortLabeledGraph([g.adjacency(v) for v in g.nodes()]).fingerprint() for g in graphs
-        ]
-        assert served == cold
-        assert not set(served) & set(old_keys)
-        # ... and written through at format 4 under the new keys
-        new_keys = set(store.fingerprints()) - set(old_keys)
-        assert set(served) <= new_keys
-        for key in new_keys:
-            payload = store.get_bytes(key)
-            assert payload[len(MAGIC)] == 4
-            assert ArtifactRecord.from_bytes(payload).fingerprint == key
-        stats = store.stats()
-        assert stats["records"] == len(new_keys) == len(graphs) + (first_operation == "put")
-        assert stats["manifest_rebuilds"] == 1
-        # a lookup by an old fingerprint (a delta item's base) misses too
-        assert store.get(old_keys[0]) is None
+        assert served == [graph.fingerprint() for graph in graphs]
+        assert not set(served) & {old_names[0]}
+        # ...and written through under identity keys, byte for byte the
+        # payloads the old layout held
+        assert sorted(store.keys()) == sorted(graph.cache_key() for graph in graphs)
+        for graph, payload in zip(graphs, payloads):
+            assert store.get_bytes(graph.cache_key()) == payload
+        assert store.by_fingerprint(graphs[0].fingerprint()).graph == graphs[0]
         summary = store.compact()
-        assert summary["removed_quarantined"] == 1
-        assert summary["removed_corrupt"] == len(old_keys) - 1
-        assert summary["live_records"] == len(new_keys)
-        assert set(store.fingerprints()) == new_keys
+        assert summary == {
+            "removed_quarantined": 0,
+            "removed_tmp": 0,
+            "removed_corrupt": len(old_names),
+            "live_records": len(graphs),
+        }
+        objects = os.path.join(root, "objects")
+        left = sorted(name for shard in os.listdir(objects)
+                      for name in os.listdir(os.path.join(objects, shard)))
+        assert left == sorted(graph.cache_key() + ".rple" for graph in graphs)
+        with open(manifest_path, encoding="utf-8") as handle:
+            assert json.load(handle)["records"] == manifest  # ignored, not rewritten
 
 
-class TestManifestLock:
-    def test_threads_of_one_process_wait_without_polling(self, tmp_path, monkeypatch):
-        """``flock`` locks belong to the open file description, so between two
-        threads of one process the ``flock`` could only be polled (``LOCK_NB``
-        and 10 ms sleeps).  A same-process waiter must block on the per-path
-        thread lock and wake on release, even through another handle on the
-        same root, without one poll sleep."""
-        import time
+class TestByFingerprint:
+    def test_a_single_labeling_resolves_and_an_unknown_fingerprint_misses(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        graph = generators.asymmetric_cycle(7)
+        store.put(_computed_record(graph))
+        found = ArtifactStore(str(tmp_path)).by_fingerprint(graph.fingerprint())
+        assert found is not None and found.graph == graph
+        assert store.by_fingerprint("0" * 64) is None
 
+    @pytest.mark.parametrize(
+        "fingerprint", ["", "/etc/passwd", "../" * 21 + "a", "AB" * 32, "ab" * 16, "ab" * 33]
+    )
+    def test_a_malformed_fingerprint_never_becomes_a_path(
+        self, tmp_path, monkeypatch, fingerprint
+    ):
         from repro.store import store as store_module
 
-        real_sleep = time.sleep
-        sleeps = []
-
-        def recording_sleep(seconds):
-            sleeps.append(seconds)
-            real_sleep(seconds)
-
-        monkeypatch.setattr(store_module.time, "sleep", recording_sleep)
-        holder = ArtifactStore(str(tmp_path))
-        waiter_handle = ArtifactStore(str(tmp_path))
-        entering = threading.Event()
-        acquired = threading.Event()
-
-        def wait_for_lock():
-            entering.set()
-            with waiter_handle._manifest_lock():
-                acquired.set()
-
-        with holder._manifest_lock():
-            waiter = threading.Thread(target=wait_for_lock)
-            waiter.start()
-            assert entering.wait(10)
-            real_sleep(0.2)  # time for the waiter to reach the lock
-            assert not acquired.is_set()
-        waiter.join(10)
-        assert not waiter.is_alive()
-        assert acquired.is_set()
-        assert sleeps == []
-
-    def test_a_held_lock_still_times_out(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        errors = []
+        opened = []
+        monkeypatch.setattr(store_module, "open", lambda *a, **k: opened.append(a), raising=False)
+        assert store.by_fingerprint(fingerprint) is None
+        assert opened == []
+        assert store.stats()["misses"] == 1
 
-        def try_briefly():
+    def test_an_alias_naming_a_graph_of_another_fingerprint_misses(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        first, second = generators.asymmetric_cycle(7), generators.star_graph(4)
+        for graph in (first, second):
+            store.put(_computed_record(graph))
+            refinement_cache.clear()
+        # a foreign alias: the first fingerprint names the second graph's key
+        with open(store._alias_path(first.fingerprint()), "w", encoding="ascii") as handle:
+            handle.write(second.cache_key())
+        assert store.by_fingerprint(first.fingerprint()) is None
+        assert store.by_fingerprint(second.fingerprint()).graph == second
+
+
+class TestPutCost:
+    def test_a_put_makes_the_same_calls_into_an_empty_and_a_full_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A put's cost does not depend on the store's size: into an empty
+        store and into one of 500 records it makes the same ``open``,
+        ``os.replace`` and ``os.link`` calls, each on the record's own
+        object, its alias or their temp files, and lists no directory."""
+        from repro.store import store as store_module
+
+        graph = generators.asymmetric_cycle(7)
+        record = _computed_record(graph)
+        full = ArtifactStore(str(tmp_path / "full"))
+        written = seed = 0
+        while written < 500:
+            filler = generators.random_connected_graph(10, extra_edges=4, seed=seed)
+            seed += 1
+            written += full.put(ArtifactRecord.from_computed(filler))
+        assert full.stats()["records"] == 500
+        refinement_cache.clear()
+
+        def traced_put(store):
+            own = {store._object_path(graph.cache_key()): "object",
+                   store._alias_path(graph.fingerprint()): "alias"}
+            calls = []
+
+            def role(path):
+                path = os.fspath(path)
+                for prefix, name in own.items():
+                    if path == prefix:
+                        return name
+                    if path.startswith(prefix + ".tmp."):
+                        return name + " temp"
+                return path  # a foreign path: fails the comparison below
+
+            def traced(name, real):
+                def call(*args, **kwargs):
+                    paths = args[:2] if name in ("replace", "link") else args[:1]
+                    calls.append((name, *map(role, paths)))
+                    return real(*args, **kwargs)
+                return call
+
+            import builtins
+
+            monkeypatch.setattr(store_module, "open", traced("open", builtins.open), raising=False)
+            monkeypatch.setattr(os, "replace", traced("replace", os.replace))
+            monkeypatch.setattr(os, "link", traced("link", os.link))
+            monkeypatch.setattr(os, "listdir", traced("listdir", os.listdir))
             try:
-                with store._manifest_lock(timeout=0.05):
-                    pass
-            except TimeoutError as error:
-                errors.append(error)
+                assert store.put(record) is True
+            finally:
+                monkeypatch.undo()
+            return calls
 
-        with store._manifest_lock():
-            waiter = threading.Thread(target=try_briefly)
-            waiter.start()
-            waiter.join(10)
-            assert not waiter.is_alive()
-        assert len(errors) == 1
-        with store._manifest_lock(timeout=1.0):
-            pass  # released cleanly: the next taker gets it at once
+        into_empty = traced_put(ArtifactStore(str(tmp_path / "empty")))
+        into_full = traced_put(full)
+        assert into_empty == into_full == [
+            ("open", "object"),
+            ("open", "alias"),
+            ("open", "alias temp"),
+            ("link", "alias temp", "alias"),
+            ("open", "object temp"),
+            ("replace", "object temp", "object"),
+        ]
 
 
-class TestManifestStatKeying:
-    def test_same_mtime_same_size_rewrite_is_detected(self, tmp_path):
-        """The stale-index regression: the manifest cache used to be keyed
-        on ``mtime_ns`` alone, so a rewrite landing within one mtime tick
-        (and here, pinned to the *same* ``mtime_ns`` and padded to the same
-        size) served the old index forever.  The stat-triple key includes
-        the inode, which ``os.replace`` changes on every rewrite.
-        """
-        import json
+#: A writer process: puts every record file named on the command line into
+#: the store, round after round (argv: store path, rounds, record files).
+_PUT_CHILD = """
+import sys
+from repro.store import ArtifactRecord, ArtifactStore
 
-        store = ArtifactStore(str(tmp_path))
-        store.put(_computed_record(generators.asymmetric_cycle(7)))
-        reader = ArtifactStore(str(tmp_path))
-        assert reader.stats()["records"] == 1  # populate the reader's cache
+root, rounds, paths = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+records = []
+for path in paths:
+    with open(path, "rb") as handle:
+        records.append(ArtifactRecord.from_bytes(handle.read()))
+for round_index in range(rounds):
+    store = ArtifactStore(root)
+    for record in records[round_index % 2 :] + records[: round_index % 2]:
+        store.put(record)
+"""
 
-        manifest_path = os.path.join(str(tmp_path), "manifest.json")
-        stat = os.stat(manifest_path)
-        with open(manifest_path, "rb") as handle:
-            original = handle.read()
-        manifest = json.loads(original)
-        manifest["records"] = {}
-        rewritten = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        assert len(rewritten) < len(original)
-        rewritten += b" " * (len(original) - len(rewritten))  # identical size
-        tmp = manifest_path + ".tmp.test"
-        with open(tmp, "wb") as handle:
-            handle.write(rewritten)
-        os.replace(tmp, manifest_path)
-        os.utime(manifest_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert os.stat(manifest_path).st_mtime_ns == stat.st_mtime_ns
-        assert os.stat(manifest_path).st_size == stat.st_size
 
-        assert reader.stats()["records"] == 0, "stale manifest cache served"
+class TestConcurrentProcesses:
+    def test_processes_putting_overlapping_graphs_keep_one_object_per_graph(self, tmp_path):
+        """Three processes put overlapping graphs -- relabeled copies, and a
+        torus and a twisted torus that share a fingerprint -- each graph in
+        two memo variants, so concurrent writers of one graph keep replacing
+        its object.  Afterwards every labeled graph has exactly one object,
+        named by its identity key, every alias is exact or ambiguous as the
+        stored graphs demand, and no temp file is left."""
+        import repro
 
-    def test_generation_advances_on_rebuild_and_compaction(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        store.put(_computed_record(generators.asymmetric_cycle(7)))
-        assert store.generation() == 0
-        store.rebuild_manifest()
-        assert store.generation() == 1
-        summary = store.compact()
-        assert summary["generation"] == 2
-        assert store.generation() == 2
+        cycle, star = generators.asymmetric_cycle(7), generators.star_graph(5)
+        graphs = [
+            cycle,
+            cycle.relabeled(list(range(cycle.num_nodes))[::-1]),
+            star,
+            star.relabeled([0, 2, 1, 3, 4, 5]),
+            generators.torus_graph(3, 4),
+            generators.twisted_torus_graph(3, 4, 1),
+            generators.hypercube_graph(3),
+        ]
+        assert len({graph.cache_key() for graph in graphs}) == len(graphs)
+        files = []
+        for index, graph in enumerate(graphs):
+            for tasks in (("S",), ("S", "PE")):
+                refinement_cache.clear()
+                path = tmp_path / f"record-{index}-{len(tasks)}.rple"
+                path.write_bytes(_computed_record(graph, tasks=tasks).to_bytes())
+                files.append(str(path))
+        root = str(tmp_path / "store")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PUT_CHILD, root, "6", *files[start : start + 8]],
+                env=env,
+                stderr=subprocess.PIPE,
+            )
+            for start in (0, 3, 6)
+        ]
+        for child in children:
+            _, stderr = child.communicate(timeout=300)
+            assert child.returncode == 0, stderr.decode()
+
+        # the three overlapping windows together put every graph
+        store = ArtifactStore(root)
+        assert sorted(store.keys()) == sorted(graph.cache_key() for graph in graphs)
+        for key in store.keys():
+            with open(store._object_path(key), "rb") as handle:
+                assert ArtifactRecord.from_bytes(handle.read()).graph.cache_key() == key
+        by_fingerprint = {}
+        for graph in graphs:
+            by_fingerprint.setdefault(graph.fingerprint(), set()).add(graph.cache_key())
+        for fingerprint, keys in by_fingerprint.items():
+            with open(store._alias_path(fingerprint), "rb") as handle:
+                alias = handle.read()
+            assert alias == (keys.pop().encode("ascii") if len(keys) == 1 else b"ambiguous")
+        leftovers = [name for _dir, _subdirs, names in os.walk(root)
+                     for name in names if ".tmp." in name]
+        assert leftovers == []
+
+
+class TestStoreRoot:
+    def test_the_root_holds_only_objects_fingerprints_and_sweeps(self, tmp_path):
+        """Puts, lookups, fingerprint lookups, compaction and a served batch
+        leave nothing at the store root but its three directories."""
+        from test_service import _RunningServer, make_service
+        from test_service_batch import _post_stream
+
+        root = str(tmp_path / "store")
+        store = ArtifactStore(root)
+        graph = generators.asymmetric_cycle(7)
+        relabeled = graph.relabeled(list(range(graph.num_nodes))[::-1])
+        for each in (graph, relabeled, generators.star_graph(4)):
+            store.put(_computed_record(each))
+            refinement_cache.clear()
+        assert store.load_for_graph(graph) is not None
+        assert store.get(relabeled.cache_key()) is not None
+        assert store.by_fingerprint(generators.star_graph(4).fingerprint()) is not None
+        with pytest.raises(AmbiguousFingerprint):
+            store.by_fingerprint(graph.fingerprint())
+        store.compact()
+        with _RunningServer(make_service(store=ArtifactStore(root), workers=1)) as running:
+            lines = _post_stream(
+                running,
+                {"items": [{"spec": {"kind": "star", "params": {"leaves": 5}}},
+                           {"graph": graph_to_dict(graph)}]},
+            )
+        assert lines[-1]["status"] == "done" and lines[-1]["errors"] == 0
+        assert sorted(os.listdir(root)) == ["fingerprints", "objects", "sweeps"]
 
 
 class TestCompaction:
     def test_compact_reclaims_debris_and_preserves_live_records(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        records = []
+        keys = []
         for graph in _sample_graphs()[:2]:
-            record = _computed_record(graph)
-            store.put(record)
-            records.append(record)
+            store.put(_computed_record(graph))
+            keys.append(graph.cache_key())
             refinement_cache.clear()
-        baseline = {r.fingerprint: store.get_bytes(r.fingerprint) for r in records}
+        baseline = {key: store.get_bytes(key) for key in keys}
 
         objects = os.path.join(str(tmp_path), "objects")
         # a quarantined object (as the corrupt-read path leaves behind)
         quarantined = os.path.join(objects, "aa")
         os.makedirs(quarantined, exist_ok=True)
-        with open(os.path.join(quarantined, "aa" * 32 + ".rple.quarantine"), "wb") as handle:
+        with open(os.path.join(quarantined, "aa" * 16 + ".rple.quarantine"), "wb") as handle:
             handle.write(b"old corpse")
         # a corrupt object that predates the quarantine path
-        with open(os.path.join(quarantined, "ab" * 32 + ".rple"), "wb") as handle:
+        with open(os.path.join(quarantined, "ab" * 16 + ".rple"), "wb") as handle:
             handle.write(b"torn write")
-        # a stale temp file from a crashed writer
-        stale_tmp = os.path.join(quarantined, "ac" * 32 + ".rple.tmp.999.1")
-        with open(stale_tmp, "wb") as handle:
-            handle.write(b"half a record")
-        os.utime(stale_tmp, (1, 1))
+        # stale temp files of an object and of an alias, from crashed writers
+        aliases = os.path.join(str(tmp_path), "fingerprints", "ae")
+        os.makedirs(aliases)
+        stale = [
+            os.path.join(quarantined, "ac" * 16 + ".rple.tmp.999.1"),
+            os.path.join(aliases, "ae" * 32 + ".tmp.999.1"),
+        ]
+        for stale_tmp in stale:
+            with open(stale_tmp, "wb") as handle:
+                handle.write(b"half a file")
+            os.utime(stale_tmp, (1, 1))
         # a *fresh* temp file must survive (a live writer may own it)
-        fresh_tmp = os.path.join(quarantined, "ad" * 32 + ".rple.tmp.999.2")
+        fresh_tmp = os.path.join(quarantined, "ad" * 16 + ".rple.tmp.999.2")
         with open(fresh_tmp, "wb") as handle:
             handle.write(b"in flight")
 
         summary = store.compact()
-        assert summary["removed_quarantined"] == 1
-        assert summary["removed_corrupt"] == 1
-        assert summary["removed_tmp"] == 1
-        assert summary["removed_spills"] == 0
-        assert summary["live_records"] == 2
+        assert summary == {
+            "removed_quarantined": 1,
+            "removed_tmp": 2,
+            "removed_corrupt": 1,
+            "live_records": 2,
+        }
         assert os.path.exists(fresh_tmp)
+        assert not any(os.path.exists(path) for path in stale)
         stats = store.stats()
-        assert stats["compactions"] == 1 and stats["compacted_objects"] == 3
+        assert stats["compactions"] == 1 and stats["compacted_objects"] == 4
         # live objects are byte-for-byte untouched and still resolve
-        for fingerprint, payload in baseline.items():
-            assert store.get_bytes(fingerprint) == payload
+        for key, payload in baseline.items():
+            assert store.get_bytes(key) == payload
         assert ArtifactStore(str(tmp_path)).load_for_graph(_sample_graphs()[0]) is not None
 
-    def test_compact_merges_and_drops_superseded_spills(self, tmp_path):
-        """A spill whose labeled graph the primary now holds is redundant --
-        but its memo entries must be folded into the primary, not dropped."""
-        store = ArtifactStore(str(tmp_path))
-        graph = generators.asymmetric_cycle(7)
-        primary = _computed_record(graph, tasks=("S",))
-        store.put(primary)
-        relabeled = graph.relabeled(list(range(graph.num_nodes))[::-1])
-        refinement_cache.clear()
-        spill_record = _computed_record(relabeled, tasks=("S", "PE"))
-        store.put(spill_record)  # different labeling: spills
-        assert store.stats()["put_spills"] == 1
-        # the primary is torn and a later writer of the *relabeled* graph
-        # replaces it -- the spill is now superseded by its own primary
-        primary_path = store._object_path(graph.fingerprint())
-        with open(primary_path, "wb") as handle:
-            handle.write(b"torn")
-        refinement_cache.clear()
-        small = _computed_record(relabeled, tasks=("S",))
-        store.put(small)
-
-        summary = store.compact()
-        assert summary["removed_spills"] == 1
-        assert summary["live_records"] == 1
-        survivor = ArtifactStore(str(tmp_path)).load_for_graph(relabeled)
-        assert survivor is not None and survivor.graph == relabeled
-        assert {entry[0] for entry in survivor.psi} == {"S", "PE"}
-
-    def test_distinct_spills_survive_compaction(self, tmp_path):
+    def test_graphs_sharing_a_fingerprint_survive_compaction(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         plain = generators.torus_graph(3, 4)
         twisted = generators.twisted_torus_graph(3, 4, 1)
@@ -822,11 +890,13 @@ class TestCompaction:
         refinement_cache.clear()
         store.put(_computed_record(twisted))
         summary = store.compact()
-        assert summary["removed_spills"] == 0
+        assert summary["removed_corrupt"] == 0
         assert summary["live_records"] == 2
         for original in (generators.torus_graph(3, 4), generators.twisted_torus_graph(3, 4, 1)):
             found = store.load_for_graph(original)
             assert found is not None and found.graph == original
+        with pytest.raises(AmbiguousFingerprint):
+            store.by_fingerprint(plain.fingerprint())
 
 
 class TestHotTier:
@@ -834,7 +904,7 @@ class TestHotTier:
         store = ArtifactStore(str(tmp_path), hot_tier_bytes=1 << 20)
         record = _computed_record(generators.asymmetric_cycle(7))
         store.put(record)
-        key = record.fingerprint
+        key = record.graph.cache_key()
 
         first = store.get(key)  # touch 1: doorkeeper only
         assert store.stats()["hot_entries"] == 0
@@ -855,12 +925,12 @@ class TestHotTier:
         graph = generators.asymmetric_cycle(7)
         record = _computed_record(graph, tasks=("S",))
         store.put(record)
-        store.get(record.fingerprint)
-        store.get(record.fingerprint)  # resident now
+        store.get(record.graph.cache_key())
+        store.get(record.graph.cache_key())  # resident now
         refinement_cache.clear()
         merged = record.merged_with(_computed_record(graph, tasks=("PE",)))
         assert store.put(merged) is True
-        loaded = store.get(record.fingerprint)
+        loaded = store.get(record.graph.cache_key())
         assert {entry[0] for entry in loaded.psi} == {"S", "PE"}
 
     def test_byte_budget_evicts_lru(self, tmp_path):
@@ -872,23 +942,23 @@ class TestHotTier:
         store.put(record_a)
         store.put(record_b)
         for _ in range(2):
-            store.get(record_a.fingerprint)
+            store.get(record_a.graph.cache_key())
         assert store.stats()["hot_entries"] == 1
         for _ in range(2):
-            store.get(record_b.fingerprint)
+            store.get(record_b.graph.cache_key())
         stats = store.stats()
         assert stats["hot_entries"] == 1  # A was evicted to fit B
         assert stats["hot_evictions"] == 1
         assert stats["hot_bytes"] <= budget
         # the evicted key still reads fine from disk
-        assert store.get(record_a.fingerprint) is not None
+        assert store.get(record_a.graph.cache_key()) is not None
 
     def test_decoded_records_outlive_close(self, tmp_path):
         store = ArtifactStore(str(tmp_path), hot_tier_bytes=1 << 20)
         record = _computed_record(generators.asymmetric_cycle(7))
         store.put(record)
-        store.get(record.fingerprint)
-        resident = store.get(record.fingerprint)
+        store.get(record.graph.cache_key())
+        resident = store.get(record.graph.cache_key())
         assert store.stats()["hot_entries"] == 1
         store.close()
         assert store.hot_tier is None
@@ -898,17 +968,17 @@ class TestHotTier:
         resident.adopt_onto(fresh)
         assert fresh.refinement_engine().passes == 0
         # the store still works, just cold
-        assert store.get(record.fingerprint) is not None
+        assert store.get(record.graph.cache_key()) is not None
 
     def test_corrupt_object_is_never_admitted(self, tmp_path):
         store = ArtifactStore(str(tmp_path), hot_tier_bytes=1 << 20)
         record = _computed_record(generators.star_graph(3))
         store.put(record)
-        path = store._object_path(record.fingerprint)
+        path = store._object_path(record.graph.cache_key())
         with open(path, "wb") as handle:
             handle.write(b"garbage")
         for _ in range(3):
-            assert store.get(record.fingerprint) is None
+            assert store.get(record.graph.cache_key()) is None
         assert store.stats()["hot_entries"] == 0
 
 
@@ -1089,11 +1159,11 @@ class TestCacheStoreIntegration:
         refinement_cache.attach_store(store)
         graph = generators.asymmetric_cycle(7)
         evaluate_graph(graph, SweepSpec.make((), tasks=[Task("S")]))
-        first = store.get(graph.fingerprint())
+        first = store.get(graph.cache_key())
         refinement_cache.clear()
         fresh = generators.asymmetric_cycle(7)
         evaluate_graph(fresh, SweepSpec.make((), tasks=[Task("PE")]))
-        merged = store.get(fresh.fingerprint())
+        merged = store.get(fresh.cache_key())
         assert {entry[0] for entry in first.psi} == {"S"}
         assert {entry[0] for entry in merged.psi} == {"S", "PE"}
 
