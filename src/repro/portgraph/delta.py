@@ -2,7 +2,7 @@
 
 A :class:`GraphDelta` is a small, validated, JSON-serialisable script of
 mutations against a *base* graph — the unit that flows through the dynamic
-compute path (``kernel.refine`` delta replay, the runner cache's lineage
+compute path (``kernel.refine`` delta replay, the runner cache's derived
 entries, ``POST /elections`` items with a ``"delta"`` field).  Five op kinds
 cover the mutation streams of the dynamic-graph workload:
 
@@ -120,7 +120,7 @@ class GraphDelta:
         return any(op[0] != "relabel-ports" for op in self._ops)
 
     def digest(self) -> str:
-        """A stable content digest of the script (lineage / sweep identity)."""
+        """A stable content digest of the script (response stanza, graph name)."""
         if self._digest is None:
             self._digest = hashlib.blake2b(
                 repr(self._ops).encode("ascii"), digest_size=16

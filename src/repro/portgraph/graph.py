@@ -224,10 +224,10 @@ class PortLabeledGraph:
     def adopt_csr(self, csr) -> bool:
         """Install a prebuilt CSR view instead of deriving one lazily.
 
-        Used by the artifact store when decoding a record that carries the
-        flat arrays; a no-op (returning ``False``) if this instance already
-        built its own view.  The caller guarantees the arrays describe this
-        exact adjacency -- for store records the content address does.
+        Used by the delta recompute path, which patches the base graph's
+        view instead of building one; a no-op (returning ``False``) if this
+        instance already built its own view.  The caller guarantees the
+        arrays describe this exact adjacency.
         """
         if self._csr is not None:
             return False

@@ -80,17 +80,13 @@ class CacheEntry:
     exactly as it skips refinement passes.
     """
 
-    __slots__ = ("graph", "refinement", "kernel", "memo", "lineage")
+    __slots__ = ("graph", "refinement", "kernel", "memo")
 
     def __init__(self, graph: PortLabeledGraph, refinement: ViewRefinement) -> None:
         self.graph = graph
         self.refinement = refinement
         self.kernel = GraphKernel(graph)
         self.memo: Dict[Tuple, object] = {}
-        #: ``(parent_fingerprint, delta_digest)`` for delta-derived entries
-        #: (see :meth:`RefinementCache.delta_entry`), else ``None``.  The
-        #: write-through path records it on the persisted record.
-        self.lineage: Optional[Tuple[str, str]] = None
 
     def estimated_bytes(self) -> int:
         """Rough retained footprint of this entry (bytes).
@@ -295,16 +291,17 @@ class RefinementCache:
         entry wins and no replay happens.
 
         **Memo invalidation.**  A derived entry never inherits the base's
-        ψ/advice memos: every ψ index and advice bitstring is supported by
-        *all* classes of the graph, and a non-empty delta dirties at least
-        one, so inheriting them is exactly the staleness the write-through
-        regression test pins down.  The one class-local survivor is
-        ``("feasible",)`` — a pure function of the fixpoint partition — which
-        carries over only when the replay proves the partition unchanged
-        (same handles, byte-equal canonical tables).
+        ψ memos: every ψ index is supported by *all* classes of the graph,
+        and a non-empty delta dirties at least one, so inheriting them is
+        exactly the staleness the write-through regression test pins down.
+        The one class-local survivor is ``("feasible",)`` — a pure function
+        of the fixpoint partition — which carries over only when the replay
+        proves the partition unchanged (same handles, byte-equal canonical
+        tables).
 
-        The entry's :attr:`~CacheEntry.lineage` names the base fingerprint
-        and delta digest; :meth:`persist` stamps both onto the stored record.
+        The entry records nothing of the path that made it: :meth:`persist`
+        writes the same record bytes for it as for a cold entry of the
+        mutated graph.
 
         ``events``, when given, receives the delta-protocol events this call
         performed (``cache_hit``, or ``base_hit`` / ``memos_invalidated`` /
@@ -356,7 +353,7 @@ class RefinementCache:
         patched = base_entry.graph.csr().patched(result)
         graph.adopt_csr(patched)
         # the fresh entry's memo starts empty: this IS the invalidation --
-        # none of the base's ψ/advice memos survive into the derived entry
+        # none of the base's ψ memos survive into the derived entry
         if events is not None:
             events.append("memos_invalidated")
         engine = refinement_delta(base_engine, patched, result.node_map, result.touched)
@@ -367,7 +364,6 @@ class RefinementCache:
         entry.kernel = GraphKernel.derived(
             graph, base_entry.kernel, topology_changed=result.topology_changed
         )
-        entry.lineage = (base_entry.graph.fingerprint(), delta.digest())
         base_feasible = base_entry.memo.get(("feasible",))
         if (
             base_feasible is not None
@@ -382,9 +378,9 @@ class RefinementCache:
             # very labeling (a delta that composes back to the identity):
             # replace it -- pop, then insert, so the key becomes this graph
             # instance and a later lookup (persist() in particular) finds
-            # the entry carrying the lineage.  Equality is exact labeled
-            # equality, so the old entry's memos answer for the same graph
-            # and carry over soundly.
+            # the entry just returned.  Equality is exact labeled equality,
+            # so the old entry's memos answer for the same graph and carry
+            # over soundly.
             for table in (self._entries, self._probation):
                 stored = table.pop(graph, None)
                 if stored is not None:
@@ -428,16 +424,18 @@ class RefinementCache:
         with self._lock:
             self._store = store
 
-    def persist(self, graph: PortLabeledGraph, *, include_advice: bool = True) -> bool:
+    def persist(self, graph: PortLabeledGraph) -> bool:
         """Write-through the entry of ``graph`` to the attached store.
 
         Ensures the entry exists (computing it if needed), snapshots it into
         an :class:`~repro.store.record.ArtifactRecord` -- refined to the
         fixpoint, with every memoised ψ/feasibility outcome -- merges it
         with any record already stored for the exact labeled graph, and
-        puts the result.  Returns whether bytes were written (``False``
-        both when no store is attached and when the stored record was
-        already up to date).
+        puts the result.  The record is a pure function of the graph and
+        its memo, so a delta-replayed entry and a cold one write the same
+        bytes.  Returns whether bytes were written (``False`` both when no
+        store is attached and when the stored record was already up to
+        date).
         """
         store = self._store
         if store is None:
@@ -446,28 +444,18 @@ class RefinementCache:
         # the write-through of a freshly computed entry must not count as
         # the promoting touch, or every one-hit item would self-admit
         entry = self._entry(graph, request=False)
-        lineage = entry.lineage or ("", "")
-        # the record's ψ/advice sections come from entry.memo alone: a
-        # delta-derived entry starts with an empty memo (its base's ψ/advice
-        # are never inherited — see delta_entry), so nothing stale from the
-        # parent fingerprint can reach the store through this write
-        record = ArtifactRecord.from_computed(
-            entry.graph,
-            memo=entry.memo,
-            include_advice=include_advice,
-            parent_fingerprint=lineage[0],
-            delta_digest=lineage[1],
-        )
+        # the record's ψ section comes from entry.memo alone: a
+        # delta-derived entry starts with an empty memo (its base's ψ
+        # outcomes are never inherited — see delta_entry), so nothing stale
+        # from the base graph can reach the store through this write
+        record = ArtifactRecord.from_computed(entry.graph, memo=entry.memo)
         # merge with what the store holds for this *exact labeled graph* --
         # resolved through the same lookup the warm-start path uses, so a
         # labeling that shares its fingerprint with another graph merges
         # with its own record, never with the other graph's
         existing = store.load_for_graph(entry.graph)
         if existing is not None:
-            try:
-                record = record.merged_with(existing)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+            record = record.merged_with(existing)
         return store.put(record)
 
     # ------------------------------------------------------------------ #

@@ -57,7 +57,7 @@ from .protocol import (
     WindowLedger,
     sweep_transition,
 )
-from .service import ElectionService, ServiceError, deterministic_response
+from .service import ElectionService, ServiceError, deterministic_response, is_json_int
 
 __all__ = [
     "BatchCoordinator",
@@ -169,14 +169,14 @@ def expand_sweep(sweep: Any, *, max_items: int = MAX_BATCH_ITEMS) -> List[Dict[s
     specs: List[GraphSpec] = []
     if "corpus" in sweep:
         count = sweep.get("count", 1)
-        if not isinstance(count, int) or count < 1:
+        if not is_json_int(count) or count < 1:
             raise ServiceError(400, "'count' must be a positive integer")
         if count > max_items:
             raise ServiceError(
                 400, f"oversized sweep: {count} items exceed the {max_items}-item limit"
             )
         seed = sweep.get("seed", 0)
-        if not isinstance(seed, int):
+        if not is_json_int(seed):
             raise ServiceError(400, "'seed' must be an integer")
         try:
             specs = corpus_specs(count, seed=seed, corpus=sweep["corpus"])
@@ -308,7 +308,7 @@ class BatchCoordinator:
             )
         if window is None:
             window = self._default_window
-        if not isinstance(window, int) or window < 1:
+        if not is_json_int(window) or window < 1:
             raise ServiceError(400, "'window' must be a positive integer")
         window = min(window, MAX_WINDOW)
         return BatchRequest(sweep_id=_sweep_digest(items), items=items, window=window)

@@ -51,6 +51,7 @@ __all__ = [
     "ServiceError",
     "compute_election",
     "deterministic_response",
+    "is_json_int",
 ]
 
 #: Hard cap on submitted adjacency sizes (nodes); protects the joint
@@ -90,6 +91,12 @@ class ServiceError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def is_json_int(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer: ``bool`` subclasses
+    ``int``, but ``true`` and ``false`` are no numbers to a client."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_spec(spec: Any, what: str) -> None:
@@ -547,12 +554,12 @@ class ElectionService:
                     f"(expected codes among {[t.value for t in Task.ordered()]})",
                 ) from None
         max_depth = payload.get("max_depth")
-        if max_depth is not None and (not isinstance(max_depth, int) or max_depth < 0):
+        if max_depth is not None and (not is_json_int(max_depth) or max_depth < 0):
             raise ServiceError(400, "'max_depth' must be a non-negative integer")
         max_states = payload.get("max_states", self._default_max_states)
-        if not isinstance(max_states, int) or max_states < 1:
+        if not is_json_int(max_states) or max_states < 1:
             raise ServiceError(400, "'max_states' must be a positive integer")
-        include_advice = bool(payload.get("advice", False))
+        advice = bool(payload.get("advice", False))
         parsed = {
             "graph": graph_dict,
             "spec": spec_dict,
@@ -561,7 +568,7 @@ class ElectionService:
             "tasks": tasks,
             "max_depth": max_depth,
             "max_states": max_states,
-            "advice": include_advice,
+            "advice": advice,
         }
         canonical = json.dumps(
             {
@@ -572,7 +579,7 @@ class ElectionService:
                 "tasks": [task.value for task in tasks],
                 "max_depth": max_depth,
                 "max_states": max_states,
-                "advice": include_advice,
+                "advice": advice,
             },
             sort_keys=True,
             separators=(",", ":"),

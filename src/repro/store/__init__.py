@@ -1,16 +1,18 @@
 """Persistent artifact store for the election pipeline, named by graph identity.
 
 Everything the pipeline computes -- feasibility, the four ψ_Z election
-indices, refinement partitions, advice strings -- is a pure function of the
-port-labeled graph, so it only ever needs to be computed once *anywhere*.
-This package is the durable layer that makes that true across processes:
+indices, refinement partitions -- is a pure function of the port-labeled
+graph, so it only ever needs to be computed once *anywhere*.  This package
+is the durable layer that makes that true across processes:
 
 * :mod:`repro.store.record` -- the versioned compact-binary
-  :class:`ArtifactRecord`: graph + CSR arrays, canonical colour tables per
-  depth up to the refinement fixpoint, ψ_Z outcomes keyed like the runner
-  cache's memo, and bit-exact advice strings.  Encoding is canonical
-  (``encode(decode(b)) == b``), which is what makes content addressing and
-  skip-identical write-through work.
+  :class:`ArtifactRecord`: the graph, canonical colour tables per depth up
+  to the refinement fixpoint, feasibility and the ψ_Z outcomes keyed like
+  the runner cache's memo, and nothing else.  Encoding is canonical
+  (``encode(decode(b)) == b``, and bytes that would not re-encode to
+  themselves do not decode), which is what makes skip-identical
+  write-through work and a graph's bytes independent of the path that
+  computed it.
 * :mod:`repro.store.store` -- the :class:`ArtifactStore` directory: one
   object per exact labeled graph, named by its identity key
   :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key` (so lookup

@@ -28,9 +28,9 @@ observed request (a doorkeeper counts first touches), so one-hit sweep
 traffic cannot evict hot residents.  Residency is bounded by a byte budget
 with LRU eviction; evicting closes the mmap.  Records decoded from a
 resident stay valid after eviction or :meth:`HotTier.close` because decode
-copies every array out of the buffer -- nothing retains a view into the
-map, so closing never raises ``BufferError`` and callers never hold a
-dangling buffer.
+builds its integers, strings and graph as new objects -- nothing retains a
+view into the map, so closing never raises ``BufferError`` and callers
+never hold a dangling buffer.
 """
 
 from __future__ import annotations

@@ -1,55 +1,54 @@
-"""Versioned binary artifact records: everything the pipeline knows about one graph.
+"""Versioned binary artifact records: what a reader of one graph uses.
 
 An :class:`ArtifactRecord` is the unit the on-disk store
 (:mod:`repro.store.store`) persists -- a pure function of a port-labeled
 graph and of the (deterministic) computations performed on it:
 
-* the compact binary graph encoding (:func:`repro.portgraph.io.graph_to_bytes`)
-  and its CSR arrays, so a reader rebuilds the flat kernel view without
-  re-deriving it;
+* the compact binary graph encoding (:func:`repro.portgraph.io.graph_to_bytes`);
 * the canonical view-refinement colour tables for every materialised depth
   plus the fixpoint (``stable_depth``), which
   :meth:`repro.kernel.refine.CSRPartitionRefinement.from_stored` re-installs
   so a cold process serves depth queries with **zero refinement passes**;
 * feasibility and the computed ψ_Z outcomes, keyed exactly like the runner
   cache's memo (task, ``max_depth``, ``max_states``) so a warm sweep also
-  skips the PPE/CPPE joint searches;
-* bit-exact advice strings (the full-map advice of Theorem 2.4's universal
-  scheme by default).
+  skips the PPE/CPPE joint searches.
 
-The byte encoding (format version 4) is canonical: unsigned-LEB128 varints
-and length-prefixed UTF-8, sections in a fixed order, ψ entries and advice
-sorted -- so ``encode(decode(b)) == b`` and two processes that computed the
-same things about equal graphs produce identical record bytes.  That is what
-lets write-through skip rewrites by byte comparison.
-Version 2 appended the delta lineage section -- ``parent_fingerprint`` and
-``delta_digest``, naming the base record and edit script a delta-derived
-record was replayed from.  Version 3 dropped the relabeling-invariant
-bucket key that versions 1 and 2 stored after the fingerprint.  Version 4
-keeps the version-3 layout byte for byte but names records by the
-fingerprint's 64-bit integer label chain (:mod:`repro.portgraph.labels`):
-every fingerprint changed, so versions 1 to 3 no longer decode.  A store
-that still decoded them would adopt an old-scheme fingerprint onto a warm
-graph while a cold process computed the new one.
-Volatile observations (wall times, cumulative search-statistics snapshots)
-are deliberately not part of a record, whose bytes stay a pure function of
-the graph and its results.
+That is, the view partitions an anonymous node can learn plus the ψ_Z
+indices of the four shades.  Nothing else is stored: the CSR view is
+rebuilt from the graph when first asked for, and advice strings are
+encoded from the graph when a response asks for them.
 
-The encoder writes whole sections, not single integers: each CSR array and
-the concatenated colour tables go out through one
-:func:`~repro.portgraph.io.write_uvarints` call (one vectorised pass when
-numpy imports), and each advice string is packed by one integer
-conversion.  The bytes are exactly those of the per-value encoding, with or
-without numpy; decoding still reads one varint at a time.
+The byte encoding (format version 5) is canonical: unsigned-LEB128 varints
+and length-prefixed UTF-8, sections in a fixed order, ψ entries sorted -- so
+``encode(decode(b)) == b``, and :meth:`ArtifactRecord.from_bytes` refuses
+bytes that would not re-encode to themselves (a flag byte other than 0 or
+1, bytes after the last section).  Two processes that computed the same
+things about equal graphs produce identical record bytes, whether the
+tables came from a cold refinement or a delta replay.  That is what lets
+write-through skip rewrites by byte comparison.
+
+Version 5 dropped three sections of version 4 that no reader used: the CSR
+arrays (decoding them took longer than rebuilding them), the map advice,
+and the delta lineage (the base fingerprint and edit digest of a replayed
+record, which made a graph's bytes depend on the path that computed it).
+Only the current version decodes; the store quarantines an older object on
+first lookup and writes the recomputed record in its place.  Volatile
+observations (wall times, cumulative search-statistics snapshots) are
+deliberately not part of a record either.
+
+The encoder writes whole sections, not single integers: the concatenated
+colour tables go out through one :func:`~repro.portgraph.io.write_uvarints`
+call (one vectorised pass when numpy imports).  The bytes are exactly
+those of the per-value encoding, with or without numpy; decoding still
+reads one varint at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from ..kernel.csr import CSRGraph
 from ..portgraph.graph import PortLabeledGraph
 from ..portgraph.io import (
     graph_from_bytes,
@@ -62,18 +61,16 @@ from ..portgraph.io import (
 __all__ = ["ArtifactRecord", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = b"RPLE"
-FORMAT_VERSION = 4
-#: Versions :meth:`ArtifactRecord.from_bytes` accepts: only the current
-#: one, since every earlier version names its record by an old-scheme
-#: fingerprint.
-_DECODABLE_VERSIONS = (4,)
+#: The only version :meth:`ArtifactRecord.from_bytes` accepts.
+FORMAT_VERSION = 5
 
 #: One computed ψ_Z outcome: (task code, max_depth, max_states, status, value)
 #: with status ``"ok"`` or ``"limited"`` (search budget exceeded).
 PsiEntry = Tuple[str, Optional[int], int, str, Optional[int]]
 
-#: One advice string: (scheme name, bit string of '0'/'1').
-AdviceEntry = Tuple[str, str]
+
+def _psi_order(entry: PsiEntry) -> tuple:
+    return (entry[0], -1 if entry[1] is None else entry[1], entry[2])
 
 
 def _write_str(out: bytearray, text: str) -> None:
@@ -97,26 +94,12 @@ def _read_optional(data: bytes, offset: int) -> Tuple[Optional[int], int]:
     return (None if raw == 0 else raw - 1), offset
 
 
-def _pack_bits(bits: str) -> bytes:
-    """Pack a '0'/'1' string eight bits per byte, zero-padding the last byte on the right.
-
-    One ``int``/``to_bytes`` conversion of the whole string.
-    """
-    if not bits:
-        return b""
-    padding = -len(bits) % 8
-    return (int(bits, 2) << padding).to_bytes((len(bits) + padding) // 8, "big")
-
-
-def _unpack_bits(payload: bytes, bit_length: int) -> str:
-    """Inverse of :func:`_pack_bits`: the first ``bit_length`` bits of ``payload``.
-
-    One ``int.from_bytes``/``format`` conversion; an empty payload is an
-    empty string (``format(0, "00b")`` would be ``"0"``).
-    """
-    if not payload:
-        return ""
-    return format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")[:bit_length]
+def _read_flag(data: bytes, offset: int) -> Tuple[bool, int]:
+    """A one-byte flag; any byte but 0 or 1 would not re-encode to itself."""
+    flag = data[offset]
+    if flag > 1:
+        raise ValueError(f"flag byte {flag} at offset {offset} is neither 0 nor 1")
+    return flag == 1, offset + 1
 
 
 @dataclass(frozen=True)
@@ -129,35 +112,19 @@ class ArtifactRecord:
     color_tables: Tuple[Tuple[int, ...], ...]
     feasible: bool
     psi: Tuple[PsiEntry, ...]
-    advice: Tuple[AdviceEntry, ...]
-    #: Delta lineage (format v2): the fingerprint of the base graph this
-    #: record was replayed from and the edit script's content digest; empty
-    #: strings for records computed cold.  Provenance only -- every result
-    #: section is a pure function of ``graph`` regardless of how it was
-    #: computed (the delta path is certified byte-identical).
-    parent_fingerprint: str = ""
-    delta_digest: str = ""
 
     # ------------------------------------------------------------------ #
     # construction from live state
     # ------------------------------------------------------------------ #
     @classmethod
     def from_computed(
-        cls,
-        graph: PortLabeledGraph,
-        *,
-        memo: Optional[Mapping[tuple, object]] = None,
-        include_advice: bool = True,
-        parent_fingerprint: str = "",
-        delta_digest: str = "",
+        cls, graph: PortLabeledGraph, *, memo: Optional[Mapping[tuple, object]] = None
     ) -> "ArtifactRecord":
         """Snapshot a (possibly warm) graph into a record.
 
         Refines to the fixpoint if that has not happened yet; ``memo`` is the
         runner cache entry's memo dict, whose ``("psi", ...)`` and
         ``("feasible",)`` entries become the record's result sections.
-        ``parent_fingerprint`` / ``delta_digest`` record delta lineage when
-        the graph's tables were replayed from a base record.
         """
         fingerprint = graph.fingerprint()
         engine = graph.refinement_engine()
@@ -173,26 +140,17 @@ class ArtifactRecord:
                 _tag, task_code, max_depth, max_states = key
                 status, value = outcome
                 psi.append((task_code, max_depth, max_states, status, value))
-        psi.sort(key=lambda e: (e[0], -1 if e[1] is None else e[1], e[2]))
-        advice: list = []
-        if include_advice:
-            from ..advice.map_advice import encode_map_advice  # lazy: advice sits above store
-
-            advice.append(("map", encode_map_advice(graph)))
         return cls(
             fingerprint=fingerprint,
             graph=graph,
             stable_depth=stable,
             color_tables=tables,
             feasible=bool(feasible),
-            psi=tuple(psi),
-            advice=tuple(sorted(advice)),
-            parent_fingerprint=parent_fingerprint,
-            delta_digest=delta_digest,
+            psi=tuple(sorted(psi, key=_psi_order)),
         )
 
     def merged_with(self, other: "ArtifactRecord") -> "ArtifactRecord":
-        """Union of two records of the same *labeled* graph (ψ entries, advice).
+        """Union of the ψ entries of two records of the same *labeled* graph.
 
         Both inputs are pure functions of the graph, so entries with equal
         keys are interchangeable; the union simply accumulates what different
@@ -207,11 +165,6 @@ class ArtifactRecord:
             raise ValueError("cannot merge records of different labeled graphs")
         psi = {entry[:3]: entry for entry in other.psi}
         psi.update({entry[:3]: entry for entry in self.psi})
-        advice = {name: (name, bits) for name, bits in other.advice}
-        advice.update({name: (name, bits) for name, bits in self.advice})
-        merged_psi = tuple(
-            sorted(psi.values(), key=lambda e: (e[0], -1 if e[1] is None else e[1], e[2]))
-        )
         deeper = self if len(self.color_tables) >= len(other.color_tables) else other
         return ArtifactRecord(
             fingerprint=self.fingerprint,
@@ -219,11 +172,7 @@ class ArtifactRecord:
             stable_depth=deeper.stable_depth,
             color_tables=deeper.color_tables,
             feasible=self.feasible,
-            psi=merged_psi,
-            advice=tuple(sorted(advice.values())),
-            # lineage is provenance: keep the freshest known ancestry
-            parent_fingerprint=self.parent_fingerprint or other.parent_fingerprint,
-            delta_digest=self.delta_digest or other.delta_digest,
+            psi=tuple(sorted(psi.values(), key=_psi_order)),
         )
 
     # ------------------------------------------------------------------ #
@@ -239,19 +188,13 @@ class ArtifactRecord:
     def adopt_onto(self, graph: PortLabeledGraph) -> None:
         """Warm-start ``graph`` (an equal labeled graph) from this record.
 
-        Seeds the memoised fingerprint and installs the stored partitions so
-        no consumer of ``graph`` ever refines; a no-op for state the instance
+        Seeds the memoised fingerprint and installs the stored partitions
+        (over the graph's CSR view, built here if it was not yet) so no
+        consumer of ``graph`` ever refines; a no-op for state the instance
         already computed itself.
         """
         graph.adopt_fingerprint(self.fingerprint)
         graph.adopt_refinement_tables(self.color_tables, self.stable_depth)
-
-    def advice_bits(self, name: str) -> Optional[str]:
-        """The stored advice bit string of scheme ``name`` (or ``None``)."""
-        for scheme, bits in self.advice:
-            if scheme == name:
-                return bits
-        return None
 
     # ------------------------------------------------------------------ #
     # binary encoding
@@ -261,10 +204,6 @@ class ArtifactRecord:
         write_uvarint(out, FORMAT_VERSION)
         _write_str(out, self.fingerprint)
         out.extend(graph_to_bytes(self.graph))
-        csr = self.graph.csr()
-        for arr in (csr.offsets, csr.neighbors, csr.reverse_ports):
-            write_uvarint(out, len(arr))
-            write_uvarints(out, arr)
         write_uvarint(out, self.stable_depth)
         write_uvarint(out, len(self.color_tables))
         write_uvarints(out, list(chain.from_iterable(self.color_tables)))
@@ -276,16 +215,6 @@ class ArtifactRecord:
             write_uvarint(out, max_states)
             out.append(0 if status == "ok" else 1)
             _write_optional(out, value)
-        write_uvarint(out, len(self.advice))
-        for name, bits in self.advice:
-            _write_str(out, name)
-            write_uvarint(out, len(bits))
-            packed = _pack_bits(bits)
-            write_uvarint(out, len(packed))
-            out.extend(packed)
-        # the delta lineage section comes last
-        _write_str(out, self.parent_fingerprint)
-        _write_str(out, self.delta_digest)
         return bytes(out)
 
     @classmethod
@@ -294,28 +223,10 @@ class ArtifactRecord:
             raise ValueError("not an artifact record (bad magic)")
         offset = len(MAGIC)
         version, offset = read_uvarint(data, offset)
-        if version not in _DECODABLE_VERSIONS:
+        if version != FORMAT_VERSION:
             raise ValueError(f"unsupported record format version {version}")
         fingerprint, offset = _read_str(data, offset)
         graph, offset = graph_from_bytes(data, offset=offset, validate=False)
-        arrays = []
-        for _ in range(3):
-            length, offset = read_uvarint(data, offset)
-            values = []
-            for _i in range(length):
-                value, offset = read_uvarint(data, offset)
-                values.append(value)
-            arrays.append(values)
-        offsets, neighbors, reverse_ports = arrays
-        graph.adopt_csr(
-            CSRGraph(
-                graph.num_nodes,
-                graph.num_edges,
-                _as_int_array(offsets),
-                _as_int_array(neighbors),
-                _as_int_array(reverse_ports),
-            )
-        )
         stable_depth, offset = read_uvarint(data, offset)
         num_tables, offset = read_uvarint(data, offset)
         n = graph.num_nodes
@@ -326,29 +237,18 @@ class ArtifactRecord:
                 color, offset = read_uvarint(data, offset)
                 table.append(color)
             tables.append(tuple(table))
-        feasible = bool(data[offset])
-        offset += 1
+        feasible, offset = _read_flag(data, offset)
         num_psi, offset = read_uvarint(data, offset)
         psi = []
         for _ in range(num_psi):
             task_code, offset = _read_str(data, offset)
             max_depth, offset = _read_optional(data, offset)
             max_states, offset = read_uvarint(data, offset)
-            status = "ok" if data[offset] == 0 else "limited"
-            offset += 1
+            limited, offset = _read_flag(data, offset)
             value, offset = _read_optional(data, offset)
-            psi.append((task_code, max_depth, max_states, status, value))
-        num_advice, offset = read_uvarint(data, offset)
-        advice = []
-        for _ in range(num_advice):
-            name, offset = _read_str(data, offset)
-            bit_length, offset = read_uvarint(data, offset)
-            packed_length, offset = read_uvarint(data, offset)
-            packed = data[offset : offset + packed_length]
-            offset += packed_length
-            advice.append((name, _unpack_bits(packed, bit_length)))
-        parent_fingerprint, offset = _read_str(data, offset)
-        delta_digest, offset = _read_str(data, offset)
+            psi.append((task_code, max_depth, max_states, "limited" if limited else "ok", value))
+        if offset != len(data):
+            raise ValueError(f"record of {len(data)} bytes ends its last section at {offset}")
         record = cls(
             fingerprint=fingerprint,
             graph=graph,
@@ -356,17 +256,6 @@ class ArtifactRecord:
             color_tables=tuple(tables),
             feasible=feasible,
             psi=tuple(psi),
-            advice=tuple(advice),
-            parent_fingerprint=parent_fingerprint,
-            delta_digest=delta_digest,
         )
         record.adopt_onto(graph)
         return record
-
-
-def _as_int_array(values: Iterable[int]):
-    from array import array
-
-    from ..kernel.csr import INT_TYPECODE
-
-    return array(INT_TYPECODE, values)

@@ -39,7 +39,11 @@ A store written by an earlier layout (records named by fingerprint, plus an
 index file) needs no migration: its objects are not named by an identity
 key, so lookups miss, the recomputed records are written through under
 their keys, and :meth:`ArtifactStore.compact` reclaims the old objects.  A
-leftover index file is ignored.
+leftover index file is ignored.  A record of an earlier format version
+needs no migration either: under its identity key it fails to decode, so
+the first :meth:`ArtifactStore.get` quarantines it, the recomputed record
+is written through in its place, and :meth:`ArtifactStore.compact`
+reclaims the quarantined file.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ class ArtifactStore:
         """Release the hot tier's mapped buffers; the store stays usable cold.
 
         Records already decoded from residents remain valid -- decode copies
-        every array out of the mapped buffer -- so in-flight results never
+        every value out of the mapped buffer -- so in-flight results never
         dangle.
         """
         hot = self._hot

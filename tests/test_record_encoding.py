@@ -1,12 +1,13 @@
 """The record encoder's whole-section paths, checked against per-value oracles.
 
 Artifact records are written a section at a time: varint runs through
-:func:`repro.portgraph.io.write_uvarints`, advice bits through one integer
-conversion, canonical colours through
+:func:`repro.portgraph.io.write_uvarints`, canonical colours through
 :func:`repro.kernel.refine.first_appearance_ranks`.  Each bulk path must give
 exactly the bytes of the per-value code it replaced, kept below as oracles,
 with numpy and with numpy hidden from the module; three pinned record digests
-hold the whole record to the same bytes.
+hold the whole record to the same bytes.  The advice bit-string helpers
+convert through one integer call and are checked against per-byte oracles
+too.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.portgraph.io import write_uvarints
 from repro.runner import SweepSpec, evaluate_graph, refinement_cache
 from repro.scenarios import corpus_specs, mutation_stream
 from repro.store import ArtifactRecord
-from repro.store.record import _pack_bits, _unpack_bits
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +41,7 @@ def _detached_cache(isolated_refinement_cache):
 
 
 # --------------------------------------------------------------------------- #
-# oracles: the per-value varint writer and the per-byte bit helpers
+# oracles: the per-value varint writer and the per-byte bit-string helpers
 # --------------------------------------------------------------------------- #
 def oracle_write_uvarint(out: bytearray, value: int) -> None:
     if value < 0:
@@ -71,19 +71,6 @@ def oracle_bytes_from_bits(bits: str) -> bytes:
     if len(bits) % 8 != 0:
         raise ValueError("bit string length must be a multiple of 8")
     return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-
-
-def oracle_pack_bits(bits: str) -> bytes:
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        chunk = bits[start : start + 8]
-        out.append(int(chunk.ljust(8, "0"), 2))
-    return bytes(out)
-
-
-def oracle_unpack_bits(payload: bytes, bit_length: int) -> str:
-    bits = "".join(f"{byte:08b}" for byte in payload)
-    return bits[:bit_length]
 
 
 # --------------------------------------------------------------------------- #
@@ -213,21 +200,6 @@ class TestBitHelpersMatchTheirOracles:
         bits = oracle_bits_from_bytes(payload)
         assert bytes_from_bits(bits) == oracle_bytes_from_bits(bits) == payload
 
-    @given(bits=st.text(alphabet="01", max_size=90))
-    @example(bits="")
-    @example(bits="1")
-    @example(bits="0000001")
-    @example(bits="000000001")
-    def test_pack_bits_pads_the_last_byte_on_the_right(self, bits):
-        assert _pack_bits(bits) == oracle_pack_bits(bits)
-
-    @given(payload=st.binary(max_size=12), bit_length=st.integers(0, 104))
-    @example(payload=b"", bit_length=0)
-    @example(payload=b"", bit_length=5)
-    @example(payload=b"\x01", bit_length=3)
-    def test_unpack_bits(self, payload, bit_length):
-        assert _unpack_bits(payload, bit_length) == oracle_unpack_bits(payload, bit_length)
-
 
 # --------------------------------------------------------------------------- #
 # the python engine's canonical colours on both paths
@@ -295,7 +267,7 @@ class TestPythonEngineColorsAtPaths:
 
 
 # --------------------------------------------------------------------------- #
-# pinned record bytes (record format 4)
+# pinned record bytes (record format 5)
 # --------------------------------------------------------------------------- #
 def _replayed_record(base, script, tasks) -> ArtifactRecord:
     """The record write-through stores for ``script`` replayed onto ``base``."""
@@ -303,10 +275,7 @@ def _replayed_record(base, script, tasks) -> ArtifactRecord:
     evaluate_graph(base, sweep)
     entry = refinement_cache.delta_entry(base, script)
     evaluate_graph(entry.graph, sweep)
-    parent, digest = entry.lineage
-    return ArtifactRecord.from_computed(
-        entry.graph, memo=entry.memo, parent_fingerprint=parent, delta_digest=digest
-    )
+    return ArtifactRecord.from_computed(entry.graph, memo=entry.memo)
 
 
 def _beacon_tail_record() -> ArtifactRecord:
@@ -329,16 +298,16 @@ def _mixed_record() -> ArtifactRecord:
 
 
 PINNED_RECORDS = {
-    "beacon-tail": (_beacon_tail_record, "e864cd52cd5503ee8345ac73ef4993de08cf63f6f1335e921ae86622f82550e4"),
-    "grid": (_grid_record, "bf58755e92574b088d3eb7199416860309d0e229ebf3b532150e29b55f4211a7"),
-    "mixed": (_mixed_record, "a4cfa48d12db4f4a2af1f8d6f8e275acbb20318c804a3251e34b311ab1db6a62"),
+    "beacon-tail": (_beacon_tail_record, "1d8202819c5cc182788d94d03c0ba91094c11aa2943ec3216415958dde39689b"),
+    "grid": (_grid_record, "73669696d7b7b77799c6ce6cffa5c82690e6871f6bb1dfeeef52107abc080a5b"),
+    "mixed": (_mixed_record, "f5a1955c228f0d07b218f543945d0e59bddfe13ac9b3496b6dc0d7ce17cd0bfd"),
 }
 
 
 @pytest.mark.parametrize("path", ENCODER_PATHS)
 @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
 def test_record_bytes_are_pinned(name, path):
-    """The record bytes of format 4, pinned before the encoder wrote whole sections."""
+    """The record bytes of format 5, on both encoder paths."""
     build, digest = PINNED_RECORDS[name]
     with encoder_path(path):
         record = build()
@@ -352,5 +321,3 @@ def test_record_bytes_are_pinned(name, path):
     if name == "mixed":
         assert [entry[0] for entry in record.psi] == ["CPPE", "PE", "PPE", "S"]
         assert all(entry[3] == "ok" and entry[4] is not None for entry in record.psi)
-        assert decoded.advice_bits("map") == record.advice_bits("map")
-        assert bytes_from_bits(record.advice_bits("map"))  # the map advice is there

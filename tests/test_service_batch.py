@@ -198,6 +198,39 @@ def test_a_malformed_spec_object_is_a_400_alone_and_in_a_batch(field, spec, frag
     assert not lines[1]["error"].startswith("internal error")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_states", True), ("max_states", False), ("max_depth", True), ("max_depth", False)],
+)
+def test_a_boolean_search_parameter_is_a_400_alone_and_in_a_batch(field, value):
+    """``bool`` subclasses ``int``, so ``{"max_states": true}`` used to run
+    with budget 1 (PPE/CPPE search-limited) and ``{"max_depth": false}`` at
+    depth 0, instead of being refused like any other non-integer."""
+    payload = {"spec": {"kind": "star", "params": {"leaves": 3}}, field: value}
+    with _RunningServer(make_service(workers=1)) as running:
+        code, body = running.post_expecting_error("/election", payload)
+        lines = _post_stream(running, {"items": [payload]})
+        swept = _post_stream(running, {"sweep": {"corpus": "mixed", "count": 1, field: value}})
+    assert code == 400 and f"'{field}'" in body["error"]
+    for line in (lines[1], swept[1]):
+        assert line["status"] == "error" and f"'{field}'" in line["error"]
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"items": [{"spec": {"kind": "star"}}], "window": True}, "window"),
+        ({"sweep": {"corpus": "mixed", "count": True}}, "count"),
+        ({"sweep": {"corpus": "mixed", "count": 1, "seed": False}}, "seed"),
+        ({"sweep": {"corpus": "mixed", "count": 1, "seed": True}}, "seed"),
+    ],
+    ids=["window", "count", "seed-false", "seed-true"],
+)
+def test_a_boolean_batch_integer_is_a_400(payload, field):
+    with _RunningServer(make_service(workers=1)) as running:
+        assert f"'{field}'" in _post_expecting_status(running, payload, 400)["error"]
+
+
 def test_envelope_errors_are_400s():
     with _RunningServer(make_service(workers=1)) as running:
         for payload, fragment in [

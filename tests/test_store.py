@@ -17,7 +17,7 @@ from repro.core import Task
 from repro.families import build_gdk_member
 from repro.kernel import numpy_available, use_backend
 from repro.portgraph import generators
-from repro.portgraph.io import graph_from_bytes, graph_to_bytes, graph_to_dict
+from repro.portgraph.io import graph_from_bytes, graph_to_bytes, graph_to_dict, write_uvarint
 from repro.runner import (
     ExperimentRunner,
     GraphSpec,
@@ -27,6 +27,7 @@ from repro.runner import (
     refinement_cache,
 )
 from repro.store import AmbiguousFingerprint, ArtifactRecord, ArtifactStore
+from repro.store.record import FORMAT_VERSION, MAGIC
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +57,32 @@ def _computed_record(graph, *, tasks=("S", "PE")):
     evaluate_graph(graph, sweep)
     entry = refinement_cache.entry(graph)
     return ArtifactRecord.from_computed(graph, memo=entry.memo)
+
+
+#: Ways to make record bytes that would not re-encode to themselves.
+NON_CANONICAL = ["trailing-bytes", "feasibility-flag", "psi-status-flag"]
+
+
+def _non_canonical(record, kind):
+    """``record``'s bytes with one non-canonical change of ``kind``."""
+    payload = bytearray(record.to_bytes())
+    if kind == "trailing-bytes":
+        return bytes(payload) + b"\x00" * 8
+    # the ψ count, right after the feasibility flag, is the first byte that
+    # differs from the record without ψ entries
+    bare = dataclasses.replace(record, psi=()).to_bytes()
+    count = next(i for i, (byte, other) in enumerate(zip(payload, bare)) if byte != other)
+    if kind == "feasibility-flag":
+        offset = count - 1
+    else:  # the first ψ entry: task, max_depth (None), max_states, status flag
+        task, max_depth, max_states, _status, _value = record.psi[0]
+        assert max_depth is None
+        states = bytearray()
+        write_uvarint(states, max_states)
+        offset = count + 1 + (1 + len(task)) + 1 + len(states)
+    assert payload[offset] in (0, 1)
+    payload[offset] = 2
+    return bytes(payload)
 
 
 class TestBinaryGraphEncoding:
@@ -102,7 +129,6 @@ class TestArtifactRecord:
             store.put(decoded)
             assert store.get_bytes(graph.cache_key()) == payload
             assert decoded.psi == record.psi
-            assert decoded.advice == record.advice
             refinement_cache.clear()
 
     def test_decoded_graph_is_warm(self):
@@ -141,13 +167,34 @@ class TestArtifactRecord:
         with pytest.raises(ValueError):
             records[0].merged_with(records[1])
 
-    def test_advice_is_bit_exact(self):
-        from repro.advice.map_advice import encode_map_advice
+    @pytest.mark.parametrize("kind", NON_CANONICAL)
+    def test_bytes_that_would_not_re_encode_to_themselves_do_not_decode(self, kind):
+        """Decoding is the inverse of a canonical encoding: bytes after the
+        last section, or a flag byte other than 0 or 1, would decode to a
+        record whose bytes differ from the ones read."""
+        record = _computed_record(generators.asymmetric_cycle(7))
+        with pytest.raises(ValueError):
+            ArtifactRecord.from_bytes(_non_canonical(record, kind))
 
-        graph = generators.star_graph(4)
-        record = _computed_record(graph)
-        decoded = ArtifactRecord.from_bytes(record.to_bytes())
-        assert decoded.advice_bits("map") == encode_map_advice(graph)
+    def test_a_record_holds_exactly_the_sections_a_reader_uses(self):
+        """Magic, version, fingerprint, graph, stable depth, colour tables,
+        feasibility and ψ entries -- and not one byte more."""
+        assert FORMAT_VERSION == 5
+        graph = generators.asymmetric_cycle(7)
+        record = _computed_record(graph, tasks=("S",))
+        ((task, max_depth, max_states, status, value),) = record.psi
+        assert (task, max_depth, status) == ("S", None, "ok")
+        expected = bytearray(MAGIC + bytes([FORMAT_VERSION, 64]))
+        expected += record.fingerprint.encode("ascii") + graph_to_bytes(graph)
+        write_uvarint(expected, record.stable_depth)
+        write_uvarint(expected, len(record.color_tables))
+        for table in record.color_tables:
+            for color in table:
+                write_uvarint(expected, color)
+        expected += bytes([1, 1, 1]) + b"S" + bytes([0])  # feasible; one entry, "S", depth None
+        write_uvarint(expected, max_states)
+        expected += bytes([0, value + 1])  # status ok, value
+        assert record.to_bytes() == bytes(expected)
 
 
 class TestArtifactStore:
@@ -357,7 +404,7 @@ class TestArtifactStore:
 
     @pytest.mark.parametrize(
         "corruption",
-        ["garbage", "truncated", "empty", "misplaced"],
+        ["garbage", "truncated", "empty", "misplaced", *NON_CANONICAL],
     )
     def test_corrupt_object_is_quarantined_as_a_miss(self, tmp_path, corruption):
         """A torn or misplaced object must never crash the caller.
@@ -378,6 +425,8 @@ class TestArtifactStore:
             bad = record.to_bytes()[: len(record.to_bytes()) // 2]
         elif corruption == "empty":
             bad = b""
+        elif corruption in NON_CANONICAL:
+            bad = _non_canonical(record, corruption)
         else:  # misplaced: a valid record of a *different* graph
             refinement_cache.clear()
             bad = _computed_record(generators.asymmetric_cycle(7)).to_bytes()
@@ -510,13 +559,40 @@ class TestArtifactStore:
         assert ArtifactStore(str(tmp_path)).stats()["records"] == 5
 
 
+def _as_format_4(record):
+    """The object format 4 stored for ``record``: the format-5 sections plus
+    the three format 5 dropped -- the CSR arrays after the graph, then the
+    map advice and an empty delta lineage after the ψ entries."""
+    from repro.advice.map_advice import encode_map_advice
+
+    def head(version):
+        fingerprint = record.fingerprint.encode("ascii")
+        return MAGIC + bytes([version, len(fingerprint)]) + fingerprint + graph_to_bytes(record.graph)
+
+    payload = record.to_bytes()
+    assert payload.startswith(head(FORMAT_VERSION))
+    out = bytearray(head(4))
+    csr = record.graph.csr()
+    for values in (csr.offsets, csr.neighbors, csr.reverse_ports):
+        write_uvarint(out, len(values))
+        for value in values:
+            write_uvarint(out, value)
+    out += payload[len(head(FORMAT_VERSION)) :]
+    bits = encode_map_advice(record.graph)
+    packed = bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
+    out += bytes([1, 3]) + b"map"  # one advice entry, named "map"
+    write_uvarint(out, len(bits))
+    write_uvarint(out, len(packed))
+    out += packed
+    out += bytes([0, 0])  # no parent fingerprint, no delta digest
+    return bytes(out)
+
+
 def _as_format_3(payload, fingerprint):
     """A format-3 object: a format-4 payload with version byte 3, named by
     ``fingerprint`` (the two layouts are equal; a v3 object carries a
     fingerprint of the old label scheme)."""
-    from repro.store.record import FORMAT_VERSION, MAGIC
-
-    assert payload[: len(MAGIC)] == MAGIC and payload[len(MAGIC)] == FORMAT_VERSION == 4
+    assert payload[: len(MAGIC)] == MAGIC and payload[len(MAGIC)] == 4
     start = len(MAGIC) + 1
     assert payload[start] == len(fingerprint) == 64  # a one-byte varint length
     end = start + 1 + len(fingerprint)
@@ -546,11 +622,12 @@ def _served_fingerprint(graph):
 
 
 class TestParentLayoutUpgrade:
-    """A store of the earlier layout -- objects named by fingerprint (one of
-    them still format 3), a spill of a relabeled copy, and a manifest -- is
-    upgraded without migration: no old object is served, write-through
-    stores the very same bytes under identity keys, and compaction reclaims
-    every old object.  The manifest is ignored."""
+    """A store of the earlier layout -- format-4 objects named by
+    fingerprint (one of them still format 3), a spill of a relabeled copy,
+    and a manifest -- is upgraded without migration: no old object is
+    served, write-through stores current-format records under identity
+    keys, and compaction reclaims every old object.  The manifest is
+    ignored."""
 
     def test_parent_layout_store_is_recomputed_and_compacted(self, tmp_path):
         import hashlib
@@ -560,17 +637,18 @@ class TestParentLayoutUpgrade:
         graphs.append(graphs[1].relabeled(list(range(graphs[1].num_nodes))[::-1]))
         payloads, old_names, manifest = [], [], {}
         for index, graph in enumerate(graphs):
-            payload = _computed_record(graph).to_bytes()
+            record = _computed_record(graph)
             refinement_cache.clear()
+            payload, old_payload = record.to_bytes(), _as_format_4(record)
             fingerprint = graph.fingerprint()
             if index == 0:  # format 3, named by an old-scheme fingerprint
                 name = hashlib.sha256(b"v3:" + fingerprint.encode("ascii")).hexdigest()
-                stored = _as_format_3(payload, name)
+                stored = _as_format_3(old_payload, name)
             elif index == 3:  # the relabeled copy spilled behind graph 1
                 digest = hashlib.blake2b(graph_to_bytes(graph), digest_size=8).hexdigest()
-                name, stored = f"{fingerprint}~{digest}", payload
+                name, stored = f"{fingerprint}~{digest}", old_payload
             else:
-                name, stored = fingerprint, payload
+                name, stored = fingerprint, old_payload
             path = os.path.join(root, "objects", name[:2], name + ".rple")
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as handle:
@@ -598,7 +676,7 @@ class TestParentLayoutUpgrade:
         assert served == [graph.fingerprint() for graph in graphs]
         assert not set(served) & {old_names[0]}
         # ...and written through under identity keys, byte for byte the
-        # payloads the old layout held
+        # current-format records of the old layout's graphs
         assert sorted(store.keys()) == sorted(graph.cache_key() for graph in graphs)
         for graph, payload in zip(graphs, payloads):
             assert store.get_bytes(graph.cache_key()) == payload
@@ -616,6 +694,63 @@ class TestParentLayoutUpgrade:
         assert left == sorted(graph.cache_key() + ".rple" for graph in graphs)
         with open(manifest_path, encoding="utf-8") as handle:
             assert json.load(handle)["records"] == manifest  # ignored, not rewritten
+
+
+class TestFormatUpgrade:
+    """Format-4 objects under identity keys, with their fingerprint aliases,
+    are upgraded without migration: the first lookup of each quarantines it
+    as an unsupported version, so nothing from it is served; the recomputed
+    record is written through as format 5 in its place; and ``compact()``
+    reclaims the quarantined files and the old object no lookup reached."""
+
+    def test_format_4_objects_are_recomputed_as_format_5_and_compacted(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        graphs = _sample_graphs()[:3]
+        payloads = []
+        for graph in graphs:
+            record = _computed_record(graph)
+            refinement_cache.clear()
+            payloads.append(record.to_bytes())
+            path = store._object_path(graph.cache_key())
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(_as_format_4(record))
+            store._claim(record.fingerprint, graph.cache_key())
+        assert sorted(store.keys()) == sorted(graph.cache_key() for graph in graphs)
+
+        refinement_cache.attach_store(store)
+        try:
+            served = [_served_fingerprint(graph) for graph in graphs[:2]]
+        finally:
+            refinement_cache.attach_store(None)
+        assert served == [graph.fingerprint() for graph in graphs[:2]]
+        assert refinement_cache.store_hits == 0
+        stats = store.stats()
+        assert (stats["hits"], stats["corrupt_objects"], stats["puts"]) == (0, 2, 2)
+        for graph, payload in zip(graphs[:2], payloads):
+            path = store._object_path(graph.cache_key())
+            assert os.path.exists(path + ".quarantine")
+            with open(path, "rb") as handle:
+                stored = handle.read()
+            assert stored == payload and stored[len(MAGIC)] == FORMAT_VERSION == 5
+        # the alias the format-4 put claimed still names the graph
+        assert store.by_fingerprint(graphs[0].fingerprint()).graph == graphs[0]
+
+        summary = store.compact()
+        assert summary == {
+            "removed_quarantined": 2,
+            "removed_tmp": 0,
+            "removed_corrupt": 1,
+            "live_records": 2,
+        }
+        assert sorted(store.keys()) == sorted(graph.cache_key() for graph in graphs[:2])
+        leftovers = [
+            name
+            for _shard, _dirs, names in os.walk(os.path.join(str(tmp_path), "objects"))
+            for name in names
+            if not name.endswith(".rple")
+        ]
+        assert leftovers == []
 
 
 class TestByFingerprint:
