@@ -13,7 +13,7 @@ The package implements, in pure Python:
   quantitative claim of the paper,
 * a persistent artifact store named by graph identity (``repro.store``) and an
   async JSON/HTTP query service (``repro.service``, the ``serve`` CLI
-  subcommand) so computed refinements and election indices outlive the
+  subcommand) so computed feasibility and election indices outlive the
   process and serve concurrent clients.
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the

@@ -9,7 +9,7 @@ every pass is a worklist pass, and nothing imports it at module load.
 Outside the engine, a few array steps use numpy whenever it imports:
 :meth:`repro.kernel.csr.CSRGraph.patched`'s offset shift, canonical
 renumbering (:func:`repro.kernel.refine.first_appearance_ranks`), the
-fingerprint's label chain and the record encoder.
+fingerprint's label chain and the graph encoder's varint runs.
 
 Both pass kinds compute the same partitions, so everything observable --
 canonical colour tables, class counts, stable depths, ψ_Z values, advice

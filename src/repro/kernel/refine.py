@@ -180,37 +180,6 @@ def _class_lists(table: array, count: int) -> List[List[int]]:
     return [group.tolist() for group in numpy.split(order, bounds)]
 
 
-def _canonical_class_counts(tables: List[array], n: int) -> List[int]:
-    """The class count of each table; ``ValueError`` unless all are canonical.
-
-    A canonical table is its own first-appearance numbering: its first entry
-    is 0, and every entry is non-negative and at most one above every entry
-    before it.
-    """
-    if n == 0:
-        return [0] * len(tables)
-    numpy = numpy_or_none()
-    counts = []
-    for table in tables:
-        if numpy is not None:
-            ids = _view(numpy, table)
-            ceiling = numpy.maximum.accumulate(ids)
-            canonical = ids[0] == 0 and ids.min() >= 0 and not (ids[1:] > ceiling[:-1] + 1).any()
-            top = int(ceiling[-1])
-        else:
-            canonical, top = True, -1
-            for c in table:
-                if c < 0 or c > top + 1:
-                    canonical = False
-                    break
-                if c > top:
-                    top = c
-        if not canonical:
-            raise ValueError("colour tables must be canonical (first-appearance numbered)")
-        counts.append(top + 1)
-    return counts
-
-
 class CSRPartitionRefinement:
     """Lazy per-depth view-equivalence partitions of one CSR graph.
 
@@ -248,17 +217,12 @@ class CSRPartitionRefinement:
             INT_TYPECODE,
             [degree_ids.setdefault(offsets[v + 1] - offsets[v], len(degree_ids)) for v in range(n)],
         )
-        self._setup(csr, [initial], [len(degree_ids)])
-        if n == 1 or len(degree_ids) == n:
-            self._stable_depth = 0
-
-    def _setup(self, csr: CSRGraph, raw: List[array], num_classes: List[int]) -> None:
         self._csr = csr
         #: raw colour tables per depth (ids 0..c-1, stable across depths in
         #: each class's largest fragment) and their class counts.
-        self._raw = raw
-        self._num_classes = num_classes
-        self._stable_depth: Optional[int] = None
+        self._raw = [initial]
+        self._num_classes = [len(degree_ids)]
+        self._stable_depth: Optional[int] = 0 if n == 1 or len(degree_ids) == n else None
         self._passes = 0
         #: the pass kinds this engine may run, bound from
         #: :func:`repro.kernel.use_backend` at construction: "auto" picks per
@@ -287,43 +251,6 @@ class CSRPartitionRefinement:
         self._canonical: Dict[int, array] = {}
         self._members: Dict[int, List[List[int]]] = {}
         self._unique: Dict[int, List[int]] = {}
-
-    @classmethod
-    def from_stored(
-        cls,
-        csr: CSRGraph,
-        tables: "List[List[int]]",
-        stable_depth: int,
-    ) -> "CSRPartitionRefinement":
-        """An engine pre-loaded with partitions computed by an earlier process.
-
-        ``tables`` must be *canonical* colour tables (ids ``0..c-1`` by first
-        appearance in node order, exactly what :meth:`colors_at` returns) for
-        depths ``0..len(tables)-1``, with ``stable_depth <= len(tables)-1``
-        the refinement fixpoint; anything else raises :class:`ValueError`.
-        The loaded engine answers every depth query from the installed
-        tables and, because the fixpoint is known, never runs a refinement
-        pass: :attr:`passes` stays ``0``, which is what lets the store-warm
-        CI gate certify that a cold process replaying a sweep from the
-        artifact store performs zero refinement work.
-        """
-        n = csr.num_nodes
-        if stable_depth < 0 or len(tables) < stable_depth + 1:
-            raise ValueError("tables must cover depths 0..stable_depth")
-        raw: List[array] = []
-        for table in tables:
-            if len(table) != n:
-                raise ValueError("each colour table must have one entry per node")
-            try:
-                raw.append(array(INT_TYPECODE, table))
-            except OverflowError as error:  # past C long, 32 bits on some platforms
-                raise ValueError("colour id out of range") from error
-        engine = cls.__new__(cls)
-        engine._setup(csr, raw, _canonical_class_counts(raw, n))
-        engine._stable_depth = stable_depth
-        # a canonical table is its own colors_at answer
-        engine._canonical = dict(enumerate(raw))
-        return engine
 
     @property
     def csr(self) -> CSRGraph:
@@ -393,7 +320,7 @@ class CSRPartitionRefinement:
         byte-identical to a cold full refinement of the mutated graph; the
         certified equivalence matrix in the delta test suite pins this.
         Replayed passes count toward :attr:`passes` (one per depth): delta
-        recompute is real refinement work, unlike a store restore.
+        recompute is real refinement work.
         """
         engine = CSRPartitionRefinement(csr)
         if engine._stable_depth is not None:
@@ -1014,9 +941,9 @@ class CSRPartitionRefinement:
     def canonical_tables(self) -> List[List[int]]:
         """Canonical colour tables for every materialised depth (0..computed).
 
-        This is the payload the artifact store persists and ``from_stored``
-        re-installs; round-tripping through it preserves every public colour
-        query byte-for-byte.
+        A pure function of the partitions, so two engines of one graph
+        return equal lists whichever pass kinds or replays built them: the
+        delta path compares a replay with its base through it.
         """
         return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
 
@@ -1032,9 +959,8 @@ class CSRPartitionRefinement:
         total = 0
         for arr in self._raw:
             total += len(arr) * arr.itemsize
-        for depth, arr in self._canonical.items():
-            if arr is not self._raw[depth]:  # from_stored installs one array as both
-                total += len(arr) * arr.itemsize
+        for arr in self._canonical.values():
+            total += len(arr) * arr.itemsize
         if self._buckets is not None:
             for matrices in self._buckets:
                 total += sum(matrix.nbytes for matrix in matrices)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import PortLabeledGraph
+from .validation import is_json_int
 
 __all__ = ["DeltaError", "DeltaResult", "GraphDelta", "DELTA_OPS"]
 
@@ -74,6 +75,15 @@ class DeltaResult:
     topology_changed: bool
 
 
+def _int_field(op: dict, field: str) -> int:
+    """The node id ``op[field]``: a JSON integer, never a string, float or
+    boolean coerced into one."""
+    value = op[field]
+    if not is_json_int(value):
+        raise DeltaError(f"malformed {op['op']!r} op: {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _canonical_op(op: object) -> Tuple:
     """Normalise one wire/op value into its canonical internal tuple."""
     if isinstance(op, tuple) and op and op[0] in DELTA_OPS:
@@ -83,16 +93,20 @@ def _canonical_op(op: object) -> Tuple:
     kind = op.get("op")
     try:
         if kind == "add-edge" or kind == "remove-edge":
-            return (kind, int(op["v"]), int(op["u"]))
+            return (kind, _int_field(op, "v"), _int_field(op, "u"))
         if kind == "add-node":
-            return (kind, int(op["anchor"]))
+            return (kind, _int_field(op, "anchor"))
         if kind == "remove-node":
-            return (kind, int(op["v"]))
+            return (kind, _int_field(op, "v"))
         if kind == "relabel-ports":
-            perm = tuple(int(p) for p in op["perm"])
-            return (kind, int(op["v"]), perm)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DeltaError(f"malformed {kind!r} op: {exc}") from exc
+            perm = op["perm"]
+            if not isinstance(perm, (list, tuple)) or not all(is_json_int(p) for p in perm):
+                raise DeltaError(
+                    f"malformed {kind!r} op: 'perm' must be a list of integers, got {perm!r}"
+                )
+            return (kind, _int_field(op, "v"), tuple(perm))
+    except KeyError as exc:
+        raise DeltaError(f"malformed {kind!r} op: missing {exc}") from exc
     raise DeltaError(f"unknown delta op {kind!r} (expected one of {DELTA_OPS})")
 
 

@@ -234,27 +234,6 @@ class PortLabeledGraph:
         self._csr = csr
         return True
 
-    def adopt_refinement_tables(self, tables: Sequence[Sequence[int]], stable_depth: int) -> bool:
-        """Install precomputed view-refinement partitions without refining.
-
-        ``tables`` are the canonical per-depth colour tables (depth 0 up to
-        at least ``stable_depth``) exactly as
-        :meth:`repro.views.refinement.ViewRefinement.colors` would return
-        them; ``stable_depth`` is the refinement fixpoint.  On success the
-        graph's memoised :meth:`refinement_engine` serves every depth query
-        from the installed tables with **zero refinement passes**, which is
-        how a store-warm process replays sweeps without refining.
-
-        Returns ``False`` (and installs nothing) if this instance already
-        built its engine -- the live engine's state is at least as deep.
-        """
-        if self._engine is not None:
-            return False
-        from ..kernel.refine import CSRPartitionRefinement  # lazy, as in csr()
-
-        self._engine = CSRPartitionRefinement.from_stored(self.csr(), tables, stable_depth)
-        return True
-
     def adopt_engine(self, engine) -> bool:
         """Install a live refinement engine built elsewhere for this graph.
 

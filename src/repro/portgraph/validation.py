@@ -20,6 +20,7 @@ __all__ = [
     "PortLabelingError",
     "validate_adjacency",
     "check_connected",
+    "is_json_int",
 ]
 
 Endpoint = Tuple[int, int]
@@ -27,6 +28,12 @@ Endpoint = Tuple[int, int]
 
 class PortLabelingError(ValueError):
     """Raised when an adjacency structure violates the port-labeled model."""
+
+
+def is_json_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer: ``bool`` subclasses
+    ``int``, but ``true`` and ``false`` are no numbers to a client."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _iter_ports(entry) -> Mapping[int, Endpoint]:

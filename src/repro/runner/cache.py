@@ -33,11 +33,14 @@ persistent :class:`~repro.store.store.ArtifactStore`
 (:meth:`RefinementCache.attach_store`): a miss then *reads through* the
 store -- looked up by the exact identity digest
 :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key`, confirmed by
-graph equality, and warm-started via the record's stored partitions so not a
-single refinement pass is paid -- and computed entries are *written
-through* with :meth:`RefinementCache.persist`.  That is how a cold process
-(a CI run, a fresh benchmark, a service worker) inherits every refinement
-and ψ_Z search any previous process performed.
+graph equality -- and a record found there pre-fills the new entry's memo
+with its stored answers (feasibility, ψ_Z outcomes, view-class profiles) and
+seeds the graph's fingerprint; computed entries are *written through* with
+:meth:`RefinementCache.persist`.  That is how a cold process (a CI run, a
+fresh benchmark, a service worker) inherits every answer and ψ_Z search any
+previous process computed: a replayed sweep whose answers are all stored
+runs no refinement pass at all, and any other query refines the graph from
+scratch, which costs less than decoding stored partitions would.
 """
 
 from __future__ import annotations
@@ -185,18 +188,20 @@ class RefinementCache:
         On a hit by an equal but distinct instance, ``graph`` adopts what the
         cached instance has already computed (CSR view, stable engine,
         fingerprint; :meth:`~repro.portgraph.graph.PortLabeledGraph.adopt_from`),
-        as a store hit adopts the record's, so the caller's own later
-        ``graph.fingerprint()`` refines nothing outside the ledger.  Nothing
-        is refined under the lock.
+        as a store hit adopts the record's fingerprint, so the caller's own
+        later ``graph.fingerprint()`` refines nothing outside the ledger.
+        Nothing is refined under the lock.
 
         With a store attached, an in-memory miss first *reads through* the
         store: a record of an exactly equal graph warm-starts the entry
-        (partitions installed, fingerprint seeded, ψ/feasibility memo
-        pre-filled) so the cold process performs zero refinement passes.
-        The store lookup happens under the cache lock -- it is a small read
-        of a content-addressed file, and serialising it also means
-        concurrent threads asking for the same graph trigger one disk read,
-        not several.
+        (fingerprint seeded, memo pre-filled with the stored feasibility,
+        ψ_Z and profile answers), so a query the record answers costs the
+        cold process no refinement pass; no partition is installed, and any
+        other query refines the graph from scratch.  The store lookup
+        happens under the cache lock -- it is a small read of a
+        content-addressed file, and serialising it also means concurrent
+        threads asking for the same graph trigger one disk read, not
+        several.
         """
         return self._entry(graph, request=True)
 
@@ -427,9 +432,9 @@ class RefinementCache:
     def persist(self, graph: PortLabeledGraph) -> bool:
         """Write-through the entry of ``graph`` to the attached store.
 
-        Ensures the entry exists (computing it if needed), snapshots it into
-        an :class:`~repro.store.record.ArtifactRecord` -- refined to the
-        fixpoint, with every memoised ψ/feasibility outcome -- merges it
+        Ensures the entry exists (computing it if needed), snapshots its
+        memoised answers (feasibility, ψ_Z outcomes, view-class profiles)
+        into an :class:`~repro.store.record.ArtifactRecord`, merges it
         with any record already stored for the exact labeled graph, and
         puts the result.  The record is a pure function of the graph and
         its memo, so a delta-replayed entry and a cold one write the same
@@ -444,7 +449,7 @@ class RefinementCache:
         # the write-through of a freshly computed entry must not count as
         # the promoting touch, or every one-hit item would self-admit
         entry = self._entry(graph, request=False)
-        # the record's ψ section comes from entry.memo alone: a
+        # the record's answer sections come from entry.memo alone: a
         # delta-derived entry starts with an empty memo (its base's ψ
         # outcomes are never inherited — see delta_entry), so nothing stale
         # from the base graph can reach the store through this write

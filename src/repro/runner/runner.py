@@ -46,14 +46,15 @@ def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> D
     """Evaluate one built graph into a flat result record.
 
     Fetches the graph's entry from the process-wide refinement cache and
-    answers every requested query against that one refinement.  Feasibility
-    and the ψ_Z values (keyed by their search parameters) are memoised on
-    the entry, so replaying a sweep skips the PPE/CPPE joint searches as
-    well as the refinement passes; with a store attached the entry itself
-    may arrive warm from disk, and the computed outcome is written through
-    at the end.  A PPE or CPPE search that exceeds ``sweep.max_states``
-    records ``None`` for the index and lists the task under
-    ``search_limited`` instead of aborting the whole sweep.
+    answers every requested query against that one refinement.  Feasibility,
+    the ψ_Z values (keyed by their search parameters) and the view-class
+    profiles (keyed by depth) are memoised on the entry, so replaying a
+    sweep skips the PPE/CPPE joint searches as well as the refinement
+    passes; with a store attached the entry's memo may arrive warm from
+    disk, and the computed outcome is written through at the end.  A PPE
+    or CPPE search that exceeds ``sweep.max_states`` records ``None`` for
+    the index and lists the task under ``search_limited`` instead of
+    aborting the whole sweep.
 
     The PPE and CPPE depth searches start at the memoised exact index of
     the next-weaker shade (ψ_PE, respectively ψ_PPE) when one was computed
@@ -154,8 +155,11 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict
             limited.append(task.value)
         record[f"psi_{task.value}"] = value
     for depth in sweep.profile_depths:
-        record[f"classes_at_{depth}"] = refinement.num_classes(depth)
-        record[f"unique_at_{depth}"] = len(refinement.unique_nodes(depth))
+        profile = entry.memo.get(("profile", depth))
+        if profile is None:
+            profile = (refinement.num_classes(depth), len(refinement.unique_nodes(depth)))
+            entry.memo[("profile", depth)] = profile
+        record[f"classes_at_{depth}"], record[f"unique_at_{depth}"] = profile
     if sweep.tasks or sweep.profile_depths:
         record["search_limited"] = ",".join(limited)
     if refinement_cache.store is not None and len(entry.memo) > memo_size_before:

@@ -117,6 +117,13 @@ def sized_graph_kinds() -> Dict[str, str]:
     return sized
 
 
+def _holds_boolean(value: Any) -> bool:
+    """Whether ``value`` is a boolean or a list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_boolean(item) for item in value)
+    return isinstance(value, bool)
+
+
 def _freeze(value: Any) -> Any:
     """Recursively turn lists into tuples so specs stay hashable/picklable."""
     if isinstance(value, list):
@@ -146,6 +153,10 @@ class GraphSpec:
     def make(cls, kind: str, **params: Any) -> "GraphSpec":
         if kind not in _BUILDERS:
             raise ValueError(f"unknown graph kind {kind!r}; known: {', '.join(graph_kinds())}")
+        for name, value in params.items():
+            # bool subclasses int: a builder would take JSON true for 1
+            if _holds_boolean(value):
+                raise ValueError(f"parameter {name!r} of graph kind {kind!r} must not be a boolean")
         frozen = tuple(sorted((name, _freeze(value)) for name, value in params.items()))
         return cls(kind=kind, params=frozen)
 

@@ -51,13 +51,14 @@ import time
 
 from ..obs import current_context, record_span
 from ..obs import span as obs_span
+from ..portgraph.validation import is_json_int
 from .protocol import (
     SWEEP_RUNNING,
     SWEEP_TERMINAL,
     WindowLedger,
     sweep_transition,
 )
-from .service import ElectionService, ServiceError, deterministic_response, is_json_int
+from .service import ElectionService, ServiceError, deterministic_response
 
 __all__ = [
     "BatchCoordinator",

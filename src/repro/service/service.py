@@ -42,7 +42,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..core import Task, search_statistics
 from ..obs import span as obs_span
 from ..portgraph.io import graph_from_dict
-from ..portgraph.validation import PortLabelingError
+from ..portgraph.validation import PortLabelingError, is_json_int
 from ..runner import GraphSpec, SweepSpec, evaluate_graph, refinement_cache
 from ..store import AmbiguousFingerprint, ArtifactStore
 
@@ -51,7 +51,6 @@ __all__ = [
     "ServiceError",
     "compute_election",
     "deterministic_response",
-    "is_json_int",
 ]
 
 #: Hard cap on submitted adjacency sizes (nodes); protects the joint
@@ -91,12 +90,6 @@ class ServiceError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
-
-
-def is_json_int(value: Any) -> bool:
-    """Whether a decoded JSON value is an integer: ``bool`` subclasses
-    ``int``, but ``true`` and ``false`` are no numbers to a client."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_spec(spec: Any, what: str) -> None:
@@ -157,8 +150,7 @@ def _resolve_delta(parsed: Dict[str, Any]):
             # so the recompute fallback has nothing to recompute from
             status.apply("error")
             raise ServiceError(*missing)
-        base_graph = record.graph
-        record.adopt_onto(base_graph)
+        base_graph = record.graph  # decoding seeded its fingerprint
         base_label = base_graph.name or base_ref[:12]
     events: list = []
     try:

@@ -1,76 +1,79 @@
-"""Versioned binary artifact records: what a reader of one graph uses.
+"""Versioned binary artifact records: the answers computed about one graph.
 
 An :class:`ArtifactRecord` is the unit the on-disk store
 (:mod:`repro.store.store`) persists -- a pure function of a port-labeled
 graph and of the (deterministic) computations performed on it:
 
 * the compact binary graph encoding (:func:`repro.portgraph.io.graph_to_bytes`);
-* the canonical view-refinement colour tables for every materialised depth
-  plus the fixpoint (``stable_depth``), which
-  :meth:`repro.kernel.refine.CSRPartitionRefinement.from_stored` re-installs
-  so a cold process serves depth queries with **zero refinement passes**;
 * feasibility and the computed ψ_Z outcomes, keyed exactly like the runner
-  cache's memo (task, ``max_depth``, ``max_states``) so a warm sweep also
-  skips the PPE/CPPE joint searches.
+  cache's memo (task, ``max_depth``, ``max_states``), so a warm sweep skips
+  the PPE/CPPE joint searches;
+* the sweep's view-class profile answers (the number of classes and of
+  nodes with a unique view at a depth), keyed like the memo's
+  ``("profile", depth)`` entries.
 
-That is, the view partitions an anonymous node can learn plus the ψ_Z
-indices of the four shades.  Nothing else is stored: the CSR view is
-rebuilt from the graph when first asked for, and advice strings are
-encoded from the graph when a response asks for them.
+That is, the paper's answers about the graph, and nothing per depth.  A
+store hit seeds the fingerprint and the memo; a query the record does not
+answer refines the graph from scratch, which costs less than decoding
+stored partitions did.  The CSR view is rebuilt from the graph when first
+asked for, and advice strings are encoded from the graph when a response
+asks for them.
 
-The byte encoding (format version 5) is canonical: unsigned-LEB128 varints
-and length-prefixed UTF-8, sections in a fixed order, ψ entries sorted -- so
-``encode(decode(b)) == b``, and :meth:`ArtifactRecord.from_bytes` refuses
-bytes that would not re-encode to themselves (a flag byte other than 0 or
-1, bytes after the last section).  Two processes that computed the same
-things about equal graphs produce identical record bytes, whether the
-tables came from a cold refinement or a delta replay.  That is what lets
-write-through skip rewrites by byte comparison.
+The byte encoding (format version 6) is canonical: unsigned-LEB128 varints
+and length-prefixed UTF-8, sections in a fixed order, ψ and profile entries
+one per key and sorted -- so ``encode(decode(b)) == b``, and
+:meth:`ArtifactRecord.from_bytes` re-encodes what it decoded and refuses
+bytes that differ (an overlong varint, a flag byte other than 0 or 1,
+entries out of order or repeated, edges out of canonical order, bytes after
+the last section).  Two processes that computed the same things about equal
+graphs produce identical record bytes, whether the graph came from a cold
+refinement or a delta replay.  That is what lets write-through skip
+rewrites by byte comparison.
 
-Version 5 dropped three sections of version 4 that no reader used: the CSR
-arrays (decoding them took longer than rebuilding them), the map advice,
-and the delta lineage (the base fingerprint and edit digest of a replayed
-record, which made a graph's bytes depend on the path that computed it).
-Only the current version decodes; the store quarantines an older object on
-first lookup and writes the recomputed record in its place.  Volatile
-observations (wall times, cumulative search-statistics snapshots) are
-deliberately not part of a record either.
-
-The encoder writes whole sections, not single integers: the concatenated
-colour tables go out through one :func:`~repro.portgraph.io.write_uvarints`
-call (one vectorised pass when numpy imports).  The bytes are exactly
-those of the per-value encoding, with or without numpy; decoding still
-reads one varint at a time.
+Version 6 dropped the colour tables of version 5 (one canonical table per
+depth up to the refinement fixpoint): they were most of the bytes written
+and took longer to decode than a fresh refinement takes.  Only the current
+version decodes; the store quarantines an older object on first lookup and
+writes the recomputed record in its place.  Volatile observations (wall
+times, cumulative search-statistics snapshots) are deliberately not part of
+a record either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..portgraph.graph import PortLabeledGraph
-from ..portgraph.io import (
-    graph_from_bytes,
-    graph_to_bytes,
-    read_uvarint,
-    write_uvarint,
-    write_uvarints,
-)
+from ..portgraph.io import graph_from_bytes, graph_to_bytes, read_uvarint, write_uvarint
 
 __all__ = ["ArtifactRecord", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = b"RPLE"
 #: The only version :meth:`ArtifactRecord.from_bytes` accepts.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: One computed ψ_Z outcome: (task code, max_depth, max_states, status, value)
 #: with status ``"ok"`` or ``"limited"`` (search budget exceeded).
 PsiEntry = Tuple[str, Optional[int], int, str, Optional[int]]
+#: One view-class profile answer: (depth, number of classes, unique-view nodes).
+ProfileEntry = Tuple[int, int, int]
 
 
 def _psi_order(entry: PsiEntry) -> tuple:
     return (entry[0], -1 if entry[1] is None else entry[1], entry[2])
+
+
+def _entries(
+    psi: Iterable[PsiEntry], profile: Iterable[ProfileEntry]
+) -> Tuple[Tuple[PsiEntry, ...], Tuple[ProfileEntry, ...]]:
+    """ψ and profile entries as a record holds them: one per key, the last
+    one given winning, sorted."""
+    psi_by_key = {entry[:3]: entry for entry in psi}
+    profile_by_depth = {entry[0]: entry for entry in profile}
+    psi_entries = tuple(sorted(psi_by_key.values(), key=_psi_order))
+    return psi_entries, tuple(sorted(profile_by_depth.values()))
 
 
 def _write_str(out: bytearray, text: str) -> None:
@@ -94,24 +97,15 @@ def _read_optional(data: bytes, offset: int) -> Tuple[Optional[int], int]:
     return (None if raw == 0 else raw - 1), offset
 
 
-def _read_flag(data: bytes, offset: int) -> Tuple[bool, int]:
-    """A one-byte flag; any byte but 0 or 1 would not re-encode to itself."""
-    flag = data[offset]
-    if flag > 1:
-        raise ValueError(f"flag byte {flag} at offset {offset} is neither 0 nor 1")
-    return flag == 1, offset + 1
-
-
 @dataclass(frozen=True)
 class ArtifactRecord:
     """The persisted artifact of one graph (see the module docstring)."""
 
     fingerprint: str
     graph: PortLabeledGraph
-    stable_depth: int
-    color_tables: Tuple[Tuple[int, ...], ...]
     feasible: bool
     psi: Tuple[PsiEntry, ...]
+    profile: Tuple[ProfileEntry, ...]
 
     # ------------------------------------------------------------------ #
     # construction from live state
@@ -122,79 +116,69 @@ class ArtifactRecord:
     ) -> "ArtifactRecord":
         """Snapshot a (possibly warm) graph into a record.
 
-        Refines to the fixpoint if that has not happened yet; ``memo`` is the
-        runner cache entry's memo dict, whose ``("psi", ...)`` and
-        ``("feasible",)`` entries become the record's result sections.
+        ``memo`` is the runner cache entry's memo dict, whose
+        ``("feasible",)``, ``("psi", ...)`` and ``("profile", depth)``
+        entries become the record's answer sections; the graph is refined
+        to the fixpoint only when the memo lacks feasibility.
         """
-        fingerprint = graph.fingerprint()
-        engine = graph.refinement_engine()
-        stable = engine.ensure_stable()
-        tables = tuple(tuple(engine.colors_at(depth)) for depth in range(engine.computed_depth + 1))
         memo = memo or {}
         feasible = memo.get(("feasible",))
         if feasible is None:
-            feasible = engine.num_classes_at(stable) == graph.num_nodes
-        psi = []
+            engine = graph.refinement_engine()
+            feasible = engine.num_classes_at(engine.ensure_stable()) == graph.num_nodes
+        psi, profile = [], []
         for key, outcome in memo.items():
-            if key and key[0] == "psi":
-                _tag, task_code, max_depth, max_states = key
-                status, value = outcome
-                psi.append((task_code, max_depth, max_states, status, value))
+            if key[0] == "psi":
+                psi.append((*key[1:], *outcome))
+            elif key[0] == "profile":
+                profile.append((key[1], *outcome))
+        psi_entries, profile_entries = _entries(psi, profile)
         return cls(
-            fingerprint=fingerprint,
+            fingerprint=graph.fingerprint(),
             graph=graph,
-            stable_depth=stable,
-            color_tables=tables,
             feasible=bool(feasible),
-            psi=tuple(sorted(psi, key=_psi_order)),
+            psi=psi_entries,
+            profile=profile_entries,
         )
 
     def merged_with(self, other: "ArtifactRecord") -> "ArtifactRecord":
-        """Union of the ψ entries of two records of the same *labeled* graph.
+        """Union of the ψ and profile entries of two records of the same
+        *labeled* graph.
 
         Both inputs are pure functions of the graph, so entries with equal
         keys are interchangeable; the union simply accumulates what different
         sweeps computed under different search parameters.  Equal
-        fingerprints are **not** sufficient: the fingerprint is
-        relabeling-invariant (and only as discriminating as colour
-        refinement), while colour tables and ψ memos are tied to the node
-        numbering -- merging across labelings would graft one labeling's
-        node-indexed tables onto the other's graph.
+        fingerprints are **not** sufficient: the fingerprint is only as
+        discriminating as colour refinement, so different graphs (a torus
+        and a twisted torus of one size) can share one.
         """
         if other.fingerprint != self.fingerprint or other.graph != self.graph:
             raise ValueError("cannot merge records of different labeled graphs")
-        psi = {entry[:3]: entry for entry in other.psi}
-        psi.update({entry[:3]: entry for entry in self.psi})
-        deeper = self if len(self.color_tables) >= len(other.color_tables) else other
+        psi, profile = _entries(chain(other.psi, self.psi), chain(other.profile, self.profile))
         return ArtifactRecord(
             fingerprint=self.fingerprint,
             graph=self.graph,
-            stable_depth=deeper.stable_depth,
-            color_tables=deeper.color_tables,
             feasible=self.feasible,
-            psi=tuple(sorted(psi.values(), key=_psi_order)),
+            psi=psi,
+            profile=profile,
         )
 
     # ------------------------------------------------------------------ #
     # restoration onto live objects
     # ------------------------------------------------------------------ #
     def memo_entries(self) -> Dict[tuple, object]:
-        """The runner-cache memo dict this record warms (feasibility + ψ)."""
+        """The runner-cache memo dict this record warms (feasibility, ψ, profiles)."""
         memo: Dict[tuple, object] = {("feasible",): self.feasible}
         for task_code, max_depth, max_states, status, value in self.psi:
             memo[("psi", task_code, max_depth, max_states)] = (status, value)
+        for depth, classes, unique in self.profile:
+            memo[("profile", depth)] = (classes, unique)
         return memo
 
     def adopt_onto(self, graph: PortLabeledGraph) -> None:
-        """Warm-start ``graph`` (an equal labeled graph) from this record.
-
-        Seeds the memoised fingerprint and installs the stored partitions
-        (over the graph's CSR view, built here if it was not yet) so no
-        consumer of ``graph`` ever refines; a no-op for state the instance
-        already computed itself.
-        """
+        """Seed ``graph`` (an equal labeled graph) with the stored fingerprint,
+        so naming it costs no refinement."""
         graph.adopt_fingerprint(self.fingerprint)
-        graph.adopt_refinement_tables(self.color_tables, self.stable_depth)
 
     # ------------------------------------------------------------------ #
     # binary encoding
@@ -204,9 +188,6 @@ class ArtifactRecord:
         write_uvarint(out, FORMAT_VERSION)
         _write_str(out, self.fingerprint)
         out.extend(graph_to_bytes(self.graph))
-        write_uvarint(out, self.stable_depth)
-        write_uvarint(out, len(self.color_tables))
-        write_uvarints(out, list(chain.from_iterable(self.color_tables)))
         out.append(1 if self.feasible else 0)
         write_uvarint(out, len(self.psi))
         for task_code, max_depth, max_states, status, value in self.psi:
@@ -215,10 +196,21 @@ class ArtifactRecord:
             write_uvarint(out, max_states)
             out.append(0 if status == "ok" else 1)
             _write_optional(out, value)
+        write_uvarint(out, len(self.profile))
+        for entry in self.profile:
+            for value in entry:
+                write_uvarint(out, value)
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ArtifactRecord":
+        """Decode a record; ``ValueError`` unless ``data`` is exactly the
+        encoding of what it decodes to (``IndexError`` on a truncated flag).
+
+        ``data`` may be an ``mmap``: the check compares through a
+        ``memoryview`` released before returning, and every decoded value is
+        a new object, so nothing keeps a view into the buffer.
+        """
         if data[: len(MAGIC)] != MAGIC:
             raise ValueError("not an artifact record (bad magic)")
         offset = len(MAGIC)
@@ -227,35 +219,34 @@ class ArtifactRecord:
             raise ValueError(f"unsupported record format version {version}")
         fingerprint, offset = _read_str(data, offset)
         graph, offset = graph_from_bytes(data, offset=offset, validate=False)
-        stable_depth, offset = read_uvarint(data, offset)
-        num_tables, offset = read_uvarint(data, offset)
-        n = graph.num_nodes
-        tables = []
-        for _ in range(num_tables):
-            table = []
-            for _v in range(n):
-                color, offset = read_uvarint(data, offset)
-                table.append(color)
-            tables.append(tuple(table))
-        feasible, offset = _read_flag(data, offset)
-        num_psi, offset = read_uvarint(data, offset)
+        feasible = data[offset] == 1
+        num_psi, offset = read_uvarint(data, offset + 1)
         psi = []
         for _ in range(num_psi):
             task_code, offset = _read_str(data, offset)
             max_depth, offset = _read_optional(data, offset)
             max_states, offset = read_uvarint(data, offset)
-            limited, offset = _read_flag(data, offset)
-            value, offset = _read_optional(data, offset)
+            limited = data[offset] != 0
+            value, offset = _read_optional(data, offset + 1)
             psi.append((task_code, max_depth, max_states, "limited" if limited else "ok", value))
-        if offset != len(data):
-            raise ValueError(f"record of {len(data)} bytes ends its last section at {offset}")
+        num_profile, offset = read_uvarint(data, offset)
+        profile = []
+        for _ in range(num_profile):
+            depth, offset = read_uvarint(data, offset)
+            classes, offset = read_uvarint(data, offset)
+            unique, offset = read_uvarint(data, offset)
+            profile.append((depth, classes, unique))
+        psi_entries, profile_entries = _entries(psi, profile)
         record = cls(
             fingerprint=fingerprint,
             graph=graph,
-            stable_depth=stable_depth,
-            color_tables=tuple(tables),
             feasible=feasible,
-            psi=tuple(psi),
+            psi=psi_entries,
+            profile=profile_entries,
         )
+        with memoryview(data) as view:
+            canonical = view == record.to_bytes()
+        if not canonical:
+            raise ValueError("record bytes are not the canonical encoding of what they decode to")
         record.adopt_onto(graph)
         return record

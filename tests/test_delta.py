@@ -118,6 +118,22 @@ class TestGraphDelta:
         with pytest.raises(DeltaError):
             GraphDelta(["add-edge"])  # bare string is not an op object
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "add-edge", "v": "0", "u": 4},
+            {"op": "remove-edge", "v": 0, "u": 1.0},
+            {"op": "add-node", "anchor": True},
+            {"op": "remove-node", "v": None},
+            {"op": "relabel-ports", "v": 4, "perm": [1, 0, 3, 2.0]},
+            {"op": "relabel-ports", "v": 4, "perm": "1032"},
+        ],
+        ids=["string", "float", "boolean", "null", "float-in-perm", "perm-string"],
+    )
+    def test_rejects_fields_that_are_no_json_integers(self, op):
+        with pytest.raises(DeltaError, match="must be"):
+            GraphDelta([op])
+
     def test_apply_rejects_invalid_edits(self):
         base = generators.grid_graph(3, 3)
         cases = [

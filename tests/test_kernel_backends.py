@@ -8,8 +8,8 @@ store record bytes, fingerprints -- across the seeded scenario corpus and
 the known hard cases (the de Bruijn fingerprint-collision regression pair).
 These properties are what lets every layer above the kernel (cache, store,
 runner, service) ignore which kinds ran.  The pass choice itself, the hook
-that forces it, the vector pass's signature packing and the check on stored
-tables are exercised here too.
+that forces it and the vector pass's signature packing are exercised here
+too.
 
 Everything that runs vector passes is skipped cleanly when numpy is absent
 -- that environment runs worklist passes only.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -187,25 +186,6 @@ class TestByteIdentity:
         with label_path("python"):
             python_path = _per_backend(graph, lambda fresh: fresh.fingerprint())
         assert python_path == observed
-
-    @given(graph=small_graph_strategy)
-    @settings(max_examples=10, deadline=None)
-    def test_from_stored_serves_worklist_tables_unchanged(self, graph):
-        csr = graph.csr()
-        with use_backend("python"):
-            python_engine = CSRPartitionRefinement(csr)
-        stable = python_engine.ensure_stable()
-        tables = python_engine.canonical_tables()
-        with use_backend("numpy"):
-            warmed = CSRPartitionRefinement.from_stored(csr, tables, stable)
-        with pass_log() as log:
-            assert warmed.stable_depth == stable
-            assert warmed.canonical_tables() == tables
-            for depth in range(stable + 1):
-                assert warmed.colors_at(depth).tobytes() == python_engine.colors_at(depth).tobytes()
-                assert warmed.members_at(depth) == python_engine.members_at(depth)
-        assert log == []  # queries never trigger a pass of either kind
-        assert warmed.passes == 0
 
     def test_colour_entries_are_plain_python_ints(self):
         # numpy scalars leaking into the public surface would break JSON
@@ -398,36 +378,3 @@ class TestVectorPacking:
             engine = CSRPartitionRefinement(narrow)
         engine.ensure_stable()
         assert _observed(engine) == _observed(reference)
-
-
-# --------------------------------------------------------------------------- #
-# stored tables must be canonical
-# --------------------------------------------------------------------------- #
-class TestStoredTables:
-    def _stored(self):
-        graph = generators.asymmetric_cycle(7)
-        engine = CSRPartitionRefinement(graph.csr())
-        stable = engine.ensure_stable()
-        return graph.csr(), engine.canonical_tables(), stable
-
-    @pytest.mark.parametrize(
-        "tamper",
-        [
-            lambda table: table[:-1] + [len(table)],  # an id >= n
-            lambda table: [2**40] + table[1:],
-            lambda table: [1, 0] + table[2:],  # not first-appearance order
-            lambda table: table[:-1] + [-1],
-        ],
-        ids=["id-at-least-n", "id-2**40", "second-id-first", "negative"],
-    )
-    @pytest.mark.parametrize("path", [pytest.param("numpy", marks=needs_numpy), "python"])
-    def test_from_stored_rejects_non_canonical_tables(self, tamper, path):
-        csr, tables, stable = self._stored()
-        hidden = path == "python"
-        with mock.patch.object(backend_module, "_numpy", False) if hidden else nullcontext():
-            assert CSRPartitionRefinement.from_stored(csr, tables, stable).passes == 0
-            for depth in range(len(tables)):
-                broken = list(tables)
-                broken[depth] = tamper(list(tables[depth]))
-                with pytest.raises(ValueError):
-                    CSRPartitionRefinement.from_stored(csr, broken, stable)

@@ -1,13 +1,13 @@
-"""The record encoder's whole-section paths, checked against per-value oracles.
+"""The encoders' whole-section paths, checked against per-value oracles.
 
-Artifact records are written a section at a time: varint runs through
-:func:`repro.portgraph.io.write_uvarints`, canonical colours through
-:func:`repro.kernel.refine.first_appearance_ranks`.  Each bulk path must give
-exactly the bytes of the per-value code it replaced, kept below as oracles,
-with numpy and with numpy hidden from the module; three pinned record digests
-hold the whole record to the same bytes.  The advice bit-string helpers
-convert through one integer call and are checked against per-byte oracles
-too.
+A graph's edge varints are written in one run through
+:func:`repro.portgraph.io.write_uvarints`, and the engine ranks canonical
+colours through :func:`repro.kernel.refine.first_appearance_ranks`.  Each
+bulk path must give exactly the bytes of the per-value code it replaced,
+kept below as oracles, with numpy and with numpy hidden from the module;
+three pinned record digests hold the whole record to the same bytes.  The
+advice bit-string helpers convert through one integer call and are checked
+against per-byte oracles too.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class TestPythonEngineColorsAtPaths:
 
 
 # --------------------------------------------------------------------------- #
-# pinned record bytes (record format 5)
+# pinned record bytes (record format 6)
 # --------------------------------------------------------------------------- #
 def _replayed_record(base, script, tasks) -> ArtifactRecord:
     """The record write-through stores for ``script`` replayed onto ``base``."""
@@ -298,25 +298,23 @@ def _mixed_record() -> ArtifactRecord:
 
 
 PINNED_RECORDS = {
-    "beacon-tail": (_beacon_tail_record, "1d8202819c5cc182788d94d03c0ba91094c11aa2943ec3216415958dde39689b"),
-    "grid": (_grid_record, "73669696d7b7b77799c6ce6cffa5c82690e6871f6bb1dfeeef52107abc080a5b"),
-    "mixed": (_mixed_record, "f5a1955c228f0d07b218f543945d0e59bddfe13ac9b3496b6dc0d7ce17cd0bfd"),
+    "beacon-tail": (_beacon_tail_record, "c66c4ba17beeb3daf29ac9cd390fa553a1b3de1b63d6ba02bd4dc5db6eac4286"),
+    "grid": (_grid_record, "237e998cda3c932518edda28eb334df1d3d5ef778313676134fd16c2d8f8e631"),
+    "mixed": (_mixed_record, "b38438c984700d6303cf1a08411732c18334274cf061668781a355fbdca22b5e"),
 }
 
 
 @pytest.mark.parametrize("path", ENCODER_PATHS)
 @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
 def test_record_bytes_are_pinned(name, path):
-    """The record bytes of format 5, on both encoder paths."""
+    """The record bytes of format 6, on both encoder paths."""
     build, digest = PINNED_RECORDS[name]
     with encoder_path(path):
         record = build()
         payload = record.to_bytes()
     assert hashlib.sha256(payload).hexdigest() == digest
-    assert isinstance(record.color_tables, tuple)
-    assert all(type(table) is tuple for table in record.color_tables)
     decoded = ArtifactRecord.from_bytes(payload)
-    assert decoded.color_tables == record.color_tables
+    assert decoded == record
     assert decoded.to_bytes() == payload
     if name == "mixed":
         assert [entry[0] for entry in record.psi] == ["CPPE", "PE", "PPE", "S"]

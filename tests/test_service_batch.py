@@ -216,6 +216,64 @@ def test_a_boolean_search_parameter_is_a_400_alone_and_in_a_batch(field, value):
         assert line["status"] == "error" and f"'{field}'" in line["error"]
 
 
+#: A 3×3 grid base; node 0 is a corner and node 4 the degree-4 centre.
+_GRID_BASE = {"kind": "grid", "params": {"rows": 3, "cols": 3}}
+
+
+@pytest.mark.parametrize(
+    "op, fragment",
+    [
+        ({"op": "add-edge", "v": "0", "u": 4}, "'v' must be an integer"),
+        ({"op": "add-edge", "v": 0, "u": 4.9}, "'u' must be an integer"),
+        ({"op": "add-edge", "v": True, "u": 4}, "'v' must be an integer"),
+        ({"op": "add-node", "anchor": 4.0}, "'anchor' must be an integer"),
+        ({"op": "remove-node", "v": False}, "'v' must be an integer"),
+        ({"op": "relabel-ports", "v": 4, "perm": [1, 0, "3", 2]}, "'perm' must be a list"),
+        ({"op": "relabel-ports", "v": 4, "perm": [True, False, 3, 2]}, "'perm' must be a list"),
+        ({"op": "relabel-ports", "v": 4, "perm": "1032"}, "'perm' must be a list"),
+    ],
+    ids=["v-string", "u-float", "v-true", "anchor-float", "v-false", "perm-string",
+         "perm-booleans", "perm-not-a-list"],
+)
+def test_a_delta_field_that_is_no_json_integer_is_a_400_alone_and_in_a_batch(op, fragment):
+    """Node ids and ``perm`` entries used to be coerced with ``int()``, so
+    ``"v": "0"``, ``"u": 4.9`` and ``"v": true`` edited nodes 0, 4 and 1 and
+    were answered 200."""
+    payload = {"base": _GRID_BASE, "delta": [op]}
+    with _RunningServer(make_service(workers=1)) as running:
+        code, body = running.post_expecting_error("/election", payload)
+        lines = _post_stream(running, {"items": [payload]})
+    assert code == 400 and fragment in body["error"]
+    assert lines[1]["status"] == "error" and fragment in lines[1]["error"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "grid", "params": {"rows": True, "cols": 3}},
+        {"kind": "grid", "params": {"rows": 3, "cols": False}},
+        {"kind": "circulant", "params": {"n": 9, "steps": [1, True]}},
+    ],
+    ids=["rows-true", "cols-false", "in-a-list"],
+)
+def test_a_boolean_spec_param_is_a_400_as_a_spec_a_delta_base_and_a_batch_item(spec):
+    """``bool`` subclasses ``int``, so ``{"rows": true, "cols": 3}`` used to
+    be answered 200 with a 3-node graph.  A float stays a valid parameter."""
+    queries = [{"spec": spec}, {"base": spec, "delta": [{"op": "add-edge", "v": 0, "u": 4}]}]
+    with _RunningServer(make_service(workers=1)) as running:
+        errors = [running.post_expecting_error("/election", query) for query in queries]
+        lines = _post_stream(running, {"items": queries})
+        floats = running.post(
+            "/election",
+            {"spec": {"kind": "erdos-renyi", "params": {"n": 8, "p": 0.5}}, "tasks": ["S"]},
+        )
+    for code, body in errors:
+        assert code == 400 and "must not be a boolean" in body["error"]
+    for line in lines[1:-1]:
+        assert line["status"] == "error" and "must not be a boolean" in line["error"]
+    assert floats["n"] == 8
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [

@@ -59,12 +59,70 @@ def _computed_record(graph, *, tasks=("S", "PE")):
     return ArtifactRecord.from_computed(graph, memo=entry.memo)
 
 
+def _sections(record, *, node_count=None, edges=None, psi=None):
+    """``record``'s bytes written section by section, one varint at a time:
+    the layout a reader decodes.  ``node_count`` (the raw bytes of the
+    graph's ``n``), ``edges`` and ``psi`` replace what the record holds."""
+    graph = record.graph
+    out = bytearray(MAGIC)
+    write_uvarint(out, FORMAT_VERSION)
+    write_uvarint(out, len(record.fingerprint))
+    out += record.fingerprint.encode("ascii")
+    name = graph.name.encode("utf-8")
+    write_uvarint(out, len(name))
+    out += name
+    if node_count is None:
+        write_uvarint(out, graph.num_nodes)
+    else:
+        out += node_count
+    edges = list(graph.edges()) if edges is None else edges
+    write_uvarint(out, len(edges))
+    for edge in edges:
+        for value in edge:
+            write_uvarint(out, value)
+    out.append(1 if record.feasible else 0)
+    psi = record.psi if psi is None else psi
+    write_uvarint(out, len(psi))
+    for task, max_depth, max_states, status, value in psi:
+        write_uvarint(out, len(task))
+        out += task.encode("utf-8")
+        write_uvarint(out, 0 if max_depth is None else max_depth + 1)
+        write_uvarint(out, max_states)
+        out.append(0 if status == "ok" else 1)
+        write_uvarint(out, 0 if value is None else value + 1)
+    write_uvarint(out, len(record.profile))
+    for entry in record.profile:
+        for value in entry:
+            write_uvarint(out, value)
+    return bytes(out)
+
+
 #: Ways to make record bytes that would not re-encode to themselves.
-NON_CANONICAL = ["trailing-bytes", "feasibility-flag", "psi-status-flag"]
+NON_CANONICAL = [
+    "trailing-bytes",
+    "feasibility-flag",
+    "psi-status-flag",
+    "overlong-node-count",
+    "psi-swapped",
+    "psi-duplicated",
+    "edges-out-of-order",
+]
 
 
 def _non_canonical(record, kind):
     """``record``'s bytes with one non-canonical change of ``kind``."""
+    assert _sections(record) == record.to_bytes()
+    if kind == "overlong-node-count":  # n as two bytes: 0x80 | n, then 0x00
+        assert record.graph.num_nodes < 0x80
+        return _sections(record, node_count=bytes([0x80 | record.graph.num_nodes, 0]))
+    if kind == "psi-swapped":
+        assert len(record.psi) >= 2
+        return _sections(record, psi=record.psi[::-1])
+    if kind == "psi-duplicated":
+        return _sections(record, psi=record.psi + record.psi[:1])
+    if kind == "edges-out-of-order":
+        edges = list(record.graph.edges())
+        return _sections(record, edges=[edges[1], edges[0], *edges[2:]])
     payload = bytearray(record.to_bytes())
     if kind == "trailing-bytes":
         return bytes(payload) + b"\x00" * 8
@@ -131,27 +189,19 @@ class TestArtifactRecord:
             assert decoded.psi == record.psi
             refinement_cache.clear()
 
-    def test_decoded_graph_is_warm(self):
-        graph = generators.asymmetric_cycle(7)
-        record = _computed_record(graph, tasks=("S", "PE", "PPE", "CPPE"))
-        decoded = ArtifactRecord.from_bytes(record.to_bytes())
-        engine = decoded.graph.refinement_engine()
-        # every depth query (and the fingerprint) is served from the stored
-        # tables: zero refinement passes on the restored instance
-        assert decoded.graph.fingerprint() == graph.fingerprint()
-        stable = engine.ensure_stable()
-        original = graph.refinement_engine()
-        for depth in range(stable + 1):
-            assert list(engine.colors_at(depth)) == list(original.colors_at(depth))
-        assert engine.passes == 0
-
     def test_memo_entries_round_trip(self):
         graph = generators.asymmetric_cycle(7)
-        record = _computed_record(graph, tasks=("S", "PPE"))
+        sweep = SweepSpec.make((), tasks=[Task("S"), Task("PPE")], profile_depths=(2, 0))
+        evaluate_graph(graph, sweep)
+        computed = refinement_cache.entry(graph).memo
+        record = ArtifactRecord.from_computed(graph, memo=computed)
+        assert [entry[0] for entry in record.profile] == [0, 2]
         memo = ArtifactRecord.from_bytes(record.to_bytes()).memo_entries()
+        assert memo == computed
         assert memo[("feasible",)] is True
         assert memo[("psi", "S", None, 200_000)] == ("ok", 1)
         assert memo[("psi", "PPE", None, 200_000)] == ("ok", 3)
+        assert memo[("profile", 0)] == (1, 0)  # a cycle is 2-regular: one class at depth 0
 
     def test_merged_with_unions_psi_entries(self):
         graph = generators.asymmetric_cycle(7)
@@ -161,6 +211,11 @@ class TestArtifactRecord:
         merged = first.merged_with(second)
         codes = {entry[0] for entry in merged.psi}
         assert codes == {"S", "PE"}
+        refinement_cache.clear()
+        evaluate_graph(graph, SweepSpec.make((), tasks=[], profile_depths=(1,)))
+        profiled = ArtifactRecord.from_computed(graph, memo=refinement_cache.entry(graph).memo)
+        both = merged.merged_with(profiled).merged_with(profiled)
+        assert both.psi == merged.psi and both.profile == profiled.profile != ()
 
     def test_merge_rejects_different_graphs(self):
         records = [_computed_record(g) for g in (_sample_graphs()[0], _sample_graphs()[1])]
@@ -170,31 +225,41 @@ class TestArtifactRecord:
     @pytest.mark.parametrize("kind", NON_CANONICAL)
     def test_bytes_that_would_not_re_encode_to_themselves_do_not_decode(self, kind):
         """Decoding is the inverse of a canonical encoding: bytes after the
-        last section, or a flag byte other than 0 or 1, would decode to a
-        record whose bytes differ from the ones read."""
+        last section, a flag byte other than 0 or 1, an overlong varint, ψ
+        entries out of order or repeated, or edges out of canonical order
+        would decode to a record whose bytes differ from the ones read."""
         record = _computed_record(generators.asymmetric_cycle(7))
         with pytest.raises(ValueError):
             ArtifactRecord.from_bytes(_non_canonical(record, kind))
 
     def test_a_record_holds_exactly_the_sections_a_reader_uses(self):
-        """Magic, version, fingerprint, graph, stable depth, colour tables,
-        feasibility and ψ entries -- and not one byte more."""
-        assert FORMAT_VERSION == 5
+        """Magic, version, fingerprint, graph, feasibility, ψ entries and
+        profile entries -- nothing per depth, and not one byte more."""
+        assert FORMAT_VERSION == 6
         graph = generators.asymmetric_cycle(7)
-        record = _computed_record(graph, tasks=("S",))
+        evaluate_graph(graph, SweepSpec.make((), tasks=[Task("S")], profile_depths=(1,)))
+        record = ArtifactRecord.from_computed(graph, memo=refinement_cache.entry(graph).memo)
         ((task, max_depth, max_states, status, value),) = record.psi
         assert (task, max_depth, status) == ("S", None, "ok")
+        ((depth, classes, unique),) = record.profile
+        assert depth == 1 and unique <= classes < 0x80
         expected = bytearray(MAGIC + bytes([FORMAT_VERSION, 64]))
         expected += record.fingerprint.encode("ascii") + graph_to_bytes(graph)
-        write_uvarint(expected, record.stable_depth)
-        write_uvarint(expected, len(record.color_tables))
-        for table in record.color_tables:
-            for color in table:
-                write_uvarint(expected, color)
         expected += bytes([1, 1, 1]) + b"S" + bytes([0])  # feasible; one entry, "S", depth None
         write_uvarint(expected, max_states)
         expected += bytes([0, value + 1])  # status ok, value
+        expected += bytes([1, depth, classes, unique])  # one profile entry
         assert record.to_bytes() == bytes(expected)
+
+    def test_a_deep_path_stores_an_object_about_the_size_of_its_graph(self, tmp_path):
+        """A path refines to a fixpoint n/2 deep; write-through stores its
+        answers, not a colour table per depth."""
+        graph = generators.path_graph(2000)
+        store = ArtifactStore(str(tmp_path))
+        refinement_cache.attach_store(store)
+        evaluate_graph(graph, SweepSpec.make((), tasks=[Task("S")]))
+        (key,) = store.keys()
+        assert len(store.get_bytes(key)) <= len(graph_to_bytes(graph)) + 128
 
 
 class TestArtifactStore:
@@ -448,32 +513,6 @@ class TestArtifactStore:
         healed = store.get(key)
         assert healed is not None and healed.graph == record.graph
 
-    def test_a_non_canonical_colour_table_is_quarantined_and_recomputed(self, tmp_path):
-        """A record that decodes but carries colour id 2**40 at node 0 of
-        every table must not be installed: its engine would count 2**40 + 1
-        classes and read feasibility wrong.  ``get`` quarantines the object
-        and the cache recomputes the answer of a cold run."""
-        sweep = SweepSpec.make((), tasks=[Task("S"), Task("PE")])
-        cold = evaluate_graph(generators.asymmetric_cycle(7), sweep)
-        store = ArtifactStore(str(tmp_path))
-        record = _computed_record(generators.asymmetric_cycle(7))
-        store.put(record)
-        tampered = dataclasses.replace(
-            record,
-            color_tables=tuple((2**40,) + tuple(table[1:]) for table in record.color_tables),
-        )
-        with open(store._object_path(record.graph.cache_key()), "wb") as handle:
-            handle.write(tampered.to_bytes())
-
-        refinement_cache.clear()
-        refinement_cache.attach_store(store)
-        graph = generators.asymmetric_cycle(7)
-        assert evaluate_graph(graph, sweep) == cold
-        assert store.stats()["corrupt_objects"] == 1
-        engine = refinement_cache.entry(graph).graph.refinement_engine()
-        assert engine.passes > 0
-        assert engine.num_classes_at(engine.ensure_stable()) == graph.num_nodes
-
     def test_unreadable_object_is_a_miss_not_an_error(self, tmp_path, monkeypatch):
         """Any ``OSError`` on the object read degrades to a miss.
 
@@ -559,25 +598,44 @@ class TestArtifactStore:
         assert ArtifactStore(str(tmp_path)).stats()["records"] == 5
 
 
+def _head(record, version):
+    fingerprint = record.fingerprint.encode("ascii")
+    return MAGIC + bytes([version, len(fingerprint)]) + fingerprint + graph_to_bytes(record.graph)
+
+
+def _as_format_5(record):
+    """The object format 5 stored for ``record``, kept here as that format's
+    oracle: after the graph, the fixpoint depth and the canonical colour
+    table of every depth the engine materialised, then the feasibility flag
+    and the ψ entries of format 6 -- and no profile entries."""
+    assert record.profile == ()
+    payload = record.to_bytes()
+    assert payload.startswith(_head(record, FORMAT_VERSION)) and payload.endswith(b"\x00")
+    engine = record.graph.refinement_engine()
+    out = bytearray(_head(record, 5))
+    write_uvarint(out, engine.ensure_stable())
+    write_uvarint(out, engine.computed_depth + 1)
+    for depth in range(engine.computed_depth + 1):
+        for color in engine.colors_at(depth):
+            write_uvarint(out, color)
+    # the feasibility flag and the ψ entries; the last byte is the profile count
+    out += payload[len(_head(record, FORMAT_VERSION)) : -1]
+    return bytes(out)
+
+
 def _as_format_4(record):
     """The object format 4 stored for ``record``: the format-5 sections plus
     the three format 5 dropped -- the CSR arrays after the graph, then the
     map advice and an empty delta lineage after the ψ entries."""
     from repro.advice.map_advice import encode_map_advice
 
-    def head(version):
-        fingerprint = record.fingerprint.encode("ascii")
-        return MAGIC + bytes([version, len(fingerprint)]) + fingerprint + graph_to_bytes(record.graph)
-
-    payload = record.to_bytes()
-    assert payload.startswith(head(FORMAT_VERSION))
-    out = bytearray(head(4))
+    out = bytearray(_head(record, 4))
     csr = record.graph.csr()
     for values in (csr.offsets, csr.neighbors, csr.reverse_ports):
         write_uvarint(out, len(values))
         for value in values:
             write_uvarint(out, value)
-    out += payload[len(head(FORMAT_VERSION)) :]
+    out += _as_format_5(record)[len(_head(record, 5)) :]
     bits = encode_map_advice(record.graph)
     packed = bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
     out += bytes([1, 3]) + b"map"  # one advice entry, named "map"
@@ -697,13 +755,13 @@ class TestParentLayoutUpgrade:
 
 
 class TestFormatUpgrade:
-    """Format-4 objects under identity keys, with their fingerprint aliases,
+    """Format-5 objects under identity keys, with their fingerprint aliases,
     are upgraded without migration: the first lookup of each quarantines it
     as an unsupported version, so nothing from it is served; the recomputed
-    record is written through as format 5 in its place; and ``compact()``
+    record is written through as format 6 in its place; and ``compact()``
     reclaims the quarantined files and the old object no lookup reached."""
 
-    def test_format_4_objects_are_recomputed_as_format_5_and_compacted(self, tmp_path):
+    def test_format_5_objects_are_recomputed_as_format_6_and_compacted(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         graphs = _sample_graphs()[:3]
         payloads = []
@@ -714,7 +772,7 @@ class TestFormatUpgrade:
             path = store._object_path(graph.cache_key())
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as handle:
-                handle.write(_as_format_4(record))
+                handle.write(_as_format_5(record))
             store._claim(record.fingerprint, graph.cache_key())
         assert sorted(store.keys()) == sorted(graph.cache_key() for graph in graphs)
 
@@ -732,8 +790,8 @@ class TestFormatUpgrade:
             assert os.path.exists(path + ".quarantine")
             with open(path, "rb") as handle:
                 stored = handle.read()
-            assert stored == payload and stored[len(MAGIC)] == FORMAT_VERSION == 5
-        # the alias the format-4 put claimed still names the graph
+            assert stored == payload and stored[len(MAGIC)] == FORMAT_VERSION == 6
+        # the alias the format-5 put claimed still names the graph
         assert store.by_fingerprint(graphs[0].fingerprint()).graph == graphs[0]
 
         summary = store.compact()
