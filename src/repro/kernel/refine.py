@@ -44,21 +44,36 @@ once it is small (:data:`VECTOR_MIN_NODES`, :data:`CHURN_RATIO`); without
 numpy every pass is a worklist pass.  :func:`repro.kernel.use_backend`
 forces one kind, for tests and reference answers.
 
-Colours are materialised per depth as raw id tables (``array`` of
-:data:`~repro.kernel.csr.INT_TYPECODE`; a vector pass reads them and the
-CSR arrays through zero-copy numpy views) and canonicalised lazily --
-renumbered 0..c-1 by first appearance in node order -- only for depths
-actually queried.  Canonical renumbering is a pure function of the
-partition, so the public colour lists are byte-identical whichever kinds
-ran, and byte-identical to the classic full-sweep implementation.  Inverse
-indexes (``members_at``: class → node list, ``unique_at``) are built lazily
-per depth and cached, so class/twin/uniqueness queries are O(1) / O(output)
-after a one-off O(n) build per queried depth.
+Partitions are stored as a churn log.  The engine keeps one working raw id
+table (``array`` of :data:`~repro.kernel.csr.INT_TYPECODE`; a vector pass
+reads it and the CSR arrays through zero-copy numpy views), which a pass
+updates in place at its end, so signatures read depth h-1 throughout the
+pass.  Each depth is then stored as the ``(node, new id)`` pairs of its churn,
+in flat arrays with per-depth offsets, or as a full table when the pairs are
+at least half the nodes or when the pairs logged since the last full table
+would reach n.  Memory is therefore O(n + total churn) -- at most n·log₂ n,
+since a node changes id only when it leaves a largest fragment -- where one
+table per depth would cost Θ(n²) on a path or a beacon tail, whose fixpoints
+lie ~n/2 deep.  Any depth materialises in O(n) from the nearest full table at
+or below it.
+
+Raw tables are canonicalised lazily -- renumbered 0..c-1 by first appearance
+in node order -- only for depths actually queried.  Canonical renumbering is
+a pure function of the partition, so the public colour lists are
+byte-identical whichever kinds ran, and byte-identical to the classic
+full-sweep implementation.  The canonical colours and the inverse indexes
+built from them (``members_at``: class → node list, ``unique_at``) are kept
+for the :data:`VIEW_CACHE_DEPTHS` depths queried last, so class/twin/
+uniqueness queries are O(1) / O(output) after a one-off O(n) build per
+queried depth.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
+from itertools import compress
+from operator import ne
 from typing import Dict, List, Optional, Tuple
 
 from .backend import numpy_or_none, selected_backend
@@ -68,6 +83,7 @@ __all__ = [
     "CHURN_RATIO",
     "CSRPartitionRefinement",
     "VECTOR_MIN_NODES",
+    "VIEW_CACHE_DEPTHS",
     "refinement_delta",
 ]
 
@@ -93,6 +109,12 @@ VECTOR_MIN_NODES = 256
 #: hands over there: 88.5 ms, against 98.5 ms on worklist passes only and
 #: 938 ms on vector passes only.
 CHURN_RATIO = 32
+
+#: Depths whose canonical colours and inverse indexes an engine keeps, least
+#: recently queried out first.  Serving a cold mixed-corpus sweep (123 items,
+#: in one process), the engines build 269 canonical tables when they keep 4
+#: depths, 274 when they keep 2, and 265 when they keep every queried depth.
+VIEW_CACHE_DEPTHS = 4
 
 
 def _view(numpy, values: array):
@@ -180,6 +202,34 @@ def _class_lists(table: array, count: int) -> List[List[int]]:
     return [group.tolist() for group in numpy.split(order, bounds)]
 
 
+def _write(table: array, nodes: array, ids: array) -> None:
+    """``table[nodes[i]] = ids[i]`` in order, so a node's last pair wins."""
+    for v, c in zip(nodes, ids):
+        table[v] = c
+
+
+def _canonical(raw: array) -> array:
+    """Canonical colours of a raw table: 0..c-1 by first appearance.
+
+    By :func:`first_appearance_ranks` when numpy imports, else by one dict
+    pass over the nodes.
+    """
+    numpy = numpy_or_none()
+    if numpy is not None:
+        dtype = numpy.dtype(INT_TYPECODE)
+        return array(INT_TYPECODE, first_appearance_ranks(numpy, _view(numpy, raw), dtype).tobytes())
+    mapping: Dict[int, int] = {}
+    mapping_get = mapping.get
+    colors = array(INT_TYPECODE, raw)
+    for v, r in enumerate(raw):
+        color = mapping_get(r)
+        if color is None:
+            color = len(mapping)
+            mapping[r] = color
+        colors[v] = color
+    return colors
+
+
 class CSRPartitionRefinement:
     """Lazy per-depth view-equivalence partitions of one CSR graph.
 
@@ -191,21 +241,26 @@ class CSRPartitionRefinement:
 
     __slots__ = (
         "_csr",
-        "_raw",
+        "_table",
+        "_full",
+        "_log_nodes",
+        "_log_ids",
+        "_log_ends",
+        "_since_full",
         "_num_classes",
         "_stable_depth",
         "_passes",
         "_backend",
         "_buckets",
-        "_churn",
+        "_churned",
         "_active",
         "_current_members",
         "_class_size",
         "_next_id",
         "_changed",
-        "_canonical",
-        "_members",
-        "_unique",
+        "_touched",
+        "_views",
+        "_no_unique_below",
     )
 
     def __init__(self, csr: CSRGraph) -> None:
@@ -218,10 +273,21 @@ class CSRPartitionRefinement:
             [degree_ids.setdefault(offsets[v + 1] - offsets[v], len(degree_ids)) for v in range(n)],
         )
         self._csr = csr
-        #: raw colour tables per depth (ids 0..c-1, stable across depths in
-        #: each class's largest fragment) and their class counts.
-        self._raw = [initial]
-        self._num_classes = [len(degree_ids)]
+        #: the raw colour table of the deepest computed depth (ids 0..c-1,
+        #: stable across depths in each class's largest fragment); each pass
+        #: writes its churn into it at the end of the pass.
+        self._table = array(INT_TYPECODE, initial)
+        #: every computed depth: full raw tables of some depths (depth 0
+        #: always), and for each other depth d the (node, new id) pairs its
+        #: pass changed, at ``log_nodes/log_ids[log_ends[d - 1]:log_ends[d]]``
+        #: (an empty range at a full depth); see :meth:`_push`.
+        self._full: Dict[int, array] = {0: initial}
+        self._log_nodes = array(INT_TYPECODE)
+        self._log_ids = array(INT_TYPECODE)
+        self._log_ends = array(INT_TYPECODE, [0])
+        self._since_full = 0
+        #: class counts per depth
+        self._num_classes = array(INT_TYPECODE, [len(degree_ids)])
         self._stable_depth: Optional[int] = 0 if n == 1 or len(degree_ids) == n else None
         self._passes = 0
         #: the pass kinds this engine may run, bound from
@@ -229,28 +295,33 @@ class CSRPartitionRefinement:
         #: pass, "python" runs worklist passes only, "numpy" vector passes only.
         self._backend = "python" if numpy_or_none() is None else selected_backend()
         #: vector-pass state: the per-degree bucket matrices (built on the
-        #: first vector pass), and the churn and active-node count of the
-        #: last pass when it was a vector pass.
+        #: first vector pass), and the churned nodes and active-node count of
+        #: the last pass when it was a vector pass.
         self._buckets: Optional[List[Tuple]] = None
-        self._churn = 0
+        self._churned = None
         self._active = 0
         #: worklist-pass state, built by the first worklist pass after
         #: construction or after vector passes (:meth:`_start_worklist`) and
         #: dropped by a vector pass: live class id -> member list (which may
         #: hold *stale* entries: nodes split off to a fresh id since; a node
-        #: v is a live member of d iff the latest raw colours say so), live
-        #: class id -> exact live member count, the next fresh id, and the
+        #: v is a live member of d iff the working table says so), live
+        #: class id -> exact live member count, the next fresh id, the
         #: worklist (members of non-retained fragments of the latest pass;
-        #: ``None`` means "everything", before the first pass).
+        #: ``None`` means "everything", before the first pass) and a
+        #: per-node scratch mark, cleared after each pass.
         self._current_members: Optional[Dict[int, List[int]]] = None
         self._class_size: Optional[Dict[int, int]] = None
         self._next_id = 0
         self._changed: Optional[List[int]] = None
-        #: lazily-built per-depth views: canonical colours, class -> members,
-        #: unique-node lists.
-        self._canonical: Dict[int, array] = {}
-        self._members: Dict[int, List[List[int]]] = {}
-        self._unique: Dict[int, List[int]] = {}
+        self._touched: Optional[bytearray] = None
+        #: canonical views of the depths queried last, least recent first:
+        #: depth -> [colours, class -> members, unique nodes] (the last two
+        #: built on demand).
+        self._views: Dict[int, list] = {}
+        #: no depth below this one has a node alone in its class (a
+        #: singleton class stays one, so the scan for the first such depth
+        #: resumes here)
+        self._no_unique_below = 0
 
     @property
     def csr(self) -> CSRGraph:
@@ -267,12 +338,109 @@ class CSRPartitionRefinement:
     @property
     def computed_depth(self) -> int:
         """Deepest depth whose partition has been materialised."""
-        return len(self._raw) - 1
+        return len(self._num_classes) - 1
 
     @property
     def class_counts(self) -> Tuple[int, ...]:
         """Class counts of every materialised depth (0..computed_depth)."""
         return tuple(self._num_classes)
+
+    # ------------------------------------------------------------------ #
+    # storage: the working table, full tables and the churn log
+    # ------------------------------------------------------------------ #
+    def _push(self, nodes: array, ids: array, count: int) -> None:
+        """Append the next depth: the working table's ``nodes`` take ``ids``.
+
+        ``nodes`` are pairwise distinct.  The depth is logged as these pairs,
+        or stored as a full table when they are at least half the nodes (as
+        pairs they would cost more) or when the pairs logged since the last
+        full table would reach n.  Each full table thus stands for at least
+        n logged entries, and materialising a depth replays O(n) pairs.
+        """
+        table = self._table
+        _write(table, nodes, ids)
+        churn = len(nodes)
+        if 2 * churn >= len(table) or self._since_full + churn >= len(table):
+            self._full[len(self._num_classes)] = array(INT_TYPECODE, table)
+            self._since_full = 0
+        else:
+            self._log_nodes.extend(nodes)
+            self._log_ids.extend(ids)
+            self._since_full += churn
+        self._log_ends.append(len(self._log_nodes))
+        self._num_classes.append(count)
+
+    def _push_table(self, new: array, count: int) -> None:
+        """Append the next depth, given as a whole raw table."""
+        table = self._table
+        numpy = numpy_or_none()
+        if numpy is None:
+            nodes = array(INT_TYPECODE, compress(range(len(new)), map(ne, new, table)))
+            ids = array(INT_TYPECODE, map(new.__getitem__, nodes))
+        else:
+            values = _view(numpy, new)
+            changed = numpy.flatnonzero(values != _view(numpy, table))
+            nodes = array(INT_TYPECODE, changed.astype(values.dtype).tobytes())
+            ids = array(INT_TYPECODE, values[changed].tobytes())
+        self._push(nodes, ids, count)
+
+    def _push_from(self, base: "CSRPartitionRefinement", first: int, last: int) -> None:
+        """Append ``base``'s depths ``first..last`` as this engine's own.
+
+        One copy of ``base``'s log between them, sharing its full tables
+        (nothing writes a full table); past ``base``'s computed depth a
+        depth changes nothing.  This engine must be at depth ``first - 1``,
+        with ``base``'s raw table of that depth as its working table.
+        """
+        computed = base.computed_depth
+        top = min(last, computed)
+        if first <= top:
+            ends = base._log_ends
+            start, stop = ends[first - 1], ends[top]
+            fulls = [depth for depth in base._full if first <= depth <= top]
+            if fulls:
+                self._table[:] = base._full[max(fulls)]
+                written = ends[max(fulls)]
+                self._since_full = stop - written
+            else:
+                written = start
+                self._since_full += stop - start
+            _write(self._table, base._log_nodes[written:stop], base._log_ids[written:stop])
+            shift = len(self._log_nodes) - start
+            self._log_nodes.extend(base._log_nodes[start:stop])
+            self._log_ids.extend(base._log_ids[start:stop])
+            self._log_ends.extend([end + shift for end in ends[first : top + 1]])
+            self._num_classes.extend(base._num_classes[first : top + 1])
+            for depth in fulls:
+                self._full[depth] = base._full[depth]
+        for _ in range(max(first, top + 1), last + 1):
+            self._log_ends.append(len(self._log_nodes))
+            self._num_classes.append(base._num_classes[computed])
+
+    def _advance(self, table: array, sizes: Counter, depth: int) -> None:
+        """Move ``table`` from this engine's raw table of ``depth - 1`` to
+        ``depth``'s, and ``sizes`` (label -> nodes holding it) with it."""
+        full = self._full.get(depth)
+        if full is not None:
+            table[:] = full
+            sizes.clear()
+            sizes.update(table)
+        else:
+            start, stop = self._log_ends[depth - 1], self._log_ends[depth]
+            for v, c in zip(self._log_nodes[start:stop], self._log_ids[start:stop]):
+                sizes[table[v]] -= 1
+                sizes[c] += 1
+                table[v] = c
+
+    def _raw_at(self, depth: int) -> array:
+        """The raw colour table of a computed depth, materialised from the
+        nearest full table at or below it and the pairs logged after that
+        (O(n) of them, by the rule of :meth:`_push`)."""
+        base = max(full for full in self._full if full <= depth)
+        table = array(INT_TYPECODE, self._full[base])
+        start, stop = self._log_ends[base], self._log_ends[depth]
+        _write(table, self._log_nodes[start:stop], self._log_ids[start:stop])
+        return table
 
     # ------------------------------------------------------------------ #
     def apply_delta(self, csr: CSRGraph, node_map, touched) -> "CSRPartitionRefinement":
@@ -296,11 +464,17 @@ class CSRPartitionRefinement:
           node's depth-``h`` truncated view is isomorphic to its base
           counterpart's, so clean nodes inherit the base partition verbatim:
           their label is the base raw colour at depth ``min(h, base stable)``
-          pulled through ``node_map``;
+          pulled through ``node_map``.  The replay reads those colours from
+          one rolling copy of the base table, advanced through the base's
+          log at each depth;
         * **dirty** nodes are re-signatured against the depth-(h-1) labels —
           the true partition by induction — and either matched to a clean
           class via one representative signature probe per candidate class,
-          or grouped among themselves under fresh (negative) ids.
+          or grouped among themselves under fresh ids.  Fresh ids, and
+          the sentinels of delta-created nodes, lie above every label the
+          base holds, so they never coincide with an inherited label --
+          also when the base is itself a replay, whose tables hold the
+          fresh ids of its own replay.
 
         After each depth a *conformance certificate* is attempted: the
         depth's partition equals the base partition pulled through
@@ -308,12 +482,14 @@ class CSRPartitionRefinement:
         every matched dirty node landed on its own base label and every
         fresh class corresponds member-for-member to one base class.  When
         the certificate holds, the depth's table is (re)labeled to the base
-        labeling — for an identity ``node_map`` the base array is aliased
-        outright — and the dirty ball collapses back to the touched set:
-        only a changed port table can make the *next* depth's signature
-        deviate from a conforming labeling.  Local edits therefore replay
-        in O(|touched|) per depth instead of O(ball), which is what the
-        delta-vs-cold speed floor in ``tests/test_speed_floors.py`` measures.
+        labeling — for an identity ``node_map`` following a conforming depth,
+        the base's logged change into this depth is copied — and the dirty
+        ball collapses back to the touched set: only a changed port table
+        can make the *next* depth's signature deviate from a conforming
+        labeling.  Local edits therefore replay in O(|touched|) signatures
+        per depth instead of O(ball), which is what the delta-vs-cold speed
+        floor in ``tests/test_speed_floors.py`` measures.  The replayed
+        engine stores its depths as a log too.
 
         Since first-appearance canonicalisation is a pure function of the
         partition, every ``colors_at`` table of the returned engine is
@@ -327,15 +503,24 @@ class CSRPartitionRefinement:
             return engine  # single node or already-discrete depth 0
         self.ensure_stable()
         base_stable = self.stable_depth
-        base_tables = self._raw
+        # the base's raw table at depth min(depth, base_stable), and the
+        # size of each of its classes
+        table = array(INT_TYPECODE, self._full[0])
+        sizes = Counter(table)
         n = csr.num_nodes
         offsets = csr.offsets
         neighbors = csr.neighbors
         reverse_ports = csr.reverse_ports
 
         base_counts = self._num_classes
-        # identity transport: same handles, no joins/leaves — base tables can
-        # be aliased verbatim on conforming depths (zero copies)
+        # labels the replay makes (fresh classes, then per-node sentinels)
+        # start here, above every base label and every depth-0 (degree) id
+        offset = max(
+            engine._num_classes[0],
+            1 + max(max(labels, default=-1) for labels in [self._log_ids, *self._full.values()]),
+        )
+        # identity transport: same handles, no joins/leaves — a conforming
+        # depth after a conforming depth copies the base's logged change
         identity = n == self._csr.num_nodes and all(
             m == v for v, m in enumerate(node_map)
         )
@@ -346,10 +531,12 @@ class CSRPartitionRefinement:
             dirty[v] = 1
         dirty_list: List[int] = list(touched_list)
         # base nodes observed to sit in a singleton base class: refinement
-        # only ever splits, so one .count observation serves every later depth
+        # only ever splits, so one size observation serves every later depth
         singleton_base = bytearray(self._csr.num_nodes)
-        prev = engine._raw[0]
-        # prev aliases the base table of the previous depth verbatim (the
+        # the previous depth's labels: the replayed engine's working table,
+        # which each depth's push advances once that depth is labeled
+        prev = engine._table
+        # prev equals the base table of the previous depth (the
         # identity-transport conforming case): base-space facts apply to it
         prev_is_base = False
         # the ball must widen only while some label deviated from the base
@@ -370,14 +557,15 @@ class CSRPartitionRefinement:
                             frontier.append(u)
                 if frontier:
                     dirty_list = sorted(dirty_list + frontier)
-            table = base_tables[min(depth, base_stable)]
+            if depth <= base_stable:
+                self._advance(table, sizes, depth)
             # previous-depth labels under which a dirty node could still
-            # coincide with a clean class (negative = fresh, never matches;
+            # coincide with a clean class (a replay-made label never does;
             # a known-singleton base class has no clean members to probe)
             candidate_prev: set = set()
             for v in dirty_list:
                 parent = prev[v]
-                if parent >= 0 and not (prev_is_base and singleton_base[v]):
+                if parent < offset and not (prev_is_base and singleton_base[v]):
                     candidate_prev.add(parent)
             # one representative signature per *distinct child label* among
             # the clean members of each candidate class
@@ -444,7 +632,7 @@ class CSRPartitionRefinement:
                 if label is None:
                     label = fresh.get(signature)
                     if label is None:
-                        label = -1 - len(fresh)
+                        label = offset + len(fresh)
                         fresh[signature] = label
                 labels[v] = label
 
@@ -454,7 +642,7 @@ class CSRPartitionRefinement:
             fresh_groups: Dict[int, List[int]] = {}
             for v in dirty_list:
                 label = labels[v]
-                if label >= 0:
+                if label < offset:
                     if node_map[v] < 0 or table[node_map[v]] != label:
                         conforming = False
                         break
@@ -478,12 +666,12 @@ class CSRPartitionRefinement:
                     if len(members) == 1:
                         b = mapped[0]
                         if not singleton_base[b]:
-                            if table.count(base_label) == 1:
+                            if sizes[base_label] == 1:
                                 singleton_base[b] = 1
                             else:
                                 conforming = False
                                 break
-                    elif table.count(base_label) != len(members):
+                    elif sizes[base_label] != len(members):
                         conforming = False
                         break
 
@@ -491,15 +679,19 @@ class CSRPartitionRefinement:
                 # relabel to the base labeling (same partition) and collapse
                 # the ball: only a changed port table can deviate next depth
                 if identity:
-                    cur = table
                     count = base_counts[min(depth, base_stable)]
+                    if prev_is_base:
+                        engine._push_from(self, depth, depth)
+                    else:
+                        engine._push_table(table, count)
                     prev_is_base = True
                 else:
                     cur = array(INT_TYPECODE, map(table.__getitem__, node_map))
                     for v in range(n):
                         if node_map[v] < 0:
-                            cur[v] = -n - 1 - v  # stable per-node sentinel
+                            cur[v] = offset + n + v  # stable per-node sentinel
                     count = len(set(cur))
+                    engine._push_table(cur, count)
                     prev_is_base = False
                 dirty = bytearray(n)
                 for v in touched_list:
@@ -515,19 +707,14 @@ class CSRPartitionRefinement:
                     # node therefore stays a class of its own at every
                     # remaining depth, every clean node groups exactly as the
                     # base does, and the whole remaining refinement conforms:
-                    # alias the base tables through the fixpoint in one
-                    # stride.
-                    engine._raw.append(cur)
-                    engine._num_classes.append(count)
+                    # copy the base's log suffix, up to the first depth whose
+                    # class count repeats.
                     engine._passes += 1
-                    while count != engine._num_classes[-2]:
-                        depth += 1
-                        effective = min(depth, base_stable)
-                        cur = base_tables[effective]
-                        count = base_counts[effective]
-                        engine._raw.append(cur)
-                        engine._num_classes.append(count)
-                        engine._passes += 1
+                    if count != engine._num_classes[-2]:
+                        last = max(depth + 1, self.computed_depth)
+                        engine._push_from(self, depth + 1, last)
+                        engine._passes += last - depth
+                        depth = last
                     engine._stable_depth = depth - 1
                     break
             else:
@@ -543,9 +730,10 @@ class CSRPartitionRefinement:
                 for v, label in labels.items():
                     cur[v] = label
                     b = node_map[v]
-                    if label < 0 or b < 0 or label != table[b]:
+                    if label >= offset or b < 0 or label != table[b]:
                         deviating.append(v)
                 count = len(set(cur))
+                engine._push_table(cur, count)
                 prev_is_base = False
                 dirty = bytearray(n)
                 for v in touched_list:
@@ -554,16 +742,13 @@ class CSRPartitionRefinement:
                     dirty[v] = 1
                 dirty_list = sorted(set(touched_list) | set(deviating))
                 grow = True
-            engine._raw.append(cur)
-            engine._num_classes.append(count)
             engine._passes += 1
             if count == engine._num_classes[-2]:
                 # same class count + nesting partitions => same partition:
-                # the fixpoint was reached one depth earlier, and this table
-                # is its duplicate — exactly the shape _refine_once leaves.
+                # the fixpoint was reached one depth earlier, and this depth
+                # repeats it — exactly the shape _refine_once leaves.
                 engine._stable_depth = depth - 1
                 break
-            prev = cur
         return engine
 
     # ------------------------------------------------------------------ #
@@ -582,8 +767,8 @@ class CSRPartitionRefinement:
         d: int,
         parts: List[List[int]],
         retained_index: int,
-        new_colors: array,
         changed_next: List[int],
+        new_ids: List[int],
     ) -> None:
         """Give every fragment except ``parts[retained_index]`` a fresh id."""
         current_members = self._current_members
@@ -593,16 +778,13 @@ class CSRPartitionRefinement:
                 continue
             fresh = self._next_id
             self._next_id = fresh + 1
-            for v in part:
-                new_colors[v] = fresh
             current_members[fresh] = part
             class_size[fresh] = len(part)
+            changed_next.extend(part)
+            new_ids.extend([fresh] * len(part))
         retained = parts[retained_index]
         current_members[d] = retained
         class_size[d] = len(retained)
-        for index, part in enumerate(parts):
-            if index != retained_index:
-                changed_next.extend(part)
 
     def _worklist_pass(self) -> None:
         """Re-signature only the neighbourhood of the previous pass's splits."""
@@ -611,13 +793,15 @@ class CSRPartitionRefinement:
         csr = self._csr
         offsets = csr.offsets
         neighbors = csr.neighbors
-        previous = self._raw[-1]
+        # the working table holds the previous depth until the pass's writes
+        # (changed_next[i] takes new_ids[i]) are pushed at its end
+        previous = self._table
         current_members = self._current_members
         class_size = self._class_size
         changed = self._changed
 
-        new_colors = array(INT_TYPECODE, previous)
         changed_next: List[int] = []
+        new_ids: List[int] = []
         splits = 0
 
         if changed is None:
@@ -637,7 +821,7 @@ class CSRPartitionRefinement:
                 if len(fragments) > 1:
                     parts = list(fragments.values())
                     retained_index = max(range(len(parts)), key=lambda i: len(parts[i]))
-                    self._split_class(d, parts, retained_index, new_colors, changed_next)
+                    self._split_class(d, parts, retained_index, changed_next, new_ids)
                     splits += len(parts) - 1
         else:
             # 1. collect the *touched* nodes (worklist nodes and their
@@ -645,7 +829,7 @@ class CSRPartitionRefinement:
             #    members can have a signature differing from their class's;
             #    every untouched member of a touched class provably shares
             #    one common signature, so it never needs re-signaturing.
-            touched = bytearray(csr.num_nodes)
+            touched = self._touched
             touched_by_class: Dict[int, List[int]] = {}
             for v in changed:
                 if not touched[v]:
@@ -677,16 +861,22 @@ class CSRPartitionRefinement:
                         continue
                     parts = list(sig_groups.values())
                     retained_index = max(range(len(parts)), key=lambda i: len(parts[i]))
-                    self._split_class(d, parts, retained_index, new_colors, changed_next)
+                    self._split_class(d, parts, retained_index, changed_next, new_ids)
                     splits += len(parts) - 1
                     continue
 
                 # Some members are untouched: they all share the signature of
                 # any untouched representative, so one O(Δ) probe stands in
-                # for all of them.
+                # for all of them.  A node that left d never returns to it,
+                # so stale entries at the list's tail are dropped for good
+                # and the search starts there: on a path or a beacon tail
+                # the head holds ever more stale entries.
+                group = current_members[d]
+                while previous[group[-1]] != d:
+                    group.pop()
                 rep = None
-                for v in current_members[d]:
-                    if previous[v] == d and not touched[v]:
+                for v in reversed(group):
+                    if not touched[v] and previous[v] == d:
                         rep = v
                         break
                 rep_signature = self._signature(rep, previous)
@@ -702,11 +892,10 @@ class CSRPartitionRefinement:
                     for part in moved:
                         fresh = self._next_id
                         self._next_id = fresh + 1
-                        for v in part:
-                            new_colors[v] = fresh
                         current_members[fresh] = part
                         class_size[fresh] = len(part)
                         changed_next.extend(part)
+                        new_ids.extend([fresh] * len(part))
                     class_size[d] = implicit_size
                     splits += len(moved)
                 else:
@@ -723,40 +912,45 @@ class CSRPartitionRefinement:
                     retained_index = 1 + max(
                         range(len(moved)), key=lambda i: len(moved[i])
                     )
-                    self._split_class(d, parts, retained_index, new_colors, changed_next)
+                    self._split_class(d, parts, retained_index, changed_next, new_ids)
                     splits += len(parts) - 1
 
+            for members in touched_by_class.values():
+                for v in members:
+                    touched[v] = 0
+
+        # the classes that lost members, read before the pass's writes
+        shrunk = {previous[v] for v in changed_next}
+        self._push(
+            array(INT_TYPECODE, changed_next),
+            array(INT_TYPECODE, new_ids),
+            self._num_classes[-1] + splits,
+        )
         # compact member lists whose stale entries dominate
-        for d in set(previous[v] for v in changed_next) if changed_next else ():
+        table = self._table
+        for d in shrunk:
             group = current_members.get(d)
             if group is not None and len(group) > 2 * max(1, class_size[d]):
-                current_members[d] = [v for v in group if new_colors[v] == d]
-
-        self._raw.append(new_colors)
-        self._num_classes.append(self._num_classes[-1] + splits)
+                current_members[d] = [v for v in group if table[v] == d]
         self._changed = changed_next
 
     def _start_worklist(self) -> None:
-        """Build the worklist state of the last table, for a worklist pass.
+        """Build the worklist state of the working table, for a worklist pass.
 
         Before any pass the worklist is "everything".  After vector passes it
-        is the churn of the last one: the nodes whose id it changed, read off
-        the last two tables, since vector passes number classes as worklist
-        passes do.  Member lists are built here, not at construction, so an
-        engine that runs vector passes only holds no per-node Python lists.
+        is the churn of the last one, since vector passes number classes as
+        worklist passes do.  Member lists are built here, not at
+        construction, so an engine that runs vector passes only holds no
+        per-node Python lists.
         """
-        last = self._raw[-1]
         count = self._num_classes[-1]
-        if len(self._raw) == 1:
-            self._changed = None
-        else:
-            numpy = numpy_or_none()
-            moved = _view(numpy, last) != _view(numpy, self._raw[-2])
-            self._changed = numpy.flatnonzero(moved).tolist()
-        groups = _class_lists(last, count)
+        self._changed = None if len(self._num_classes) == 1 else self._churned.tolist()
+        groups = _class_lists(self._table, count)
         self._current_members = dict(enumerate(groups))
         self._class_size = {c: len(group) for c, group in enumerate(groups)}
         self._next_id = count
+        if self._touched is None:
+            self._touched = bytearray(self._csr.num_nodes)
 
     def _ensure_buckets(self, numpy) -> List[Tuple]:
         """Per-degree (nodes, neighbour matrix, reverse-port matrix) triples.
@@ -784,7 +978,7 @@ class CSRPartitionRefinement:
     def _vector_pass(self) -> None:
         """Re-signature every node of every non-singleton class, in whole arrays."""
         numpy = numpy_or_none()
-        previous = _view(numpy, self._raw[-1])
+        previous = _view(numpy, self._table)
         previous_count = self._num_classes[-1]
         active = numpy.bincount(previous, minlength=previous_count)[previous] > 1
         buckets = self._ensure_buckets(numpy)
@@ -828,24 +1022,30 @@ class CSRPartitionRefinement:
         fresh = sizes > 0
         fresh[retained] = False
         count = previous_count + int(fresh.sum())
-        ids = numpy.empty(next_fresh, dtype=numpy.dtype(INT_TYPECODE))
+        ids = numpy.empty(next_fresh, dtype=previous.dtype)
         ids[retained] = numpy.arange(previous_count)
         ids[fresh] = numpy.arange(previous_count, count)
-        self._raw.append(array(INT_TYPECODE, ids[scratch].tobytes()))
-        self._num_classes.append(count)
-        self._churn = self._csr.num_nodes - int(largest.sum())
+        new = ids[scratch]
+        # the churn: exactly the nodes outside their class's largest fragment
+        churned = numpy.flatnonzero(new != previous)
+        self._churned = churned
         self._active = int(sizes[sizes > 1].sum())
         self._current_members = self._class_size = self._changed = None
+        self._push(
+            array(INT_TYPECODE, churned.astype(previous.dtype).tobytes()),
+            array(INT_TYPECODE, new[churned].tobytes()),
+            count,
+        )
 
     def _next_pass_is_vector(self) -> bool:
         """The engine's choice of kind for the next pass (see the constants)."""
         if self._backend != "auto":
             return self._backend == "numpy"
         n = self._csr.num_nodes
-        if len(self._raw) == 1:
+        if len(self._num_classes) == 1:
             return n >= VECTOR_MIN_NODES
         if self._current_members is None:  # the last pass was a vector pass
-            return self._churn * CHURN_RATIO >= self._active
+            return len(self._churned) * CHURN_RATIO >= self._active
         worklist = len(self._changed)
         return worklist >= VECTOR_MIN_NODES and worklist * CHURN_RATIO >= n
 
@@ -859,7 +1059,7 @@ class CSRPartitionRefinement:
         if self._stable_depth is None and self._num_classes[-1] == self._num_classes[-2]:
             # refinement only splits classes: a pass with no splits means the
             # partition reached its fixpoint one depth earlier.
-            self._stable_depth = len(self._raw) - 2
+            self._stable_depth = len(self._num_classes) - 2
 
     # ------------------------------------------------------------------ #
     def ensure_depth(self, depth: int) -> int:
@@ -870,7 +1070,7 @@ class CSRPartitionRefinement:
         """
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        while len(self._raw) <= depth and self._stable_depth is None:
+        while len(self._num_classes) <= depth and self._stable_depth is None:
             self._refine_once()
         if self._stable_depth is not None and depth > self._stable_depth:
             return self._stable_depth
@@ -887,53 +1087,61 @@ class CSRPartitionRefinement:
     def num_classes_at(self, effective: int) -> int:
         return self._num_classes[effective]
 
+    def _views_at(self, effective: int) -> list:
+        """The cached ``[colours, members, unique]`` of a depth, made most recent."""
+        views = self._views
+        entry = views.pop(effective, None)
+        if entry is None:
+            entry = [_canonical(self._raw_at(effective)), None, None]
+            excess = len(views) + 1 - VIEW_CACHE_DEPTHS
+            if excess > 0:
+                for stale in list(views)[:excess]:
+                    views.pop(stale, None)
+        views[effective] = entry
+        return entry
+
     def colors_at(self, effective: int) -> array:
         """Canonical colours at a materialised depth (0..c-1 by first appearance).
 
         Byte-identical to the lists the classic full-sweep implementation
         produced, because first-appearance renumbering is a pure function of
-        the partition.  Built lazily and cached per depth: by
-        :func:`first_appearance_ranks` when numpy imports, else by one dict
-        pass over the nodes.
+        the partition.  Built lazily from the depth's raw table and kept
+        for the :data:`VIEW_CACHE_DEPTHS` depths queried last.
         """
-        cached = self._canonical.get(effective)
-        if cached is None:
-            raw = self._raw[effective]
-            numpy = numpy_or_none()
-            if numpy is not None:
-                dtype = numpy.dtype(INT_TYPECODE)
-                ranks = first_appearance_ranks(numpy, numpy.frombuffer(raw, dtype=dtype), dtype)
-                cached = array(INT_TYPECODE, ranks.tobytes())
-            else:
-                mapping: Dict[int, int] = {}
-                mapping_get = mapping.get
-                cached = array(INT_TYPECODE, raw)
-                for v, r in enumerate(raw):
-                    color = mapping_get(r)
-                    if color is None:
-                        color = len(mapping)
-                        mapping[r] = color
-                    cached[v] = color
-            self._canonical[effective] = cached
-        return cached
+        return self._views_at(effective)[0]
 
     def members_at(self, effective: int) -> List[List[int]]:
         """Canonical class → members (ascending node order), built lazily."""
-        cached = self._members.get(effective)
-        if cached is None:
-            cached = _class_lists(self.colors_at(effective), self._num_classes[effective])
-            self._members[effective] = cached
-        return cached
+        entry = self._views_at(effective)
+        if entry[1] is None:
+            entry[1] = _class_lists(entry[0], self._num_classes[effective])
+        return entry[1]
 
     def unique_at(self, effective: int) -> List[int]:
         """Nodes in singleton classes (ascending), built lazily per depth."""
-        cached = self._unique.get(effective)
-        if cached is None:
-            cached = sorted(
+        entry = self._views_at(effective)
+        if entry[2] is None:
+            entry[2] = sorted(
                 group[0] for group in self.members_at(effective) if len(group) == 1
             )
-            self._unique[effective] = cached
-        return cached
+        return entry[2]
+
+    def first_unique_depth(self, max_depth: Optional[int] = None) -> Optional[int]:
+        """Smallest depth at which some node is alone in its class.
+
+        ``None`` if no depth up to the fixpoint (or up to ``max_depth``) has
+        one.  Refines no further than the depth it returns or gives up at.
+        """
+        depth = self._no_unique_below
+        while max_depth is None or depth <= max_depth:
+            effective = self.ensure_depth(depth)
+            if self.unique_at(effective):
+                return depth
+            self._no_unique_below = depth + 1
+            if self._stable_depth is not None and depth >= self._stable_depth:
+                return None
+            depth += 1
+        return None
 
     def class_members(self, node: int, effective: int) -> List[int]:
         return self.members_at(effective)[self.colors_at(effective)[node]]
@@ -942,37 +1150,41 @@ class CSRPartitionRefinement:
         """Canonical colour tables for every materialised depth (0..computed).
 
         A pure function of the partitions, so two engines of one graph
-        return equal lists whichever pass kinds or replays built them: the
-        delta path compares a replay with its base through it.
+        return equal lists whichever pass kinds or replays built them.
         """
-        return [list(self.colors_at(depth)) for depth in range(len(self._raw))]
+        return [list(self.colors_at(depth)) for depth in range(len(self._num_classes))]
 
     # ------------------------------------------------------------------ #
     def estimated_bytes(self) -> int:
         """Rough retained footprint of the engine's state (bytes).
 
-        Counts the raw and canonical colour arrays and the degree-bucket
-        matrices exactly, and the inverse indexes and the worklist state
+        Counts exactly the working table, the full tables, the churn log,
+        the class counts, the cached canonical colours and the degree-bucket
+        matrices, and the cached inverse indexes and the worklist state
         (member lists, worklist) at Python-list rates; used by the runner
         cache's eviction accounting, not for allocation decisions.
         """
-        total = 0
-        for arr in self._raw:
-            total += len(arr) * arr.itemsize
-        for arr in self._canonical.values():
-            total += len(arr) * arr.itemsize
+        arrays = [self._table, self._log_nodes, self._log_ids, self._log_ends, self._num_classes]
+        arrays.extend(self._full.values())
+        total = sum(len(arr) * arr.itemsize for arr in arrays)
+        for colors, members, unique in self._views.values():
+            total += len(colors) * colors.itemsize
+            if members is not None:
+                total += sum(56 + 8 * len(group) for group in members)
+            if unique is not None:
+                total += 56 + 8 * len(unique)
         if self._buckets is not None:
             for matrices in self._buckets:
                 total += sum(matrix.nbytes for matrix in matrices)
-        for groups in self._members.values():
-            total += sum(56 + 8 * len(group) for group in groups)
-        for group in self._unique.values():
-            total += 56 + 8 * len(group)
+        if self._churned is not None:
+            total += self._churned.nbytes
         if self._current_members is not None:
             for group in self._current_members.values():
                 total += 56 + 8 * len(group)
         if self._changed is not None:
             total += 56 + 8 * len(self._changed)
+        if self._touched is not None:
+            total += len(self._touched)
         return total
 
 

@@ -26,6 +26,7 @@ from typing import Any, Dict, List
 
 from ..kernel.backend import numpy_or_none
 from .graph import PortLabeledGraph
+from .validation import PortLabelingError, is_json_int
 
 __all__ = [
     "graph_to_dict",
@@ -204,12 +205,22 @@ def graph_to_dict(graph: PortLabeledGraph) -> Dict[str, Any]:
 
 
 def graph_from_dict(data: Dict[str, Any], *, validate: bool = True) -> PortLabeledGraph:
-    """Inverse of :func:`graph_to_dict`."""
+    """Inverse of :func:`graph_to_dict`.
+
+    With ``validate``, ``num_nodes`` and the four fields of every edge must
+    be JSON integers: ``bool`` subclasses ``int``, but ``true`` is no node
+    id or port to a client.
+    """
+    num_nodes = data["num_nodes"]
+    edges = [tuple(edge) for edge in data["edges"]]
+    if validate:
+        if not is_json_int(num_nodes):
+            raise PortLabelingError(f"'num_nodes' must be an integer, not {num_nodes!r}")
+        for edge in edges:
+            if len(edge) != 4 or not all(map(is_json_int, edge)):
+                raise PortLabelingError(f"edge {list(edge)!r} is not four integers (v, port, u, port)")
     return PortLabeledGraph.from_edge_list(
-        data["num_nodes"],
-        [tuple(edge) for edge in data["edges"]],
-        name=data.get("name", ""),
-        validate=validate,
+        num_nodes, edges, name=data.get("name", ""), validate=validate
     )
 
 

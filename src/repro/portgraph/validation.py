@@ -92,7 +92,7 @@ def validate_adjacency(
         degree = len(ports)
         seen_neighbours = set()
         for port, pair in ports.items():
-            if not isinstance(port, int) or port < 0:
+            if not is_json_int(port) or port < 0:
                 raise PortLabelingError(f"node {v}: port {port!r} is not a non-negative integer")
             try:
                 u, q = pair

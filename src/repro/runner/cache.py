@@ -295,14 +295,12 @@ class RefinementCache:
         If the exact mutated graph is already cached (memory or store), that
         entry wins and no replay happens.
 
-        **Memo invalidation.**  A derived entry never inherits the base's
-        ψ memos: every ψ index is supported by *all* classes of the graph,
+        **Memo invalidation.**  A derived entry inherits none of the base's
+        memos: every ψ index is supported by *all* classes of the graph,
         and a non-empty delta dirties at least one, so inheriting them is
         exactly the staleness the write-through regression test pins down.
-        The one class-local survivor is ``("feasible",)`` — a pure function
-        of the fixpoint partition — which carries over only when the replay
-        proves the partition unchanged (same handles, byte-equal canonical
-        tables).
+        Feasibility is not carried over either: the replay leaves the
+        engine at its fixpoint, where feasibility is one class count.
 
         The entry records nothing of the path that made it: :meth:`persist`
         writes the same record bytes for it as for a cold entry of the
@@ -369,15 +367,6 @@ class RefinementCache:
         entry.kernel = GraphKernel.derived(
             graph, base_entry.kernel, topology_changed=result.topology_changed
         )
-        base_feasible = base_entry.memo.get(("feasible",))
-        if (
-            base_feasible is not None
-            and not result.renamed
-            and len(result.node_map) == base_graph.num_nodes
-            and engine.class_counts == base_engine.class_counts
-            and engine.canonical_tables() == base_engine.canonical_tables()
-        ):
-            entry.memo[("feasible",)] = base_feasible
         with self._lock:
             # computing the base above may have admitted an entry for this
             # very labeling (a delta that composes back to the identity):

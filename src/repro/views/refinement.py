@@ -150,17 +150,7 @@ class ViewRefinement:
         This is exactly ψ_S(G) when the graph is feasible (Proposition 2.1
         plus the map-based algorithm of Theorem 2.2's proof).
         """
-        depth = 0
-        while True:
-            effective = self._ensure_depth(depth)
-            if self._engine.unique_at(effective):
-                return depth
-            stable = self._engine.stable_depth
-            if stable is not None and depth >= stable:
-                return None
-            if max_depth is not None and depth >= max_depth:
-                return None
-            depth += 1
+        return self._engine.first_unique_depth(max_depth)
 
     def distinguishing_depth(self, u: int, v: int) -> Optional[int]:
         """Smallest depth at which the views of ``u`` and ``v`` differ (``None`` if never)."""

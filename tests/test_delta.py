@@ -177,6 +177,46 @@ class TestKernelReplay:
                 assert engine.canonical_tables() == cold_tables
                 assert engine.class_counts == cold_counts
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_base_past_a_checkpoint_replays_byte_identical(self, backend):
+        """The beacon-tail's fixpoint is 99 deep and its engine stores a full
+        table at depth 69 between logged depths: the replay reads the base
+        through the log across it, and the fast-forward copies the log."""
+        with use_backend(backend):
+            base = generators.beacon_tail_graph(100, 200, seed=11)
+            base_engine = base.refinement_engine()
+            base_engine.ensure_stable()
+            assert len(base_engine._full) >= 2  # depth 0 and a checkpoint
+            edits = mutation_stream(base, seed=9, length=3, kinds=("add-edge", "relabel-ports"))
+            edits += mutation_stream(base, seed=4, length=2)
+            for delta in edits:
+                result = delta.apply_to(base)
+                warm = result.graph
+                warm.adopt_csr(base.csr().patched(result))
+                engine = refinement_delta(base_engine, warm.csr(), result.node_map, result.touched)
+                cold_tables, cold_counts, _cold_fp = _cold_tables(warm)
+                assert engine.canonical_tables() == cold_tables
+                assert engine.class_counts == cold_counts
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_replayed_engine_is_a_sound_base_for_the_next_replay(self, backend):
+        """A replay's tables hold labels of its own making; replaying from
+        them once merged a fresh class with an inherited one (seeds 4 and 9
+        went wrong at their third edit)."""
+        with use_backend(backend):
+            for seed in range(10):
+                graph = generators.grid_graph(4, 4)
+                engine = graph.refinement_engine()
+                for op in mutation_stream(graph, seed=seed, length=3)[-1].to_payload():
+                    result = GraphDelta([op]).apply_to(graph)
+                    patched = graph.csr().patched(result)
+                    engine = refinement_delta(engine, patched, result.node_map, result.touched)
+                    graph = result.graph
+                    graph.adopt_csr(patched)
+                    cold_tables, cold_counts, _cold_fp = _cold_tables(graph)
+                    assert engine.canonical_tables() == cold_tables, (seed, op)
+                    assert engine.class_counts == cold_counts
+
     def test_legacy_cold_and_replay_partitions_agree_on_dynamic_corpus(self):
         """The three-way matrix: a faithful legacy full-sweep refinement, the
         cold kernel and the delta replay reach one fixpoint partition."""
@@ -606,6 +646,25 @@ class TestServiceDelta:
             assert response["delta_path"][1] in ("base_hit", "cache_hit")
         finally:
             refinement_cache.attach_store(None)
+
+    def test_a_replayed_graph_named_by_fingerprint_answers_as_a_plain_submission(self, tmp_path):
+        """A mutated graph's fingerprint names it as the base of the next
+        delta, whose replay then starts from the first replay's engine.  It
+        used to answer ψ_PPE = ψ_CPPE = 2 here, where the graph has 1."""
+        spec = {"kind": "grid", "params": {"rows": 4, "cols": 4}}
+        ops = mutation_stream(GraphSpec.from_dict(spec).build(), seed=22, length=2)[-1].to_payload()
+        refinement_cache.attach_store(ArtifactStore(tmp_path / "store"))
+        try:
+            first = compute_election(_parsed({"base": spec, "delta": ops[:1]}))
+            chained = compute_election(_parsed({"base": first["fingerprint"], "delta": ops[1:]}))
+        finally:
+            refinement_cache.attach_store(None)
+        assert chained["delta_path"][1:4] == ["base_hit", "memos_invalidated", "replayed"]
+        mutated = GraphDelta(ops).apply_to(GraphSpec.from_dict(spec).build()).graph
+        refinement_cache.clear()
+        plain = compute_election(_parsed({"graph": graph_to_dict(mutated)}))
+        for key in ("fingerprint", "feasible", "indices"):
+            assert chained[key] == plain[key], key
 
     @pytest.mark.parametrize("pair", ["torus-and-twisted-torus", "relabeled-copy"])
     def test_a_fingerprint_two_stored_graphs_share_is_409(self, tmp_path, pair):

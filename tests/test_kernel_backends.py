@@ -18,12 +18,14 @@ Everything that runs vector passes is skipped cleanly when numpy is absent
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 from array import array
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_kernel_equivalence import _fresh_copy, kinds_of, pass_log
+from test_kernel_equivalence import STORED_DEPTH_GRAPHS, _fresh_copy, kinds_of, pass_log
 from test_portgraph_fingerprint import label_path
 
 from repro.core import (
@@ -135,6 +137,21 @@ class TestByteIdentity:
             return [colors.tobytes() for colors in map(engine.colors_at, range(engine.computed_depth + 1))]
 
         observed = _per_backend(graph, tables)
+        assert observed["python"] == observed["numpy"]
+
+    @pytest.mark.parametrize("name", sorted(STORED_DEPTH_GRAPHS))
+    def test_colour_tables_byte_identical_past_a_full_table(self, name):
+        """Depths logged after a full table read back byte-identical
+        whichever kinds ran, queried in any order."""
+
+        def tables(fresh):
+            engine = fresh.refinement_engine()
+            depths = list(range(engine.ensure_stable() + 2))
+            shuffled = random.Random(len(depths)).sample(depths, len(depths))
+            by_depth = {depth: engine.colors_at(depth).tobytes() for depth in shuffled}
+            return [by_depth[depth] for depth in depths]
+
+        observed = _per_backend(STORED_DEPTH_GRAPHS[name](), tables)
         assert observed["python"] == observed["numpy"]
 
     @given(graph=small_graph_strategy)
@@ -378,3 +395,34 @@ class TestVectorPacking:
             engine = CSRPartitionRefinement(narrow)
         engine.ensure_stable()
         assert _observed(engine) == _observed(reference)
+
+
+# --------------------------------------------------------------------------- #
+# the engine's memory: O(n + churn), not one table per depth
+# --------------------------------------------------------------------------- #
+def _traced_refinement(backend: str, n: int):
+    """``(traced peak, estimated_bytes)`` of a cold ``ensure_stable`` of a path."""
+    csr = generators.path_graph(n).csr()
+    with use_backend(backend):
+        engine = CSRPartitionRefinement(csr)
+    tracemalloc.start()
+    try:
+        engine.ensure_stable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, engine.estimated_bytes()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_a_deep_path_refines_in_linear_memory(self, backend):
+        """A path's fixpoint lies n/2 deep.  With one n-entry table per depth
+        the traced peak grew from about 17 to 246 MiB between n = 2 000 and
+        8 000, and ``estimated_bytes`` from 15 to 245 MiB."""
+        _traced_refinement(backend, 64)  # first-call allocations stay out
+        small_peak, small_bytes = _traced_refinement(backend, 2_000)
+        large_peak, large_bytes = _traced_refinement(backend, 8_000)
+        assert large_peak <= 5 * small_peak
+        assert large_peak < 16 * 2**20
+        assert large_bytes <= 5 * small_bytes

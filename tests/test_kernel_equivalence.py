@@ -15,6 +15,7 @@ three lower-bound families, that
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -415,6 +416,40 @@ class TestFamilyEquivalence:
 
 
 # --------------------------------------------------------------------------- #
+# depths stored as churn past a full table
+# --------------------------------------------------------------------------- #
+#: Graphs whose engines store a full table after depth 0, then log depths
+#: past it: the beacon tail's log reaches n pairs at depth 69 of 99, and the
+#: random graph's first pass changes over half its nodes.
+STORED_DEPTH_GRAPHS = {
+    "beacon-tail": lambda: generators.beacon_tail_graph(100, 200, seed=11),
+    "random": lambda: generators.random_connected_graph(300, 300, seed=1),
+}
+
+STORED_DEPTH_BACKENDS = ("python",) + (("numpy", "auto") if numpy_available() else ())
+
+
+class TestStoredDepths:
+    @pytest.mark.parametrize("backend", STORED_DEPTH_BACKENDS)
+    @pytest.mark.parametrize("name", sorted(STORED_DEPTH_GRAPHS))
+    def test_depths_queried_in_any_order_match_the_full_sweep(self, name, backend):
+        graph = STORED_DEPTH_GRAPHS[name]()
+        history = legacy_color_history(graph, extra_depths=1)
+        with use_backend(backend):
+            engine = CSRPartitionRefinement(graph.csr())
+            sequential = CSRPartitionRefinement(graph.csr())
+        engine.ensure_stable()
+        sequential.ensure_stable()
+        assert len(engine._full) >= 2  # a full table past depth 0
+        depths = list(range(engine.computed_depth + 1))
+        shuffled = random.Random(len(depths)).sample(depths, len(depths))
+        by_depth = {depth: list(engine.colors_at(depth)) for depth in shuffled}
+        in_order = [list(sequential.colors_at(depth)) for depth in depths]
+        assert [by_depth[depth] for depth in depths] == in_order == history
+        assert engine.canonical_tables() == history
+
+
+# --------------------------------------------------------------------------- #
 # four-way matrix: legacy views / worklist passes / vector passes / auto
 # --------------------------------------------------------------------------- #
 def _fresh_copy(graph) -> PortLabeledGraph:
@@ -474,6 +509,13 @@ def _four_way_partitions_identical(graph) -> None:
     tables = python_engine.canonical_tables()
     for depth in range(min(len(tables), len(history))):
         assert tables[depth] == history[depth], f"depth {depth}"
+    # depths queried out of order materialise from the stored partitions
+    # exactly as in order
+    depths = list(range(stable + 1))
+    shuffled = random.Random(stable).sample(depths, len(depths))
+    for engine in engines.values():
+        by_depth = {depth: list(engine.colors_at(depth)) for depth in shuffled}
+        assert [by_depth[depth] for depth in depths] == tables[: stable + 1]
     for engine in (engines["numpy"], engines["auto"]):
         assert engine.class_counts == python_engine.class_counts
         assert engine.computed_depth == python_engine.computed_depth
@@ -525,6 +567,10 @@ class TestFourWayPassKindMatrix:
                 )
         refinement_cache.clear()
         assert observed["python"] == observed["numpy"] == observed["auto"]
+
+    def test_stored_depths_identical_across_all_four(self):
+        for build in STORED_DEPTH_GRAPHS.values():
+            _four_way_partitions_identical(build())
 
     def test_family_members_identical_across_backends(self):
         members = [

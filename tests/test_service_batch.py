@@ -275,6 +275,27 @@ def test_a_boolean_spec_param_is_a_400_as_a_spec_a_delta_base_and_a_batch_item(s
 
 
 @pytest.mark.parametrize(
+    "graph, fragment",
+    [
+        ({"num_nodes": True, "edges": []}, "'num_nodes' must be an integer"),
+        ({"num_nodes": 2, "edges": [[0, 0, True, 0]]}, "is not four integers"),
+        ({"num_nodes": 2, "edges": [[0, False, 1, 0]]}, "is not four integers"),
+        ({"num_nodes": 2, "edges": [[0, 0, 1]]}, "is not four integers"),
+    ],
+    ids=["num-nodes-true", "endpoint-true", "port-false", "three-fields"],
+)
+def test_a_submitted_adjacency_of_no_json_integers_is_a_400_alone_and_in_a_batch(graph, fragment):
+    """``{"num_nodes": true}`` used to be answered 200 as a 1-node graph and
+    the edge ``[0, 0, true, 0]`` as an edge to node 1."""
+    payload = {"graph": graph, "tasks": ["S"]}
+    with _RunningServer(make_service(workers=1)) as running:
+        code, body = running.post_expecting_error("/election", payload)
+        lines = _post_stream(running, {"items": [payload]})
+    assert code == 400 and fragment in body["error"]
+    assert lines[1]["status"] == "error" and fragment in lines[1]["error"]
+
+
+@pytest.mark.parametrize(
     "payload, field",
     [
         ({"items": [{"spec": {"kind": "star"}}], "window": True}, "window"),
