@@ -46,7 +46,6 @@ Serve the election pipeline over HTTP (asyncio, request coalescing, warm
 starts from the artifact store, batch/streaming sweeps)::
 
     repro-leader-election serve --port 8765 --store artifacts/
-    repro-leader-election serve --backend process --shards 4 --store artifacts/
     repro-leader-election serve --port 0 --port-file /tmp/repro.port
     curl -s localhost:8765/stats
     curl -s localhost:8765/metrics
@@ -302,25 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default PPE/CPPE search budget for queries that do not set one",
     )
     serve.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="compute backend: GIL-bound thread pool, or hash-sharded "
-        "persistent worker processes (one core each)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="process-backend worker count (defaults to --workers)",
-    )
-    serve.add_argument(
-        "--recycle-after",
-        type=int,
-        default=None,
-        help="process-backend: retire a shard worker after this many tasks",
-    )
-    serve.add_argument(
         "--port-file",
         metavar="FILE",
         default=None,
@@ -365,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol",
         action="append",
         default=[],
-        choices=["batch", "worker", "delta"],
+        choices=["batch", "delta"],
         help="check only this protocol (repeatable; skips the mutant gate)",
     )
     verify.add_argument(
@@ -385,15 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--window", type=int, default=2, help="batch model: in-flight window"
-    )
-    verify.add_argument(
-        "--jobs", type=int, default=3, help="worker model: jobs to dispatch"
-    )
-    verify.add_argument(
-        "--recycle-after",
-        type=int,
-        default=2,
-        help="worker model: recycle threshold",
     )
     verify.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"
@@ -907,9 +878,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             store_path=args.store,
             workers=args.workers,
             max_states=args.max_states,
-            backend=args.backend,
-            shards=args.shards,
-            recycle_after=args.recycle_after,
             port_file=args.port_file,
             slow_request_s=args.slow_request_s,
             hot_tier_bytes=args.hot_tier_mb * 1024 * 1024,
@@ -935,8 +903,6 @@ def _command_verify(args: argparse.Namespace) -> int:
         include_mutants=include_mutants,
         batch_items=args.items,
         batch_window=args.window,
-        worker_jobs=args.jobs,
-        worker_recycle_after=args.recycle_after,
     )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -196,10 +196,23 @@ def _class_lists(table: array, count: int) -> List[List[int]]:
             groups[c].append(v)
         return groups
     ids = _view(numpy, table)
-    # a stable argsort groups nodes by class in ascending node order
-    order = numpy.argsort(ids, kind="stable")
-    bounds = numpy.cumsum(numpy.bincount(ids, minlength=count))[:-1]
-    return [group.tolist() for group in numpy.split(order, bounds)]
+    # a stable argsort groups nodes by class in ascending node order; one
+    # tolist, then plain slices at the class ends
+    order = numpy.argsort(ids, kind="stable").tolist()
+    ends = numpy.cumsum(numpy.bincount(ids, minlength=count)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _singletons(table: array, count: int) -> List[int]:
+    """Nodes alone in their class (ascending), for a table of ids ``0..count-1``."""
+    numpy = numpy_or_none()
+    if numpy is None:
+        sizes = [0] * count
+        for c in table:
+            sizes[c] += 1
+        return [v for v, c in enumerate(table) if sizes[c] == 1]
+    ids = _view(numpy, table)
+    return numpy.flatnonzero(numpy.bincount(ids, minlength=count)[ids] == 1).tolist()
 
 
 def _write(table: array, nodes: array, ids: array) -> None:
@@ -1121,9 +1134,7 @@ class CSRPartitionRefinement:
         """Nodes in singleton classes (ascending), built lazily per depth."""
         entry = self._views_at(effective)
         if entry[2] is None:
-            entry[2] = sorted(
-                group[0] for group in self.members_at(effective) if len(group) == 1
-            )
+            entry[2] = _singletons(entry[0], self._num_classes[effective])
         return entry[2]
 
     def first_unique_depth(self, max_depth: Optional[int] = None) -> Optional[int]:

@@ -3,10 +3,8 @@
 The recorder is the passive half of :mod:`repro.obs`: :mod:`repro.obs.span`
 produces finished span dicts and hands them here.  One process-global
 :data:`default_recorder` is shared by every layer of the service (server,
-batch coordinator, backends), so a single trace id collects spans from all
-of them -- shard worker processes keep their *own* default recorder and
-ship a trace's spans back over the job pipe, where the parent absorbs them
-into this one (see :mod:`repro.service.workers`).
+batch coordinator, compute pool), so a single trace id collects spans from
+all of them.
 
 Memory is hard-capped in both dimensions:
 
@@ -85,16 +83,6 @@ class SpanRecorder:
                 sink.write(json.dumps(span, sort_keys=True) + "\n")
                 sink.flush()
 
-    def absorb(self, spans: Optional[List[Dict[str, Any]]]) -> None:
-        """Merge spans recorded elsewhere (e.g. shipped back by a shard worker)."""
-        for span in spans or ():
-            self.record(span)
-
-    def pop_trace(self, trace_id: str) -> List[Dict[str, Any]]:
-        """Remove and return one trace's spans (a worker's outbox operation)."""
-        with self._lock:
-            return self._traces.pop(trace_id, [])
-
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
@@ -108,8 +96,8 @@ class SpanRecorder:
         """The trace as a span forest: root spans with nested ``children``.
 
         A span whose parent was dropped (or recorded elsewhere) becomes a
-        root rather than vanishing, so a capped or cross-process trace still
-        renders every retained stage.  Siblings sort by start time.
+        root rather than vanishing, so a capped trace still renders every
+        retained stage.  Siblings sort by start time.
         """
         spans = self.trace(trace_id)
         if spans is None:

@@ -2,7 +2,7 @@
 
 A *span* measures one named stage (``parse``, ``queue_wait``, ``compute``,
 ``evaluate_graph``, ...) of a *trace* (one request, one bench run).  Spans
-carry a wall-clock start for cross-process alignment but measure their
+carry a wall-clock start for alignment across threads but measure their
 duration on the monotonic ``perf_counter`` clock, link to their parent
 span, and hold a bounded tag dict for profiling counters (cache hits,
 refinement passes, search states -- attached by the layer that knows them).
@@ -10,10 +10,10 @@ refinement passes, search states -- attached by the layer that knows them).
 Propagation is a :mod:`contextvars` variable holding ``(trace_id,
 span_id)``: :func:`span` reads it to find its parent and sets itself as the
 context for the code it wraps, which follows ``await`` chains and task
-creation automatically.  The two places asyncio/conc.futures do *not*
-propagate context -- ``run_in_executor`` threads and worker processes --
-capture :func:`current_context` explicitly and re-enter it with
-:func:`activate` on the far side (see :mod:`repro.service.workers`).
+creation automatically.  The one place asyncio does *not* propagate
+context -- ``run_in_executor`` threads -- captures :func:`current_context`
+explicitly and re-enters it with :func:`activate` on the far side (see
+:mod:`repro.service.workers`).
 
 A span with no context and no explicit ``trace_id`` is a **no-op**: the
 service layers are instrumented unconditionally, but direct library calls
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Every finished span dict has exactly these keys, in this order -- the
-#: schema contract the thread-vs-process equality test checks.
+#: schema contract the tracing tests check.
 SPAN_SCHEMA_KEYS = (
     "trace_id",
     "span_id",
@@ -99,8 +99,8 @@ def new_trace_id(prefix: str = "cli") -> str:
 
 
 def _new_span_id() -> str:
-    # the pid component keeps ids unique when parent and shard processes
-    # contribute spans to one trace
+    # a process-local serial, prefixed by the pid so ids stay distinct
+    # across processes that append to one JSONL sink
     return f"{os.getpid():x}.{next(_span_serial):x}"
 
 
@@ -111,7 +111,7 @@ def current_context() -> Optional[Tuple[str, Optional[str]]]:
 
 @contextmanager
 def activate(context: Optional[Tuple[str, Optional[str]]]) -> Iterator[None]:
-    """Adopt a captured context in a thread/process the contextvar missed."""
+    """Adopt a captured context in a thread the contextvar missed."""
     if context is None:
         yield
         return
@@ -182,8 +182,8 @@ def span(
 ) -> Iterator[Span]:
     """Measure the wrapped block as one span of the active (or given) trace.
 
-    With ``trace_id`` the span is a *root* (a new trace, or a cross-process
-    re-entry point); otherwise the parent comes from the ambient context.
+    With ``trace_id`` the span is a *root* (a new trace); otherwise the
+    parent comes from the ambient context.
     No context and no ``trace_id`` -- or tracing disabled -- yields the
     shared no-op span and records nothing.
     """

@@ -16,8 +16,7 @@ This subsystem turns the ad-hoc loops of the benchmark scripts into data:
   front-load a corpus into the artifact store with the same sweep identity
   and progress records as the batch service, resumably;
 * :mod:`repro.runner.bootstrap` -- the worker-process initializer
-  (:func:`attach_store_path`) shared by the runner's ``multiprocessing``
-  pool and the election service's sharded process backend.
+  (:func:`attach_store_path`) of the runner's ``multiprocessing`` pool.
 
 See the "runner" section of ``DESIGN.md`` for the data flow and the
 ``bench`` subcommand of :mod:`repro.cli` for the command-line entry point.

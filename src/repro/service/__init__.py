@@ -12,13 +12,8 @@ artifacts out.
   corpus/grid sweep specs, streamed back as NDJSON in item order under a
   bounded in-flight window, with ``GET /sweeps/<id>`` progress records
   persisted next to the artifact store.
-* :mod:`repro.service.workers` -- the compute backends: the bounded thread
-  pool and the hash-sharded persistent worker-process pool (``repro serve
-  --backend process --shards N``), which routes every query to the shard
-  whose warm cache already holds its graph, recycles workers after a task
-  budget, and retries a crashed worker's task once.  Shard workers
-  bootstrap through the same :mod:`repro.runner.bootstrap` initializer as
-  the runner's ``multiprocessing`` fan-out.
+* :mod:`repro.service.workers` -- :class:`ThreadBackend`, the bounded
+  thread pool every computation runs on, off the event loop.
 * :mod:`repro.service.server` -- :class:`ElectionServer`: a dependency-free
   asyncio HTTP/1.1 front end routing the endpoints above, plus
   :func:`run_server`, the blocking entry point behind the ``serve`` CLI
@@ -34,24 +29,16 @@ the same promise per item, modulo the documented volatile timing fields
 from .batch import BatchCoordinator, expand_sweep
 from .server import ElectionServer, run_server
 from .service import ElectionService, ServiceError, compute_election, deterministic_response
-from .workers import (
-    DEFAULT_RECYCLE_AFTER,
-    ProcessShardBackend,
-    ThreadBackend,
-    shard_index,
-)
+from .workers import ThreadBackend
 
 __all__ = [
     "BatchCoordinator",
-    "DEFAULT_RECYCLE_AFTER",
     "ElectionServer",
     "ElectionService",
-    "ProcessShardBackend",
     "ServiceError",
     "ThreadBackend",
     "compute_election",
     "deterministic_response",
     "expand_sweep",
     "run_server",
-    "shard_index",
 ]

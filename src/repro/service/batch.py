@@ -243,8 +243,7 @@ class BatchCoordinator:
     ) -> None:
         self._service = service
         self._max_items = max_items
-        # sized to the backend's genuine overlap: thread-pool width, or the
-        # shard count when the service runs the process backend
+        # sized to the compute pool's width, the service's genuine overlap
         self._default_window = default_window or min(
             MAX_WINDOW, max(DEFAULT_WINDOW, 2 * service.concurrency)
         )

@@ -141,7 +141,7 @@ class Counter(_Instrument):
 
     Like gauges, a counter may read a scrape-time callback instead of
     being incremented -- for values that are already accumulated elsewhere
-    (shard busy seconds, dropped spans) but are semantically monotone.
+    (dropped spans) but are semantically monotone.
     """
 
     kind = "counter"

@@ -1,22 +1,23 @@
 """Shared protocol state tables of the service's concurrency lifecycles.
 
 The service has two protocol surfaces with real lifecycle state: the batch
-streamer (window slots, in-order emits, cancellation) and the shard worker
-(spawn/dispatch/reply/recycle/crash/close).  Every lifecycle bug fixed so
-far -- sweeps stuck ``running``, leaked window slots, waiters hung on a
-worker that silently died -- was a transition that the code performed but
-the protocol does not allow.
+streamer (window slots, in-order emits, cancellation) and the delta item
+(resolve, invalidate, replay or recompute, evaluate).  Every lifecycle bug
+fixed so far -- sweeps stuck ``running``, leaked window slots, a base's
+memos carried onto a replayed graph -- was a transition that the code
+performed but the protocol does not allow.
 
 This module is the single source of truth for those transitions.  The
-production code (:mod:`repro.service.batch`, :mod:`repro.service.workers`)
-drives its state through the tables below, so an illegal transition raises
-:class:`ProtocolViolation` at the exact call site instead of surfacing ten
-seconds later as a hung client; and the bounded model checker
-(:mod:`repro.verify`) imports the *same* tables to explore every
-interleaving of the environment (client disconnects, worker crashes,
-recycle thresholds) exhaustively.  The model is the implementation's state
-logic, not a parallel copy: a transition added here is simultaneously
-enforced in production and explored by ``repro verify``.
+production code (:mod:`repro.service.batch`, :mod:`repro.service.service`
+and the refinement cache's delta path) drives its state through the tables
+below, so an illegal transition raises :class:`ProtocolViolation` at the
+exact call site instead of surfacing ten seconds later as a hung client;
+and the bounded model checker (:mod:`repro.verify`) imports the *same*
+tables to explore every interleaving of the environment (client
+disconnects, cache and store outcomes, failures) exhaustively.  The model
+is the implementation's state logic, not a parallel copy: a transition
+added here is simultaneously enforced in production and explored by
+``repro verify``.
 
 Sweep lifecycle (:data:`SWEEP_TRANSITIONS`)::
 
@@ -33,20 +34,7 @@ bounded in-flight window is a conserved resource.  ``acquire`` past the
 capacity and ``release`` of a free slot are both violations; a terminal
 sweep must have released every slot it acquired.
 
-Worker lifecycle (:data:`WORKER_TRANSITIONS`)::
-
-    down --spawn----> idle        process started, pipe open
-    idle --dispatch-> busy        job on the pipe
-    busy --reply----> idle        response received, job counted
-    idle --retire---> down        recycle threshold: farewell absorbed, joined
-    idle --crash----> down        died between jobs (found at next ensure)
-    busy --crash----> down        died mid-job (broken pipe)
-    *    --close----> closed      shutdown (graceful or terminate)
-
-``closed`` absorbs ``crash`` and ``close`` (a worker terminated during
-shutdown surfaces as a broken pipe in the caller it unblocks; ``close`` is
-idempotent) but nothing else -- dispatching into a closed shard is a
-violation, not a queue.
+Delta-item lifecycle: see :data:`DELTA_TRANSITIONS`.
 """
 
 from __future__ import annotations
@@ -73,18 +61,11 @@ __all__ = [
     "SWEEP_STATES",
     "SWEEP_TERMINAL",
     "SWEEP_TRANSITIONS",
-    "WORKER_BUSY",
-    "WORKER_CLOSED",
-    "WORKER_DOWN",
-    "WORKER_IDLE",
-    "WORKER_STATES",
-    "WORKER_TRANSITIONS",
     "WindowLedger",
     "delta_transition",
     "sweep_transition",
     "window_acquire",
     "window_release",
-    "worker_transition",
 ]
 
 
@@ -265,40 +246,3 @@ class DeltaStatus:
         self.state = delta_transition(self.state, event)
         self.events.append(event)
 
-
-# --------------------------------------------------------------------------- #
-# shard worker lifecycle
-# --------------------------------------------------------------------------- #
-WORKER_DOWN = "down"
-WORKER_IDLE = "idle"
-WORKER_BUSY = "busy"
-WORKER_CLOSED = "closed"
-
-WORKER_STATES = (WORKER_DOWN, WORKER_IDLE, WORKER_BUSY, WORKER_CLOSED)
-
-#: ``(state, event) -> state``.  See the module docstring for the diagram.
-WORKER_TRANSITIONS: Dict[Tuple[str, str], str] = {
-    (WORKER_DOWN, "spawn"): WORKER_IDLE,
-    (WORKER_IDLE, "dispatch"): WORKER_BUSY,
-    (WORKER_BUSY, "reply"): WORKER_IDLE,
-    (WORKER_IDLE, "retire"): WORKER_DOWN,
-    (WORKER_IDLE, "crash"): WORKER_DOWN,
-    (WORKER_BUSY, "crash"): WORKER_DOWN,
-    (WORKER_DOWN, "close"): WORKER_CLOSED,
-    (WORKER_IDLE, "close"): WORKER_CLOSED,
-    (WORKER_BUSY, "close"): WORKER_CLOSED,
-    # a worker terminated by a timed-out close surfaces as a broken pipe in
-    # the call it unblocks; close is idempotent
-    (WORKER_CLOSED, "crash"): WORKER_CLOSED,
-    (WORKER_CLOSED, "close"): WORKER_CLOSED,
-}
-
-
-def worker_transition(state: str, event: str) -> str:
-    """The worker state after ``event``; raises on an illegal transition."""
-    try:
-        return WORKER_TRANSITIONS[(state, event)]
-    except KeyError:
-        raise ProtocolViolation(
-            f"worker protocol: event {event!r} is not allowed in state {state!r}"
-        ) from None

@@ -15,11 +15,10 @@ surface is deliberately small and JSON-only:
   refinement cache, artifact store, joint searches), plus the recent-trace
   ring and a ``slowest`` request table;
 * ``GET /trace/<id>`` -- the span tree of one recent request (parse,
-  coalesce/queue waits, compute, emit -- shard-side stages included on the
-  process backend);
-* ``GET /metrics`` -- Prometheus text exposition (request/batch/shard
-  counters, per-shard heat, window occupancy, queue depths, latency
-  histograms, recorder drop counters);
+  coalesce/queue waits, compute, emit);
+* ``GET /metrics`` -- Prometheus text exposition (request/batch counters,
+  window occupancy, queue depth, latency histograms, recorder drop
+  counters);
 * ``GET /healthz`` -- liveness.
 
 Every request is assigned a **trace id** (a server nonce plus a serial):
@@ -244,14 +243,6 @@ class ElectionServer:
             callback=self._batch.window_occupancy,
         )
         metrics.gauge(
-            "repro_shard_events",
-            "Parent-side shard counters (process backend; zero elsewhere).",
-            ("event",),
-            callback=lambda: {
-                (k,): v for k, v in service.backend_telemetry().items()
-            },
-        )
-        metrics.gauge(
             "repro_traces_issued",
             "Trace ids issued since the server started.",
             callback=lambda: self._trace_count,
@@ -266,36 +257,9 @@ class ElectionServer:
             "Spans currently retained across the recorder's trace ring.",
             callback=lambda: default_recorder.stats()["spans"],
         )
-        metrics.counter(
-            "repro_shard_busy_seconds_total",
-            "Seconds each process shard spent executing jobs (process backend only).",
-            ("shard",),
-            callback=lambda: {
-                (str(row["shard"]),): row["busy_seconds"]
-                for row in service.backend_heat()
-            },
-        )
-        metrics.counter(
-            "repro_shard_tasks_total",
-            "Jobs dispatched to each process shard (process backend only).",
-            ("shard",),
-            callback=lambda: {
-                (str(row["shard"]),): row["dispatched"]
-                for row in service.backend_heat()
-            },
-        )
-        metrics.gauge(
-            "repro_shard_queue_depth",
-            "Jobs waiting on each shard's dispatcher queue (process backend only).",
-            ("shard",),
-            callback=lambda: {
-                (str(row["shard"]),): row["queue_depth"]
-                for row in service.backend_heat()
-            },
-        )
         metrics.gauge(
             "repro_search_events",
-            "Kernel joint-search counters, aggregated across process shards.",
+            "Kernel joint-search counters.",
             ("event",),
             callback=lambda: {
                 (event,): value
@@ -304,7 +268,7 @@ class ElectionServer:
         )
         metrics.gauge(
             "repro_store_events",
-            "Artifact-store counters (hits, puts, corrupt objects), aggregated across shards.",
+            "Artifact-store counters (hits, puts, corrupt objects).",
             ("event",),
             callback=lambda: {
                 (event,): value
@@ -606,9 +570,6 @@ def run_server(
     store_path: Optional[str] = None,
     workers: int = 4,
     max_states: int = 200_000,
-    backend: str = "thread",
-    shards: Optional[int] = None,
-    recycle_after: Optional[int] = None,
     port_file: Optional[str] = None,
     slow_request_s: Optional[float] = None,
     hot_tier_bytes: int = 0,
@@ -628,8 +589,8 @@ def run_server(
     ``compact_interval_s`` (with a store) schedules
     :meth:`~repro.store.ArtifactStore.compact` every that many seconds, off
     the event loop.  Compaction needs no lock: it is safe against
-    concurrent writers (shard workers, a parallel ``repro warm``) and other
-    compactions.  Each run bumps the store's ``compactions`` counter, which
+    concurrent writers (the compute pool, a parallel ``repro warm``) and
+    other compactions.  Each run bumps the store's ``compactions`` counter, which
     the existing stats plumbing surfaces as
     ``repro_store_events{event="compactions"}`` on ``GET /metrics``.
     """
@@ -644,9 +605,6 @@ def run_server(
         store=store,
         workers=workers,
         default_max_states=max_states,
-        backend=backend,
-        shards=shards,
-        recycle_after=recycle_after,
         hot_tier_bytes=hot_tier_bytes,
     )
     server = ElectionServer(service, host=host, port=port, slow_request_s=slow_request_s)
@@ -683,13 +641,9 @@ def run_server(
             store_note = f", store={store.root}{hot_note}"
         else:
             store_note = ", no store"
-        if service.backend == "process":
-            backend_note = f"backend=process, shards={service.concurrency}"
-        else:
-            backend_note = f"backend=thread, workers={workers}"
         print(
             f"repro-leader-election serve: listening on {location} "
-            f"({backend_note}{store_note})",
+            f"(backend=thread, workers={workers}{store_note})",
             file=sys.stderr,
         )
         if port_file is not None:

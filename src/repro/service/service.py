@@ -6,7 +6,7 @@ adjacency (the JSON dict format of :mod:`repro.portgraph.io`) or a generator
 spec from the runner's graph-kind registry -- plus optional task and search
 parameters, and the answer is feasibility, the requested ψ_Z indices and
 (optionally) the bit-exact full-map advice string.  Everything returned is a
-pure function of the graph and parameters, which the service exploits twice:
+pure function of the graph and parameters.  Around that the service adds:
 
 * **Request coalescing.**  Identical queries in flight share one
   computation: the first request registers a future keyed by a digest of the
@@ -14,14 +14,10 @@ pure function of the graph and parameters, which the service exploits twice:
   the response (and the ``/stats`` counter) records the dedup.  Differently
   labeled isomorphic submissions hash differently, but they still converge
   in the layers below (refinement cache buckets, store fingerprints).
-* **A bounded worker backend.**  Cold computations run off the event loop
-  on one of two interchangeable backends (:mod:`repro.service.workers`):
-  the default fixed-size *thread* pool, or a *process* backend that
-  hash-shards queries across persistent worker processes so refinement and
-  the ψ searches escape the GIL (``repro serve --backend process
-  --shards N``).  Either way the event loop keeps accepting connections and
-  serving ``/stats`` while searches run, and at most ``workers`` (or one
-  per shard) computations are in flight, the rest queue.
+* **A bounded thread pool.**  Cold computations run off the event loop on
+  a fixed-size pool (:mod:`repro.service.workers`), so the event loop keeps
+  accepting connections and serving ``/stats`` while searches run; at most
+  ``workers`` computations are in flight, the rest queue.
 
 With a store attached the service is a thin front end over the durable
 layer: queries warm-start from records persisted by any earlier process and
@@ -35,7 +31,6 @@ import asyncio
 import hashlib
 import json
 import re
-import sys
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -171,13 +166,12 @@ def _resolve_delta(parsed: Dict[str, Any]):
 
 
 def compute_election(parsed: Dict[str, Any], *, compute_delay: float = 0.0) -> Dict[str, Any]:
-    """Build the graph of a parsed query and answer it (pure worker-side code).
+    """Build the graph of a parsed query and answer it (pool-thread code).
 
-    Runs on whichever backend the service uses -- a thread of the bounded
-    pool or a shard worker process -- and touches only process-wide state
-    (the refinement cache and, through it, the attached store), never the
-    service instance, so thread and process backends execute the very same
-    code and return byte-identical responses.
+    Runs on a thread of the service's bounded pool and touches only
+    process-wide state (the refinement cache and, through it, the attached
+    store), never the service instance, so a batch item and a single
+    request run the very same code and return byte-identical responses.
     """
     with obs_span("compute_election") as sp:
         if compute_delay:
@@ -245,36 +239,22 @@ class ElectionService:
     ----------
     store:
         Optional :class:`~repro.store.ArtifactStore`; attached to the
-        process-wide refinement cache (thread backend) or to every shard
-        worker's cache (process backend) so queries read and write through
-        it.
+        process-wide refinement cache so queries read and write through it.
     workers:
-        Size of the bounded compute pool (thread backend); also the default
-        shard count of the process backend when ``shards`` is not given.
+        Size of the bounded compute pool.
     default_max_states:
         PPE/CPPE search budget applied when a query does not set one.
     compute_delay:
         Artificial seconds added to every computation, off the event loop.
         Used by the latency benchmark and the coalescing tests to make
         overlap deterministic; leave at ``0`` in production.
-    backend:
-        ``"thread"`` (default) or ``"process"`` -- see
-        :mod:`repro.service.workers`.  If the process backend cannot be set
-        up on this platform the service falls back to the thread backend
-        with a warning rather than failing to start.
-    shards:
-        Process-backend worker count (defaults to ``workers``).
-    recycle_after:
-        Process-backend: retire a shard worker after this many tasks
-        (defaults to :data:`repro.service.workers.DEFAULT_RECYCLE_AFTER`).
     hot_tier_bytes:
         When positive and a store is attached, serving is *traffic-shaped*:
         the store's in-process hot tier is enabled with this byte budget
         (repeat fingerprints decode from mmap'd residents instead of
         re-reading disk), and the refinement cache switches to the
         frequency-observing ``"second-touch"`` admission policy for the
-        service's lifetime (restored by :meth:`close`).  Shard workers of
-        the process backend get both via their bootstrap.  ``0`` (the
+        service's lifetime (restored by :meth:`close`).  ``0`` (the
         default) keeps the historical cold-path behaviour.
     """
 
@@ -285,17 +265,11 @@ class ElectionService:
         workers: int = 4,
         default_max_states: int = 200_000,
         compute_delay: float = 0.0,
-        backend: str = "thread",
-        shards: Optional[int] = None,
-        recycle_after: Optional[int] = None,
         hot_tier_bytes: int = 0,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown backend {backend!r} (choose 'thread' or 'process')")
-        from . import workers as worker_backends  # deferred: workers.py imports this module
+        from .workers import ThreadBackend  # deferred: workers.py imports this module
 
+        self._backend = ThreadBackend(workers=workers, compute_delay=compute_delay)
         self._store = store
         self._workers = workers
         self._default_max_states = default_max_states
@@ -306,35 +280,7 @@ class ElectionService:
         self._prior_admission: Optional[str] = None
         if hot:
             store.enable_hot_tier(hot)
-        self._backend: worker_backends.ComputeBackend
-        if backend == "process":
-            try:
-                self._backend = worker_backends.ProcessShardBackend(
-                    shards=shards if shards is not None else workers,
-                    store_path=store.root if store is not None else None,
-                    compute_delay=compute_delay,
-                    recycle_after=recycle_after,
-                    hot_tier_bytes=hot,
-                    cache_admission="second-touch" if hot else None,
-                )
-            except (ImportError, NotImplementedError, OSError) as error:
-                # e.g. a platform without working multiprocessing primitives;
-                # degrade to the GIL-bound thread pool instead of not serving
-                print(
-                    f"repro serve: process backend unavailable ({error}); "
-                    f"falling back to the thread backend",
-                    file=sys.stderr,
-                )
-                self._backend = worker_backends.ThreadBackend(
-                    workers=workers, compute_delay=compute_delay
-                )
-        else:
-            self._backend = worker_backends.ThreadBackend(
-                workers=workers, compute_delay=compute_delay
-            )
-        if store is not None and self._backend.name == "thread":
-            # thread backend computes in this process: back the process-wide
-            # cache; shard workers attach their own cache in bootstrap instead
+        if store is not None:
             refinement_cache.attach_store(store)
             if hot:
                 self._prior_admission = refinement_cache.set_admission("second-touch")
@@ -363,12 +309,12 @@ class ElectionService:
 
     @property
     def backend(self) -> str:
-        """The active compute backend name (``"thread"`` or ``"process"``)."""
+        """The compute backend's name (always ``"thread"``)."""
         return self._backend.name
 
     @property
     def concurrency(self) -> int:
-        """How many computations can genuinely overlap on the backend."""
+        """How many computations can overlap on the pool."""
         return self._backend.concurrency
 
     @property
@@ -381,49 +327,17 @@ class ElectionService:
         return self._counters[name]
 
     def queue_depth(self) -> int:
-        """Backend computations accepted but not yet running (for /metrics)."""
-        try:
-            return self._backend.queue_depth()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            return 0
-
-    def backend_telemetry(self) -> Dict[str, int]:
-        """Parent-side backend lifecycle counters (for /metrics); cheap."""
-        try:
-            return self._backend.telemetry()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            return {}
-
-    def backend_heat(self) -> list:
-        """Per-shard heat rows (busy seconds, dispatched, queue depth).
-
-        Parent-side counters only -- safe to call from a /metrics scrape.
-        The thread backend has no shards and reports an empty list.
-        """
-        try:
-            return self._backend.heat()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            return []
+        """Computations accepted but not yet running (for /metrics)."""
+        return self._backend.queue_depth()
 
     def observed_counters(self) -> Dict[str, Dict[str, int]]:
-        """Kernel-search and store counters, aggregated where computing happens.
+        """Kernel-search and store counters of this process (for /metrics).
 
-        For /metrics: unlike :meth:`stats`, this never round-trips a worker
-        pipe.  The thread backend reads this process's live counters; the
-        process backend sums the per-job counter snapshots its workers
-        piggyback on every reply (plus the counters of cleanly retired
-        workers), so the scrape lags a busy shard by at most one job.  The
-        parent's own store-handle counters are folded in either way.
+        Unlike :meth:`stats`, this never takes the refinement-cache lock or
+        touches the store's directory.
         """
-        try:
-            observed = self._backend.observed_counters()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            observed = {"search": dict(search_statistics()), "store": {}}
-        store_section = observed.setdefault("store", {})
-        if self._store is not None:
-            for key, value in self._store.io_counters().items():
-                store_section[key] = store_section.get(key, 0) + value
-        return observed
+        store = self._store.io_counters() if self._store is not None else {}
+        return {"search": dict(search_statistics()), "store": store}
 
     def count_request(self) -> None:
         """Tally one HTTP request (any endpoint); called by the server."""
@@ -433,9 +347,8 @@ class ElectionService:
         """Shut the compute backend down and detach this service's store.
 
         Idempotent and deterministic: the thread pool is joined (queued
-        work cancelled), shard worker processes are asked to exit and then
-        joined/terminated, so ``repro serve`` exits without lingering
-        non-daemon threads or zombie workers.  The store attachment lives on
+        work cancelled), so ``repro serve`` exits without lingering
+        non-daemon threads.  The store attachment lives on
         the process-wide refinement cache, so leaving it behind would make
         later, unrelated work in this process silently read from and
         persist into this service's directory.
@@ -461,7 +374,7 @@ class ElectionService:
     async def query(self, payload: Any) -> Dict[str, Any]:
         """Answer one election query, coalescing identical in-flight ones."""
         self._counters["queries"] += 1
-        parsed, key, route_key = self._parse(payload)
+        parsed, key = self._parse(payload)
         existing = self._inflight.get(key)
         if existing is not None:
             self._counters["coalesced"] += 1
@@ -474,8 +387,8 @@ class ElectionService:
         future: asyncio.Future = loop.create_future()
         self._inflight[key] = future
         try:
-            with obs_span("compute", tags={"backend": self._backend.name}):
-                result = await self._backend.submit(route_key, parsed)
+            with obs_span("compute"):
+                result = await self._backend.submit(parsed)
         except Exception as error:
             self._counters["errors"] += 1
             future.set_result(("error", error))
@@ -495,17 +408,13 @@ class ElectionService:
         finally:
             del self._inflight[key]
 
-    def _parse(self, payload: Any) -> Tuple[Dict[str, Any], str, str]:
-        """Validate a query body; returns (parsed fields, coalescing key, route key).
+    def _parse(self, payload: Any) -> Tuple[Dict[str, Any], str]:
+        """Validate a query body; returns (parsed fields, coalescing key).
 
         Parsing is cheap (no graph is built here): the heavy work -- graph
         construction, validation, refinement, searches -- happens on the
-        compute backend.  The coalescing key digests the canonical JSON of
-        every field that determines the answer; the route key digests only
-        the graph-identifying part (``graph``/``spec``), so the process
-        backend sends *all* queries about one submitted graph -- whatever
-        their task/budget parameters -- to the same shard, whose cache
-        already holds that graph's refinement.
+        compute pool.  The coalescing key digests the canonical JSON of
+        every field that determines the answer.
         """
         if not isinstance(payload, dict):
             raise ServiceError(400, "request body must be a JSON object")
@@ -577,34 +486,20 @@ class ElectionService:
             separators=(",", ":"),
         )
         key = hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
-        # delta items route on the BASE alone: every mutation of one base
-        # lands on the shard whose cache holds that base (and its earlier
-        # mutations) warm
-        route_canonical = json.dumps(
-            {"graph": graph_dict, "spec": spec_dict, "base": base_ref},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        route_key = hashlib.blake2b(
-            route_canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
-        return parsed, key, route_key
+        return parsed, key
 
     # ------------------------------------------------------------------ #
     # /stats
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
-        """Counters of every layer: service, backend, cache, store, searches.
+        """Counters of every layer: service, cache, store, searches.
 
-        ``cache`` and ``search`` come from wherever the computing actually
-        happens: the calling process for the thread backend, the aggregated
-        (summed) shard workers for the process backend -- so invariants like
-        "a store-warm replay performs zero refinement passes" are checked
-        against the same numbers regardless of backend.
+        Every computation runs in this process, so ``cache`` and ``search``
+        are this process's own counters -- the numbers that certify "a
+        store-warm replay performs zero refinement passes".
         """
         from ..kernel import active_backend
 
-        backend_stats = self._backend.stats()
         payload: Dict[str, Any] = {
             "service": dict(
                 self._counters,
@@ -616,17 +511,9 @@ class ElectionService:
                 kernel_backend=active_backend(),
                 hot_tier_bytes=self._hot_tier_bytes,
             ),
-            "cache": backend_stats["cache"],
-            "search": backend_stats["search"],
+            "cache": refinement_cache.stats(),
+            "search": search_statistics(),
         }
-        if "shards" in backend_stats:
-            payload["shards"] = backend_stats["shards"]
         if self._store is not None:
-            # counters (hits, puts, corrupt_objects, ...) sum the parent
-            # handle with the shard workers' handles, which report counters
-            # only; the record count is read once, off the shared directory
-            store_section = self._store.stats()
-            for key, value in backend_stats.get("store", {}).items():
-                store_section[key] = store_section.get(key, 0) + value
-            payload["store"] = store_section
+            payload["store"] = self._store.stats()
         return payload

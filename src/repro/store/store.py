@@ -381,7 +381,7 @@ class ArtifactStore:
         """Every counter of this handle, hot tier included.
 
         No filesystem access, so cheap enough to snapshot around a single
-        evaluation (span profiling) or on every shard worker's job reply.
+        evaluation (span profiling) or on every ``/metrics`` scrape.
         """
         with self._counter_lock:
             snapshot = {

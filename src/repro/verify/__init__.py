@@ -1,10 +1,10 @@
 """Bounded model checking of the service's concurrency protocols.
 
 ``repro verify`` (the CLI front end of :func:`run_verification`)
-exhaustively explores the batch-stream and shard-worker lifecycles --
-every interleaving of client disconnects, worker crashes, recycles and
-shutdowns within the configured bounds -- against the *same* transition
-tables the production code executes (:mod:`repro.service.protocol`).
+exhaustively explores the batch-stream and delta-item lifecycles -- every
+interleaving of client disconnects, cache and store outcomes and failures
+within the configured bounds -- against the *same* transition tables the
+production code executes (:mod:`repro.service.protocol`).
 The run fails if any reachable state violates a safety invariant, if a
 non-terminal state deadlocks, or if the checker cannot find the seeded
 known-bad mutants (:mod:`repro.verify.mutants`), which guards against a
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional
 
 from .checker import CheckResult, Model, Violation, check_model
-from .models import BatchStreamModel, DeltaLifecycleModel, ShardWorkerModel
+from .models import BatchStreamModel, DeltaLifecycleModel
 from .mutants import MUTANTS
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "CheckResult",
     "DeltaLifecycleModel",
     "Model",
-    "ShardWorkerModel",
     "Violation",
     "check_model",
     "run_verification",
@@ -33,7 +32,6 @@ __all__ = [
 #: Protocol name -> model factory (the CLI's ``--protocol`` choices).
 PROTOCOL_MODELS = {
     "batch": BatchStreamModel,
-    "worker": ShardWorkerModel,
     "delta": DeltaLifecycleModel,
 }
 
@@ -46,8 +44,6 @@ def run_verification(
     include_mutants: bool = True,
     batch_items: int = 4,
     batch_window: int = 2,
-    worker_jobs: int = 3,
-    worker_recycle_after: int = 2,
 ) -> Dict[str, Any]:
     """Check the requested protocol models; returns a JSON-able report.
 
@@ -67,8 +63,6 @@ def run_verification(
             ) from None
         if factory is BatchStreamModel:
             model: Model = BatchStreamModel(items=batch_items, window=batch_window)
-        elif factory is ShardWorkerModel:
-            model = ShardWorkerModel(jobs=worker_jobs, recycle_after=worker_recycle_after)
         else:
             model = factory()
         result = check_model(model, max_states=max_states, max_depth=max_depth)

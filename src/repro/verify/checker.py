@@ -38,8 +38,8 @@ class Model:
 
     ``initial()`` returns the (hashable) initial state.  ``actions(state)``
     yields ``(event_label, successor_state)`` pairs -- every transition the
-    protocol *and* its environment (client disconnects, worker crashes,
-    shutdowns) allow from ``state``; raising
+    protocol *and* its environment (client disconnects, cache and store
+    outcomes, failures) allow from ``state``; raising
     :class:`~repro.service.protocol.ProtocolViolation` while computing a
     successor is itself a reported violation.  ``invariant(state)`` returns
     ``None`` for a healthy state or a human-readable defect description.

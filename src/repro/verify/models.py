@@ -2,12 +2,12 @@
 
 Both models evolve their lifecycle state through the *production*
 transition tables and window accounting of :mod:`repro.service.protocol` --
-the same ``sweep_transition`` / ``worker_transition`` / ``window_acquire``
-calls :mod:`repro.service.batch` and :mod:`repro.service.workers` execute
-at runtime.  What the models add is the **environment**: every interleaving
-of client disconnects, worker crashes, recycle thresholds and shutdowns,
-explored exhaustively by :func:`repro.verify.checker.check_model` instead
-of sampled by a scheduler.
+the same ``sweep_transition`` / ``window_acquire`` / ``delta_transition``
+calls :mod:`repro.service.batch` and the delta path execute at runtime.
+What the models add is the **environment**: every interleaving of client
+disconnects, cache and store outcomes and failures, explored exhaustively
+by :func:`repro.verify.checker.check_model` instead of sampled by a
+scheduler.
 
 States are plain tuples (hashable, comparable, cheap); the default bounds
 are exhaustive for the shipped parameters -- a few thousand states per
@@ -32,19 +32,14 @@ from ..service.protocol import (
     SWEEP_DONE,
     SWEEP_RUNNING,
     SWEEP_TERMINAL,
-    WORKER_BUSY,
-    WORKER_CLOSED,
-    WORKER_DOWN,
-    WORKER_IDLE,
     delta_transition,
     sweep_transition,
     window_acquire,
     window_release,
-    worker_transition,
 )
 from .checker import Model
 
-__all__ = ["BatchStreamModel", "DeltaLifecycleModel", "ShardWorkerModel"]
+__all__ = ["BatchStreamModel", "DeltaLifecycleModel"]
 
 # item stages of the batch stream (strictly ordered per item)
 _PENDING = 0  # not yet past the window gate
@@ -273,243 +268,3 @@ class DeltaLifecycleModel(Model):
         )
         return f"state={protocol_state} history={flags}"
 
-
-class ShardWorkerModel(Model):
-    """One shard of the process backend: dispatch/recycle/crash/close.
-
-    State: ``(worker_state, jobs_since_spawn, jobs_remaining, attempt,
-    replies, retired, lost, failed)``.  ``attempt`` is the current job's
-    delivery attempt (0 = no job pending, 1 = first try, 2 = post-crash
-    retry, matching the retry-once loop of ``_Shard.call``); the counter
-    quadruple mirrors the parent-side bookkeeping: ``replies`` total
-    successful round trips, ``retired`` jobs absorbed from clean
-    retirements (farewell snapshots), ``lost`` jobs whose worker crashed
-    before retiring (their counters die with the process), ``failed`` jobs
-    surfaced as 503 after the retry budget.
-
-    The conservation invariant -- every reply is either still counted in
-    the live worker, absorbed into ``retired``, or written off as ``lost``
-    -- is exactly the property that makes ``/stats`` job totals trustworthy
-    across recycling, and it must hold in *every* reachable interleaving of
-    crashes, recycles and shutdowns.
-    """
-
-    name = "shard-worker"
-
-    def __init__(self, *, jobs: int = 3, recycle_after: int = 2) -> None:
-        if jobs < 1 or recycle_after < 1:
-            raise ValueError("jobs and recycle_after must be at least 1")
-        self.jobs = jobs
-        self.recycle_after = recycle_after
-
-    def initial(self) -> Hashable:
-        return (WORKER_DOWN, 0, self.jobs, 0, 0, 0, 0, 0)
-
-    def actions(self, state: Hashable) -> Iterable[Tuple[str, Hashable]]:
-        worker, since, remaining, attempt, replies, retired, lost, failed = state
-        moves: List[Tuple[str, Hashable]] = []
-        if worker == WORKER_CLOSED:
-            # close/crash are absorbed (idempotent shutdown, terminate
-            # races); exercise both table entries, self-loops dedup away
-            worker_transition(worker, "close")
-            worker_transition(worker, "crash")
-            return moves
-        # shutdown can begin at any moment
-        if worker == WORKER_BUSY:
-            # terminate kills the worker mid-job; the blocked call() sees a
-            # broken pipe against the now-closed shard and surfaces a 503
-            moves.append(
-                (
-                    "close",
-                    (
-                        worker_transition(worker, "close"),
-                        0,
-                        remaining - 1,
-                        0,
-                        replies,
-                        retired,
-                        lost + since,
-                        failed + 1,
-                    ),
-                )
-            )
-        else:
-            moves.append(
-                (
-                    "close",
-                    (
-                        worker_transition(worker, "close"),
-                        0,
-                        remaining,
-                        0,
-                        replies,
-                        retired,
-                        lost + since,
-                        failed,
-                    ),
-                )
-            )
-        if worker == WORKER_DOWN and (remaining > 0 or attempt > 0):
-            # lazy spawn: _ensure_worker starts a process when work arrives
-            moves.append(
-                (
-                    "spawn",
-                    (worker_transition(worker, "spawn"), 0, remaining, attempt, replies, retired, lost, failed),
-                )
-            )
-        if worker == WORKER_IDLE:
-            if since < self.recycle_after and (attempt > 0 or remaining > 0):
-                # dispatch the pending retry, or take the next fresh job;
-                # never past the budget -- call() retires the worker in the
-                # same locked section as the threshold-reaching reply
-                next_attempt = attempt if attempt > 0 else 1
-                moves.append(
-                    (
-                        "dispatch" if next_attempt == 1 else "redispatch",
-                        (
-                            worker_transition(worker, "dispatch"),
-                            since,
-                            remaining,
-                            next_attempt,
-                            replies,
-                            retired,
-                            lost,
-                            failed,
-                        ),
-                    )
-                )
-            if since >= self.recycle_after:
-                # recycle threshold reached: farewell absorbed, worker joined
-                moves.append(
-                    (
-                        "retire",
-                        (
-                            worker_transition(worker, "retire"),
-                            0,
-                            remaining,
-                            attempt,
-                            replies,
-                            retired + since,
-                            lost,
-                            failed,
-                        ),
-                    )
-                )
-                # ... or the farewell pipe broke first: still a retirement,
-                # but the snapshot's job counts die with the worker
-                moves.append(
-                    (
-                        "retire_dropped_farewell",
-                        (
-                            worker_transition(worker, "retire"),
-                            0,
-                            remaining,
-                            attempt,
-                            replies,
-                            retired,
-                            lost + since,
-                            failed,
-                        ),
-                    )
-                )
-            # died between jobs (found by the next _ensure_worker)
-            moves.append(
-                (
-                    "idle_crash",
-                    (
-                        worker_transition(worker, "crash"),
-                        0,
-                        remaining,
-                        attempt,
-                        replies,
-                        retired,
-                        lost + since,
-                        failed,
-                    ),
-                )
-            )
-        if worker == WORKER_BUSY:
-            moves.append(
-                (
-                    "reply",
-                    (
-                        worker_transition(worker, "reply"),
-                        since + 1,
-                        remaining - 1,
-                        0,
-                        replies + 1,
-                        retired,
-                        lost,
-                        failed,
-                    ),
-                )
-            )
-            if attempt >= 2:
-                # second crash on one job: give up with a 503
-                moves.append(
-                    (
-                        "crash_give_up",
-                        (
-                            worker_transition(worker, "crash"),
-                            0,
-                            remaining - 1,
-                            0,
-                            replies,
-                            retired,
-                            lost + since,
-                            failed + 1,
-                        ),
-                    )
-                )
-            else:
-                # first crash mid-job: respawn and resubmit once
-                moves.append(
-                    (
-                        "crash_retry",
-                        (
-                            worker_transition(worker, "crash"),
-                            0,
-                            remaining,
-                            2,
-                            replies,
-                            retired,
-                            lost + since,
-                            failed,
-                        ),
-                    )
-                )
-        return moves
-
-    def invariant(self, state: Hashable) -> Optional[str]:
-        worker, since, remaining, attempt, replies, retired, lost, failed = state
-        if replies != retired + lost + since:
-            return (
-                "job accounting broken: "
-                f"{replies} replies != {retired} retired + {lost} lost + {since} live"
-            )
-        if since > self.recycle_after:
-            return f"worker served {since} jobs past its {self.recycle_after}-job budget"
-        if replies + failed + remaining != self.jobs:
-            # a job leaves `remaining` exactly when it terminates (reply,
-            # give-up after the retry, or a mid-job terminate at shutdown)
-            return (
-                "job conservation broken: "
-                f"replies={replies} + failed={failed} + remaining={remaining} "
-                f"!= {self.jobs}"
-            )
-        if worker == WORKER_CLOSED and attempt != 0:
-            return "closed shard still owes a job retry"
-        return None
-
-    def is_terminal(self, state: Hashable) -> bool:
-        worker, _since, remaining, attempt, *_ = state
-        # quiescent: shut down, or all jobs accounted and none pending
-        return worker == WORKER_CLOSED or (remaining == 0 and attempt == 0)
-
-    def describe(self, state: Hashable) -> str:
-        worker, since, remaining, attempt, replies, retired, lost, failed = state
-        return (
-            f"worker={worker} since_spawn={since} remaining={remaining} "
-            f"attempt={attempt} replies={replies} retired={retired} "
-            f"lost={lost} failed={failed}"
-        )

@@ -66,8 +66,9 @@ def real_refinement_passes(monkeypatch):
     worklist pass, and every ``apply_delta`` replay (whose per-depth passes
     bypass ``_refine_once``), so a zero-pass certificate read from the
     cache's ``refinement_passes`` ledger can be checked against the work
-    that really happened.  Passes run in other processes (shard workers,
-    children) are not seen.
+    that really happened.  The service computes on a thread pool in this
+    process, so the counter sees every pass a served request runs; passes
+    in child processes (the runner's ``--workers`` pool) are not seen.
     """
     from repro.kernel.refine import CSRPartitionRefinement
 

@@ -139,6 +139,37 @@ class TestSweepTraceOut:
 
 
 class TestServeCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--backend", "process"],
+            ["serve", "--shards", "2"],
+            ["serve", "--recycle-after", "3"],
+            ["verify", "--jobs", "5"],
+            ["verify", "--recycle-after", "3"],
+            ["verify", "--protocol", "worker"],
+        ],
+        ids=lambda argv: "-".join(part.lstrip("-") for part in argv),
+    )
+    def test_compute_backend_options_are_usage_errors(self, argv, capsys):
+        """The service computes on its thread pool alone: the options of the
+        sharded process backend are gone, and naming one is exit code 2.
+        Parsed only, so a regression fails here instead of serving."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+    def test_serve_refuses_an_empty_compute_pool(self, monkeypatch, capsys):
+        from repro.service import server as server_module
+
+        def no_listener(*args, **kwargs):
+            raise AssertionError("serve --workers 0 must fail before listening")
+
+        monkeypatch.setattr(server_module, "ElectionServer", no_listener)
+        assert main(["serve", "--workers", "0"]) == 2
+        assert "serve: workers must be at least 1" in capsys.readouterr().err
+
     def test_serve_port_file_metrics_and_trace_roundtrip(self, tmp_path):
         """``serve --port 0 --port-file``: the file appears only once the
         listener is up, carries the real bound port, and the server answers

@@ -2,19 +2,18 @@
 
 The model checker (``tests/test_verify.py``) proves the *protocol* has no
 bad interleavings within its bounds; this suite hammers the *real*
-implementation -- actual sockets, actual worker processes, actual signals
--- with hypothesis-generated schedules of hostile client behaviour:
+implementation -- actual sockets, the actual compute pool -- with
+hypothesis-generated schedules of hostile client behaviour:
 
 * normal queries and NDJSON sweeps, interleaved,
 * clients that disconnect mid-stream (RST, not FIN),
 * clients that read the stream one tiny chunk at a time,
-* malformed sweep-id probes,
-* ``SIGKILL`` delivered to live shard workers (process backend).
+* malformed sweep-id probes.
 
 After every schedule the server must *converge*: health endpoint alive, no
-sweep left ``running``, every window slot released, and -- at teardown --
-no leaked worker processes.  Schedules are derandomized so a CI failure is
-reproducible locally by running the same test.
+sweep left ``running``, every window slot released.  Schedules are
+derandomized so a CI failure is reproducible locally by running the same
+test.
 
 Marked ``stress``: excluded from the tier-1 run (see ``pytest.ini``), run
 by the dedicated CI job via ``-m stress``.
@@ -23,9 +22,6 @@ by the dedicated CI job via ``-m stress``.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-import signal
 import socket
 import struct
 import time
@@ -43,39 +39,26 @@ from repro.service import ElectionService
 
 pytestmark = pytest.mark.stress
 
-#: Randomized schedules per backend (the acceptance floor is 200).
+#: Randomized schedules (the acceptance floor is 200).
 EXAMPLES = 200
 #: Seconds a server gets to reach quiescence after one schedule.
 CONVERGE_TIMEOUT = 10.0
 
 STRESS_SETTINGS = settings(
     max_examples=EXAMPLES,
-    deadline=None,  # wall time varies with worker respawns; no per-example cap
+    deadline=None,  # wall time varies with the schedule; no per-example cap
     derandomize=True,  # CI failures replay locally with the same schedules
     suppress_health_check=[HealthCheck.too_slow],
 )
 
 
 # --------------------------------------------------------------------------- #
-# servers (module-scoped: worker pools amortized across all schedules)
+# the server (module-scoped: the compute pool is amortized across schedules)
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def thread_server():
-    with _RunningServer(ElectionService(backend="thread", workers=4)) as running:
+    with _RunningServer(ElectionService(workers=4)) as running:
         yield running
-
-
-@pytest.fixture(scope="module")
-def process_server():
-    with _RunningServer(
-        ElectionService(backend="process", shards=2, recycle_after=16)
-    ) as running:
-        yield running
-    # leak check: closing the service must reap every worker it ever spawned
-    deadline = time.time() + CONVERGE_TIMEOUT
-    while multiprocessing.active_children() and time.time() < deadline:
-        time.sleep(0.05)
-    assert not multiprocessing.active_children(), "shard workers leaked past close()"
 
 
 # --------------------------------------------------------------------------- #
@@ -160,14 +143,6 @@ def _op_bad_sweep_id(running) -> None:
         assert error.code == 404
 
 
-def _op_kill_worker(running) -> None:
-    """SIGKILL one live shard worker; the backend must respawn and retry."""
-    backend = running.service._backend
-    pids = [pid for pid in backend.shard_pids() if pid]
-    if pids:
-        os.kill(pids[0], signal.SIGKILL)
-
-
 # --------------------------------------------------------------------------- #
 # schedule strategies
 # --------------------------------------------------------------------------- #
@@ -184,9 +159,6 @@ _common_ops = st.one_of(
 )
 
 _thread_schedules = st.lists(_common_ops, min_size=1, max_size=4)
-_process_schedules = st.lists(
-    st.one_of(_common_ops, st.tuples(st.just("kill"))), min_size=1, max_size=3
-)
 
 
 def _run_op(running, op: tuple) -> None:
@@ -201,8 +173,6 @@ def _run_op(running, op: tuple) -> None:
         _op_slow_read(running, *args)
     elif kind == "bad_id":
         _op_bad_sweep_id(running)
-    elif kind == "kill":
-        _op_kill_worker(running)
     else:  # pragma: no cover - strategy and dispatcher must stay in sync
         raise AssertionError(f"unknown op {kind!r}")
 
@@ -249,52 +219,3 @@ def test_thread_backend_survives_hostile_schedules(thread_server, schedule):
         _run_op(thread_server, op)
     _assert_converged(thread_server)
 
-
-@STRESS_SETTINGS
-@given(schedule=_process_schedules)
-def test_process_backend_survives_hostile_schedules(process_server, schedule):
-    for op in schedule:
-        _run_op(process_server, op)
-    _assert_converged(process_server)
-
-
-def test_worker_sigkill_mid_sweep_is_absorbed():
-    """Deterministic companion: a worker killed *mid-computation* costs at
-    most the killed item (crash-retry may still complete it); the sweep
-    always terminates and the crash is visible in the shard telemetry."""
-    with _RunningServer(
-        ElectionService(backend="process", shards=1, compute_delay=0.2)
-    ) as running:
-        raw = _raw_batch_socket(
-            running,
-            {
-                "items": [
-                    {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}}
-                    for n in range(5, 11)
-                ],
-                "window": 1,
-            },
-        )
-        try:
-            raw.settimeout(30)
-            header_chunk = raw.recv(4096)
-            assert header_chunk
-            backend = running.service._backend
-            pids = [pid for pid in backend.shard_pids() if pid]
-            assert pids, "shard worker should be alive mid-sweep"
-            os.kill(pids[0], signal.SIGKILL)
-            chunks = [header_chunk]
-            while True:
-                chunk = raw.recv(4096)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        finally:
-            raw.close()
-        lines = [json.loads(line) for line in b"".join(chunks).splitlines()]
-        assert lines[-1]["status"] == "done"
-        assert lines[-1]["ok"] + lines[-1]["errors"] == 6
-        telemetry = running.service.backend_telemetry()
-        assert telemetry["crashes"] >= 1
-        assert telemetry["spawns"] >= 2, "the killed worker must be respawned"
-        _assert_converged(running)

@@ -174,15 +174,6 @@ class TestRecorder:
         assert rows["compute"]["max_ms"] == 3.0
         assert rows["parse"]["count"] == 1
 
-    def test_pop_trace_moves_spans_out(self, recorder):
-        self._record(recorder, "t-o")
-        shipped = recorder.pop_trace("t-o")
-        assert len(shipped) == 1
-        assert recorder.trace("t-o") is None
-        other = SpanRecorder()
-        other.absorb(shipped)
-        assert len(other.trace("t-o")) == 1
-
     def test_sink_tees_jsonl(self, recorder, tmp_path):
         sink = tmp_path / "spans.jsonl"
         recorder.attach_sink(str(sink))

@@ -2,8 +2,9 @@
 
 A graph's edge varints are written in one run through
 :func:`repro.portgraph.io.write_uvarints`, and the engine ranks canonical
-colours through :func:`repro.kernel.refine.first_appearance_ranks`.  Each
-bulk path must give exactly the bytes of the per-value code it replaced,
+colours through :func:`repro.kernel.refine.first_appearance_ranks`, and
+groups them into the per-depth class lists and singleton lists.  Each
+bulk path must give exactly the output of the per-value code it replaced,
 kept below as oracles, with numpy and with numpy hidden from the module;
 three pinned record digests hold the whole record to the same bytes.  The
 advice bit-string helpers convert through one integer call and are checked
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -83,7 +85,7 @@ ENCODER_PATHS = [pytest.param("numpy", marks=needs_numpy), "python"]
 
 @contextmanager
 def encoder_path(path: str):
-    """Run the varint writer and the python engine's ``colors_at`` on one path."""
+    """Run the varint writer and the python engine's per-depth views on one path."""
     if path == "python":
         with mock.patch.object(graph_io, "numpy_or_none", lambda: None), mock.patch.object(
             refine_module, "numpy_or_none", lambda: None
@@ -219,15 +221,18 @@ small_connected_graphs = st.builds(
 
 
 def python_engine_tables(engine_factory, path: str):
-    """Every depth's ``colors_at`` of a fresh python engine, on ``path``."""
+    """Every depth's ``colors_at``, ``members_at`` and ``unique_at`` of a
+    fresh python engine, on ``path``."""
     engine = engine_factory()
     assert type(engine) is CSRPartitionRefinement
     with encoder_path(path):
         engine.ensure_stable()
-        tables = [engine.colors_at(depth) for depth in range(engine.computed_depth + 1)]
+        depths = range(engine.computed_depth + 1)
+        tables = [engine.colors_at(depth) for depth in depths]
+        views = [(engine.members_at(depth), engine.unique_at(depth)) for depth in depths]
     for table in tables:
         assert isinstance(table, array) and table.typecode == INT_TYPECODE
-    return [table.tolist() for table in tables]
+    return [table.tolist() for table in tables], views
 
 
 @needs_numpy
@@ -264,6 +269,78 @@ class TestPythonEngineColorsAtPaths:
             assert ranked == python_engine_tables(replay, "python")
             cold = python_engine_tables(lambda: CSRPartitionRefinement(result.graph.csr()), "python")
             assert ranked == cold
+
+
+# --------------------------------------------------------------------------- #
+# the per-depth class views, checked against per-node oracles
+# --------------------------------------------------------------------------- #
+def oracle_class_lists(colours) -> list:
+    """Class ``c`` → its nodes in ascending order, one append per node."""
+    groups = {}
+    for node, colour in enumerate(colours):
+        groups.setdefault(colour, []).append(node)
+    return [groups[colour] for colour in sorted(groups)]
+
+
+def oracle_singletons(colours) -> list:
+    """The nodes that share their colour with no other node."""
+    sizes = Counter(colours)
+    return [node for node, colour in enumerate(colours) if sizes[colour] == 1]
+
+
+def _first_appearance(raw) -> list:
+    first = {}
+    return [first.setdefault(value, len(first)) for value in raw]
+
+
+#: dense colour tables: ids ``0..c-1``, numbered by first appearance
+dense_tables = st.lists(st.integers(min_value=0, max_value=6), max_size=40).map(
+    _first_appearance
+)
+
+CLASS_VIEW_GRAPHS = {
+    "K1": lambda: PortLabeledGraph([{}], name="K1"),
+    "cycle": lambda: generators.cycle_graph(9),
+    "asymmetric-cycle": lambda: generators.asymmetric_cycle(9),
+    "beacon-tail": lambda: generators.beacon_tail_graph(20, 30, degree=3, seed=2),
+    "grid": lambda: generators.grid_graph(6, 7),
+}
+
+
+class TestClassViewsMatchTheirOracles:
+    """``members_at`` slices one sorted node list at the class ends and
+    ``unique_at`` counts class sizes instead of building the class lists;
+    both must give exactly what grouping the colour table node by node
+    gives, with numpy and with numpy hidden."""
+
+    @pytest.mark.parametrize("path", ENCODER_PATHS)
+    @given(colours=dense_tables)
+    @example(colours=[])
+    @example(colours=[0, 1, 0, 2])
+    @settings(max_examples=60, deadline=None)
+    def test_any_dense_table(self, path, colours):
+        table = array(INT_TYPECODE, colours)
+        count = len(set(colours))
+        with encoder_path(path):
+            members = refine_module._class_lists(table, count)
+            singletons = refine_module._singletons(table, count)
+        assert members == oracle_class_lists(colours)
+        assert singletons == oracle_singletons(colours)
+        assert all(type(node) is int for group in members for node in group)
+        assert all(type(node) is int for node in singletons)
+
+    @pytest.mark.parametrize("path", ENCODER_PATHS)
+    @pytest.mark.parametrize("name", sorted(CLASS_VIEW_GRAPHS))
+    def test_every_depth_of_an_engine(self, name, path):
+        engine = CSRPartitionRefinement(CLASS_VIEW_GRAPHS[name]().csr())
+        with encoder_path(path):
+            engine.ensure_stable()
+            for depth in range(engine.computed_depth + 1):
+                colours = engine.colors_at(depth).tolist()
+                assert sorted(set(colours)) == list(range(engine.num_classes_at(depth)))
+                # singletons first: unique_at must not lean on members_at
+                assert engine.unique_at(depth) == oracle_singletons(colours)
+                assert engine.members_at(depth) == oracle_class_lists(colours)
 
 
 # --------------------------------------------------------------------------- #

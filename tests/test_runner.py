@@ -348,7 +348,7 @@ class TestRunner:
             trace_id = new_trace_id()
             with span("test", trace_id=trace_id):
                 evaluate_graph(graph, sweep)
-            spans = default_recorder.pop_trace(trace_id)
+            spans = default_recorder.trace(trace_id)
             (tags,) = [s["tags"] for s in spans if s["name"] == "evaluate_graph"]
             return tags
 
@@ -367,6 +367,22 @@ class TestRunner:
             ExperimentRunner(workers=0)
         with pytest.raises(ValueError):
             ExperimentRunner(workers=2, chunk_size=0)
+
+    def test_pool_worker_bootstrap_attaches_only_a_configured_store(
+        self, tmp_path, isolated_refinement_cache
+    ):
+        from repro.runner import bootstrap_worker
+
+        bootstrap_worker()
+        assert refinement_cache.store is None
+        bootstrap_worker(str(tmp_path / "store"))
+        attached = refinement_cache.store
+        assert attached is not None
+        assert attached.root == str(tmp_path / "store")
+        bootstrap_worker(str(tmp_path / "store"))
+        assert refinement_cache.store is attached  # once per path
+        bootstrap_worker(str(tmp_path / "other"))
+        assert refinement_cache.store.root == str(tmp_path / "other")
 
 
 class TestResultTable:

@@ -1,11 +1,4 @@
-"""Integration tests for the asyncio election-query service.
-
-The whole suite runs against either compute backend: set
-``REPRO_SERVICE_BACKEND=process`` to drive every service through the
-sharded worker-process pool instead of the default thread pool (this is
-what the CI backend matrix does).  Behaviour, responses and the aggregated
-``/stats`` invariants are backend-independent by contract.
-"""
+"""Integration tests for the asyncio election-query service."""
 
 from __future__ import annotations
 
@@ -25,22 +18,6 @@ from repro.portgraph.io import graph_to_dict
 from repro.runner import refinement_cache
 from repro.service import ElectionServer, ElectionService
 from repro.store import ArtifactStore
-
-#: Which compute backend the service tests exercise (CI runs both).
-SERVICE_BACKEND = os.environ.get("REPRO_SERVICE_BACKEND", "thread")
-
-
-def make_service(**kwargs) -> ElectionService:
-    """An :class:`ElectionService` on the suite's backend (default thread).
-
-    Under the process backend the shard count is capped so tests do not pay
-    for worker spawns they never use.
-    """
-    kwargs.setdefault("backend", SERVICE_BACKEND)
-    if kwargs["backend"] == "process":
-        kwargs.setdefault("shards", min(kwargs.get("workers", 4), 2))
-    return ElectionService(**kwargs)
-
 
 @pytest.fixture(autouse=True)
 def _detached_process_cache(isolated_refinement_cache):
@@ -102,7 +79,7 @@ class _RunningServer:
 
 def test_submit_matches_in_process_api_byte_exactly():
     graph = generators.asymmetric_cycle(7)
-    with _RunningServer(make_service(workers=2)) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         result = running.post("/election", {"graph": graph_to_dict(graph), "advice": True})
     direct = all_election_indices(graph)
     assert result["indices"] == {task.value: direct[task] for task in Task.ordered()}
@@ -113,7 +90,7 @@ def test_submit_matches_in_process_api_byte_exactly():
 
 
 def test_generator_spec_submission_and_task_subset():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         result = running.post(
             "/election",
             {"spec": {"kind": "star", "params": {"leaves": 4}}, "tasks": ["S", "PE"]},
@@ -128,7 +105,7 @@ def test_identical_inflight_requests_coalesce():
     payload = {"graph": graph_to_dict(graph)}
     # the artificial delay keeps the first computation in flight while the
     # duplicates arrive, making the coalescing deterministic
-    with _RunningServer(make_service(workers=2, compute_delay=0.3)) as running:
+    with _RunningServer(ElectionService(workers=2, compute_delay=0.3)) as running:
         results = [None] * 4
         errors = []
 
@@ -153,20 +130,15 @@ def test_identical_inflight_requests_coalesce():
 
 
 def assert_real_passes(counter, expected: int) -> None:
-    """On the thread backend the counted real passes equal ``expected``.
-
-    Under the process backend the work runs in shard workers, which the
-    in-process counter cannot see; only the ledger is checked there.
-    """
-    if SERVICE_BACKEND == "thread":
-        assert counter.count == expected
+    """The refinement passes this process really ran equal ``expected``."""
+    assert counter.count == expected
 
 
 def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path, real_refinement_passes):
     graph = generators.asymmetric_cycle(7)
     payload = {"graph": graph_to_dict(graph), "advice": True}
     store = ArtifactStore(str(tmp_path))
-    with _RunningServer(make_service(store=store, workers=1)) as running:
+    with _RunningServer(ElectionService(store=store, workers=1)) as running:
         warm = running.post("/election", payload)
         cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
     assert store.stats()["records"] == 1
@@ -175,7 +147,7 @@ def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path, real_r
 
     # simulate a service restart: fresh process-wide cache, same store
     refinement_cache.clear()
-    with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
+    with _RunningServer(ElectionService(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
         cold = running.post("/election", payload)
         stats = running.get("/stats")
     assert cold["indices"] == warm["indices"]
@@ -194,7 +166,7 @@ def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path, real_refine
     graph_dict = graph_to_dict(generators.asymmetric_cycle(7))
     graph_dict["name"] = "submitted-under-another-name"
     store = ArtifactStore(str(tmp_path))
-    with _RunningServer(make_service(store=store, workers=1)) as running:
+    with _RunningServer(ElectionService(store=store, workers=1)) as running:
         by_spec = running.post("/election", {"spec": spec})
         cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
     assert store.stats()["records"] == 1
@@ -202,7 +174,7 @@ def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path, real_refine
     assert_real_passes(real_refinement_passes, cold_ledger)
 
     refinement_cache.clear()
-    with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
+    with _RunningServer(ElectionService(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
         by_adjacency = running.post("/election", {"graph": graph_dict})
         stats = running.get("/stats")
     assert by_adjacency["graph"] == "submitted-under-another-name" != by_spec["graph"]
@@ -224,8 +196,7 @@ def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(real_refinemen
         {"graph": graph_to_dict(spec.build())}
         for spec in corpus_specs(16, seed=7, corpus="mixed")
     ]
-    # thread backend on purpose: the passes must run in this process to be counted
-    with _RunningServer(ElectionService(backend="thread", workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         cold = [running.post("/election", payload) for payload in payloads]
         cold_passes = real_refinement_passes.count
         ledger_before = running.get("/stats")["cache"]["refinement_passes"]
@@ -249,7 +220,7 @@ def test_a_path_shaped_base_is_400_and_never_reaches_the_filesystem(tmp_path):
     (outside / "victim.rple").write_bytes(b"not a store object")
     payload = {"base": str(outside / "victim"), "delta": [{"op": "add-edge", "v": 0, "u": 4}]}
     store = ArtifactStore(str(tmp_path / "store"))
-    with _RunningServer(make_service(store=store, workers=1)) as running:
+    with _RunningServer(ElectionService(store=store, workers=1)) as running:
         code, body = running.post_expecting_error("/election", payload)
     assert code == 400 and "64-hex fingerprint" in body["error"]
     # behind the parser, the store refuses the shape itself
@@ -272,7 +243,7 @@ def test_an_ambiguous_fingerprint_base_is_a_409_conflict(tmp_path):
     plain = generators.torus_graph(3, 4)
     twisted = generators.twisted_torus_graph(3, 4, 1)
     store = ArtifactStore(str(tmp_path))
-    with _RunningServer(make_service(store=store, workers=1)) as running:
+    with _RunningServer(ElectionService(store=store, workers=1)) as running:
         for graph in (plain, twisted):
             fingerprint = running.post("/election", {"graph": graph_to_dict(graph)})["fingerprint"]
         code, body = running.post_expecting_error(
@@ -282,19 +253,24 @@ def test_an_ambiguous_fingerprint_base_is_a_409_conflict(tmp_path):
 
 
 def test_stats_surfaces_every_layer(tmp_path):
-    service = make_service(store=ArtifactStore(str(tmp_path)), workers=3)
+    service = ElectionService(store=ArtifactStore(str(tmp_path)), workers=3)
     with _RunningServer(service) as running:
         running.post("/election", {"spec": {"kind": "asymmetric-cycle", "params": {"n": 6}}})
         stats = running.get("/stats")
     assert stats["service"]["queries"] == 1
     assert stats["service"]["workers"] == 3
+    # the fields clients read: perfbench's config check and the CI serve smoke
+    assert stats["service"]["backend"] == "thread"
+    assert stats["service"]["concurrency"] == 3
+    assert {"kernel_backend", "hot_tier_bytes"} <= set(stats["service"])
+    assert "shards" not in stats
     assert {"hits", "misses", "refinement_passes", "evicted_bytes"} <= set(stats["cache"])
     assert {"searches", "states", "cells", "limit_hits"} <= set(stats["search"])
     assert stats["store"]["records"] == 1
 
 
 def test_healthz():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         body = running.get("/healthz")
     assert body["status"] == "ok"
     # every JSON response carries the serving request's trace id
@@ -302,7 +278,7 @@ def test_healthz():
 
 
 def test_client_errors():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         code, body = running.post_expecting_error("/election", {"spec": {"kind": "no-such"}})
         assert code == 400 and "unknown graph kind" in body["error"]
         code, _ = running.post_expecting_error(

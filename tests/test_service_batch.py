@@ -16,12 +16,12 @@ import urllib.error
 import urllib.request
 
 import pytest
-from test_service import _RunningServer, assert_real_passes, make_service
+from test_service import _RunningServer, assert_real_passes
 
 from repro.portgraph import generators
 from repro.portgraph.io import graph_to_dict
 from repro.runner import refinement_cache
-from repro.service import deterministic_response
+from repro.service import ElectionService, deterministic_response
 from repro.service.batch import MAX_BATCH_ITEMS, expand_sweep
 from repro.store import ArtifactStore
 
@@ -54,7 +54,7 @@ def _post_expecting_status(running, payload, status: int) -> dict:
 # --------------------------------------------------------------------------- #
 def test_corpus_sweep_items_byte_identical_to_sequential_singles():
     sweep = {"corpus": "mixed", "count": 11, "seed": 13}
-    with _RunningServer(make_service(workers=4)) as running:
+    with _RunningServer(ElectionService(workers=4)) as running:
         lines = _post_stream(running, {"sweep": sweep, "window": 4})
         header, items, trailer = lines[0], lines[1:-1], lines[-1]
         assert header["items"] == 11
@@ -78,7 +78,7 @@ def test_corpus_sweep_items_byte_identical_to_sequential_singles():
 
 def test_duplicate_inflight_batch_items_coalesce_with_identical_results():
     item = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 9}}}
-    with _RunningServer(make_service(workers=4, compute_delay=0.25)) as running:
+    with _RunningServer(ElectionService(workers=4, compute_delay=0.25)) as running:
         lines = _post_stream(running, {"items": [item, item, item], "window": 3})
         stats = running.get("/stats")
     results = [json.dumps(line, sort_keys=True) for line in lines[1:-1]]
@@ -98,7 +98,7 @@ def test_malformed_ndjson_items_fail_per_item_not_per_request():
         b"[1, 2, 3]\n"
         b'{"spec": {"kind": "erdos-renyi", "params": {"n": 6, "seed": 1}}}\n'
     )
-    with _RunningServer(make_service(workers=2)) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         lines = _post_stream(running, body)
     statuses = [line["status"] for line in lines[1:-1]]
     assert statuses == ["ok", "error", "error", "ok"]
@@ -117,7 +117,7 @@ def test_single_line_ndjson_body_is_a_one_item_batch():
     # one NDJSON line parses as a plain JSON object; the contract says it is
     # still a batch of one item, not a malformed envelope
     body = b'{"spec": {"kind": "star", "params": {"leaves": 3}}}\n'
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         lines = _post_stream(running, body)
     assert lines[0]["items"] == 1
     assert lines[1]["status"] == "ok" and lines[1]["graph"] == "star(leaves=3)"
@@ -137,7 +137,7 @@ def test_item_level_query_errors_do_not_abort_the_stream():
         {"graph": {"num_nodes": 2, "edges": [[0, 0, 1, 5]]}},
         {"spec": {"kind": "star", "params": {"leaves": 4}}},
     ]
-    with _RunningServer(make_service(workers=2)) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         lines = _post_stream(running, {"items": items})
     assert [line["status"] for line in lines[1:-1]] == ["error", "error", "error", "ok"]
     assert "unknown graph kind" in lines[1]["error"]
@@ -162,8 +162,7 @@ def test_oversized_delta_is_a_400_before_any_graph_is_built(monkeypatch):
         "delta": [{"op": "add-edge", "v": 0, "u": 4}] * (MAX_DELTA_OPS + 1),
     }
     plain = {"graph": graph_to_dict(generators.asymmetric_cycle(7))}
-    # the thread backend computes in this process, where the patch counts
-    with _RunningServer(make_service(workers=2, backend="thread")) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         code, body = running.post_expecting_error("/election", oversized)
         assert code == 400 and "delta too large" in body["error"]
         lines = _post_stream(running, {"items": [plain, oversized, plain]})
@@ -190,7 +189,7 @@ def test_a_malformed_spec_object_is_a_400_alone_and_in_a_batch(field, spec, frag
         payload = {"spec": spec}
     else:
         payload = {"base": spec, "delta": [{"op": "add-edge", "v": 0, "u": 2}]}
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         code, body = running.post_expecting_error("/election", payload)
         lines = _post_stream(running, {"items": [payload]})
     assert code == 400 and fragment in body["error"]
@@ -207,7 +206,7 @@ def test_a_boolean_search_parameter_is_a_400_alone_and_in_a_batch(field, value):
     with budget 1 (PPE/CPPE search-limited) and ``{"max_depth": false}`` at
     depth 0, instead of being refused like any other non-integer."""
     payload = {"spec": {"kind": "star", "params": {"leaves": 3}}, field: value}
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         code, body = running.post_expecting_error("/election", payload)
         lines = _post_stream(running, {"items": [payload]})
         swept = _post_stream(running, {"sweep": {"corpus": "mixed", "count": 1, field: value}})
@@ -240,7 +239,7 @@ def test_a_delta_field_that_is_no_json_integer_is_a_400_alone_and_in_a_batch(op,
     ``"v": "0"``, ``"u": 4.9`` and ``"v": true`` edited nodes 0, 4 and 1 and
     were answered 200."""
     payload = {"base": _GRID_BASE, "delta": [op]}
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         code, body = running.post_expecting_error("/election", payload)
         lines = _post_stream(running, {"items": [payload]})
     assert code == 400 and fragment in body["error"]
@@ -260,7 +259,7 @@ def test_a_boolean_spec_param_is_a_400_as_a_spec_a_delta_base_and_a_batch_item(s
     """``bool`` subclasses ``int``, so ``{"rows": true, "cols": 3}`` used to
     be answered 200 with a 3-node graph.  A float stays a valid parameter."""
     queries = [{"spec": spec}, {"base": spec, "delta": [{"op": "add-edge", "v": 0, "u": 4}]}]
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         errors = [running.post_expecting_error("/election", query) for query in queries]
         lines = _post_stream(running, {"items": queries})
         floats = running.post(
@@ -288,7 +287,7 @@ def test_a_submitted_adjacency_of_no_json_integers_is_a_400_alone_and_in_a_batch
     """``{"num_nodes": true}`` used to be answered 200 as a 1-node graph and
     the edge ``[0, 0, true, 0]`` as an edge to node 1."""
     payload = {"graph": graph, "tasks": ["S"]}
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         code, body = running.post_expecting_error("/election", payload)
         lines = _post_stream(running, {"items": [payload]})
     assert code == 400 and fragment in body["error"]
@@ -306,12 +305,12 @@ def test_a_submitted_adjacency_of_no_json_integers_is_a_400_alone_and_in_a_batch
     ids=["window", "count", "seed-false", "seed-true"],
 )
 def test_a_boolean_batch_integer_is_a_400(payload, field):
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         assert f"'{field}'" in _post_expecting_status(running, payload, 400)["error"]
 
 
 def test_envelope_errors_are_400s():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         for payload, fragment in [
             ({"items": [], "sweep": {"corpus": "mixed"}}, "exactly one"),
             ({}, "exactly one"),
@@ -333,7 +332,7 @@ def test_envelope_errors_are_400s():
 
 
 def test_oversized_sweep_rejected_with_clear_error():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         body = _post_expecting_status(
             running,
             {"sweep": {"corpus": "mixed", "count": MAX_BATCH_ITEMS + 1}},
@@ -353,7 +352,7 @@ def test_window_bounds_in_flight_computations():
     items = [
         {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}} for n in range(5, 17)
     ]
-    with _RunningServer(make_service(workers=8, compute_delay=0.05)) as running:
+    with _RunningServer(ElectionService(workers=8, compute_delay=0.05)) as running:
         lines = _post_stream(running, {"items": items, "window": 2})
         status = running.get(f"/sweeps/{lines[0]['sweep']}")
     assert status["state"] == "done"
@@ -366,7 +365,7 @@ def test_mid_stream_disconnect_cancels_the_sweep_and_server_survives():
         {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}} for n in range(5, 25)
     ]
     body = json.dumps({"items": items, "window": 2}).encode("utf-8")
-    with _RunningServer(make_service(workers=2, compute_delay=0.1)) as running:
+    with _RunningServer(ElectionService(workers=2, compute_delay=0.1)) as running:
         host, port = "127.0.0.1", running.server.port
         with socket.create_connection((host, port), timeout=10) as raw:
             raw.sendall(
@@ -404,7 +403,7 @@ def test_mid_stream_disconnect_cancels_the_sweep_and_server_survives():
 # sweeps registry
 # --------------------------------------------------------------------------- #
 def test_sweep_status_listing_and_unknown_id():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         lines = _post_stream(running, {"sweep": {"corpus": "mixed", "count": 3, "seed": 1}})
         sweep_id = lines[0]["sweep"]
         assert sweep_id in running.get("/sweeps")["sweeps"]
@@ -419,13 +418,13 @@ def test_sweep_status_listing_and_unknown_id():
 
 def test_sweep_status_persists_across_service_restart(tmp_path, real_refinement_passes):
     payload = {"sweep": {"corpus": "mixed", "count": 4, "seed": 2}}
-    with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
+    with _RunningServer(ElectionService(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
         sweep_id = _post_stream(running, payload)[0]["sweep"]
         cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
     assert cold_ledger > 0
     assert_real_passes(real_refinement_passes, cold_ledger)
     refinement_cache.clear()
-    with _RunningServer(make_service(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
+    with _RunningServer(ElectionService(store=ArtifactStore(str(tmp_path)), workers=1)) as running:
         status = running.get(f"/sweeps/{sweep_id}")
         assert status["state"] == "done" and status["total"] == 4
         assert sweep_id in running.get("/sweeps")["sweeps"]

@@ -9,9 +9,10 @@ import urllib.error
 import urllib.request
 
 import pytest
-from test_service import _RunningServer, make_service
+from test_service import _RunningServer
 from test_service_batch import _post_stream
 
+from repro.service import ElectionService
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -200,7 +201,7 @@ def _sample_value(text: str, prefix: str) -> float:
 
 
 def test_metrics_endpoint_exposes_every_layer():
-    with _RunningServer(make_service(workers=2)) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         running.post("/election", {"spec": {"kind": "star", "params": {"leaves": 4}}})
         _post_stream(
             running, {"sweep": {"corpus": "mixed", "count": 3, "seed": 5}}
@@ -215,7 +216,6 @@ def test_metrics_endpoint_exposes_every_layer():
         ("repro_backend_queue_depth", "gauge"),
         ("repro_batch_events", "gauge"),
         ("repro_window_in_flight", "gauge"),
-        ("repro_shard_events", "gauge"),
         ("repro_traces_issued", "gauge"),
     ]:
         assert f"# TYPE {family} {kind}" in text
@@ -238,7 +238,7 @@ def test_metrics_endpoint_exposes_every_layer():
 
 
 def test_metrics_normalises_sweep_paths_to_bounded_cardinality():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         lines = _post_stream(running, {"sweep": {"corpus": "mixed", "count": 2, "seed": 1}})
         running.get(f"/sweeps/{lines[0]['sweep']}")
         try:
@@ -251,7 +251,7 @@ def test_metrics_normalises_sweep_paths_to_bounded_cardinality():
 
 
 def test_metrics_rejects_non_get():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         try:
             running.post("/metrics", {})
             raise AssertionError("expected 405")
@@ -263,7 +263,7 @@ def test_metrics_rejects_non_get():
 # trace ids
 # --------------------------------------------------------------------------- #
 def test_trace_ids_are_unique_and_echoed_in_stats():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         traces = [
             running.post(
                 "/election", {"spec": {"kind": "star", "params": {"leaves": 3}}}
@@ -289,7 +289,7 @@ def test_trace_ids_are_unique_and_echoed_in_stats():
 
 
 def test_error_responses_carry_the_trace_id():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         code, body = running.post_expecting_error("/election", {"spec": {"kind": "no"}})
         stats = running.get("/stats")
     assert code == 400
@@ -319,7 +319,7 @@ def test_malformed_sweep_ids_are_404_json_not_500(tmp_path, sweep_id):
     from repro.store import ArtifactStore
 
     with _RunningServer(
-        make_service(store=ArtifactStore(str(tmp_path)), workers=1)
+        ElectionService(store=ArtifactStore(str(tmp_path)), workers=1)
     ) as running:
         # a persisted sweep makes the store path live, the worst case for
         # ids that turn into hostile filesystem paths
@@ -337,7 +337,7 @@ def test_malformed_sweep_ids_are_404_json_not_500(tmp_path, sweep_id):
 
 
 def test_unknown_wellformed_sweep_id_is_404():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         try:
             running.get("/sweeps/" + "d" * 24)
             raise AssertionError("expected 404")

@@ -1,6 +1,6 @@
-"""End-to-end tracing through the service: ``GET /trace/<id>`` trees that
-span parent and shard processes, thread-vs-process span-schema parity, the
-slow-request log and the linted ``/metrics`` exposition.
+"""End-to-end tracing through the service: ``GET /trace/<id>`` trees with
+every named stage and the span schema, the slow-request log and the linted
+``/metrics`` exposition.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import urllib.error
 import urllib.request
 
 import pytest
-from test_service import _RunningServer, make_service
+from test_service import _RunningServer
 from test_service_batch import _post_stream
 
 from repro.obs import SPAN_SCHEMA_KEYS, default_recorder
@@ -18,7 +18,7 @@ from repro.service import ElectionService
 from repro.service.metrics import validate_exposition
 from repro.service.server import ElectionServer
 
-#: Stages every traced batch item must surface, regardless of backend.
+#: Stages every traced batch item must surface.
 _COMMON_STAGES = {
     "http_request",
     "parse",
@@ -56,8 +56,8 @@ def _trace_tree(running, trace_id):
     return running.get(f"/trace/{trace_id}")
 
 
-def _run_batch_and_fetch_trace(backend):
-    with _RunningServer(make_service(backend=backend, workers=2)) as running:
+def _run_batch_and_fetch_trace():
+    with _RunningServer(ElectionService(workers=2)) as running:
         lines = _post_stream(running, _ONE_ITEM_BATCH)
         trace_id = lines[0]["trace_id"]
         assert {line["trace_id"] for line in lines} == {trace_id}
@@ -69,57 +69,22 @@ def _run_batch_and_fetch_trace(backend):
 # the acceptance path: one batch item, one resolvable span tree
 # --------------------------------------------------------------------------- #
 def test_thread_batch_trace_resolves_with_named_stages():
-    trace_id, tree = _run_batch_and_fetch_trace("thread")
+    trace_id, tree = _run_batch_and_fetch_trace()
     spans = _flatten(tree["spans"])
     assert tree["queried"] == trace_id
     assert tree["span_count"] == len(spans) >= 6
     assert _COMMON_STAGES <= {span["name"] for span in spans}
     assert all(span["trace_id"] == trace_id for span in spans)
-
-
-def test_process_batch_trace_spans_both_processes():
-    trace_id, tree = _run_batch_and_fetch_trace("process")
-    spans = _flatten(tree["spans"])
-    names = {span["name"] for span in spans}
-    assert len(names & _COMMON_STAGES) >= 6
-    assert "dispatch" in names, "parent-side shard stages must be in the tree"
-    shard_stages = {"compute_election", "graph_build", "evaluate_graph"}
-    shard_pids = {span["pid"] for span in spans if span["name"] in shard_stages}
-    parent_pids = {span["pid"] for span in spans if span["name"] == "http_request"}
-    assert shard_pids and parent_pids and shard_pids.isdisjoint(parent_pids), (
-        "one trace must show parent AND shard-process stages",
-        shard_pids,
-        parent_pids,
-    )
-    # the shard's compute subtree hangs off the parent's trace, not orphaned
-    compute = next(span for span in spans if span["name"] == "compute_election")
-    assert compute["parent_id"] is not None
-
-
-def test_thread_and_process_spans_share_one_schema():
-    observed = {}
-    for backend in ("thread", "process"):
-        default_recorder.clear()
-        _run_batch_and_fetch_trace(backend)
-        # inspect the raw recorder: every span, both backends, same contract
-        trace_ids = []
-        with default_recorder._lock:
-            trace_ids = list(default_recorder._traces)
-        spans = [s for tid in trace_ids for s in default_recorder.trace(tid)]
-        assert spans
-        for span in spans:
-            assert tuple(span.keys()) == SPAN_SCHEMA_KEYS, span
-        observed[backend] = {span["name"] for span in spans}
-    assert _COMMON_STAGES <= observed["thread"]
-    assert _COMMON_STAGES <= observed["process"]
-    assert observed["process"] - observed["thread"] <= {"dispatch", "queue_wait"}
+    # the raw recorded spans keep the schema contract
+    for span in default_recorder.trace(trace_id):
+        assert tuple(span.keys()) == SPAN_SCHEMA_KEYS, span
 
 
 # --------------------------------------------------------------------------- #
 # /trace lookup hardening
 # --------------------------------------------------------------------------- #
 def test_trace_lookup_rejects_malformed_and_unknown_ids():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         for bad, expected in (("/trace/NOT%20VALID!", "malformed"),
                               ("/trace/ffffff-00ff42", "unknown")):
             try:
@@ -137,7 +102,7 @@ def test_trace_lookup_rejects_malformed_and_unknown_ids():
 # --------------------------------------------------------------------------- #
 def _serve_with_slow_log(threshold):
     logged = []
-    service = make_service(workers=1)
+    service = ElectionService(workers=1)
     running = _RunningServer(service)
     running.server = ElectionServer(
         service, port=0, slow_request_s=threshold, slow_log=logged.append
@@ -160,7 +125,7 @@ def test_slow_request_log_fires_above_threshold_only():
 
 
 def test_stats_slowest_table_ranks_by_duration():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         running.post("/election", {"spec": {"kind": "cycle", "params": {"n": 4}}})
         running.get("/healthz")
         stats = running.get("/stats")
@@ -174,19 +139,16 @@ def test_stats_slowest_table_ranks_by_duration():
 
 
 # --------------------------------------------------------------------------- #
-# /metrics: linted exposition + tracing families (both backends via matrix)
+# /metrics: linted exposition + tracing families
 # --------------------------------------------------------------------------- #
 def test_metrics_scrape_passes_exposition_lint_with_tracing_families():
-    with _RunningServer(make_service(workers=2)) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         _post_stream(running, _ONE_ITEM_BATCH)
         scrape = urllib.request.urlopen(f"{running.base}/metrics").read().decode()
         families = validate_exposition(scrape)
         for name in (
             "repro_trace_dropped_total",
             "repro_trace_spans",
-            "repro_shard_busy_seconds_total",
-            "repro_shard_tasks_total",
-            "repro_shard_queue_depth",
             "repro_search_events",
             "repro_store_events",
         ):
@@ -194,9 +156,6 @@ def test_metrics_scrape_passes_exposition_lint_with_tracing_families():
         assert families["repro_trace_dropped_total"]["type"] == "counter"
         spans_held = families["repro_trace_spans"]["samples"][("repro_trace_spans", ())]
         assert spans_held > 0, "the batch just traced must hold spans"
-        if running.service.backend == "process":
-            busy = families["repro_shard_busy_seconds_total"]["samples"]
-            assert sum(busy.values()) > 0, "a shard computed; busy seconds follow"
 
 
 def test_search_counters_aggregate_in_stats_and_metrics():
@@ -206,7 +165,7 @@ def test_search_counters_aggregate_in_stats_and_metrics():
             {"spec": {"kind": "star", "params": {"leaves": 4}}, "tasks": ["PPE"]},
         ]
     }
-    with _RunningServer(make_service(workers=2)) as running:
+    with _RunningServer(ElectionService(workers=2)) as running:
         _post_stream(running, batch)
         scrape = urllib.request.urlopen(f"{running.base}/metrics").read().decode()
         families = validate_exposition(scrape)

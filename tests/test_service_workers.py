@@ -1,27 +1,28 @@
-"""Tests for the sharded process backend and the service lifecycle fixes.
+"""The compute pool's certificates and the service lifecycle fixes.
 
-Tentpole coverage: deterministic shard routing, byte-identity of process-
-vs thread-backend responses over the 200-graph mixed corpus, worker
-recycling, crash detection with a single resubmit, and the graceful
-thread-backend fallback.  Plus regression tests for the three lifecycle
-bugs fixed in the same PR: malformed ``Content-Length``/header lines are
-400s (not 500s or silent acceptance), a sweep whose client vanishes
-between compute and emit is marked ``cancelled``, and
-``ElectionService.close`` is idempotent and leak-free.
+The mixed-corpus certificate: every streamed item of a 200-graph batch is
+byte-identical to a sequential ``POST /election``, the real refinement
+passes equal the cache's ledger, and a store-warm replay reproduces the
+cold stream with zero passes.  The pool's bounds: it refuses fewer than
+one worker, runs at most ``workers`` computations at once, keys coalescing
+by answer, and shares one refinement per graph across its threads.  Plus
+regression tests for three lifecycle bugs: malformed
+``Content-Length``/header lines are 400s (not 500s or silent acceptance), a
+sweep whose client vanishes between compute and emit is marked
+``cancelled``, and ``ElectionService.close`` is idempotent, joins the
+pool's threads and leaves a service that refuses new work.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
-import signal
 import socket
 import threading
 import time
 
 import pytest
-from test_service import _RunningServer, make_service
+from test_service import _RunningServer
 from test_service_batch import _post_stream
 
 from repro.runner import refinement_cache
@@ -30,7 +31,6 @@ from repro.service import (
     ElectionService,
     ServiceError,
     deterministic_response,
-    shard_index,
 )
 from repro.service import workers as worker_backends
 from repro.service.batch import expand_sweep
@@ -46,59 +46,7 @@ MIXED_SWEEP = {"corpus": "mixed", "count": 200, "seed": 4}
 
 
 # --------------------------------------------------------------------------- #
-# shard routing
-# --------------------------------------------------------------------------- #
-def test_shard_index_is_deterministic_and_spreads():
-    keys = [f"{value:032x}" for value in range(997)]
-    first = [shard_index(key, 4) for key in keys]
-    second = [shard_index(key, 4) for key in keys]
-    assert first == second
-    assert set(first) == {0, 1, 2, 3}, "997 distinct keys must hit every shard"
-    # non-hex keys route through a stable digest, not the salted builtin hash
-    assert shard_index("not hex!", 4) == shard_index("not hex!", 4)
-    with pytest.raises(ValueError):
-        shard_index("00", 0)
-
-
-def test_same_graph_routes_to_same_shard_regardless_of_parameters():
-    service = ElectionService(workers=1)
-    try:
-        base = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 9}}}
-        _, key_a, route_a = service._parse(dict(base))
-        _, key_b, route_b = service._parse(dict(base, tasks=["S"], max_states=999))
-        _, key_c, route_c = service._parse(dict(base, advice=True))
-        # different answers -> different coalescing keys ...
-        assert len({key_a, key_b, key_c}) == 3
-        # ... but one graph -> one route key -> one warm shard
-        assert route_a == route_b == route_c
-        other = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 11}}}
-        _, _, route_other = service._parse(other)
-        assert route_other != route_a
-    finally:
-        service.close()
-
-
-def test_shard_caches_stay_sticky_for_repeat_submissions():
-    payload = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 9}}}
-    with _RunningServer(
-        ElectionService(backend="process", shards=2, workers=2)
-    ) as running:
-        for _ in range(3):
-            running.post("/election", payload)
-            time.sleep(0.05)  # let the coalescing future clear between posts
-        stats = running.get("/stats")
-    assert stats["service"]["backend"] == "process"
-    per_shard = stats["shards"]["per_shard"]
-    assert sum(row["dispatched"] for row in per_shard) == 3
-    assert max(row["dispatched"] for row in per_shard) == 3, (
-        "repeat submissions of one graph must all land on its owning shard"
-    )
-    # the owning shard refined the graph exactly once and served the rest warm
-    assert stats["cache"]["misses"] == 1
-
-
-# --------------------------------------------------------------------------- #
-# thread/process equivalence
+# the mixed-corpus certificate
 # --------------------------------------------------------------------------- #
 def _strip_trace(lines):
     # trace ids are per-request (and per-server-nonce) by design: the only
@@ -106,126 +54,143 @@ def _strip_trace(lines):
     return [{k: v for k, v in line.items() if k != "trace_id"} for line in lines]
 
 
-def test_process_backend_byte_identical_to_thread_on_mixed_corpus(
+def test_mixed_corpus_batch_matches_singles_and_replays_with_zero_passes(
     tmp_path, real_refinement_passes
 ):
-    """Cold thread and cold 4-shard process streams are byte-identical; the
-    cold stream equals sequential singles; store-warm thread and process
-    replays of it equal it again, with zero refinement passes."""
+    """The cold stream equals sequential singles, its real refinement passes
+    equal the ledger, and a store-warm replay of it equals it again with
+    zero refinement passes, in the ledger and in fact."""
     store_path = str(tmp_path / "store")
     with _RunningServer(
-        ElectionService(store=ArtifactStore(store_path), backend="thread", workers=4)
+        ElectionService(store=ArtifactStore(store_path), workers=4)
     ) as running:
-        thread_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
+        cold_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
         cold_ledger = running.get("/stats")["cache"]["refinement_passes"]
         cold_passes = real_refinement_passes.count
         # every streamed item equals a sequential POST /election
-        for payload, line in zip(expand_sweep(MIXED_SWEEP), thread_lines[1:-1]):
+        for payload, line in zip(expand_sweep(MIXED_SWEEP), cold_lines[1:-1]):
             single = deterministic_response(running.post("/election", payload))
             streamed = {
                 k: v for k, v in line.items() if k not in ("index", "status", "trace_id")
             }
             assert streamed == single, line["index"]
-    assert thread_lines[-1]["ok"] == MIXED_SWEEP["count"]
-    assert not thread_lines[-1]["errors"]
+    assert cold_lines[-1]["ok"] == MIXED_SWEEP["count"]
+    assert not cold_lines[-1]["errors"]
     assert cold_passes == cold_ledger > 0
-    cold_items = _strip_trace(thread_lines[1:-1])
+    cold_items = _strip_trace(cold_lines[1:-1])
 
+    # store-warm replay: a fresh service and cache over the same store
     refinement_cache.clear()
+    replay_passes = real_refinement_passes.count
     with _RunningServer(
-        ElectionService(backend="process", shards=4, workers=4)
+        ElectionService(store=ArtifactStore(store_path), workers=4)
     ) as running:
-        process_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
+        replay_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
         stats = running.get("/stats")
-    assert stats["service"]["backend"] == "process"
-    assert json.dumps(_strip_trace(thread_lines), sort_keys=True) == json.dumps(
-        _strip_trace(process_lines), sort_keys=True
-    ), "process-backend NDJSON must be byte-identical to the thread backend"
-    # the work genuinely happened in the shard workers, not the parent
-    assert stats["cache"]["misses"] > 0
-    assert refinement_cache.stats()["misses"] == 0
-
-    # store-warm replays: a fresh service over the same store, on each backend
-    for backend in ("thread", "process"):
-        refinement_cache.clear()
-        replay_passes = real_refinement_passes.count
-        with _RunningServer(
-            ElectionService(
-                store=ArtifactStore(store_path), backend=backend, shards=4, workers=4
-            )
-        ) as running:
-            replay_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
-            stats = running.get("/stats")
-        assert stats["service"]["backend"] == backend, "no fallback"
-        if backend == "process":
-            assert stats["shards"]["crashes"] == 0
-        assert replay_lines[-1]["ok"] == MIXED_SWEEP["count"]
-        assert _strip_trace(replay_lines[1:-1]) == cold_items, backend
-        assert stats["cache"]["refinement_passes"] == 0, backend
-        assert real_refinement_passes.count == replay_passes, backend
+    assert replay_lines[-1]["ok"] == MIXED_SWEEP["count"]
+    assert _strip_trace(replay_lines[1:-1]) == cold_items
+    assert stats["cache"]["refinement_passes"] == 0
+    assert real_refinement_passes.count == replay_passes
 
 
 # --------------------------------------------------------------------------- #
-# recycling and crash recovery
+# the bounded pool
 # --------------------------------------------------------------------------- #
-def test_worker_recycled_after_task_budget():
-    items = [
-        {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}} for n in (5, 6, 7)
-    ]
-    with _RunningServer(
-        ElectionService(backend="process", shards=1, workers=1, recycle_after=2)
-    ) as running:
-        for item in items:
-            running.post("/election", item)
-        stats = running.get("/stats")
-    shard = stats["shards"]["per_shard"][0]
-    assert shard["dispatched"] == 3
-    assert shard["recycles"] == 1, "the worker must retire after its 2-task budget"
-    assert stats["shards"]["spawns"] == 2
-    assert shard["crashes"] == 0
-    # counters of the retired worker survive: all three tasks are accounted
-    assert shard["jobs"] == 3
-    assert stats["cache"]["misses"] == 3
+@pytest.mark.parametrize("workers", [0, -1])
+def test_a_pool_of_fewer_than_one_worker_is_refused(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        ElectionService(workers=workers)
 
 
-def test_worker_crash_detected_and_task_resubmitted_once():
-    with _RunningServer(
-        ElectionService(backend="process", shards=1, workers=1)
-    ) as running:
-        running.post("/election", {"spec": {"kind": "star", "params": {"leaves": 4}}})
-        stats = running.get("/stats")
-        victim = stats["shards"]["per_shard"][0]["pid"]
-        assert victim is not None
-        os.kill(victim, signal.SIGKILL)
-        deadline = time.time() + 10
-        while time.time() < deadline:  # SIGKILL delivery is asynchronous
-            try:
-                os.kill(victim, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.01)
-        # the next query lands on the dead shard, which respawns and resubmits
-        result = running.post(
-            "/election", {"spec": {"kind": "asymmetric-cycle", "params": {"n": 6}}}
-        )
-        stats = running.get("/stats")
-    assert result["feasible"] is True
-    shard = stats["shards"]["per_shard"][0]
-    assert shard["crashes"] == 1
-    assert shard["pid"] is not None and shard["pid"] != victim
+def test_the_pool_runs_at_most_workers_computations_at_once(monkeypatch):
+    release = threading.Event()
+    lock = threading.Lock()
+    seen = {"running": 0, "peak": 0, "started": 0}
 
+    def held_computation(parsed, *, compute_delay=0.0):
+        with lock:
+            seen["running"] += 1
+            seen["started"] += 1
+            seen["peak"] = max(seen["peak"], seen["running"])
+        release.wait(10)
+        with lock:
+            seen["running"] -= 1
+        return {"item": parsed["item"]}
 
-def test_process_backend_falls_back_to_thread_when_unavailable(monkeypatch, capsys):
-    def broken_backend(*args, **kwargs):
-        raise OSError("no multiprocessing on this platform")
+    monkeypatch.setattr(worker_backends, "compute_election", held_computation)
+    backend = worker_backends.ThreadBackend(workers=2)
 
-    monkeypatch.setattr(worker_backends, "ProcessShardBackend", broken_backend)
-    service = ElectionService(backend="process", shards=2)
+    async def scenario():
+        pending = [asyncio.ensure_future(backend.submit({"item": i})) for i in range(5)]
+        deadline = time.monotonic() + 10
+        while seen["started"] < 2 and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        # both threads are held: the other three wait in the queue
+        queued = backend.queue_depth()
+        release.set()
+        results = await asyncio.gather(*pending)
+        return queued, results, backend.queue_depth()
+
     try:
-        assert service.backend == "thread"
-        assert "falling back to the thread backend" in capsys.readouterr().err
+        queued, results, drained = asyncio.run(scenario())
+    finally:
+        release.set()
+        backend.close()
+    assert (queued, drained) == (3, 0)
+    assert results == [{"item": i} for i in range(5)]
+    assert seen == {"running": 0, "peak": 2, "started": 5}
+
+
+def test_the_coalescing_key_separates_the_answers_of_one_graph():
+    """One key per answer: every field that changes the answer changes the
+    key, and nothing else does (key order, defaults spelled out)."""
+    service = ElectionService(workers=1)
+    try:
+        base = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 9}}}
+        parsed, key = service._parse(dict(base))
+        assert parsed["spec"] == base["spec"]
+        variants = [
+            dict(base, tasks=["S"]),
+            dict(base, max_states=999),
+            dict(base, max_depth=3),
+            dict(base, advice=True),
+            {"spec": {"kind": "asymmetric-cycle", "params": {"n": 11}}},
+        ]
+        keys = {key} | {service._parse(variant)[1] for variant in variants}
+        assert len(keys) == 1 + len(variants)
+        reordered = {"spec": {"params": {"n": 9}, "kind": "asymmetric-cycle"}}
+        assert service._parse(reordered)[1] == key
+        spelled_out = dict(
+            base, tasks=["S", "PE", "PPE", "CPPE"], max_states=200_000, advice=False
+        )
+        assert service._parse(spelled_out)[1] == key
     finally:
         service.close()
+
+
+def test_repeat_submissions_of_one_graph_refine_it_once(real_refinement_passes):
+    """The pool's threads share the process-wide cache: later queries of a
+    graph, whatever their tasks, run no refinement pass."""
+    payload = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 9}}}
+    with _RunningServer(ElectionService(workers=2)) as running:
+        first = running.post("/election", payload)
+        cold = real_refinement_passes.count
+        again = [
+            running.post("/election", dict(payload, tasks=tasks))
+            for tasks in (["S"], ["PE", "CPPE"], ["S", "PE", "PPE", "CPPE"])
+        ]
+        stats = running.get("/stats")
+    assert cold > 0
+    assert real_refinement_passes.count == cold
+    assert stats["cache"]["misses"] == 1
+    assert stats["cache"]["refinement_passes"] == cold
+    assert stats["service"]["computed"] == 4
+    assert stats["service"]["coalesced"] == 0
+    for answer in again:
+        assert answer["fingerprint"] == first["fingerprint"]
+        assert answer["indices"] == {
+            task: first["indices"][task] for task in answer["indices"]
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -243,7 +208,7 @@ def _raw_request(running, request: bytes) -> int:
 
 def test_negative_and_garbage_content_length_are_400():
     body = b'{"spec": {"kind": "star", "params": {"leaves": 3}}}'
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         for bad_length in (b"-5", b"12abc", b"+12", b"1_0", b"0x10"):
             status = _raw_request(
                 running,
@@ -261,7 +226,7 @@ def test_negative_and_garbage_content_length_are_400():
 
 
 def test_header_line_without_colon_is_400():
-    with _RunningServer(make_service(workers=1)) as running:
+    with _RunningServer(ElectionService(workers=1)) as running:
         status = _raw_request(
             running,
             b"GET /healthz HTTP/1.1\r\nHost: x\r\nNotAHeaderLine\r\n\r\n",
@@ -343,30 +308,12 @@ def test_thread_service_close_is_idempotent_and_joins_threads():
     ), "close() must join the compute pool's threads deterministically"
 
 
-def test_process_service_close_terminates_workers_idempotently():
-    service = ElectionService(backend="process", shards=2, workers=2)
-
-    async def run_one():
-        await service.query({"spec": {"kind": "star", "params": {"leaves": 3}}})
-
-    asyncio.run(run_one())
-    pids = [pid for pid in service._backend.shard_pids() if pid is not None]
-    assert pids, "at least one shard worker must be live"
+def test_a_closed_service_refuses_new_work_with_503():
+    service = ElectionService(workers=1)
     service.close()
-    service.close()  # idempotent
-    deadline = time.time() + 10
-    while time.time() < deadline:
-        alive = []
-        for pid in pids:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                continue
-            alive.append(pid)
-        if not alive:
-            break
-        time.sleep(0.05)
-    assert not alive, f"shard workers {alive} must not outlive close()"
-    # a closed service refuses new work instead of silently respawning
-    with pytest.raises(ServiceError):
+    with pytest.raises(ServiceError) as refused:
         asyncio.run(service.query({"spec": {"kind": "star", "params": {"leaves": 3}}}))
+    assert refused.value.status == 503
+    assert service.stats()["service"]["errors"] == 1
+    assert service.in_flight == 0
+

@@ -998,8 +998,10 @@ class TestStoreRoot:
     def test_the_root_holds_only_objects_fingerprints_and_sweeps(self, tmp_path):
         """Puts, lookups, fingerprint lookups, compaction and a served batch
         leave nothing at the store root but its three directories."""
-        from test_service import _RunningServer, make_service
+        from test_service import _RunningServer
         from test_service_batch import _post_stream
+
+        from repro.service import ElectionService
 
         root = str(tmp_path / "store")
         store = ArtifactStore(root)
@@ -1014,7 +1016,7 @@ class TestStoreRoot:
         with pytest.raises(AmbiguousFingerprint):
             store.by_fingerprint(graph.fingerprint())
         store.compact()
-        with _RunningServer(make_service(store=ArtifactStore(root), workers=1)) as running:
+        with _RunningServer(ElectionService(store=ArtifactStore(root), workers=1)) as running:
             lines = _post_stream(
                 running,
                 {"items": [{"spec": {"kind": "star", "params": {"leaves": 5}}},

@@ -18,12 +18,10 @@ from repro.service.protocol import (
     SWEEP_TERMINAL,
     WindowLedger,
     sweep_transition,
-    worker_transition,
 )
 from repro.verify import (
     BatchStreamModel,
     Model,
-    ShardWorkerModel,
     check_model,
     run_verification,
 )
@@ -45,21 +43,6 @@ class TestProtocolTables:
             for event in ("item_resolved", "completed", "aborted"):
                 with pytest.raises(ProtocolViolation):
                     sweep_transition(terminal, event)
-
-    def test_worker_lifecycle_and_closed_absorption(self):
-        state = worker_transition("down", "spawn")
-        state = worker_transition(state, "dispatch")
-        state = worker_transition(state, "reply")
-        assert state == "idle"
-        assert worker_transition("idle", "retire") == "down"
-        assert worker_transition("busy", "crash") == "down"
-        # closed absorbs shutdown races, nothing else
-        assert worker_transition("closed", "crash") == "closed"
-        assert worker_transition("closed", "close") == "closed"
-        with pytest.raises(ProtocolViolation):
-            worker_transition("closed", "dispatch")
-        with pytest.raises(ProtocolViolation):
-            worker_transition("down", "dispatch")
 
     def test_window_ledger_audits_bounds(self):
         ledger = WindowLedger(2)
@@ -150,16 +133,6 @@ class TestProtocolModels:
         result = check_model(BatchStreamModel(items=items, window=window))
         assert result.ok and result.complete
 
-    def test_shard_worker_verifies_clean_and_exhaustively(self):
-        result = check_model(ShardWorkerModel(jobs=3, recycle_after=2))
-        assert result.ok, [v.render() for v in result.violations]
-        assert result.complete
-
-    @pytest.mark.parametrize("jobs,recycle", [(1, 1), (4, 1), (5, 3), (6, 2)])
-    def test_shard_worker_clean_across_parameters(self, jobs, recycle):
-        result = check_model(ShardWorkerModel(jobs=jobs, recycle_after=recycle))
-        assert result.ok and result.complete
-
     def test_cancelled_sweep_mutant_is_caught_as_deadlock(self):
         """The PR-5 bug (disconnect before any emit leaves the sweep
         ``running``) must produce a counterexample, proving the checker can
@@ -190,7 +163,6 @@ class TestRunVerification:
         assert report["ok"] is True
         assert {entry["model"] for entry in report["models"]} == {
             "batch-stream",
-            "shard-worker",
             "delta-lifecycle",
         }
         assert all(entry["complete"] for entry in report["models"])
@@ -198,7 +170,7 @@ class TestRunVerification:
         json.dumps(report)  # must be serialisable for --json and CI
 
     def test_hit_bound_fails_the_run(self):
-        report = run_verification(["worker"], max_states=5, include_mutants=False)
+        report = run_verification(["batch"], max_states=5, include_mutants=False)
         assert report["ok"] is False
 
     def test_unknown_protocol_rejected(self):
@@ -209,7 +181,7 @@ class TestRunVerification:
         assert main(["verify", "--all"]) == 0
         out = capsys.readouterr().out
         assert "batch-stream: ok" in out
-        assert "shard-worker: ok" in out
+        assert "delta-lifecycle: ok" in out
         assert "caught" in out
 
     def test_cli_verify_json_output(self, capsys):
@@ -217,6 +189,17 @@ class TestRunVerification:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
 
+    def test_cli_verify_batch_bounds_reach_the_model(self, capsys):
+        """``--items``/``--window`` size the batch model: the larger bounds
+        CI checks explore a strictly larger space, still clean and complete."""
+        assert main(["verify", "--protocol", "batch", "--json"]) == 0
+        (default,) = json.loads(capsys.readouterr().out)["models"]
+        argv = ["verify", "--protocol", "batch", "--items", "6", "--window", "3", "--json"]
+        assert main(argv) == 0
+        (larger,) = json.loads(capsys.readouterr().out)["models"]
+        assert larger["ok"] and larger["complete"]
+        assert larger["states"] > default["states"]
+
     def test_cli_verify_fails_when_bound_hit(self, capsys):
-        assert main(["verify", "--protocol", "worker", "--max-states", "5"]) == 1
+        assert main(["verify", "--protocol", "batch", "--max-states", "5"]) == 1
         assert "bound hit" in capsys.readouterr().out
