@@ -115,6 +115,7 @@ class GraphKernel:
         total = self.graph.csr().nbytes()
         if self._blockcut is not None:
             total += 48 * self.graph.num_nodes
-        for distances in self._distances.values():
+        # a snapshot: a pool thread may memoise another source meanwhile
+        for distances in list(self._distances.values()):
             total += len(distances) * distances.itemsize
         return total

@@ -66,10 +66,20 @@ built from them (``members_at``: class → node list, ``unique_at``) are kept
 for the :data:`VIEW_CACHE_DEPTHS` depths queried last, so class/twin/
 uniqueness queries are O(1) / O(output) after a one-off O(n) build per
 queried depth.
+
+One engine may be driven from several threads at once: the service's pool
+threads share a cached graph's engine.  A re-entrant lock per engine guards
+its partition state.  It is held for one pass or one read at a time, never
+across a whole :meth:`~CSRPartitionRefinement.ensure_stable`, so a reader
+such as :meth:`~CSRPartitionRefinement.estimated_bytes` waits at most one
+pass.  The colour tables and inverse indexes a read returns are never
+written after they are built, so callers use them outside the lock.  An
+engine's lock is the innermost lock: nothing holding it takes another.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from collections import Counter
 from itertools import compress
@@ -274,6 +284,7 @@ class CSRPartitionRefinement:
         "_touched",
         "_views",
         "_no_unique_below",
+        "_lock",
     )
 
     def __init__(self, csr: CSRGraph) -> None:
@@ -335,6 +346,8 @@ class CSRPartitionRefinement:
         #: singleton class stays one, so the scan for the first such depth
         #: resumes here)
         self._no_unique_below = 0
+        #: guards everything above (see the module docstring)
+        self._lock = threading.RLock()
 
     @property
     def csr(self) -> CSRGraph:
@@ -403,47 +416,50 @@ class CSRPartitionRefinement:
         One copy of ``base``'s log between them, sharing its full tables
         (nothing writes a full table); past ``base``'s computed depth a
         depth changes nothing.  This engine must be at depth ``first - 1``,
-        with ``base``'s raw table of that depth as its working table.
+        with ``base``'s raw table of that depth as its working table.  Reads
+        ``base`` under its lock.
         """
-        computed = base.computed_depth
-        top = min(last, computed)
-        if first <= top:
-            ends = base._log_ends
-            start, stop = ends[first - 1], ends[top]
-            fulls = [depth for depth in base._full if first <= depth <= top]
-            if fulls:
-                self._table[:] = base._full[max(fulls)]
-                written = ends[max(fulls)]
-                self._since_full = stop - written
-            else:
-                written = start
-                self._since_full += stop - start
-            _write(self._table, base._log_nodes[written:stop], base._log_ids[written:stop])
-            shift = len(self._log_nodes) - start
-            self._log_nodes.extend(base._log_nodes[start:stop])
-            self._log_ids.extend(base._log_ids[start:stop])
-            self._log_ends.extend([end + shift for end in ends[first : top + 1]])
-            self._num_classes.extend(base._num_classes[first : top + 1])
-            for depth in fulls:
-                self._full[depth] = base._full[depth]
-        for _ in range(max(first, top + 1), last + 1):
-            self._log_ends.append(len(self._log_nodes))
-            self._num_classes.append(base._num_classes[computed])
+        with base._lock:
+            computed = base.computed_depth
+            top = min(last, computed)
+            if first <= top:
+                ends = base._log_ends
+                start, stop = ends[first - 1], ends[top]
+                fulls = [depth for depth in base._full if first <= depth <= top]
+                if fulls:
+                    self._table[:] = base._full[max(fulls)]
+                    written = ends[max(fulls)]
+                    self._since_full = stop - written
+                else:
+                    written = start
+                    self._since_full += stop - start
+                _write(self._table, base._log_nodes[written:stop], base._log_ids[written:stop])
+                shift = len(self._log_nodes) - start
+                self._log_nodes.extend(base._log_nodes[start:stop])
+                self._log_ids.extend(base._log_ids[start:stop])
+                self._log_ends.extend([end + shift for end in ends[first : top + 1]])
+                self._num_classes.extend(base._num_classes[first : top + 1])
+                for depth in fulls:
+                    self._full[depth] = base._full[depth]
+            for _ in range(max(first, top + 1), last + 1):
+                self._log_ends.append(len(self._log_nodes))
+                self._num_classes.append(base._num_classes[computed])
 
     def _advance(self, table: array, sizes: Counter, depth: int) -> None:
         """Move ``table`` from this engine's raw table of ``depth - 1`` to
         ``depth``'s, and ``sizes`` (label -> nodes holding it) with it."""
-        full = self._full.get(depth)
-        if full is not None:
-            table[:] = full
-            sizes.clear()
-            sizes.update(table)
-        else:
-            start, stop = self._log_ends[depth - 1], self._log_ends[depth]
-            for v, c in zip(self._log_nodes[start:stop], self._log_ids[start:stop]):
-                sizes[table[v]] -= 1
-                sizes[c] += 1
-                table[v] = c
+        with self._lock:
+            full = self._full.get(depth)
+            if full is not None:
+                table[:] = full
+                sizes.clear()
+                sizes.update(table)
+            else:
+                start, stop = self._log_ends[depth - 1], self._log_ends[depth]
+                for v, c in zip(self._log_nodes[start:stop], self._log_ids[start:stop]):
+                    sizes[table[v]] -= 1
+                    sizes[c] += 1
+                    table[v] = c
 
     def _raw_at(self, depth: int) -> array:
         """The raw colour table of a computed depth, materialised from the
@@ -514,24 +530,25 @@ class CSRPartitionRefinement:
         engine = CSRPartitionRefinement(csr)
         if engine._stable_depth is not None:
             return engine  # single node or already-discrete depth 0
-        self.ensure_stable()
-        base_stable = self.stable_depth
-        # the base's raw table at depth min(depth, base_stable), and the
-        # size of each of its classes
-        table = array(INT_TYPECODE, self._full[0])
+        # the base is read under its lock, one depth at a time
+        base_stable = self.ensure_stable()
+        base_counts = self.class_counts
+        with self._lock:
+            # the base's raw table at depth min(depth, base_stable), and the
+            # size of each of its classes
+            table = array(INT_TYPECODE, self._full[0])
+            # labels the replay makes (fresh classes, then per-node sentinels)
+            # start here, above every base label and every depth-0 (degree) id
+            offset = max(
+                engine._num_classes[0],
+                1 + max(max(labels, default=-1) for labels in [self._log_ids, *self._full.values()]),
+            )
         sizes = Counter(table)
         n = csr.num_nodes
         offsets = csr.offsets
         neighbors = csr.neighbors
         reverse_ports = csr.reverse_ports
 
-        base_counts = self._num_classes
-        # labels the replay makes (fresh classes, then per-node sentinels)
-        # start here, above every base label and every depth-0 (degree) id
-        offset = max(
-            engine._num_classes[0],
-            1 + max(max(labels, default=-1) for labels in [self._log_ids, *self._full.values()]),
-        )
         # identity transport: same handles, no joins/leaves — a conforming
         # depth after a conforming depth copies the base's logged change
         identity = n == self._csr.num_nodes and all(
@@ -1079,29 +1096,39 @@ class CSRPartitionRefinement:
         """Materialise partitions up to ``depth`` (or the fixpoint).
 
         Returns the *effective* depth at which to read: ``depth`` itself, or
-        the stable depth when that is smaller.
+        the stable depth when that is smaller.  Takes the lock per pass.
         """
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        while len(self._num_classes) <= depth and self._stable_depth is None:
-            self._refine_once()
-        if self._stable_depth is not None and depth > self._stable_depth:
-            return self._stable_depth
-        return depth
+        while True:
+            with self._lock:
+                stable = self._stable_depth
+                if stable is not None:
+                    return min(depth, stable)
+                if len(self._num_classes) > depth:
+                    return depth
+                self._refine_once()
 
     def ensure_stable(self) -> int:
-        while self._stable_depth is None:
-            self._refine_once()
-        return self._stable_depth
+        """Refine to the fixpoint and return the stable depth (locked per pass)."""
+        while True:
+            with self._lock:
+                if self._stable_depth is not None:
+                    return self._stable_depth
+                self._refine_once()
 
     # ------------------------------------------------------------------ #
     # O(1) / O(output) queries (depth must already be effective)
     # ------------------------------------------------------------------ #
     def num_classes_at(self, effective: int) -> int:
-        return self._num_classes[effective]
+        with self._lock:
+            return self._num_classes[effective]
 
     def _views_at(self, effective: int) -> list:
-        """The cached ``[colours, members, unique]`` of a depth, made most recent."""
+        """The cached ``[colours, members, unique]`` of a depth, made most recent.
+
+        The caller holds the lock.
+        """
         views = self._views
         entry = views.pop(effective, None)
         if entry is None:
@@ -1121,35 +1148,41 @@ class CSRPartitionRefinement:
         the partition.  Built lazily from the depth's raw table and kept
         for the :data:`VIEW_CACHE_DEPTHS` depths queried last.
         """
-        return self._views_at(effective)[0]
+        with self._lock:
+            return self._views_at(effective)[0]
 
     def members_at(self, effective: int) -> List[List[int]]:
         """Canonical class → members (ascending node order), built lazily."""
-        entry = self._views_at(effective)
-        if entry[1] is None:
-            entry[1] = _class_lists(entry[0], self._num_classes[effective])
-        return entry[1]
+        with self._lock:
+            entry = self._views_at(effective)
+            if entry[1] is None:
+                entry[1] = _class_lists(entry[0], self._num_classes[effective])
+            return entry[1]
 
     def unique_at(self, effective: int) -> List[int]:
         """Nodes in singleton classes (ascending), built lazily per depth."""
-        entry = self._views_at(effective)
-        if entry[2] is None:
-            entry[2] = _singletons(entry[0], self._num_classes[effective])
-        return entry[2]
+        with self._lock:
+            entry = self._views_at(effective)
+            if entry[2] is None:
+                entry[2] = _singletons(entry[0], self._num_classes[effective])
+            return entry[2]
 
     def first_unique_depth(self, max_depth: Optional[int] = None) -> Optional[int]:
         """Smallest depth at which some node is alone in its class.
 
         ``None`` if no depth up to the fixpoint (or up to ``max_depth``) has
-        one.  Refines no further than the depth it returns or gives up at.
+        one.  Refines no further than the depth it returns or gives up at,
+        and takes the lock per depth.
         """
         depth = self._no_unique_below
         while max_depth is None or depth <= max_depth:
             effective = self.ensure_depth(depth)
             if self.unique_at(effective):
                 return depth
-            self._no_unique_below = depth + 1
-            if self._stable_depth is not None and depth >= self._stable_depth:
+            with self._lock:
+                self._no_unique_below = max(self._no_unique_below, depth + 1)
+                stable = self._stable_depth
+            if stable is not None and depth >= stable:
                 return None
             depth += 1
         return None
@@ -1163,7 +1196,8 @@ class CSRPartitionRefinement:
         A pure function of the partitions, so two engines of one graph
         return equal lists whichever pass kinds or replays built them.
         """
-        return [list(self.colors_at(depth)) for depth in range(len(self._num_classes))]
+        with self._lock:
+            return [list(self.colors_at(depth)) for depth in range(len(self._num_classes))]
 
     # ------------------------------------------------------------------ #
     def estimated_bytes(self) -> int:
@@ -1175,28 +1209,29 @@ class CSRPartitionRefinement:
         (member lists, worklist) at Python-list rates; used by the runner
         cache's eviction accounting, not for allocation decisions.
         """
-        arrays = [self._table, self._log_nodes, self._log_ids, self._log_ends, self._num_classes]
-        arrays.extend(self._full.values())
-        total = sum(len(arr) * arr.itemsize for arr in arrays)
-        for colors, members, unique in self._views.values():
-            total += len(colors) * colors.itemsize
-            if members is not None:
-                total += sum(56 + 8 * len(group) for group in members)
-            if unique is not None:
-                total += 56 + 8 * len(unique)
-        if self._buckets is not None:
-            for matrices in self._buckets:
-                total += sum(matrix.nbytes for matrix in matrices)
-        if self._churned is not None:
-            total += self._churned.nbytes
-        if self._current_members is not None:
-            for group in self._current_members.values():
-                total += 56 + 8 * len(group)
-        if self._changed is not None:
-            total += 56 + 8 * len(self._changed)
-        if self._touched is not None:
-            total += len(self._touched)
-        return total
+        with self._lock:
+            arrays = [self._table, self._log_nodes, self._log_ids, self._log_ends, self._num_classes]
+            arrays.extend(self._full.values())
+            total = sum(len(arr) * arr.itemsize for arr in arrays)
+            for colors, members, unique in self._views.values():
+                total += len(colors) * colors.itemsize
+                if members is not None:
+                    total += sum(56 + 8 * len(group) for group in members)
+                if unique is not None:
+                    total += 56 + 8 * len(unique)
+            if self._buckets is not None:
+                for matrices in self._buckets:
+                    total += sum(matrix.nbytes for matrix in matrices)
+            if self._churned is not None:
+                total += self._churned.nbytes
+            if self._current_members is not None:
+                for group in self._current_members.values():
+                    total += 56 + 8 * len(group)
+            if self._changed is not None:
+                total += 56 + 8 * len(self._changed)
+            if self._touched is not None:
+                total += len(self._touched)
+            return total
 
 
 def refinement_delta(base_engine, csr, node_map, touched):

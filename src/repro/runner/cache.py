@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import chain
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..kernel import GraphKernel
 from ..portgraph.graph import PortLabeledGraph
@@ -110,19 +109,24 @@ class CacheEntry:
 class RefinementCache:
     """An LRU cache of :class:`ViewRefinement` objects, one per exact graph.
 
-    ``maxsize`` bounds the number of entries; relabeled copies of one graph
-    are distinct keys and are evicted one by one like everything else.
+    ``maxsize`` bounds the number of entries; every miss enters the LRU, and
+    relabeled copies of one graph are distinct keys, evicted one by one like
+    everything else.
 
-    The LRU bookkeeping and the counters are guarded by a lock, so lookups
-    may be issued from multiple threads; the *returned* objects
-    (:class:`ViewRefinement`, ``entry.memo``) are not themselves
-    synchronised, so concurrent queries about the same graph at uncomputed
-    depths should be serialised by the caller.  The library's own
-    parallelism uses ``multiprocessing`` (one private cache per worker
-    process), which avoids the issue entirely.
+    Lookups may be issued from many threads at once: the service's pool
+    threads share this cache, and two requests for one graph share its
+    entry.  The LRU bookkeeping and the counters are guarded by the cache's
+    lock.  The entry's refinement engine guards its own partitions with a
+    lock of its own, held per pass and per read
+    (:mod:`repro.kernel.refine`), so concurrent queries of one graph may
+    refine it together.  ``entry.memo`` holds pure answers, so two threads
+    that compute one key store equal values.  Lock order: the cache lock
+    may be held while an engine's lock is taken (eviction and
+    :meth:`live_bytes` run :meth:`CacheEntry.estimated_bytes` under it),
+    and nothing that holds an engine's lock takes the cache lock.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE, *, admission: str = "always") -> None:
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self._maxsize = maxsize
@@ -138,45 +142,11 @@ class RefinementCache:
         self._store: Optional[ArtifactStore] = None
         self._store_hits = 0
         self._store_misses = 0
-        # admission policy state (see set_admission)
-        self._admission = ""
-        self._probation: "OrderedDict[PortLabeledGraph, CacheEntry]" = OrderedDict()
-        self._admissions = 0
-        self._admission_rejects = 0
-        self.set_admission(admission)
 
     # ------------------------------------------------------------------ #
     @property
     def maxsize(self) -> int:
         return self._maxsize
-
-    @property
-    def admission(self) -> str:
-        return self._admission
-
-    def set_admission(self, policy: str) -> str:
-        """Select the admission policy; returns the previous one.
-
-        ``"always"`` (the default) admits every miss straight into the main
-        LRU -- the historical behaviour, right for sweeps that enumerate
-        distinct graphs once each.  ``"second-touch"`` is frequency-
-        observing, for zipf-shaped service traffic: a first-touch entry
-        lands in a small probation FIFO and is promoted to the main LRU
-        only when a *second request* asks for it, so a stream of one-hit
-        wonders churns the probation ring instead of evicting hot
-        residents.  Internal lookups (the write-through of
-        :meth:`persist`) deliberately do not count as request touches.
-        """
-        if policy not in ("always", "second-touch"):
-            raise ValueError(f"unknown admission policy: {policy!r}")
-        with self._lock:
-            previous, self._admission = self._admission, policy
-        return previous
-
-    def _probation_capacity(self) -> int:
-        # big enough that an entry survives until its own write-through,
-        # small enough that scan traffic cannot hold meaningful memory
-        return min(8, self._maxsize)
 
     def __len__(self) -> int:
         with self._lock:
@@ -203,9 +173,6 @@ class RefinementCache:
         threads asking for the same graph trigger one disk read, not
         several.
         """
-        return self._entry(graph, request=True)
-
-    def _entry(self, graph: PortLabeledGraph, *, request: bool) -> CacheEntry:
         hash(graph)  # memoised on the instance: pay the O(n + m) once, unlocked
         with self._lock:
             stored = self._entries.get(graph)
@@ -213,16 +180,6 @@ class RefinementCache:
                 self._entries.move_to_end(graph)
                 self._hits += 1
                 graph.adopt_from(stored.graph)
-                return stored
-            stored = self._probation.get(graph)
-            if stored is not None:
-                self._hits += 1
-                graph.adopt_from(stored.graph)
-                if request:
-                    # second observed request: promote to the main LRU
-                    del self._probation[graph]
-                    self._admit_locked(stored)
-                    self._admissions += 1
                 return stored
             self._misses += 1
             memo_seed = None
@@ -237,18 +194,11 @@ class RefinementCache:
             entry = CacheEntry(graph, ViewRefinement(graph))
             if memo_seed:
                 entry.memo.update(memo_seed)
-            if self._admission == "second-touch":
-                self._probation[graph] = entry
-                while len(self._probation) > self._probation_capacity():
-                    _graph, rejected = self._probation.popitem(last=False)
-                    self._admission_rejects += 1
-                    self._retire_locked(rejected)
-            else:
-                self._admit_locked(entry)
+            self._admit_locked(entry)
             return entry
 
     def _admit_locked(self, entry: CacheEntry) -> None:
-        """Insert ``entry`` into the main LRU and evict down to ``maxsize``.
+        """Insert ``entry`` into the LRU and evict down to ``maxsize``.
 
         An equal resident is popped first, so the key is always the entry's
         own graph instance (a plain assignment would keep the old key object,
@@ -267,12 +217,13 @@ class RefinementCache:
 
     def _retire_locked(self, entry: CacheEntry) -> None:
         """Fold a dropped entry into the counters, so ``refinement_passes``
-        stays monotone across evictions, rejects and replacements."""
+        stays monotone across evictions and replacements."""
         self._evicted_passes += entry.refinement.passes
         self._evicted_bytes += entry.estimated_bytes()
 
-    def _live_locked(self) -> Iterator[CacheEntry]:
-        return chain(self._entries.values(), self._probation.values())
+    def _live_locked(self) -> Iterable[CacheEntry]:
+        """Every live entry: the one scan behind the cache-wide counters."""
+        return self._entries.values()
 
     def get(self, graph: PortLabeledGraph) -> ViewRefinement:
         """The memoised refinement of ``graph`` (created on first request)."""
@@ -314,20 +265,17 @@ class RefinementCache:
         """
         result = delta.apply_to(base_graph)
         graph = result.graph
-        hash(graph)  # as in _entry: memoise the hash outside the lock
+        hash(graph)  # as in entry: memoise the hash outside the lock
         with self._lock:
             stored = self._entries.get(graph)
             if stored is not None:
-                self._entries.move_to_end(graph)  # a hit refreshes recency, as in _entry
-            else:
-                stored = self._probation.get(graph)
-            if stored is not None:
+                self._entries.move_to_end(graph)  # a hit refreshes recency, as in entry
                 self._hits += 1
                 if events is not None:
                     events.append("cache_hit")
                 return stored
             # one in-memory miss for the mutated graph, and (below) one store
-            # outcome for it, as in _entry: misses == store hits + store misses
+            # outcome for it, as in entry: misses == store hits + store misses
             self._misses += 1
         if self._store is not None:
             # an exact record of the mutated graph beats a replay outright
@@ -347,7 +295,7 @@ class RefinementCache:
                     events.append("cache_hit")
                 return entry
 
-        base_entry = self._entry(base_graph, request=False)
+        base_entry = self.entry(base_graph)
         if events is not None:
             events.append("base_hit")
         base_engine = base_entry.graph.refinement_engine()
@@ -375,21 +323,18 @@ class RefinementCache:
             # the entry just returned.  Equality is exact labeled equality,
             # so the old entry's memos answer for the same graph and carry
             # over soundly.
-            for table in (self._entries, self._probation):
-                stored = table.pop(graph, None)
-                if stored is not None:
-                    self._retire_locked(stored)
-                    for memo_key, value in stored.memo.items():
-                        entry.memo.setdefault(memo_key, value)
+            stored = self._entries.pop(graph, None)
+            if stored is not None:
+                self._retire_locked(stored)
+                for memo_key, value in stored.memo.items():
+                    entry.memo.setdefault(memo_key, value)
             self._admit_locked(entry)
         return entry
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters (the store and the
-        admission policy stay as configured)."""
+        """Drop all entries and reset the counters (the store stays attached)."""
         with self._lock:
             self._entries.clear()
-            self._probation.clear()
             self._hits = 0
             self._misses = 0
             self._evictions = 0
@@ -397,8 +342,6 @@ class RefinementCache:
             self._evicted_bytes = 0
             self._store_hits = 0
             self._store_misses = 0
-            self._admissions = 0
-            self._admission_rejects = 0
 
     # ------------------------------------------------------------------ #
     # persistent store backend
@@ -434,10 +377,7 @@ class RefinementCache:
         store = self._store
         if store is None:
             return False
-        # an internal lookup, not a request: under "second-touch" admission
-        # the write-through of a freshly computed entry must not count as
-        # the promoting touch, or every one-hit item would self-admit
-        entry = self._entry(graph, request=False)
+        entry = self.entry(graph)
         # the record's answer sections come from entry.memo alone: a
         # delta-derived entry starts with an empty memo (its base's ψ
         # outcomes are never inherited — see delta_entry), so nothing stale
@@ -493,16 +433,6 @@ class RefinementCache:
         """In-memory misses the attached store could not serve either."""
         return self._store_misses
 
-    @property
-    def admissions(self) -> int:
-        """Probation entries promoted to the main LRU by a second request."""
-        return self._admissions
-
-    @property
-    def admission_rejects(self) -> int:
-        """Probation entries dropped without ever earning a second request."""
-        return self._admission_rejects
-
     def live_bytes(self) -> int:
         """Estimated retained footprint of all live entries (bytes)."""
         with self._lock:
@@ -521,9 +451,6 @@ class RefinementCache:
             "live_bytes": self.live_bytes(),
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
-            "probation": len(self._probation),
-            "admissions": self.admissions,
-            "admission_rejects": self.admission_rejects,
         }
 
 

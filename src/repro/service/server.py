@@ -582,9 +582,9 @@ def run_server(
     with ``--port 0`` (kernel-assigned, collision-free) and still find the
     server, instead of hard-coding ports that collide across CI legs.
 
-    ``hot_tier_bytes`` (with a store) enables traffic-shaped serving: the
-    store's in-process hot tier plus second-touch cache admission -- see
-    :class:`~repro.service.service.ElectionService`.
+    ``hot_tier_bytes`` (with a store) is the byte budget of the store's
+    in-process hot tier (:class:`~repro.store.ArtifactStore`); ``0`` builds
+    none, and without a store it is ignored.
 
     ``compact_interval_s`` (with a store) schedules
     :meth:`~repro.store.ArtifactStore.compact` every that many seconds, off
@@ -596,7 +596,11 @@ def run_server(
     """
     from ..store import ArtifactStore
 
-    store = ArtifactStore(store_path) if store_path is not None else None
+    store = (
+        ArtifactStore(store_path, hot_tier_bytes=hot_tier_bytes)
+        if store_path is not None
+        else None
+    )
     if compact_interval_s is not None and compact_interval_s <= 0:
         raise ValueError("compact_interval_s must be positive")
     if compact_interval_s is not None and store is None:
@@ -605,7 +609,6 @@ def run_server(
         store=store,
         workers=workers,
         default_max_states=max_states,
-        hot_tier_bytes=hot_tier_bytes,
     )
     server = ElectionServer(service, host=host, port=port, slow_request_s=slow_request_s)
 

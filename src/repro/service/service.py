@@ -165,7 +165,7 @@ def _resolve_delta(parsed: Dict[str, Any]):
     return entry, entry.graph.name or base_label, delta_section, status
 
 
-def compute_election(parsed: Dict[str, Any], *, compute_delay: float = 0.0) -> Dict[str, Any]:
+def compute_election(parsed: Dict[str, Any]) -> Dict[str, Any]:
     """Build the graph of a parsed query and answer it (pool-thread code).
 
     Runs on a thread of the service's bounded pool and touches only
@@ -174,8 +174,6 @@ def compute_election(parsed: Dict[str, Any], *, compute_delay: float = 0.0) -> D
     request run the very same code and return byte-identical responses.
     """
     with obs_span("compute_election") as sp:
-        if compute_delay:
-            time.sleep(compute_delay)
         started = time.perf_counter()
         delta_section = delta_status = None
         with obs_span("graph_build"):
@@ -240,22 +238,14 @@ class ElectionService:
     store:
         Optional :class:`~repro.store.ArtifactStore`; attached to the
         process-wide refinement cache so queries read and write through it.
+        Its hot tier, if it was built with one, is the store's own setting.
     workers:
         Size of the bounded compute pool.
     default_max_states:
         PPE/CPPE search budget applied when a query does not set one.
-    compute_delay:
-        Artificial seconds added to every computation, off the event loop.
-        Used by the latency benchmark and the coalescing tests to make
-        overlap deterministic; leave at ``0`` in production.
-    hot_tier_bytes:
-        When positive and a store is attached, serving is *traffic-shaped*:
-        the store's in-process hot tier is enabled with this byte budget
-        (repeat fingerprints decode from mmap'd residents instead of
-        re-reading disk), and the refinement cache switches to the
-        frequency-observing ``"second-touch"`` admission policy for the
-        service's lifetime (restored by :meth:`close`).  ``0`` (the
-        default) keeps the historical cold-path behaviour.
+
+    The service configures no caching: the refinement cache keeps its one
+    LRU, and every answer is the same whichever layer it is found in.
     """
 
     def __init__(
@@ -264,26 +254,16 @@ class ElectionService:
         store: Optional[ArtifactStore] = None,
         workers: int = 4,
         default_max_states: int = 200_000,
-        compute_delay: float = 0.0,
-        hot_tier_bytes: int = 0,
     ) -> None:
         from .workers import ThreadBackend  # deferred: workers.py imports this module
 
-        self._backend = ThreadBackend(workers=workers, compute_delay=compute_delay)
+        self._backend = ThreadBackend(workers=workers)
         self._store = store
         self._workers = workers
         self._default_max_states = default_max_states
-        self._compute_delay = compute_delay
         self._closed = False
-        hot = hot_tier_bytes if (hot_tier_bytes > 0 and store is not None) else 0
-        self._hot_tier_bytes = hot
-        self._prior_admission: Optional[str] = None
-        if hot:
-            store.enable_hot_tier(hot)
         if store is not None:
             refinement_cache.attach_store(store)
-            if hot:
-                self._prior_admission = refinement_cache.set_admission("second-touch")
         self._inflight: Dict[str, asyncio.Future] = {}
         self._counters = {
             "requests": 0,
@@ -304,8 +284,9 @@ class ElectionService:
 
     @property
     def hot_tier_bytes(self) -> int:
-        """The hot-tier byte budget serving was configured with (0 = cold)."""
-        return self._hot_tier_bytes
+        """The byte budget of the store's hot tier (0 without a store or a tier)."""
+        hot = self._store.hot_tier if self._store is not None else None
+        return hot.max_bytes if hot is not None else 0
 
     @property
     def backend(self) -> str:
@@ -357,9 +338,6 @@ class ElectionService:
             return
         self._closed = True
         self._backend.close()
-        if self._prior_admission is not None:
-            refinement_cache.set_admission(self._prior_admission)
-            self._prior_admission = None
         if self._store is not None:
             # release the hot tier's mapped buffers; already-decoded records
             # stay valid (decode copies out of the mapping) and the store
@@ -507,9 +485,8 @@ class ElectionService:
                 workers=self._workers,
                 backend=self._backend.name,
                 concurrency=self._backend.concurrency,
-                compute_delay=self._compute_delay,
                 kernel_backend=active_backend(),
-                hot_tier_bytes=self._hot_tier_bytes,
+                hot_tier_bytes=self.hot_tier_bytes,
             ),
             "cache": refinement_cache.stats(),
             "search": search_statistics(),

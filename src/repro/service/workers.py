@@ -28,11 +28,10 @@ class ThreadBackend:
 
     name = "thread"
 
-    def __init__(self, *, workers: int, compute_delay: float = 0.0) -> None:
+    def __init__(self, *, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.concurrency = workers
-        self._compute_delay = compute_delay
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -58,7 +57,7 @@ class ThreadBackend:
                 context=context,
             )
         with activate_trace(context):
-            return compute_election(parsed, compute_delay=self._compute_delay)
+            return compute_election(parsed)
 
     def queue_depth(self) -> int:
         """Computations accepted but not yet started (for /metrics)."""

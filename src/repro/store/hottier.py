@@ -84,11 +84,11 @@ class _HotObject:
 
 
 class HotTier:
-    """A byte-budgeted LRU of mmap'd records with admit-on-second-touch."""
+    """A byte-budgeted LRU of mmap'd records, admitting a key on its second touch."""
 
     def __init__(self, max_bytes: int = DEFAULT_HOT_TIER_BYTES) -> None:
         if max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
+            raise ValueError("the hot tier's budget must be at least 1 byte")
         self._max_bytes = max_bytes
         self._lock = threading.Lock()
         self._residents: "OrderedDict[str, _HotObject]" = OrderedDict()

@@ -56,7 +56,7 @@ import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..portgraph.graph import PortLabeledGraph
-from .hottier import DEFAULT_HOT_TIER_BYTES, HotTier
+from .hottier import HotTier
 from .record import ArtifactRecord
 
 __all__ = ["AmbiguousFingerprint", "ArtifactStore"]
@@ -82,7 +82,13 @@ class AmbiguousFingerprint(LookupError):
 
 
 class ArtifactStore:
-    """A directory of persisted artifacts, safe for concurrent processes."""
+    """A directory of persisted artifacts, safe for concurrent processes.
+
+    ``hot_tier_bytes``, when positive, gives the store an in-process hot
+    tier of that byte budget: repeat :meth:`get` lookups are served from
+    mmap'd, pre-decoded residents (see :mod:`repro.store.hottier` for its
+    admission and consistency model).
+    """
 
     def __init__(self, root: str, *, create: bool = True, hot_tier_bytes: int = 0) -> None:
         self._root = os.path.abspath(root)
@@ -102,9 +108,7 @@ class ArtifactStore:
         self._corrupt_objects = 0
         self._compactions = 0
         self._compacted_objects = 0
-        self._hot: Optional[HotTier] = None
-        if hot_tier_bytes:
-            self.enable_hot_tier(hot_tier_bytes)
+        self._hot: Optional[HotTier] = HotTier(hot_tier_bytes) if hot_tier_bytes else None
 
     # ------------------------------------------------------------------ #
     @property
@@ -122,18 +126,8 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     @property
     def hot_tier(self) -> Optional[HotTier]:
-        """The attached in-process hot tier, if one is enabled."""
+        """The in-process hot tier, if the store was built with one."""
         return self._hot
-
-    def enable_hot_tier(self, max_bytes: int = DEFAULT_HOT_TIER_BYTES) -> None:
-        """Serve repeat :meth:`get` lookups from mmap'd, pre-decoded residents.
-
-        Idempotent: enabling an already-hot store keeps the existing tier
-        (and its residents).  See :mod:`repro.store.hottier` for the
-        admission and consistency model.
-        """
-        if self._hot is None:
-            self._hot = HotTier(max_bytes)
 
     def close(self) -> None:
         """Release the hot tier's mapped buffers; the store stays usable cold.

@@ -170,6 +170,37 @@ class TestServeCli:
         assert main(["serve", "--workers", "0"]) == 2
         assert "serve: workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_serve_default_flags_give_a_store_a_64_mib_hot_tier(
+        self, monkeypatch, tmp_path, with_store
+    ):
+        """``--hot-tier-mb`` (default 64) sizes the store's hot tier, which
+        ``/stats`` reports; without ``--store`` serve starts with none."""
+        from repro.service import server as server_module
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def no_listener(service, **kwargs):
+            seen["hot_tier_bytes"] = service.stats()["service"]["hot_tier_bytes"]
+            service.close()
+            raise Stop
+
+        monkeypatch.setattr(server_module, "ElectionServer", no_listener)
+        argv = ["serve", "--workers", "1"]
+        if with_store:
+            argv += ["--store", str(tmp_path)]
+        with pytest.raises(Stop):
+            main(argv)
+        assert seen == {"hot_tier_bytes": 64 * 1024 * 1024 if with_store else 0}
+
+    def test_serve_refuses_a_negative_hot_tier_for_a_store(self, tmp_path, capsys):
+        argv = ["serve", "--store", str(tmp_path), "--hot-tier-mb", "-1"]
+        assert main(argv) == 2
+        assert "serve: the hot tier's budget must be at least 1 byte" in capsys.readouterr().err
+
     def test_serve_port_file_metrics_and_trace_roundtrip(self, tmp_path):
         """``serve --port 0 --port-file``: the file appears only once the
         listener is up, carries the real bound port, and the server answers

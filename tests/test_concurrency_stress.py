@@ -6,6 +6,8 @@ implementation -- actual sockets, the actual compute pool -- with
 hypothesis-generated schedules of hostile client behaviour:
 
 * normal queries and NDJSON sweeps, interleaved,
+* concurrent queries of one graph under different task lists, which share
+  its cache entry and refine its engine at once,
 * clients that disconnect mid-stream (RST, not FIN),
 * clients that read the stream one tiny chunk at a time,
 * malformed sweep-id probes.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -69,6 +72,34 @@ def _op_query(running, n: int) -> None:
         "/election", {"spec": {"kind": "asymmetric-cycle", "params": {"n": 5 + n}}}
     )
     assert result["fingerprint"]
+
+
+#: Task lists for one graph.  Each is its own coalescing key, so the queries
+#: run together and share the graph's refinement engine.
+_TASK_VARIANTS = (["S"], ["PE"], ["S", "PE"], ["PE", "S"])
+
+
+def _op_task_variants(running, tail: int, seed: int) -> None:
+    """Query one graph under every task list at once; the answers must agree."""
+    spec = {"kind": "beacon-tail", "params": {"blob": 60, "tail": tail, "seed": seed}}
+    results, errors = {}, []
+
+    def query(tasks) -> None:
+        try:
+            results[",".join(tasks)] = running.post("/election", {"spec": spec, "tasks": tasks})
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    threads = [threading.Thread(target=query, args=(tasks,)) for tasks in _TASK_VARIANTS]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == [], errors
+    assert len({result["fingerprint"] for result in results.values()}) == 1, results
+    assert len({result["feasible"] for result in results.values()}) == 1, results
+    for task in ("S", "PE"):
+        assert len({r["indices"][task] for r in results.values() if task in r["indices"]}) == 1
 
 
 def _op_sweep(running, count: int, seed: int, window: int) -> None:
@@ -152,6 +183,11 @@ _windows = st.integers(min_value=1, max_value=3)
 
 _common_ops = st.one_of(
     st.tuples(st.just("query"), st.integers(min_value=0, max_value=6)),
+    st.tuples(
+        st.just("task_variants"),
+        st.integers(min_value=100, max_value=160),
+        st.integers(min_value=0, max_value=99),
+    ),
     st.tuples(st.just("sweep"), _counts, _seeds, _windows),
     st.tuples(st.just("disconnect"), _counts, _seeds),
     st.tuples(st.just("slow_read"), _counts, _seeds),
@@ -165,6 +201,8 @@ def _run_op(running, op: tuple) -> None:
     kind, args = op[0], op[1:]
     if kind == "query":
         _op_query(running, *args)
+    elif kind == "task_variants":
+        _op_task_variants(running, *args)
     elif kind == "sweep":
         _op_sweep(running, *args)
     elif kind == "disconnect":

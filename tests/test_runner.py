@@ -181,7 +181,7 @@ class TestRefinementCache:
         import sys
         import threading
 
-        cache = RefinementCache(maxsize=3, admission="second-touch")
+        cache = RefinementCache(maxsize=3)
         base = [generators.asymmetric_cycle(n) for n in (5, 6, 7)]
         variants = base + [graph.relabeled(_reversal_perm(graph)) for graph in base]
         workers, rounds = 8, 40
@@ -212,7 +212,7 @@ class TestRefinementCache:
         assert errors == []
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == workers * rounds
-        assert stats["currsize"] <= 3 and stats["probation"] <= 3
+        assert stats["currsize"] <= 3
 
     def test_shared_refinement_uses_process_cache(self):
         graph = generators.asymmetric_cycle(5)

@@ -6,6 +6,7 @@ import asyncio
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -17,6 +18,7 @@ from repro.portgraph import generators
 from repro.portgraph.io import graph_to_dict
 from repro.runner import refinement_cache
 from repro.service import ElectionServer, ElectionService
+from repro.service import workers as worker_backends
 from repro.store import ArtifactStore
 
 @pytest.fixture(autouse=True)
@@ -77,6 +79,21 @@ class _RunningServer:
         raise AssertionError("expected an HTTP error")
 
 
+def delay_computations(monkeypatch, seconds: float) -> None:
+    """Hold every computation ``seconds`` on its pool thread before it runs.
+
+    Keeps a computation in flight while later requests arrive, so
+    coalescing and window tests see a deterministic overlap.
+    """
+    compute = worker_backends.compute_election
+
+    def delayed(parsed):
+        time.sleep(seconds)
+        return compute(parsed)
+
+    monkeypatch.setattr(worker_backends, "compute_election", delayed)
+
+
 def test_submit_matches_in_process_api_byte_exactly():
     graph = generators.asymmetric_cycle(7)
     with _RunningServer(ElectionService(workers=2)) as running:
@@ -100,12 +117,13 @@ def test_generator_spec_submission_and_task_subset():
     assert result["indices"]["S"] == 0
 
 
-def test_identical_inflight_requests_coalesce():
+def test_identical_inflight_requests_coalesce(monkeypatch):
     graph = generators.asymmetric_cycle(7)
     payload = {"graph": graph_to_dict(graph)}
-    # the artificial delay keeps the first computation in flight while the
-    # duplicates arrive, making the coalescing deterministic
-    with _RunningServer(ElectionService(workers=2, compute_delay=0.3)) as running:
+    # the delay keeps the first computation in flight while the duplicates
+    # arrive, making the coalescing deterministic
+    delay_computations(monkeypatch, 0.3)
+    with _RunningServer(ElectionService(workers=2)) as running:
         results = [None] * 4
         errors = []
 
@@ -184,6 +202,30 @@ def test_spec_and_renamed_adjacency_share_one_store_record(tmp_path, real_refine
     assert stats["cache"]["refinement_passes"] == 0
     assert_real_passes(real_refinement_passes, cold_ledger)
     assert ArtifactStore(str(tmp_path)).stats()["records"] == 1
+
+
+def test_a_hot_tier_store_leaves_every_computed_graph_in_the_one_lru(tmp_path):
+    """Serving from a store with a hot tier configures no cache admission:
+    a graph asked for again after nine other distinct graphs is still a
+    memory hit, with no store read and no refinement pass.  (ψ_S queries
+    look each graph up once, so no second lookup could keep it cached.)"""
+    payloads = [
+        {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}, "tasks": ["S"]}
+        for n in range(5, 15)
+    ]
+    store = ArtifactStore(str(tmp_path), hot_tier_bytes=8 * 1024 * 1024)
+    with _RunningServer(ElectionService(store=store, workers=1)) as running:
+        first = running.post("/election", payloads[0])
+        for payload in payloads[1:]:
+            running.post("/election", payload)
+        before = running.get("/stats")
+        again = running.post("/election", payloads[0])
+        after = running.get("/stats")
+    assert before["service"]["hot_tier_bytes"] == 8 * 1024 * 1024
+    assert after["cache"]["hits"] == before["cache"]["hits"] + 1
+    assert after["cache"]["store_hits"] == before["cache"]["store_hits"]
+    assert after["cache"]["refinement_passes"] == before["cache"]["refinement_passes"]
+    assert again["indices"] == first["indices"]
 
 
 def test_warm_adjacency_replay_refines_nothing_outside_the_ledger(real_refinement_passes):

@@ -16,7 +16,7 @@ import urllib.error
 import urllib.request
 
 import pytest
-from test_service import _RunningServer, assert_real_passes
+from test_service import _RunningServer, assert_real_passes, delay_computations
 
 from repro.portgraph import generators
 from repro.portgraph.io import graph_to_dict
@@ -76,9 +76,10 @@ def test_corpus_sweep_items_byte_identical_to_sequential_singles():
             assert json.dumps(streamed, sort_keys=True) == json.dumps(single, sort_keys=True)
 
 
-def test_duplicate_inflight_batch_items_coalesce_with_identical_results():
+def test_duplicate_inflight_batch_items_coalesce_with_identical_results(monkeypatch):
     item = {"spec": {"kind": "asymmetric-cycle", "params": {"n": 9}}}
-    with _RunningServer(ElectionService(workers=4, compute_delay=0.25)) as running:
+    delay_computations(monkeypatch, 0.25)
+    with _RunningServer(ElectionService(workers=4)) as running:
         lines = _post_stream(running, {"items": [item, item, item], "window": 3})
         stats = running.get("/stats")
     results = [json.dumps(line, sort_keys=True) for line in lines[1:-1]]
@@ -346,13 +347,14 @@ def test_oversized_sweep_rejected_with_clear_error():
 # --------------------------------------------------------------------------- #
 # backpressure and disconnect
 # --------------------------------------------------------------------------- #
-def test_window_bounds_in_flight_computations():
+def test_window_bounds_in_flight_computations(monkeypatch):
     # distinct sizes (no coalescing), plenty of workers: only the window
     # may limit concurrency
     items = [
         {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}} for n in range(5, 17)
     ]
-    with _RunningServer(ElectionService(workers=8, compute_delay=0.05)) as running:
+    delay_computations(monkeypatch, 0.05)
+    with _RunningServer(ElectionService(workers=8)) as running:
         lines = _post_stream(running, {"items": items, "window": 2})
         status = running.get(f"/sweeps/{lines[0]['sweep']}")
     assert status["state"] == "done"
@@ -360,12 +362,13 @@ def test_window_bounds_in_flight_computations():
     assert status["max_in_flight"] == 2, "window must cap concurrent computations"
 
 
-def test_mid_stream_disconnect_cancels_the_sweep_and_server_survives():
+def test_mid_stream_disconnect_cancels_the_sweep_and_server_survives(monkeypatch):
     items = [
         {"spec": {"kind": "asymmetric-cycle", "params": {"n": n}}} for n in range(5, 25)
     ]
     body = json.dumps({"items": items, "window": 2}).encode("utf-8")
-    with _RunningServer(ElectionService(workers=2, compute_delay=0.1)) as running:
+    delay_computations(monkeypatch, 0.1)
+    with _RunningServer(ElectionService(workers=2)) as running:
         host, port = "127.0.0.1", running.server.port
         with socket.create_connection((host, port), timeout=10) as raw:
             raw.sendall(

@@ -107,7 +107,7 @@ def test_the_pool_runs_at_most_workers_computations_at_once(monkeypatch):
     lock = threading.Lock()
     seen = {"running": 0, "peak": 0, "started": 0}
 
-    def held_computation(parsed, *, compute_delay=0.0):
+    def held_computation(parsed):
         with lock:
             seen["running"] += 1
             seen["started"] += 1

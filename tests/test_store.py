@@ -1177,72 +1177,6 @@ class TestHotTier:
         assert store.stats()["hot_entries"] == 0
 
 
-class TestAdmissionPolicy:
-    def test_always_is_the_default_and_admits_immediately(self):
-        cache = RefinementCache(maxsize=2)
-        assert cache.admission == "always"
-        cache.entry(generators.asymmetric_cycle(6))
-        assert len(cache) == 1
-        assert cache.stats()["probation"] == 0
-
-    def test_second_touch_promotes_only_repeat_requests(self):
-        cache = RefinementCache(maxsize=4, admission="second-touch")
-        hot = generators.asymmetric_cycle(7)
-        cache.entry(hot)  # touch 1: probation
-        assert len(cache) == 0
-        assert cache.stats()["probation"] == 1
-        promoted = cache.entry(hot)  # touch 2: promoted
-        assert len(cache) == 1
-        stats = cache.stats()
-        assert stats["probation"] == 0
-        assert stats["admissions"] == 1
-        assert promoted.graph == hot
-
-    def test_one_hit_wonders_cannot_evict_hot_residents(self):
-        cache = RefinementCache(maxsize=2, admission="second-touch")
-        hot = generators.asymmetric_cycle(7)
-        cache.entry(hot)
-        cache.entry(hot)  # resident
-        resident = cache.entry(hot)
-        for n in range(6, 12):  # a scan of one-hit wonders
-            cache.entry(generators.random_connected_graph(n, extra_edges=2, seed=n))
-        stats = cache.stats()
-        assert stats["evictions"] == 0  # the main LRU never churned
-        assert stats["admission_rejects"] > 0
-        assert cache.entry(hot) is resident
-
-    def test_refinement_passes_stay_monotone_across_probation_drops(self):
-        cache = RefinementCache(maxsize=2, admission="second-touch")
-        for n in range(6, 18):
-            entry = cache.entry(generators.asymmetric_cycle(n))
-            entry.refinement.ensure_stable()
-        assert cache.stats()["admission_rejects"] > 0
-        passes = cache.refinement_passes
-        assert passes > 0
-        cache.entry(generators.asymmetric_cycle(6))
-        assert cache.refinement_passes >= passes
-
-    def test_persist_does_not_count_as_the_promoting_touch(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        cache = RefinementCache(maxsize=4, admission="second-touch")
-        cache.attach_store(store)
-        graph = generators.asymmetric_cycle(7)
-        entry = cache.entry(graph)  # touch 1
-        entry.memo[("feasible",)] = True
-        assert cache.persist(graph) is True  # write-through: not a touch
-        assert len(cache) == 0, "persist must not promote a one-touch entry"
-        assert cache.stats()["probation"] == 1
-        cache.entry(graph)  # the genuine second request promotes
-        assert len(cache) == 1
-
-    def test_set_admission_round_trips(self):
-        cache = RefinementCache(maxsize=2)
-        assert cache.set_admission("second-touch") == "always"
-        assert cache.set_admission("always") == "second-touch"
-        with pytest.raises(ValueError):
-            cache.set_admission("clairvoyant")
-
-
 #: A small fixed sweep over every hot path: a G_{Δ,k} member for refinement
 #: and block-cut, small mixed graphs for the PPE/CPPE joint searches.
 REPLAY_SWEEP = SweepSpec.make(
