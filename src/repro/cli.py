@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="log requests slower than this many seconds to stderr with "
-        "their trace id (default 1.0; env REPRO_SLOW_REQUEST_S)",
+        "their trace id (default 1.0)",
     )
     serve.add_argument(
         "--compact-interval-s",

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..kernel import GraphKernel
 from ..kernel.csr import bfs_distances_csr
 from ..portgraph.graph import PortLabeledGraph
 from ..views.refinement import ViewRefinement
@@ -95,18 +94,6 @@ def _default_refinement(graph: PortLabeledGraph) -> ViewRefinement:
     from ..runner.cache import shared_refinement
 
     return shared_refinement(graph)
-
-
-def _default_kernel(graph: PortLabeledGraph) -> GraphKernel:
-    """The process-wide memoised kernel (CSR, block-cut tree, BFS distances).
-
-    Lives on the same cache entry as the refinement, so a warm sweep skips
-    block-cut-tree construction exactly as it skips refinement passes.
-    (Imported lazily for the same layering reason as above.)
-    """
-    from ..runner.cache import shared_kernel
-
-    return shared_kernel(graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -179,11 +166,14 @@ def port_election_assignment(
 
     The assignment is constant on view-equivalence classes at ``depth``, so it
     can be implemented by a distributed algorithm running for ``depth`` rounds
-    with the map as advice.
+    with the map as advice.  The block-cut tree is the one memoised on the
+    graph's CSR view (:meth:`~repro.kernel.csr.CSRGraph.block_cut_tree`), so
+    every depth tried, and every equal graph the runner's cache hands that
+    view, shares one DFS.
     """
     refinement = refinement if refinement is not None else _default_refinement(graph)
     classes = refinement.classes(depth)
-    cut = _default_kernel(graph).block_cut_tree()
+    cut = graph.csr().block_cut_tree()
     singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
     for leader in singleton_nodes:
         ports: Dict[int, int] = {}
@@ -255,7 +245,7 @@ def _common_path_sequence(
     factor of ``class size × path length``, which is what the cell cap fixes.
 
     ``distances`` (hop distances to ``leader``, e.g. from
-    :meth:`repro.kernel.GraphKernel.distances_from`) enables lower-bound
+    :meth:`repro.kernel.csr.CSRGraph.distances_from`) enables lower-bound
     pruning: a branch whose member provably cannot reach the leader within
     the remaining simple-path budget is dead and never enters ``seen``.
     Pruning only removes provably fruitless states, so the returned sequence
@@ -358,13 +348,18 @@ def path_election_assignment(
     max_states: int = 200_000,
     max_cells: Optional[int] = None,
 ) -> Optional[Tuple[int, Dict[int, Tuple[int, ...]]]]:
-    """A (leader, per-node sequence) assignment realising PPE/CPPE at ``depth``, or ``None``."""
+    """A (leader, per-node sequence) assignment realising PPE/CPPE at ``depth``, or ``None``.
+
+    The distance-to-leader arrays that prune the joint search are memoised
+    on the graph's CSR view (:meth:`~repro.kernel.csr.CSRGraph.distances_from`),
+    one BFS per leader for every depth tried.
+    """
     refinement = refinement if refinement is not None else _default_refinement(graph)
     classes = refinement.classes(depth)
-    kernel = _default_kernel(graph)
+    csr = graph.csr()
     singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
     for leader in singleton_nodes:
-        distances = kernel.distances_from(leader)
+        distances = csr.distances_from(leader)
         sequences: Dict[int, Tuple[int, ...]] = {}
         feasible = True
         for members in classes.values():

@@ -9,7 +9,12 @@ low-level substrate:
 * :mod:`repro.kernel.csr` — the flat compressed-sparse-row encoding of a
   port-labeled graph (``offsets`` / ``neighbors`` / ``reverse_ports`` int
   arrays) plus array-level BFS.  Built lazily and memoised per graph via
-  :meth:`repro.portgraph.graph.PortLabeledGraph.csr`.
+  :meth:`repro.portgraph.graph.PortLabeledGraph.csr`; the view in turn
+  memoises its graph's block-cut tree and BFS distance arrays
+  (:meth:`CSRGraph.block_cut_tree`, :meth:`CSRGraph.distances_from`), so
+  the runner's cache, which shares one view among equal graphs, makes warm
+  sweeps skip block-cut construction and distance precomputation exactly
+  as they skip refinement passes.
 * :mod:`repro.kernel.refine` — partition refinement on CSR, one engine with
   two pass kinds: vector passes in whole-array numpy operations while many
   nodes change class, worklist passes that re-signature only the
@@ -23,9 +28,6 @@ low-level substrate:
 * :mod:`repro.kernel.blockcut` — one block-cut-tree (biconnected components)
   DFS per graph, answering every "does port ``p`` at ``v`` start a simple
   path to the leader?" query of ψ_PE without a per-removed-node BFS.
-* :class:`GraphKernel` — the per-graph bundle of all of the above, stored in
-  the runner's :class:`~repro.runner.cache.RefinementCache` entries so warm
-  sweeps skip refinement *and* block-cut-tree construction.
 
 The kernel sits directly above :mod:`repro.portgraph` in the layer diagram;
 :mod:`repro.views`, :mod:`repro.core` and :mod:`repro.sim` build on it.
@@ -43,79 +45,8 @@ __all__ = [
     "CSRPartitionRefinement",
     "refinement_delta",
     "BlockCutTree",
-    "GraphKernel",
     "active_backend",
     "numpy_available",
     "use_backend",
 ]
 
-
-class GraphKernel:
-    """Lazily-built kernel objects of one graph, memoised together.
-
-    One instance per exact graph lives in each
-    :class:`~repro.runner.cache.CacheEntry`, so every layer that asks the
-    shared cache for kernel state (ψ_PE's block-cut queries, ψ_PPE/ψ_CPPE's
-    distance-to-leader pruning, the sim engine's flat inboxes) reuses one
-    CSR view, one block-cut tree and one BFS distance array per source.
-    """
-
-    __slots__ = ("graph", "_blockcut", "_distances")
-
-    def __init__(self, graph) -> None:
-        self.graph = graph
-        self._blockcut = None
-        self._distances = {}
-
-    @classmethod
-    def derived(cls, graph, base_kernel, *, topology_changed: bool) -> "GraphKernel":
-        """A kernel for a delta-derived graph, carrying what stays valid.
-
-        Selective invalidation of the memoised kernel objects: when the
-        delta only relabeled ports (``topology_changed=False``, node handles
-        and the edge set unchanged) the base's BFS distance arrays are pure
-        topology facts and carry over verbatim, and the block-cut tree's
-        O(n) DFS structure carries via :meth:`BlockCutTree.rebound` (its
-        port queries read the new CSR at query time).  Any topology change
-        drops both — they are rebuilt lazily on first use.
-        """
-        kernel = cls(graph)
-        if not topology_changed:
-            kernel._distances = dict(base_kernel._distances)
-            if base_kernel._blockcut is not None:
-                kernel._blockcut = base_kernel._blockcut.rebound(graph.csr())
-        return kernel
-
-    @property
-    def csr(self) -> CSRGraph:
-        """The graph's CSR view (memoised on the graph instance itself)."""
-        return self.graph.csr()
-
-    def block_cut_tree(self) -> BlockCutTree:
-        """The graph's block-cut tree (built on first request)."""
-        if self._blockcut is None:
-            self._blockcut = BlockCutTree(self.csr)
-        return self._blockcut
-
-    def distances_from(self, source: int):
-        """BFS hop distances from ``source`` to every node (memoised array)."""
-        cached = self._distances.get(source)
-        if cached is None:
-            cached = bfs_distances_csr(self.csr, source)
-            self._distances[source] = cached
-        return cached
-
-    def estimated_bytes(self) -> int:
-        """Rough retained footprint of the kernel objects (bytes).
-
-        The CSR arrays are counted exactly; the block-cut tree is charged at
-        a flat per-node rate (its arrays and maps are all O(n)).  Feeds the
-        runner cache's eviction accounting.
-        """
-        total = self.graph.csr().nbytes()
-        if self._blockcut is not None:
-            total += 48 * self.graph.num_nodes
-        # a snapshot: a pool thread may memoise another source meanwhile
-        for distances in list(self._distances.values()):
-            total += len(distances) * distances.itemsize
-        return total

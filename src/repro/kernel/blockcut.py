@@ -129,25 +129,6 @@ class BlockCutTree:
             self._articulation.add(root)
 
     # ------------------------------------------------------------------ #
-    def rebound(self, csr: CSRGraph) -> "BlockCutTree":
-        """A copy of this tree bound to ``csr`` (same topology, new ports).
-
-        The DFS structure (tin/tout/low/parent/children, blocks,
-        articulation points) is a pure fact of the *topology*, but the port
-        queries (:meth:`starts_simple_path`, :meth:`class_port_ok`) read the
-        bound CSR's port tables at query time — so after a ports-only graph
-        delta the O(n) structure can be carried verbatim while the binding
-        moves to the mutated CSR.  The caller guarantees ``csr`` encodes the
-        same node handles and edge set; this instance is not modified.
-        """
-        clone = BlockCutTree.__new__(BlockCutTree)
-        clone._csr = csr
-        for slot in self.__slots__:
-            if slot != "_csr":
-                setattr(clone, slot, getattr(self, slot))
-        return clone
-
-    # ------------------------------------------------------------------ #
     # structure accessors
     # ------------------------------------------------------------------ #
     @property

@@ -17,6 +17,11 @@ one Python object dereference per edge visit.  The arrays use the standard
 installed, shifts the offsets suffix in :meth:`CSRGraph.patched`, and the
 refinement engine's vector passes read the arrays through zero-copy views
 typed by each array's own typecode.
+
+The view also memoises what those loops derive from it: the dart
+involution, the block-cut tree and one BFS distance array per source, so
+every consumer of one graph, and of every equal instance that shares its
+view, builds each at most once.
 """
 
 from __future__ import annotations
@@ -38,7 +43,11 @@ class CSRGraph:
 
     Instances are immutable by convention (the arrays are never written after
     construction) and are memoised per graph by
-    :meth:`repro.portgraph.graph.PortLabeledGraph.csr`.
+    :meth:`repro.portgraph.graph.PortLabeledGraph.csr`; the runner's cache
+    hands a cached instance's view to every equal request graph
+    (:meth:`~repro.portgraph.graph.PortLabeledGraph.adopt_from`), so the
+    memos below are built once per graph the cache holds.  Two threads may
+    build one memo at once; both results are equal, and either is kept.
     """
 
     __slots__ = (
@@ -48,6 +57,8 @@ class CSRGraph:
         "neighbors",
         "reverse_ports",
         "_twin_darts",
+        "_blockcut",
+        "_distances",
     )
 
     def __init__(
@@ -64,6 +75,8 @@ class CSRGraph:
         self.neighbors = neighbors
         self.reverse_ports = reverse_ports
         self._twin_darts = None  # built on first access (message routing)
+        self._blockcut = None  # built on first access (ψ_PE)
+        self._distances = {}  # source -> BFS distances (ψ_PPE/ψ_CPPE pruning)
 
     @property
     def twin_darts(self) -> array:
@@ -86,13 +99,37 @@ class CSRGraph:
             )
         return self._twin_darts
 
+    def block_cut_tree(self):
+        """The graph's :class:`~repro.kernel.blockcut.BlockCutTree` (built on first request)."""
+        if self._blockcut is None:
+            from .blockcut import BlockCutTree  # lazy: blockcut imports this module
+
+            self._blockcut = BlockCutTree(self)
+        return self._blockcut
+
+    def distances_from(self, source: int) -> array:
+        """BFS hop distances from ``source`` to every node (memoised per source)."""
+        cached = self._distances.get(source)
+        if cached is None:
+            cached = bfs_distances_csr(self, source)
+            self._distances[source] = cached
+        return cached
+
     def nbytes(self) -> int:
-        """Exact footprint of the materialised arrays (bytes)."""
-        total = 0
-        for arr in (self.offsets, self.neighbors, self.reverse_ports):
-            total += len(arr) * arr.itemsize
+        """Footprint of the arrays and the memos built so far (bytes).
+
+        The arrays are counted exactly; the block-cut tree is charged at a
+        flat per-node rate (its arrays and maps are all O(n)).  Feeds the
+        runner cache's eviction accounting.
+        """
+        arrays = [self.offsets, self.neighbors, self.reverse_ports]
         if self._twin_darts is not None:
-            total += len(self._twin_darts) * self._twin_darts.itemsize
+            arrays.append(self._twin_darts)
+        # a snapshot: a pool thread may memoise another source meanwhile
+        arrays.extend(list(self._distances.values()))
+        total = sum(len(arr) * arr.itemsize for arr in arrays)
+        if self._blockcut is not None:
+            total += 48 * self.num_nodes
         return total
 
     # ------------------------------------------------------------------ #
@@ -122,11 +159,9 @@ class CSRGraph:
         this instance's arrays (a C-level memcpy per row); only touched rows
         — and rows adjacent to a renamed handle, whose neighbour ids must be
         rewritten — are rebuilt entry-by-entry.  The returned view is a
-        fresh instance, so this one's arrays and its lazily-built
-        ``twin_darts`` memo are untouched (delta consumers
-        invalidate those implicitly by starting from a clean instance; the
-        kernel-level memos are carried or dropped by
-        :meth:`repro.kernel.GraphKernel.derived`).
+        fresh instance with no memos, so this one's arrays and memos are
+        untouched and the mutated graph builds its own dart involution,
+        block-cut tree and BFS distances on first use.
 
         Byte-identical to ``build_csr(result.graph)`` — certified by the
         delta equivalence suite.

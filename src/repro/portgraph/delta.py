@@ -37,8 +37,7 @@ the mutated graph, exactly the bookkeeping the incremental kernel needs:
 * ``node_map`` — new handle → base handle (``-1`` for freshly joined nodes),
 * ``touched`` — new handles whose *port table content* differs from their
   base counterpart's (handle renames alone do not touch a node),
-* ``renamed`` — base handle → new handle for handles moved by node removal,
-* ``topology_changed`` — ``False`` iff every op is a port relabeling.
+* ``renamed`` — base handle → new handle for handles moved by node removal.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ class DeltaResult:
     touched: Tuple[int, ...]
     #: base handle -> new handle, only for handles moved by node removal.
     renamed: Dict[int, int]
-    #: False iff the delta is purely port relabelings (same topology).
-    topology_changed: bool
 
 
 def _int_field(op: dict, field: str) -> int:
@@ -128,10 +125,6 @@ class GraphDelta:
     def edit_distance(self) -> int:
         """Number of ops — the x-axis of the E19 speedup curve."""
         return len(self._ops)
-
-    @property
-    def topology_changed(self) -> bool:
-        return any(op[0] != "relabel-ports" for op in self._ops)
 
     def digest(self) -> str:
         """A stable content digest of the script (response stanza, graph name)."""
@@ -342,5 +335,4 @@ class GraphDelta:
             node_map=tuple(node_map),
             touched=tuple(sorted(touched)),
             renamed=renamed,
-            topology_changed=self.topology_changed,
         )

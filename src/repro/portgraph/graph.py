@@ -257,24 +257,21 @@ class PortLabeledGraph:
         """Share what an equal instance has already computed, computing nothing.
 
         Used by the runner's cache when a request graph equals a cached
-        instance: the request graph takes over the cached CSR view, the
-        engine once it has reached its fixpoint (it never refines again, so
-        sharing it is safe), and the fingerprint once computed.  A later
-        :meth:`fingerprint` of the request graph then costs no refinement
-        pass outside the cache's ledger.  State this instance already built
-        itself is kept.  The caller guarantees ``other == self``.
+        instance: the request graph takes over the cached CSR view (with
+        its block-cut tree and BFS distance memos), the engine at whatever
+        depth it has reached, and the fingerprint once computed.  The engine
+        locks each pass and each read, so instances that share it may refine
+        it from several threads at once.  A later :meth:`fingerprint` of the
+        request graph then runs its passes on the cached engine, inside the
+        cache's ledger.  State this instance already built itself is kept.
+        The caller guarantees ``other == self``.
         """
         if other is self:
             return
         if self._csr is None:
             self._csr = other._csr
         engine = other._engine
-        if (
-            self._engine is None
-            and engine is not None
-            and engine.stable_depth is not None
-            and engine.csr is self._csr
-        ):
+        if self._engine is None and engine is not None and engine.csr is self._csr:
             self._engine = engine
         if self._fingerprint is None:
             self._fingerprint = other._fingerprint

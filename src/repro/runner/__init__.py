@@ -27,7 +27,6 @@ from .cache import (
     CacheEntry,
     RefinementCache,
     refinement_cache,
-    shared_kernel,
     shared_refinement,
 )
 from .results import ResultTable
@@ -48,7 +47,6 @@ __all__ = [
     "RefinementCache",
     "refinement_cache",
     "shared_refinement",
-    "shared_kernel",
     "GraphSpec",
     "SweepSpec",
     "graph_kinds",

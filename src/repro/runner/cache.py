@@ -49,7 +49,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..kernel import GraphKernel
 from ..portgraph.graph import PortLabeledGraph
 from ..store import ArtifactRecord, ArtifactStore
 from ..views.refinement import ViewRefinement
@@ -59,7 +58,6 @@ __all__ = [
     "RefinementCache",
     "refinement_cache",
     "shared_refinement",
-    "shared_kernel",
 ]
 
 #: Default number of entries (exact graphs) kept by the process-wide cache.
@@ -67,7 +65,7 @@ DEFAULT_MAXSIZE = 128
 
 
 class CacheEntry:
-    """One cached graph: its refinement and kernel plus a memo of derived results.
+    """One cached graph: its refinement plus a memo of derived results.
 
     ``memo`` maps hashable query keys -- e.g. ``("psi", "PPE", max_depth,
     max_states)`` or ``("feasible",)`` -- to previously computed answers.
@@ -75,33 +73,32 @@ class CacheEntry:
     key's own parameters), so replaying a sweep can skip not only the
     refinement passes but also the expensive PPE/CPPE joint searches.
 
-    ``kernel`` is the graph's :class:`~repro.kernel.GraphKernel`: the lazily
-    built CSR view, block-cut tree and per-source BFS distance arrays.  It is
-    cached alongside the refinement so a warm sweep skips block-cut-tree
-    construction (ψ_PE) and distance precomputation (ψ_PPE/ψ_CPPE pruning)
-    exactly as it skips refinement passes.
+    The graph's block-cut tree (ψ_PE) and BFS distance arrays (ψ_PPE/ψ_CPPE
+    pruning) are memoised on its CSR view
+    (:class:`~repro.kernel.csr.CSRGraph`), which a hit hands to the request
+    graph with the engine, so a warm sweep skips their construction exactly
+    as it skips refinement passes.
     """
 
-    __slots__ = ("graph", "refinement", "kernel", "memo")
+    __slots__ = ("graph", "refinement", "memo")
 
     def __init__(self, graph: PortLabeledGraph, refinement: ViewRefinement) -> None:
         self.graph = graph
         self.refinement = refinement
-        self.kernel = GraphKernel(graph)
         self.memo: Dict[Tuple, object] = {}
 
     def estimated_bytes(self) -> int:
         """Rough retained footprint of this entry (bytes).
 
-        Sums the refinement engine's per-depth state, the kernel objects
-        (CSR arrays, block-cut tree, BFS distance arrays) and a flat charge
-        per memo entry.  Evicting the entry releases all of it together --
-        the engine and CSR view are memoised on the graph instance, whose
-        only long-lived reference is this entry.
+        Sums the refinement engine's per-depth state, the CSR view with its
+        memos (block-cut tree, BFS distance arrays) and a flat charge per
+        memo entry.  Evicting the entry releases all of it together -- the
+        engine and CSR view are memoised on the graph instance, whose only
+        long-lived reference is this entry.
         """
         return (
             self.graph.refinement_engine().estimated_bytes()
-            + self.kernel.estimated_bytes()
+            + self.graph.csr().nbytes()
             + 64 * len(self.memo)
         )
 
@@ -156,11 +153,13 @@ class RefinementCache:
         """The cache entry of ``graph`` (created on first request).
 
         On a hit by an equal but distinct instance, ``graph`` adopts what the
-        cached instance has already computed (CSR view, stable engine,
-        fingerprint; :meth:`~repro.portgraph.graph.PortLabeledGraph.adopt_from`),
-        as a store hit adopts the record's fingerprint, so the caller's own
-        later ``graph.fingerprint()`` refines nothing outside the ledger.
-        Nothing is refined under the lock.
+        cached instance holds (CSR view with its memos, engine at whatever
+        depth it has reached, fingerprint;
+        :meth:`~repro.portgraph.graph.PortLabeledGraph.adopt_from`), as a
+        store hit adopts the record's fingerprint, so the caller's own later
+        ``graph.fingerprint()`` refines nothing outside the ledger.  Nothing
+        is refined under the lock.  Callers look a graph up once per
+        evaluation, so ``hits`` and ``misses`` count queries.
 
         With a store attached, an in-memory miss first *reads through* the
         store: a record of an exactly equal graph warm-starts the entry
@@ -209,8 +208,8 @@ class RefinementCache:
             self._retire_locked(previous)
         self._entries[entry.graph] = entry
         while len(self._entries) > self._maxsize:
-            # the entry's kernel objects (CSR, block-cut tree, BFS distance
-            # arrays) go with it, accounted in evicted_bytes
+            # the entry's CSR view and its memos (block-cut tree, BFS
+            # distance arrays) go with it, accounted in evicted_bytes
             _graph, evicted = self._entries.popitem(last=False)
             self._evictions += 1
             self._retire_locked(evicted)
@@ -239,12 +238,12 @@ class RefinementCache:
 
         Applies the :class:`~repro.portgraph.delta.GraphDelta`, then derives
         the mutated graph's entry from the base's instead of refining cold:
-        the CSR view is patched (:meth:`~repro.kernel.csr.CSRGraph.patched`),
-        the partitions are replayed over the dirty ball
-        (:func:`~repro.kernel.refine.refinement_delta`) and the kernel memos
-        are carried selectively (:meth:`~repro.kernel.GraphKernel.derived`).
-        If the exact mutated graph is already cached (memory or store), that
-        entry wins and no replay happens.
+        the CSR view is patched (:meth:`~repro.kernel.csr.CSRGraph.patched`,
+        a fresh view whose block-cut tree and BFS distances are built on
+        first use) and the partitions are replayed over the dirty ball
+        (:func:`~repro.kernel.refine.refinement_delta`).  If the exact
+        mutated graph is already cached (memory or store), that entry wins
+        and no replay happens.
 
         **Memo invalidation.**  A derived entry inherits none of the base's
         memos: every ψ index is supported by *all* classes of the graph,
@@ -312,17 +311,13 @@ class RefinementCache:
         if events is not None:
             events.append("replayed")
         entry = CacheEntry(graph, ViewRefinement(graph))
-        entry.kernel = GraphKernel.derived(
-            graph, base_entry.kernel, topology_changed=result.topology_changed
-        )
         with self._lock:
             # computing the base above may have admitted an entry for this
             # very labeling (a delta that composes back to the identity):
             # replace it -- pop, then insert, so the key becomes this graph
-            # instance and a later lookup (persist() in particular) finds
-            # the entry just returned.  Equality is exact labeled equality,
-            # so the old entry's memos answer for the same graph and carry
-            # over soundly.
+            # instance and a later lookup finds the entry just returned.
+            # Equality is exact labeled equality, so the old entry's memos
+            # answer for the same graph and carry over soundly.
             stored = self._entries.pop(graph, None)
             if stored is not None:
                 self._retire_locked(stored)
@@ -361,23 +356,23 @@ class RefinementCache:
         with self._lock:
             self._store = store
 
-    def persist(self, graph: PortLabeledGraph) -> bool:
-        """Write-through the entry of ``graph`` to the attached store.
+    def persist(self, entry: CacheEntry) -> bool:
+        """Write-through ``entry`` to the attached store.
 
-        Ensures the entry exists (computing it if needed), snapshots its
-        memoised answers (feasibility, ψ_Z outcomes, view-class profiles)
-        into an :class:`~repro.store.record.ArtifactRecord`, merges it
-        with any record already stored for the exact labeled graph, and
-        puts the result.  The record is a pure function of the graph and
-        its memo, so a delta-replayed entry and a cold one write the same
-        bytes.  Returns whether bytes were written (``False`` both when no
-        store is attached and when the stored record was already up to
-        date).
+        Takes the entry the caller already holds (from :meth:`entry` or
+        :meth:`delta_entry`) and looks nothing up in this cache, so a write
+        counts no hit.  Snapshots the entry's memoised answers (feasibility,
+        ψ_Z outcomes, view-class profiles) into an
+        :class:`~repro.store.record.ArtifactRecord`, merges it with any
+        record already stored for the exact labeled graph, and puts the
+        result.  The record is a pure function of the graph and its memo,
+        so a delta-replayed entry and a cold one write the same bytes.
+        Returns whether bytes were written (``False`` both when no store is
+        attached and when the stored record was already up to date).
         """
         store = self._store
         if store is None:
             return False
-        entry = self.entry(graph)
         # the record's answer sections come from entry.memo alone: a
         # delta-derived entry starts with an empty memo (its base's ψ
         # outcomes are never inherited — see delta_entry), so nothing stale
@@ -420,7 +415,7 @@ class RefinementCache:
 
     @property
     def evicted_bytes(self) -> int:
-        """Estimated bytes released by evictions (refinements *and* kernels)."""
+        """Estimated bytes released by evictions (refinements *and* CSR views)."""
         return self._evicted_bytes
 
     @property
@@ -462,11 +457,3 @@ def shared_refinement(graph: PortLabeledGraph) -> ViewRefinement:
     """The process-wide memoised :class:`ViewRefinement` of ``graph``."""
     return refinement_cache.get(graph)
 
-
-def shared_kernel(graph: PortLabeledGraph) -> GraphKernel:
-    """The process-wide memoised :class:`~repro.kernel.GraphKernel` of ``graph``.
-
-    Lives on the same cache entry as the refinement, so one lookup warms both
-    and eviction drops both together.
-    """
-    return refinement_cache.entry(graph).kernel

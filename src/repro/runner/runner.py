@@ -45,16 +45,18 @@ __all__ = [
 def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> Dict[str, Any]:
     """Evaluate one built graph into a flat result record.
 
-    Fetches the graph's entry from the process-wide refinement cache and
-    answers every requested query against that one refinement.  Feasibility,
-    the ψ_Z values (keyed by their search parameters) and the view-class
-    profiles (keyed by depth) are memoised on the entry, so replaying a
-    sweep skips the PPE/CPPE joint searches as well as the refinement
-    passes; with a store attached the entry's memo may arrive warm from
-    disk, and the computed outcome is written through at the end.  A PPE
-    or CPPE search that exceeds ``sweep.max_states`` records ``None`` for
-    the index and lists the task under ``search_limited`` instead of
-    aborting the whole sweep.
+    Fetches the graph's entry from the process-wide refinement cache once
+    and answers every requested query against that one refinement (the
+    ψ_PE block-cut tree and the ψ_PPE/ψ_CPPE distances come from the
+    graph's CSR view, which a hit shares).  Feasibility, the ψ_Z values
+    (keyed by their search parameters) and the view-class profiles (keyed
+    by depth) are memoised on the entry, so replaying a sweep skips the
+    PPE/CPPE joint searches as well as the refinement passes; with a store
+    attached the entry's memo may arrive warm from disk, and the computed
+    outcome is written through from the same entry at the end.  A PPE or
+    CPPE search that exceeds ``sweep.max_states`` records ``None`` for the
+    index and lists the task under ``search_limited`` instead of aborting
+    the whole sweep.
 
     The PPE and CPPE depth searches start at the memoised exact index of
     the next-weaker shade (ψ_PE, respectively ψ_PPE) when one was computed
@@ -166,7 +168,7 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict
         # write through only when this evaluation computed something new --
         # a fully warm replay (every answer memoised, possibly straight from
         # the store) skips the record re-encode and disk compare entirely
-        refinement_cache.persist(graph)
+        refinement_cache.persist(entry)
     if profile_span.recording:
         after = _cheap_counters()
         tags = {key: after[key] - before[key] for key in after}

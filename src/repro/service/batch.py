@@ -239,14 +239,11 @@ class BatchCoordinator:
         service: ElectionService,
         *,
         max_items: int = MAX_BATCH_ITEMS,
-        default_window: Optional[int] = None,
     ) -> None:
         self._service = service
         self._max_items = max_items
         # sized to the compute pool's width, the service's genuine overlap
-        self._default_window = default_window or min(
-            MAX_WINDOW, max(DEFAULT_WINDOW, 2 * service.concurrency)
-        )
+        self._default_window = min(MAX_WINDOW, max(DEFAULT_WINDOW, 2 * service.concurrency))
         self._sweeps: "OrderedDict[str, SweepStatus]" = OrderedDict()
         self._lock = threading.Lock()
         self._counters = {"batches": 0, "batch_items": 0, "batch_errors": 0, "cancelled": 0}

@@ -67,10 +67,8 @@ REQUEST_TIMEOUT = 60.0
 TRACE_RING_SIZE = 64
 #: Rows kept in the ``/stats`` ``slowest`` table.
 SLOWEST_TABLE_SIZE = 10
-#: Default slow-request log threshold (seconds); env override below.
+#: Default slow-request log threshold (seconds).
 DEFAULT_SLOW_REQUEST_S = 1.0
-#: Environment override for the slow-request threshold.
-SLOW_REQUEST_ENV_VAR = "REPRO_SLOW_REQUEST_S"
 
 _STATUS_TEXT = {
     200: "OK",
@@ -184,13 +182,9 @@ class ElectionServer:
         self._trace_serial = itertools.count(1)
         self._recent_traces: "deque[Dict[str, Any]]" = deque(maxlen=TRACE_RING_SIZE)
         self._slowest: List[Dict[str, Any]] = []
-        if slow_request_s is None:
-            raw = os.environ.get(SLOW_REQUEST_ENV_VAR, "")
-            try:
-                slow_request_s = float(raw) if raw else DEFAULT_SLOW_REQUEST_S
-            except ValueError:
-                slow_request_s = DEFAULT_SLOW_REQUEST_S
-        self._slow_request_s = slow_request_s
+        self._slow_request_s = (
+            DEFAULT_SLOW_REQUEST_S if slow_request_s is None else slow_request_s
+        )
         self._slow_log = slow_log if slow_log is not None else (
             lambda message: print(message, file=sys.stderr)
         )
@@ -291,9 +285,6 @@ class ElectionServer:
                 "Records in the artifact store's objects directory.",
                 callback=lambda: store.stats()["records"],
             )
-
-    def _last_trace_serial(self) -> int:
-        return self._trace_count
 
     _trace_count = 0
 

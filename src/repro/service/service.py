@@ -242,7 +242,9 @@ class ElectionService:
     workers:
         Size of the bounded compute pool.
     default_max_states:
-        PPE/CPPE search budget applied when a query does not set one.
+        PPE/CPPE search budget applied when a query does not set one.  A
+        budget a query could not set (no positive integer) raises
+        ``ValueError`` here, not a 400 on every query that leaves it out.
 
     The service configures no caching: the refinement cache keeps its one
     LRU, and every answer is the same whichever layer it is found in.
@@ -257,6 +259,10 @@ class ElectionService:
     ) -> None:
         from .workers import ThreadBackend  # deferred: workers.py imports this module
 
+        if not is_json_int(default_max_states) or default_max_states < 1:
+            raise ValueError(
+                f"max_states must be a positive integer, got {default_max_states!r}"
+            )
         self._backend = ThreadBackend(workers=workers)
         self._store = store
         self._workers = workers

@@ -73,6 +73,9 @@ _AMBIGUOUS = b"ambiguous"
 #: an explicit format check (``ValueError``) or an out-of-range varint read
 #: (``IndexError``).
 _DECODE_ERRORS = (ValueError, IndexError)
+#: Age (seconds) past which :meth:`ArtifactStore.compact` removes a temp
+#: file: a live writer renames its temp file well within it.
+TMP_GRACE_SECONDS = 60.0
 
 _logger = logging.getLogger(__name__)
 
@@ -319,7 +322,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # compaction / GC
     # ------------------------------------------------------------------ #
-    def compact(self, *, tmp_grace_seconds: float = 60.0) -> Dict[str, int]:
+    def compact(self) -> Dict[str, int]:
         """Garbage-collect the store; returns a summary of what was removed.
 
         Removes:
@@ -327,7 +330,7 @@ class ArtifactStore:
         * quarantined objects (``*.quarantine``) -- already off the read
           path, kept only for forensics;
         * temp files, of objects and of aliases, older than
-          ``tmp_grace_seconds`` (writers that died before ``os.replace``);
+          :data:`TMP_GRACE_SECONDS` (writers that died before ``os.replace``);
         * objects that no longer decode, or whose graph's identity key is
           not their name -- torn writes that predate the quarantine path,
           and every object of an earlier layout.
@@ -344,7 +347,7 @@ class ArtifactStore:
                     age = now - os.stat(path).st_mtime
                 except OSError:
                     continue
-                if age > tmp_grace_seconds and _remove_quietly(path):
+                if age > TMP_GRACE_SECONDS and _remove_quietly(path):
                     removed["tmp"] += 1
             elif name.endswith(_QUARANTINE_SUFFIX):
                 if _remove_quietly(path):

@@ -170,6 +170,19 @@ class TestServeCli:
         assert main(["serve", "--workers", "0"]) == 2
         assert "serve: workers must be at least 1" in capsys.readouterr().err
 
+    def test_serve_refuses_a_search_budget_below_one(self, monkeypatch, capsys):
+        """A server budget no query could set is the operator's error: serve
+        exits before it listens instead of answering 400 to every query
+        that leaves ``max_states`` out."""
+        from repro.service import server as server_module
+
+        def no_listener(*args, **kwargs):
+            raise AssertionError("serve --max-states 0 must fail before listening")
+
+        monkeypatch.setattr(server_module, "ElectionServer", no_listener)
+        assert main(["serve", "--max-states", "0"]) == 2
+        assert "serve: max_states must be a positive integer, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("with_store", [True, False])
     def test_serve_default_flags_give_a_store_a_64_mib_hot_tier(
         self, monkeypatch, tmp_path, with_store

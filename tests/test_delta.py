@@ -97,14 +97,9 @@ class TestGraphDelta:
         ]
         delta = GraphDelta.from_payload(ops)
         assert delta.edit_distance == len(delta) == 5
-        assert delta.topology_changed
         again = GraphDelta.from_payload(delta.to_payload())
         assert again == delta and hash(again) == hash(delta)
         assert again.digest() == delta.digest()
-
-    def test_relabel_only_script_does_not_change_topology(self):
-        delta = GraphDelta([{"op": "relabel-ports", "v": 0, "perm": [1, 0]}])
-        assert not delta.topology_changed
 
     def test_rejects_malformed_payloads(self):
         with pytest.raises(DeltaError):
@@ -151,7 +146,6 @@ class TestGraphDelta:
         base = generators.grid_graph(3, 3)
         result = GraphDelta([{"op": "remove-node", "v": 4}]).apply_to(base)
         assert result.graph.num_nodes == base.num_nodes - 1
-        assert result.topology_changed
         # node_map is new handle -> base handle: 4 is gone, the rest survive
         assert 4 not in result.node_map
         assert sorted(result.node_map) == [v for v in range(base.num_nodes) if v != 4]
@@ -359,7 +353,7 @@ class TestDeltaEntry:
         store = ArtifactStore(tmp_path / "full")
         writer = RefinementCache()
         writer.attach_store(store)
-        assert writer.persist(mutated)
+        assert writer.persist(writer.entry(mutated))
         cache = RefinementCache()
         cache.attach_store(store)
         cache.delta_entry(base, delta)

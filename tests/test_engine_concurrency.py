@@ -24,7 +24,7 @@ import threading
 import pytest
 
 import repro
-from repro.kernel import GraphKernel, numpy_available
+from repro.kernel import numpy_available
 from repro.portgraph import generators
 
 #: ``beacon-tail(blob=100, tail=400, seed=3)``: 500 nodes, fixpoint at depth
@@ -122,6 +122,51 @@ print(json.dumps(asyncio.run(main()), default=str))
 """
 
 
+_LEDGER_CHILD = """
+import asyncio, json, sys, threading
+from repro.kernel.refine import CSRPartitionRefinement
+from repro.runner import refinement_cache
+from repro.service import ElectionService
+
+spec, seeds, threads = json.loads(sys.argv[1])
+task_lists = [["S"], ["PE"], ["S", "PE"], ["PE", "S"]][:threads]
+counted_lock = threading.Lock()
+real = [0]
+refine_once = CSRPartitionRefinement._refine_once
+
+
+def counted(self):
+    with counted_lock:
+        real[0] += 1
+    return refine_once(self)
+
+
+CSRPartitionRefinement._refine_once = counted
+
+
+async def main():
+    service = ElectionService(workers=threads)
+    try:
+        readings = []
+        for seed in seeds:
+            refinement_cache.clear()
+            real[0] = 0
+            graph_spec = {"kind": spec["kind"], "params": dict(spec["params"], seed=seed)}
+            await asyncio.gather(
+                *(service.query({"spec": graph_spec, "tasks": tasks}) for tasks in task_lists)
+            )
+            readings.append(
+                {"seed": seed, "real": real[0], "ledger": refinement_cache.refinement_passes}
+            )
+        return readings
+    finally:
+        service.close()
+
+
+print(json.dumps(asyncio.run(main())))
+"""
+
+
 def _run_child(source: str, argument) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
@@ -155,23 +200,35 @@ def test_concurrent_queries_of_one_graph_answer_as_serial_queries_do():
     assert report["wrong"] == 0, report["seen"]
 
 
-def test_sizing_a_kernel_while_a_thread_memoises_distances_does_not_raise():
+def test_concurrent_task_lists_run_only_the_passes_the_ledger_counts():
+    """Four concurrent task lists of one graph share its cache entry, and
+    every refinement pass their requests run (the fingerprint of each
+    response included) is one the cache's ``refinement_passes`` counts."""
+    readings = _run_child(_LEDGER_CHILD, [BEACON_TAIL, list(range(5)), THREADS])
+    assert all(reading["ledger"] > 0 for reading in readings), readings
+    assert [reading["real"] for reading in readings] == [
+        reading["ledger"] for reading in readings
+    ], readings
+
+
+def test_sizing_a_csr_view_while_a_thread_memoises_distances_does_not_raise():
     """The cache sizes entries (eviction, ``/stats``) while pool threads
-    memoise BFS arrays in the same kernel."""
+    memoise BFS arrays on the same CSR view."""
     graph = generators.random_connected_graph(400, extra_edges=200, seed=1)
-    kernel = GraphKernel(graph)
+    csr = graph.csr()
+    bare = csr.nbytes()
     done = threading.Event()
     errors = []
 
     def memoise() -> None:
         for source in range(graph.num_nodes):
-            kernel.distances_from(source)
+            csr.distances_from(source)
         done.set()
 
     def size() -> None:
         while not done.is_set():
             try:
-                kernel.estimated_bytes()
+                csr.nbytes()
             except RuntimeError as error:
                 errors.append(error)
                 return
@@ -187,4 +244,4 @@ def test_sizing_a_kernel_while_a_thread_memoises_distances_does_not_raise():
     finally:
         sys.setswitchinterval(previous)
     assert errors == []
-    assert kernel.estimated_bytes() > graph.csr().nbytes()
+    assert csr.nbytes() > bare

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import BlockCutTree, GraphKernel, bfs_distances_csr, build_csr
+from repro.kernel import BlockCutTree, bfs_distances_csr, build_csr
 from repro.portgraph import generators
 from repro.portgraph.paths import bfs_distances, reachable_without
 
@@ -197,19 +197,29 @@ class TestClassPortScreen:
         assert calls == [(v, port, target) for v in members]
 
 
-class TestGraphKernel:
-    def test_kernel_memoises_blockcut_and_distances(self):
+class TestCSRMemos:
+    def test_csr_view_memoises_blockcut_and_distances(self):
         graph = generators.random_connected_graph(9, extra_edges=3, seed=1)
-        kernel = GraphKernel(graph)
-        assert kernel.csr is graph.csr()
-        assert kernel.block_cut_tree() is kernel.block_cut_tree()
-        assert kernel.distances_from(2) is kernel.distances_from(2)
-        assert list(kernel.distances_from(2)) == bfs_distances(graph, 2)
+        csr = graph.csr()
+        bare = csr.nbytes()
+        assert csr.block_cut_tree() is csr.block_cut_tree()
+        assert csr.distances_from(2) is csr.distances_from(2)
+        assert list(csr.distances_from(2)) == bfs_distances(graph, 2)
+        # both memos are sized with the view, for the cache's eviction bytes
+        assert csr.nbytes() > bare
 
-    def test_shared_kernel_lives_on_the_cache_entry(self):
-        from repro.runner import refinement_cache, shared_kernel
+    def test_an_equal_graph_shares_the_cached_view_and_its_memos(self):
+        from repro.runner import RefinementCache
 
-        graph = generators.asymmetric_cycle(7)
-        kernel = shared_kernel(graph)
-        assert shared_kernel(graph) is kernel
-        assert refinement_cache.entry(graph).kernel is kernel
+        cache = RefinementCache()
+        cached = generators.asymmetric_cycle(7)
+        entry = cache.entry(cached)
+        tree = cached.csr().block_cut_tree()
+        distances = cached.csr().distances_from(0)
+        request = generators.asymmetric_cycle(7)
+        assert cache.entry(request) is entry
+        assert request.csr() is cached.csr()
+        assert request.csr().block_cut_tree() is tree
+        assert request.csr().distances_from(0) is distances
+        # the engine has run no pass yet, and is shared all the same
+        assert request.refinement_engine() is cached.refinement_engine()

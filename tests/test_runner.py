@@ -299,6 +299,27 @@ class TestRunner:
         assert after["hits"] > before["hits"]
         assert second.table == first.table
 
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_each_evaluation_looks_its_graph_up_once(
+        self, tmp_path, isolated_refinement_cache, with_store
+    ):
+        """ψ_PE's block-cut tree and ψ_PPE/ψ_CPPE's distances live on the
+        CSR view and the write-through takes the held entry, so the cache's
+        ``hits`` and ``misses`` count evaluations, not lookups."""
+        sweep = SweepSpec.make(
+            [
+                GraphSpec.make("asymmetric-cycle", n=5),
+                GraphSpec.make("asymmetric-cycle", n=6),
+                GraphSpec.make("star", leaves=4),
+            ],
+            tasks=Task.ordered(),
+        )
+        runner = ExperimentRunner(store_path=str(tmp_path) if with_store else None)
+        cold = runner.run(sweep).cache_stats
+        assert (cold["hits"], cold["misses"]) == (0, 3)
+        replay = runner.run(sweep).cache_stats
+        assert (replay["hits"], replay["misses"]) == (3, 3)
+
     def test_parallel_and_serial_tables_are_byte_identical(self):
         sweep = self._sweep()
         serial = ExperimentRunner().run(sweep)

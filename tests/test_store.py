@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import Task
 from repro.families import build_gdk_member
-from repro.kernel import numpy_available, use_backend
+from repro.kernel import build_csr, numpy_available, use_backend
 from repro.portgraph import generators
 from repro.portgraph.io import graph_from_bytes, graph_to_bytes, graph_to_dict, write_uvarint
 from repro.runner import (
@@ -427,7 +427,7 @@ class TestArtifactStore:
         assert entry.refinement.ensure_stable() >= 0
         assert cache.stats()["store_misses"] == 1
         # ...and the write-through replaces the corrupt incumbent
-        assert cache.persist(entry.graph) is True
+        assert cache.persist(entry) is True
         assert store.get(key) is not None
 
     def test_put_replaces_a_torn_incumbent_whose_decode_overruns(self, tmp_path):
@@ -1260,11 +1260,11 @@ class TestCacheStoreIntegration:
         warm_cache.attach_store(store)
         for spec in sweep.graphs:
             graph = spec.build()
-            warm_cache.entry(graph)
+            entry = warm_cache.entry(graph)
             evaluate_graph(graph, sweep)  # populates the process-wide memo
             # copy the memoised outcomes onto the cache under test and persist
-            warm_cache.entry(graph).memo.update(refinement_cache.entry(graph).memo)
-            warm_cache.persist(graph)
+            entry.memo.update(refinement_cache.entry(graph).memo)
+            warm_cache.persist(entry)
         assert store.stats()["records"] == 2
         cold_passes = real_refinement_passes.count
         assert cold_passes == refinement_cache.refinement_passes > 0
@@ -1306,12 +1306,15 @@ class TestCacheStoreIntegration:
         for graph in graphs:
             entry = cache.entry(graph)
             entry.refinement.ensure_stable()
-            entry.kernel.block_cut_tree()  # kernel state must be accounted too
-            entry.kernel.distances_from(0)
+            # the CSR view's memos must be accounted too
+            entry.graph.csr().block_cut_tree()
+            entry.graph.csr().distances_from(0)
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["evicted_bytes"] > 0
         assert stats["live_bytes"] > 0
-        # an entry's estimate covers refinement + kernel, so the evicted
-        # bytes are at least the CSR arrays of the evicted graph
-        assert stats["evicted_bytes"] >= graphs[0].csr().nbytes()
+        # an entry's estimate covers refinement + CSR view and memos, so the
+        # evicted bytes are at least the evicted graph's view with its memos
+        evicted_view = graphs[0].csr().nbytes()
+        assert evicted_view > build_csr(graphs[0]).nbytes()
+        assert stats["evicted_bytes"] >= evicted_view
