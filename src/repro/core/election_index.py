@@ -20,15 +20,18 @@ view ``B^t``, the indices admit exact combinatorial characterisations:
   traces a simple path from each member to ``u``.
 
 ψ_S and ψ_PE are computed in polynomial time.  ψ_PPE and ψ_CPPE use an exact
-joint breadth-first search over common sequences, which is exponential in the
-worst case but bounded by ``max_states`` (raising :class:`SearchLimitExceeded`
-rather than silently guessing).
+joint search over common sequences, which is exponential in the worst case
+but bounded by ``max_states`` (raising :class:`SearchLimitExceeded` rather
+than silently guessing).  The indices only ask whether a sequence exists, so
+their search runs best-first, stops at its first hit and answers each
+(leader, class) once per index; :func:`path_election_assignment`, whose
+sequences are an output, finds them breadth-first, so each is a shortest one.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..kernel.csr import bfs_distances_csr
 from ..portgraph.graph import PortLabeledGraph
@@ -219,25 +222,42 @@ def port_election_index(
 # --------------------------------------------------------------------------- #
 # ψ_PPE and ψ_CPPE
 # --------------------------------------------------------------------------- #
-def _common_path_sequence(
+def _joint_search(
     graph: PortLabeledGraph,
     members: Sequence[int],
     leader: int,
     *,
     complete: bool,
+    witness: bool,
     max_length: Optional[int] = None,
     max_states: int = 200_000,
     max_cells: Optional[int] = None,
     distances=None,
-) -> Optional[Tuple[int, ...]]:
-    """A common port sequence tracing a simple path from every member to ``leader``.
+) -> Union[Tuple[int, ...], bool, None]:
+    """The joint search over common sequences from ``members`` to ``leader``.
 
-    For ``complete=False`` the sequence is the PPE-style outgoing ports
-    ``(p1, ..., pk)``; for ``complete=True`` it is the CPPE-style flat
-    ``(p1, q1, ..., pk, qk)``.  Returns ``None`` if no common sequence of
-    length at most ``max_length`` exists.
+    A state is the members' positions with their visited sets.  A step
+    moves every member through the same outgoing port (and, for
+    ``complete=True``, into the same incoming port) to a node its path has
+    not visited.  Paths are simple, so a state fixes its step count (its
+    visited sets hold the start plus one node per step), and every cut
+    depends on the state alone.  A search that fails therefore stores the
+    same closure of states in any order: the same states, the same cells
+    and the same limit verdict.  The caller picks the order:
 
-    Two budgets guard the exponential joint search, both raising
+    * ``witness=True`` pops states by step count, ties in insertion order,
+      which is breadth-first order, and returns the first sequence found, a
+      shortest one (see :func:`_common_path_sequence`), or ``None``.
+    * ``witness=False`` pops the state whose members' largest distance to
+      the leader is smallest, carries no sequence, and returns ``True`` at
+      the first hit or ``False``.  A success stores a different number of
+      states than the breadth-first search, so a verdict at the budget's
+      edge can move; a value cannot.
+
+    The frontier is a heap keyed ``(priority, insertion counter)``, so it
+    never compares states.
+
+    Two budgets guard the exponential search, both raising
     :class:`SearchLimitExceeded`: ``max_states`` bounds the number of stored
     states, and ``max_cells`` bounds their actual int-cell footprint
     (positions plus per-member visited sets; default
@@ -248,12 +268,12 @@ def _common_path_sequence(
     :meth:`repro.kernel.csr.CSRGraph.distances_from`) enables lower-bound
     pruning: a branch whose member provably cannot reach the leader within
     the remaining simple-path budget is dead and never enters ``seen``.
-    Pruning only removes provably fruitless states, so the returned sequence
-    is identical with and without it.  When ``None``, one BFS from ``leader``
+    Pruning only removes provably fruitless states, so the outcome is
+    identical with and without it.  When ``None``, one BFS from ``leader``
     over the graph's CSR view is performed here.
     """
     if any(v == leader for v in members):
-        return None
+        return None if witness else False
     if max_length is None:
         max_length = graph.num_nodes - 1
     if max_cells is None:
@@ -263,21 +283,22 @@ def _common_path_sequence(
     stats = _SEARCH_STATS
     stats["searches"] += 1
     if any(distances[v] > max_length for v in members):
-        return None
+        return None if witness else False
     csr = graph.csr()
     offsets = csr.offsets
     neighbors = csr.neighbors
     reverse_ports = csr.reverse_ports
+    distance_of = distances.__getitem__
     k = len(members)
-    start_positions = tuple(members)
-    start_visited = tuple(frozenset((v,)) for v in members)
-    queue: deque = deque([(start_positions, start_visited, ())])
-    seen = {(start_positions, start_visited)}
+    start = (tuple(members), tuple(frozenset((v,)) for v in members))
+    frontier = [(0, 0, start, ())]
+    pushed = 1
+    seen = {start}
     cells = 2 * k  # the start state: k positions + k singleton visited sets
     try:
-        while queue:
-            positions, visited, sequence = queue.popleft()
-            steps_taken = len(sequence) // 2 if complete else len(sequence)
+        while frontier:
+            _, _, (positions, visited), sequence = heappop(frontier)
+            steps_taken = len(visited[0]) - 1
             if steps_taken >= max_length:
                 continue
             remaining = max_length - steps_taken - 1
@@ -312,9 +333,12 @@ def _common_path_sequence(
                     # Some members reached the leader early: their simple path
                     # can no longer end at the leader later: a dead branch.
                     continue
-                new_sequence = sequence + ((port, incoming) if complete else (port,))
-                if hits:
-                    return new_sequence
+                if witness:
+                    step = (port, incoming) if complete else (port,)
+                    if hits:
+                        return sequence + step
+                elif hits:
+                    return True
                 new_positions = tuple(next_nodes)
                 new_visited = tuple(
                     path | {u} for path, u in zip(visited, next_nodes)
@@ -332,11 +356,83 @@ def _common_path_sequence(
                         f"(limits {max_states} states / {max_cells} cells, "
                         f"class size {k})"
                     )
-                queue.append((new_positions, new_visited, new_sequence))
-        return None
+                if witness:
+                    heappush(frontier, (steps_taken + 1, pushed, key, sequence + step))
+                else:
+                    heappush(frontier, (max(map(distance_of, next_nodes)), pushed, key, ()))
+                pushed += 1
+        return None if witness else False
     finally:
         stats["states"] += len(seen)
         stats["cells"] += cells
+
+
+def _common_path_sequence(
+    graph: PortLabeledGraph, members: Sequence[int], leader: int, **search
+) -> Optional[Tuple[int, ...]]:
+    """A common port sequence tracing a simple path from every member to
+    ``leader``: the breadth-first witness search of :func:`_joint_search`.
+
+    For ``complete=False`` the sequence is the PPE-style outgoing ports
+    ``(p1, ..., pk)``; for ``complete=True`` it is the CPPE-style flat
+    ``(p1, q1, ..., pk, qk)``.  Returns ``None`` if no common sequence of
+    length at most ``max_length`` exists.
+    """
+    return _joint_search(graph, members, leader, witness=True, **search)
+
+
+def _common_path_exists(
+    graph: PortLabeledGraph, members: Sequence[int], leader: int, **search
+) -> bool:
+    """Whether :func:`_common_path_sequence` has a sequence to find: the
+    best-first existence search of :func:`_joint_search`, with the same
+    arguments, budgets and counters.  It returns ``False`` exactly when the
+    witness search returns ``None``, after storing the same states and cells.
+    """
+    return _joint_search(graph, members, leader, witness=False, **search)
+
+
+def _path_leader(
+    graph: PortLabeledGraph,
+    classes: Dict[int, List[int]],
+    *,
+    complete: bool,
+    max_states: int,
+    max_cells: Optional[int],
+    answers: Dict[Tuple[int, Tuple[int, ...]], bool],
+) -> Optional[int]:
+    """The smallest node with a unique view from which every other class has a
+    common sequence, or ``None``; existence only.
+
+    ``answers`` memoises each ``(leader, members)`` verdict.  A verdict is a
+    pure function of the graph, the class, the leader and the budgets, so a
+    caller that keeps the budgets fixed may share one dict across depths: a
+    class that did not split is then not searched again.
+    """
+    csr = graph.csr()
+    singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
+    for leader in singleton_nodes:
+        distances = csr.distances_from(leader)
+        for members in classes.values():
+            if members == [leader]:
+                continue
+            key = (leader, tuple(members))
+            found = answers.get(key)
+            if found is None:
+                found = answers[key] = _common_path_exists(
+                    graph,
+                    members,
+                    leader,
+                    complete=complete,
+                    max_states=max_states,
+                    max_cells=max_cells,
+                    distances=distances,
+                )
+            if not found:
+                break
+        else:
+            return leader
+    return None
 
 
 def path_election_assignment(
@@ -350,38 +446,43 @@ def path_election_assignment(
 ) -> Optional[Tuple[int, Dict[int, Tuple[int, ...]]]]:
     """A (leader, per-node sequence) assignment realising PPE/CPPE at ``depth``, or ``None``.
 
-    The distance-to-leader arrays that prune the joint search are memoised
-    on the graph's CSR view (:meth:`~repro.kernel.csr.CSRGraph.distances_from`),
-    one BFS per leader for every depth tried.
+    The leader is the smallest node with a unique view from which every
+    other class has a common sequence, found by the existence search; the
+    breadth-first witness search then runs for that leader's classes only,
+    so each sequence is a shortest one.  The distance-to-leader arrays
+    that prune both searches are memoised on the graph's CSR view
+    (:meth:`~repro.kernel.csr.CSRGraph.distances_from`), one BFS per leader
+    for every depth tried.
     """
     refinement = refinement if refinement is not None else _default_refinement(graph)
     classes = refinement.classes(depth)
-    csr = graph.csr()
-    singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
-    for leader in singleton_nodes:
-        distances = csr.distances_from(leader)
-        sequences: Dict[int, Tuple[int, ...]] = {}
-        feasible = True
-        for members in classes.values():
-            if members == [leader]:
-                continue
-            sequence = _common_path_sequence(
-                graph,
-                members,
-                leader,
-                complete=complete,
-                max_states=max_states,
-                max_cells=max_cells,
-                distances=distances,
-            )
-            if sequence is None:
-                feasible = False
-                break
-            for v in members:
-                sequences[v] = sequence
-        if feasible:
-            return leader, sequences
-    return None
+    leader = _path_leader(
+        graph,
+        classes,
+        complete=complete,
+        max_states=max_states,
+        max_cells=max_cells,
+        answers={},
+    )
+    if leader is None:
+        return None
+    distances = graph.csr().distances_from(leader)
+    sequences: Dict[int, Tuple[int, ...]] = {}
+    for members in classes.values():
+        if members == [leader]:
+            continue
+        sequence = _common_path_sequence(
+            graph,
+            members,
+            leader,
+            complete=complete,
+            max_states=max_states,
+            max_cells=max_cells,
+            distances=distances,
+        )
+        for v in members:
+            sequences[v] = sequence
+    return leader, sequences
 
 
 def _path_index(
@@ -394,23 +495,29 @@ def _path_index(
     max_cells: Optional[int] = None,
     lower_bound: Optional[int] = None,
 ) -> Optional[int]:
-    """The smallest depth from ``max(ψ_S, lower_bound)`` with a PPE/CPPE assignment."""
+    """The smallest depth from ``max(ψ_S, lower_bound)`` with a PPE/CPPE assignment.
+
+    Decided by existence alone: no witness sequence is built.  The
+    ``(leader, members)`` verdicts are memoised across the depths of this
+    one call, whose budgets are fixed.
+    """
     refinement = refinement if refinement is not None else _default_refinement(graph)
     start = refinement.first_depth_with_unique_node(max_depth=max_depth)
     if start is None:
         return None
     stable = refinement.ensure_stable()
     depth = start if lower_bound is None else max(start, lower_bound)
+    answers: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
     while max_depth is None or depth <= max_depth:
-        assignment = path_election_assignment(
+        leader = _path_leader(
             graph,
-            depth,
+            refinement.classes(depth),
             complete=complete,
-            refinement=refinement,
             max_states=max_states,
             max_cells=max_cells,
+            answers=answers,
         )
-        if assignment is not None:
+        if leader is not None:
             return depth
         if depth >= stable:
             return None

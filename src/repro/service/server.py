@@ -45,6 +45,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import sys
 import time
 from collections import deque
@@ -577,6 +578,9 @@ def run_server(
     in-process hot tier (:class:`~repro.store.ArtifactStore`); ``0`` builds
     none, and without a store it is ignored.
 
+    SIGINT and SIGTERM stop the server: it stops listening, and the service
+    is closed (its pool joined, its store detached) before this returns.
+
     ``compact_interval_s`` (with a store) schedules
     :meth:`~repro.store.ArtifactStore.compact` every that many seconds, off
     the event loop.  Compaction needs no lock: it is safe against
@@ -621,6 +625,14 @@ def run_server(
                     )
 
     async def _main() -> None:
+        # SIGINT and SIGTERM end the serve loop, so asyncio.run unwinds and
+        # the service is closed below.  The loop's handlers replace any
+        # inherited disposition, including a SIGINT ignored by a background
+        # job of a non-interactive shell.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         await server.start()
         if compact_interval_s is not None:
             # dies with the loop; asyncio.run cancels it on shutdown
@@ -645,7 +657,10 @@ def run_server(
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 handle.write(f"{server.port}\n")
             os.replace(tmp_path, port_file)
-        await server.serve_forever()
+        serving = asyncio.ensure_future(server.serve_forever())
+        await stopping.wait()
+        serving.cancel()
+        await asyncio.wait([serving])
 
     try:
         asyncio.run(_main())

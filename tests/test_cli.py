@@ -263,3 +263,54 @@ class TestServeCli:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+    @pytest.mark.parametrize(
+        "signum, ignore_sigint",
+        [("SIGINT", False), ("SIGTERM", False), ("SIGINT", True)],
+        ids=["sigint", "sigterm", "sigint-inherited-as-ignored"],
+    )
+    def test_serve_stops_cleanly_on_a_signal(self, tmp_path, signum, ignore_sigint):
+        """SIGINT and SIGTERM end ``serve`` with exit code 0 after it closes
+        its service.  A background job of a non-interactive shell (CI's
+        ``serve … &``) starts with SIGINT ignored; the server must still stop
+        on it."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        port_file = tmp_path / "serve.port"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+
+        def ignore_interrupts():
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--port-file", str(port_file), "--workers", "1",
+                "--store", str(tmp_path / "store"),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            preexec_fn=ignore_interrupts if ignore_sigint else None,
+        )
+        try:
+            deadline = time.time() + 30
+            while time.time() < deadline and not port_file.exists():
+                assert process.poll() is None, "serve exited before binding"
+                time.sleep(0.05)
+            assert port_file.exists(), "serve did not bind within 30 s"
+            process.send_signal(getattr(signal, signum))
+            assert process.wait(timeout=10) == 0
+            assert "Traceback" not in process.stderr.read().decode("utf-8")
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            process.stderr.close()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -11,12 +12,17 @@ from repro.core import (
     SearchLimitExceeded,
     Task,
     complete_port_path_election_index,
+    path_election_assignment,
     port_election_index,
     port_path_election_index,
     reset_search_statistics,
     search_statistics,
 )
-from repro.core.election_index import _DEFAULT_CELLS_PER_STATE, _common_path_sequence
+from repro.core.election_index import (
+    _DEFAULT_CELLS_PER_STATE,
+    _common_path_exists,
+    _common_path_sequence,
+)
 from repro.kernel.csr import bfs_distances_csr
 from repro.portgraph import generators
 from repro.runner import GraphSpec, SweepSpec, evaluate_graph
@@ -407,3 +413,210 @@ class TestSlimJointSearchMatchesTheReferenceLoop:
                             )
                         )
         assert "limited" in verdicts
+
+
+# --------------------------------------------------------------------------- #
+# the best-first existence search behind ψ_PPE / ψ_CPPE
+# --------------------------------------------------------------------------- #
+def _searched_outcome(search, graph, members, leader, **kwargs):
+    """``(outcome, counter deltas)`` of one search on the process-wide counters."""
+    before = search_statistics()
+    outcome = _outcome(lambda g, **kw: search(g, members, leader, **kw), graph, **kwargs)
+    after = search_statistics()
+    return outcome, {key: after[key] - before[key] for key in after}
+
+
+class TestExistenceSearchMatchesTheWitnessSearch:
+    """``_common_path_exists`` finds a sequence exactly when the breadth-first
+    ``_common_path_sequence`` does, and a failing search stores the same
+    closure in either order: the same states and the same cells."""
+
+    @staticmethod
+    def _run_both(graph, members, leader, **kwargs) -> str:
+        witness, witness_stats = _searched_outcome(
+            _common_path_sequence, graph, members, leader, **kwargs
+        )
+        found, found_stats = _searched_outcome(
+            _common_path_exists, graph, members, leader, **kwargs
+        )
+        context = (graph.name, members, leader, kwargs)
+        if witness[0] == "ok" and found[0] == "ok":
+            assert found[1] == (witness[1] is not None), context
+        if witness == ("ok", None):
+            assert found == ("ok", False), context
+            assert found_stats == witness_stats, context
+        if witness[0] == "limited":
+            return "limited"
+        return "found" if witness[1] is not None else "none"
+
+    def test_random_classes_and_leaders(self, corpus_rng_factory):
+        rng = corpus_rng_factory("existence-joint-search")
+        verdicts = set()
+        for trial in range(160):
+            n = rng.randint(5, 14)
+            graph = generators.random_connected_graph(
+                n, extra_edges=rng.randint(0, n), seed=rng.randrange(10**6)
+            )
+            leader = rng.randrange(n)
+            others = [v for v in graph.nodes() if v != leader]
+            members = sorted(rng.sample(others, rng.randint(1, min(4, len(others)))))
+            kwargs = {
+                "complete": trial % 2 == 1,
+                "max_states": rng.choice((3, 10, 100, 200_000)),
+            }
+            if trial % 5 == 0:
+                kwargs["max_length"] = rng.randint(1, n - 1)
+            verdicts.add(self._run_both(graph, members, leader, **kwargs))
+        assert verdicts == {"found", "none", "limited"}
+
+    def test_view_classes_of_the_gdk_member(self):
+        graph = _gdk_member(1)
+        from repro.views.refinement import ViewRefinement
+
+        refinement = ViewRefinement(graph)
+        classes = [members for members in refinement.classes(2).values() if len(members) > 1]
+        leaders = sorted(refinement.unique_nodes(2))[:3]
+        verdicts = set()
+        for leader in leaders:
+            for members in classes:
+                for complete in (False, True):
+                    for max_states in (20, 5_000):
+                        verdicts.add(
+                            self._run_both(
+                                graph, members, leader, complete=complete, max_states=max_states
+                            )
+                        )
+        # no class has a common sequence to these leaders at depth 2 (ψ is 6)
+        assert verdicts == {"none", "limited"}
+
+
+class TestPathIndexSearchesEachLeaderAndClassOnce:
+    def test_a_limited_verdict_turns_exact(self):
+        # best-first, the existence search stops at its first hit and stores
+        # fewer states than the breadth-first search, which runs out of a
+        # 5-state budget on this cycle; the value is the unbounded one
+        graph = generators.asymmetric_cycle(7)
+        for index_function in (port_path_election_index, complete_port_path_election_index):
+            assert index_function(graph, max_states=5) == 3
+            assert index_function(graph, max_states=50_000) == 3
+
+    def test_memo_spans_the_depths_of_one_index(self, monkeypatch):
+        module = importlib.import_module("repro.core.election_index")
+        searched: List[Tuple[int, Tuple[int, ...]]] = []
+        exists = module._common_path_exists
+
+        def spy(graph, members, leader, **kwargs):
+            searched.append((leader, tuple(members)))
+            return exists(graph, members, leader, **kwargs)
+
+        monkeypatch.setattr(module, "_common_path_exists", spy)
+        graph = _gdk_member(1)
+        before = search_statistics()
+        assert port_path_election_index(graph, max_states=50) == 6
+        ppe_searched = list(searched)
+        searched.clear()
+        assert complete_port_path_election_index(graph, max_states=50) == 6
+        after = search_statistics()
+        for calls in (ppe_searched, searched):
+            assert calls and len(set(calls)) == len(calls)
+        # searches run, memo hits excluded
+        assert after["searches"] - before["searches"] == len(ppe_searched) + len(searched)
+        # the per-depth breadth-first loop stored 6 968 states for the two
+        # (3 526 + 3 442), running 244 searches over 168 distinct (leader,
+        # class) pairs for each; this search stores 3 542 (1 813 + 1 729)
+        assert after["states"] - before["states"] <= 6_968 * 51 // 100
+
+
+# --------------------------------------------------------------------------- #
+# the witness sequences against the per-leader breadth-first loop
+# --------------------------------------------------------------------------- #
+def _reference_path_election_assignment(graph, depth, *, complete, refinement):
+    """``path_election_assignment`` as it was before its leader was chosen by
+    the existence search (a verbatim copy of its per-leader loop)."""
+    classes = refinement.classes(depth)
+    csr = graph.csr()
+    singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
+    for leader in singleton_nodes:
+        distances = csr.distances_from(leader)
+        sequences: Dict[int, Tuple[int, ...]] = {}
+        feasible = True
+        for members in classes.values():
+            if members == [leader]:
+                continue
+            sequence = _common_path_sequence(
+                graph,
+                members,
+                leader,
+                complete=complete,
+                distances=distances,
+            )
+            if sequence is None:
+                feasible = False
+                break
+            for v in members:
+                sequences[v] = sequence
+        if feasible:
+            return leader, sequences
+    return None
+
+
+class TestWitnessSequencesAreUnchanged:
+    """Map advice is built from ``path_election_assignment``'s sequences, so
+    they stay those of the per-leader breadth-first loop at every depth."""
+
+    @staticmethod
+    def _assert_every_depth_matches(graph) -> int:
+        from repro.views.refinement import ViewRefinement
+
+        refinement = ViewRefinement(graph)
+        stable = refinement.ensure_stable()
+        compared = 0
+        for complete, index_function in (
+            (False, port_path_election_index),
+            (True, complete_port_path_election_index),
+        ):
+            index = index_function(graph, refinement=refinement)
+            if index is None:
+                continue
+            for depth in range(index, stable + 1):
+                assignment = path_election_assignment(
+                    graph, depth, complete=complete, refinement=refinement
+                )
+                assert assignment is not None, (graph.name, depth, complete)
+                assert assignment == _reference_path_election_assignment(
+                    graph, depth, complete=complete, refinement=refinement
+                ), (graph.name, depth, complete)
+                compared += 1
+        return compared
+
+    def test_gdk_members(self):
+        for index in (1, 2, 3):
+            assert self._assert_every_depth_matches(_gdk_member(index)) > 0
+
+    def test_mixed_corpus(self, corpus_rng_factory):
+        seed = corpus_rng_factory("witness-sequences-corpus").randrange(10**6)
+        compared = sum(
+            self._assert_every_depth_matches(spec.build())
+            for spec in corpus_specs(60, seed=seed, corpus="mixed")
+        )
+        assert compared > 60
+
+    def test_map_advice_table_carries_the_witness_sequences(self):
+        from repro.advice.map_advice import _decision_table
+        from repro.core import LEADER
+        from repro.views.encoding import augmented_view_key
+        from repro.views.refinement import ViewRefinement
+
+        graph = _gdk_member(1)
+        refinement = ViewRefinement(graph)
+        for task, complete in (
+            (Task.PORT_PATH_ELECTION, False),
+            (Task.COMPLETE_PORT_PATH_ELECTION, True),
+        ):
+            depth, table = _decision_table(graph, task)
+            leader, sequences = _reference_path_election_assignment(
+                graph, depth, complete=complete, refinement=refinement
+            )
+            for v in graph.nodes():
+                expected = LEADER if v == leader else sequences[v]
+                assert table[augmented_view_key(graph, v, depth)] == expected
