@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.election_index import selection_index
-from ..core.feasibility import is_feasible
+from ..core.feasibility import default_refinement, is_feasible
 from ..portgraph.graph import PortLabeledGraph
-from ..views.refinement import ViewRefinement
 
 __all__ = ["GraphSummary", "summarize_graph", "view_class_profile", "format_table"]
 
@@ -33,16 +32,9 @@ class GraphSummary:
     view_classes_by_depth: List[int] = field(default_factory=list)
 
 
-def _shared_refinement(graph: PortLabeledGraph) -> ViewRefinement:
-    # Lazy import: repro.runner.results imports format_table from this module.
-    from ..runner.cache import shared_refinement
-
-    return shared_refinement(graph)
-
-
 def summarize_graph(graph: PortLabeledGraph, *, max_depth: Optional[int] = None) -> GraphSummary:
     """Summarise a graph: size, degrees, feasibility, ψ_S, view-class growth."""
-    refinement = _shared_refinement(graph)
+    refinement = default_refinement(graph)
     feasible = is_feasible(graph, refinement=refinement)
     index = selection_index(graph, refinement=refinement)
     stable = refinement.ensure_stable()
@@ -63,7 +55,7 @@ def summarize_graph(graph: PortLabeledGraph, *, max_depth: Optional[int] = None)
 
 def view_class_profile(graph: PortLabeledGraph, max_depth: int) -> List[int]:
     """Number of distinct views at every depth 0..max_depth."""
-    refinement = _shared_refinement(graph)
+    refinement = default_refinement(graph)
     return [refinement.num_classes(depth) for depth in range(max_depth + 1)]
 
 

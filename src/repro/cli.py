@@ -18,7 +18,9 @@ Print the counting facts for a parameter triple::
 
 Run a batched experiment sweep through the experiment runner (shared
 refinement cache, optional multiprocessing fan-out, deterministic tables,
-optional persistent artifact store)::
+optional persistent artifact store).  ``bench``, ``sweep`` and ``warm``
+all evaluate through the runner's one stream, so a table, an NDJSON
+stream and a warmed store hold the same answers::
 
     repro-leader-election bench --generator asymmetric-cycle --sizes 5,6,7,8
     repro-leader-election bench --graph gdk:delta=4,k=1,index=2 --graph star:leaves=5 \
@@ -36,8 +38,8 @@ service with ``--url``)::
         --url http://localhost:8765
 
 Precompute a corpus into the artifact store before serving -- resumable,
-multiprocess, sharing its sweep id and progress record with the batch
-service (``GET /sweeps/<id>``)::
+multiprocess, sharing its sweep id and the store's progress record with
+the batch service (``GET /sweeps/<id>``)::
 
     repro-leader-election warm --store artifacts/ --corpus mixed --count 200 --jobs 4
     repro-leader-election warm --store artifacts/ --spec sweep.json --compact
@@ -156,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-depth", type=int, default=None)
     bench.add_argument("--max-states", type=int, default=200_000)
     bench.add_argument("--workers", type=int, default=1, help="worker processes (1 = in-process)")
-    bench.add_argument("--chunk-size", type=int, default=None, help="jobs per worker chunk")
     bench.add_argument("--repeat", type=int, default=1, help="run the sweep this many times (cache demo)")
     bench.add_argument("--format", choices=["text", "json", "csv"], default="text")
     bench.add_argument("--output", default="-", help="write the table here ('-' = stdout)")
@@ -475,9 +476,7 @@ def _command_bench(args: argparse.Namespace) -> int:
         print("bench: --repeat must be at least 1", file=sys.stderr)
         return 2
     try:
-        runner = ExperimentRunner(
-            workers=args.workers, chunk_size=args.chunk_size, store_path=args.store
-        )
+        runner = ExperimentRunner(workers=args.workers, store_path=args.store)
     except ValueError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2

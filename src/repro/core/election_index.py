@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..kernel.csr import bfs_distances_csr
 from ..portgraph.graph import PortLabeledGraph
 from ..views.refinement import ViewRefinement
+from .feasibility import default_refinement
 from .tasks import Task
 
 __all__ = [
@@ -84,21 +85,6 @@ def reset_search_statistics() -> None:
         _SEARCH_STATS[key] = 0
 
 
-def _default_refinement(graph: PortLabeledGraph) -> ViewRefinement:
-    """The process-wide memoised refinement of ``graph``.
-
-    Every index function takes an explicit ``refinement`` for callers that
-    manage their own; when none is passed, the shared LRU cache of the runner
-    subsystem supplies one, so repeated queries about the same graph -- from
-    feasibility checks, from different ψ_Z computations, from benchmark
-    sweeps -- all refine it at most once per process.  (Imported lazily:
-    ``repro.runner`` imports this module.)
-    """
-    from ..runner.cache import shared_refinement
-
-    return shared_refinement(graph)
-
-
 # --------------------------------------------------------------------------- #
 # ψ_S
 # --------------------------------------------------------------------------- #
@@ -109,7 +95,7 @@ def selection_index(
 
     Returns ``None`` for infeasible graphs (no such depth exists).
     """
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     return refinement.first_depth_with_unique_node()
 
 
@@ -127,7 +113,7 @@ def selection_assignment(
     """
     from ..views.encoding import augmented_view_key
 
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     unique = refinement.unique_nodes(depth)
     if not unique:
         return None
@@ -174,7 +160,7 @@ def port_election_assignment(
     every depth tried, and every equal graph the runner's cache hands that
     view, shares one DFS.
     """
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     classes = refinement.classes(depth)
     cut = graph.csr().block_cut_tree()
     singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
@@ -202,7 +188,7 @@ def port_election_index(
     max_depth: Optional[int] = None,
 ) -> Optional[int]:
     """ψ_PE(G); ``None`` if the graph is infeasible (or ``max_depth`` is hit first)."""
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     start = refinement.first_depth_with_unique_node(max_depth=max_depth)
     if start is None:
         return None
@@ -454,7 +440,7 @@ def path_election_assignment(
     (:meth:`~repro.kernel.csr.CSRGraph.distances_from`), one BFS per leader
     for every depth tried.
     """
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     classes = refinement.classes(depth)
     leader = _path_leader(
         graph,
@@ -501,7 +487,7 @@ def _path_index(
     ``(leader, members)`` verdicts are memoised across the depths of this
     one call, whose budgets are fixed.
     """
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     start = refinement.first_depth_with_unique_node(max_depth=max_depth)
     if start is None:
         return None
@@ -634,7 +620,7 @@ def all_election_indices(
     (no ``lower_bound``), so the result is the unseeded reference against
     which Fact 1.1 (:func:`~repro.core.hierarchy.verify_fact_1_1`) is checked.
     """
-    refinement = _default_refinement(graph)
+    refinement = default_refinement(graph)
     return {
         task: election_index(
             task,

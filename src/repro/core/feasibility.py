@@ -19,19 +19,22 @@ from ..portgraph.graph import PortLabeledGraph
 from ..views.refinement import ViewRefinement
 
 __all__ = [
+    "default_refinement",
     "is_feasible",
     "infeasibility_witness",
     "symmetry_classes",
 ]
 
 
-def _default_refinement(graph: PortLabeledGraph) -> ViewRefinement:
+def default_refinement(graph: PortLabeledGraph) -> ViewRefinement:
     """The process-wide memoised refinement of ``graph``.
 
-    Feasibility is decided at the refinement fixpoint; routing the default
-    through the runner's shared cache means a feasibility check and a later
-    ψ_Z computation on the same graph reuse one refinement.  (Imported
-    lazily: ``repro.runner`` imports :mod:`repro.core`.)
+    Every feasibility, ψ_Z and summary function takes an explicit
+    ``refinement`` for callers that manage their own; when none is passed,
+    this default routes through the runner's shared LRU cache, so a
+    feasibility check, the four ψ_Z computations and a later summary of
+    the same graph refine it at most once per process.  (Imported lazily:
+    ``repro.runner`` imports :mod:`repro.core`.)
     """
     from ..runner.cache import shared_refinement
 
@@ -45,7 +48,7 @@ def is_feasible(
 
     True iff all nodes have pairwise distinct infinite views.
     """
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     return refinement.is_discrete()
 
 
@@ -57,7 +60,7 @@ def infeasibility_witness(
     Any two nodes of the returned class are indistinguishable forever, which
     is the paper's reason why no deterministic algorithm can elect a leader.
     """
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     stable = refinement.ensure_stable()
     for members in refinement.classes(stable).values():
         if len(members) > 1:
@@ -69,5 +72,5 @@ def symmetry_classes(
     graph: PortLabeledGraph, *, refinement: Optional[ViewRefinement] = None
 ) -> Dict[int, List[int]]:
     """The partition of nodes into classes of equal infinite views."""
-    refinement = refinement if refinement is not None else _default_refinement(graph)
+    refinement = refinement if refinement is not None else default_refinement(graph)
     return refinement.classes(refinement.ensure_stable())

@@ -2,8 +2,9 @@
 
 The runner expands a :class:`~repro.runner.spec.SweepSpec` into one *job per
 graph*, evaluates every job (feasibility, the requested ψ_Z indices, optional
-view-class profiles), and assembles the rows -- in spec order, regardless of
-completion order -- into a :class:`~repro.runner.results.ResultTable`.
+view-class profiles) and streams the records in spec order, whatever the
+completion order; :meth:`ExperimentRunner.run` collects that one stream into
+a :class:`~repro.runner.results.ResultTable`.
 
 Within a job all queries share a single memoised
 :class:`~repro.views.refinement.ViewRefinement` obtained from the
@@ -18,7 +19,9 @@ serial runs of the same spec produce byte-identical tables.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -27,8 +30,8 @@ from ..core.feasibility import is_feasible
 from ..core.election_index import search_statistics
 from ..core.tasks import Task
 from ..obs import span as obs_span
-from .bootstrap import attach_store_path, bootstrap_worker
-from .cache import refinement_cache
+from ..store import ArtifactStore
+from .cache import CacheEntry, refinement_cache
 from .results import ResultTable
 from .spec import GraphSpec, SweepSpec
 
@@ -38,14 +41,21 @@ __all__ = [
     "attach_store_path",
     "evaluate_graph",
     "evaluate_graph_spec",
-    "run_sweep",
 ]
 
 
-def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> Dict[str, Any]:
+def evaluate_graph(
+    graph,
+    sweep: SweepSpec,
+    *,
+    label: Optional[str] = None,
+    entry: Optional[CacheEntry] = None,
+) -> Dict[str, Any]:
     """Evaluate one built graph into a flat result record.
 
-    Fetches the graph's entry from the process-wide refinement cache once
+    Fetches the graph's entry from the process-wide refinement cache once,
+    unless the caller already holds it and passes it as ``entry`` (a delta
+    item's, from :meth:`~repro.runner.cache.RefinementCache.delta_entry`),
     and answers every requested query against that one refinement (the
     ψ_PE block-cut tree and the ψ_PPE/ψ_CPPE distances come from the
     graph's CSR view, which a hit shares).  Feasibility, the ψ_Z values
@@ -66,7 +76,7 @@ def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> D
     budget.
     """
     with obs_span("evaluate_graph") as profile_span:
-        return _evaluate_graph_traced(graph, sweep, label, profile_span)
+        return _evaluate_graph_traced(graph, sweep, label, entry, profile_span)
 
 
 def _cheap_counters() -> Dict[str, int]:
@@ -115,10 +125,11 @@ def _weaker_index(memo: Dict[Tuple, Any], task: Task, sweep: SweepSpec) -> Optio
     return outcome[1]
 
 
-def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict[str, Any]:
+def _evaluate_graph_traced(graph, sweep: SweepSpec, label, entry, profile_span) -> Dict[str, Any]:
     if profile_span.recording:
         before = _cheap_counters()
-    entry = refinement_cache.entry(graph)
+    if entry is None:
+        entry = refinement_cache.entry(graph)
     refinement = entry.refinement
     # creating an entry runs no pass (engine construction and store
     # warm-start are pass-free), so this delta is this evaluation's work
@@ -186,15 +197,10 @@ def evaluate_graph_spec(spec: GraphSpec, sweep: SweepSpec) -> Dict[str, Any]:
     return evaluate_graph(spec.build(), sweep, label=spec.label)
 
 
-def _evaluate_indexed(job: Tuple[int, GraphSpec, SweepSpec]) -> Tuple[int, Dict[str, Any]]:
-    index, spec, sweep = job
-    return index, evaluate_graph_spec(spec, sweep)
-
-
 def _evaluate_guarded(
     job: Tuple[int, GraphSpec, SweepSpec]
 ) -> Tuple[int, str, Any]:
-    """Streaming job wrapper: a bad graph fails its *item*, not the sweep.
+    """The runner's job: a bad graph fails its *item*, not the sweep.
 
     Batch sweeps mix arbitrary client-supplied specs, where one invalid
     parameter set (caught as ``ValueError`` by the builders) must surface as
@@ -205,6 +211,21 @@ def _evaluate_guarded(
         return index, "ok", evaluate_graph_spec(spec, sweep)
     except ValueError as error:
         return index, "error", f"{spec.label}: {error}"
+
+
+def attach_store_path(store_path: str) -> None:
+    """Back the process-wide refinement cache with the store at ``store_path``.
+
+    Idempotent per path; a different path replaces the attached store.  Also
+    the initializer of the runner's worker pool, so every worker process
+    reads and writes through the same on-disk store -- which is what lets
+    the fan-out ship identity-addressed *results* between processes instead
+    of recomputing them in each.
+    """
+    current = refinement_cache.store
+    resolved = os.path.abspath(store_path)
+    if current is None or current.root != resolved:
+        refinement_cache.attach_store(ArtifactStore(resolved))
 
 
 @dataclass(frozen=True)
@@ -235,10 +256,6 @@ class ExperimentRunner:
         Number of worker processes; ``1`` (the default) evaluates in-process
         and is what populates the long-lived refinement cache of the calling
         process.
-    chunk_size:
-        Jobs handed to a worker at a time.  Defaults to spreading the jobs
-        about four chunks per worker, which keeps scheduling balanced without
-        drowning small sweeps in IPC.
     store_path:
         Directory of a persistent :class:`~repro.store.store.ArtifactStore`.
         When given, the parent process *and* every worker process attach the
@@ -249,51 +266,31 @@ class ExperimentRunner:
         of recomputing per process.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        store_path: Optional[str] = None,
-    ) -> None:
+    def __init__(self, *, workers: int = 1, store_path: Optional[str] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         self._workers = workers
-        self._chunk_size = chunk_size
         self._store_path = store_path
 
     @property
     def workers(self) -> int:
         return self._workers
 
-    def _resolve_chunk_size(self, num_jobs: int) -> int:
-        if self._chunk_size is not None:
-            return self._chunk_size
-        return max(1, num_jobs // (self._workers * 4))
-
     def run(self, sweep: SweepSpec) -> RunReport:
-        """Evaluate the sweep and return the (deterministically ordered) report."""
-        if self._store_path is not None:
-            attach_store_path(self._store_path)
-        # each job carries only the evaluation settings, not the whole graph
-        # list -- otherwise a G-graph parallel sweep pickles O(G^2) spec data
-        settings = replace(sweep, graphs=())
-        jobs = [(index, spec, settings) for index, spec in enumerate(sweep.graphs)]
+        """Evaluate the sweep and return the (deterministically ordered) report.
+
+        Collects :meth:`stream`: the first item whose graph cannot be built
+        raises ``ValueError`` with its error message, and the rest of the
+        sweep is abandoned.
+        """
         started = time.perf_counter()
-        if self._workers == 1 or len(jobs) <= 1:
-            indexed = [_evaluate_indexed(job) for job in jobs]
-        else:
-            chunk = self._resolve_chunk_size(len(jobs))
-            with multiprocessing.Pool(
-                processes=self._workers,
-                initializer=bootstrap_worker,
-                initargs=(self._store_path,),
-            ) as pool:
-                indexed = pool.map(_evaluate_indexed, jobs, chunksize=chunk)
-        indexed.sort(key=lambda pair: pair[0])
-        table = ResultTable.from_records([record for _index, record in indexed])
+        records = []
+        with closing(self.stream(sweep)) as items:
+            for _index, status, payload in items:
+                if status != "ok":
+                    raise ValueError(payload)
+                records.append(payload)
+        table = ResultTable.from_records(records)
         elapsed = time.perf_counter() - started
         store = refinement_cache.store
         return RunReport(
@@ -311,37 +308,26 @@ class ExperimentRunner:
         with ``workers > 1`` through ``pool.imap`` (order-preserving, so the
         stream is deterministic either way).  ``status`` is ``"ok"`` with the
         flat result record, or ``"error"`` with a message for a graph whose
-        construction failed; unlike :meth:`run`, a bad item does not abort
-        the sweep.  Store write-through works exactly as in :meth:`run`.
-        This is the fan-out behind the batch service's declarative sweeps
-        and the ``sweep`` / ``bench --batch`` CLI streaming modes.
+        construction failed; a bad item does not abort the stream.  This is
+        the one fan-out behind :meth:`run`, the ``sweep`` / ``bench --batch``
+        CLI streaming modes and ``repro warm``.
         """
         if self._store_path is not None:
             attach_store_path(self._store_path)
+        # each job carries only the evaluation settings, not the whole graph
+        # list -- otherwise a G-graph parallel sweep pickles O(G^2) spec data
         settings = replace(sweep, graphs=())
         jobs = [(index, spec, settings) for index, spec in enumerate(sweep.graphs)]
         if self._workers == 1 or len(jobs) <= 1:
             for job in jobs:
                 yield _evaluate_guarded(job)
             return
-        chunk = self._resolve_chunk_size(len(jobs))
+        # about four chunks per worker keeps scheduling balanced without
+        # drowning small sweeps in IPC
+        chunk = max(1, len(jobs) // (self._workers * 4))
         with multiprocessing.Pool(
             processes=self._workers,
-            initializer=bootstrap_worker,
+            initializer=attach_store_path if self._store_path is not None else None,
             initargs=(self._store_path,),
         ) as pool:
-            for item in pool.imap(_evaluate_guarded, jobs, chunksize=chunk):
-                yield item
-
-
-def run_sweep(
-    sweep: SweepSpec,
-    *,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    store_path: Optional[str] = None,
-) -> RunReport:
-    """Convenience wrapper: ``ExperimentRunner(workers=...).run(sweep)``."""
-    return ExperimentRunner(
-        workers=workers, chunk_size=chunk_size, store_path=store_path
-    ).run(sweep)
+            yield from pool.imap(_evaluate_guarded, jobs, chunksize=chunk)

@@ -11,17 +11,18 @@ pipeline.
 Interop with the batch service is deliberate and exact:
 
 * **Same identity.**  The sweep id is the same content digest the batch
-  coordinator computes for a declarative ``POST /elections`` sweep -- item
-  payloads are built byte-for-byte like
-  :func:`repro.service.batch.expand_sweep` builds them -- so warming a
-  corpus and then POSTing the same corpus to a service on the same store
-  is one sweep with one progress record.
-* **Same progress record.**  Progress persists as a
-  :class:`~repro.service.batch.SweepStatus` document under
-  ``<store>/sweeps/<id>.json`` after every item, so ``GET /sweeps/<id>``
-  on a service sharing the store reports the warm run's progress live,
-  and an interrupted warm resumes where it stopped (``resume=True`` skips
-  every item already marked ok).
+  coordinator computes for a declarative ``POST /elections`` sweep: the
+  item payloads come from :func:`repro.service.batch.sweep_items`, as in
+  :func:`~repro.service.batch.expand_sweep`, and the id from
+  :func:`~repro.service.batch.sweep_digest` -- so warming a corpus and
+  then POSTing the same corpus to a service on the same store is one
+  sweep with one progress record.
+* **Same progress record.**  Progress is saved as a
+  :class:`~repro.service.batch.SweepStatus` document with the store's
+  :meth:`~repro.store.store.ArtifactStore.put_sweep` after every item, so
+  ``GET /sweeps/<id>`` on a service sharing the store reports the warm
+  run's progress live, and an interrupted warm resumes where it stopped
+  (``resume=True`` skips every item already marked ok).
 * **Same artifacts.**  Items evaluate through the very same
   :func:`~repro.runner.runner.evaluate_graph` write-through path as the
   service, so results are byte-identical however they are reached.
@@ -29,17 +30,14 @@ Interop with the batch service is deliberate and exact:
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .runner import ExperimentRunner
 from .spec import SweepSpec
 
-__all__ = ["WarmReport", "batch_items", "warm_sweep"]
+__all__ = ["WarmReport", "warm_sweep"]
 
 #: Per-item progress callback: ``(done, total, label, status)``.
 ProgressFn = Callable[[int, int, str, str], None]
@@ -66,49 +64,6 @@ class WarmReport:
     compaction: Optional[Dict[str, int]] = None
 
 
-def batch_items(sweep: SweepSpec, *, shared: Optional[Dict[str, Any]] = None) -> List[dict]:
-    """The sweep's single-query item payloads, exactly as the batch service
-    expands a declarative sweep (``dict(shared, spec=spec.to_dict())``) --
-    the basis of the shared sweep id."""
-    shared = dict(shared or {})
-    return [dict(shared, spec=spec.to_dict()) for spec in sweep.graphs]
-
-
-def _sweep_identity(items: List[dict]) -> str:
-    # the batch coordinator's digest over the same payloads; imported lazily
-    # so the runner layer only touches the service package when warming
-    from ..service.batch import BatchItem, _sweep_digest
-
-    return _sweep_digest([BatchItem(i, payload=payload) for i, payload in enumerate(items)])
-
-
-def _status_path(store_path: str, sweep_id: str) -> str:
-    return os.path.join(os.path.abspath(store_path), "sweeps", f"{sweep_id}.json")
-
-
-def _persist_status(path: str, status) -> None:
-    """Atomically write the progress record (same format as the service)."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(status.to_dict(), handle, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_path, path)
-
-
-def _completed_indices(path: str, total: int) -> List[int]:
-    """Item indices a previous run of this sweep already finished ok."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            previous = json.load(handle)
-    except (OSError, ValueError):
-        return []
-    items = previous.get("items") if isinstance(previous, dict) else None
-    if not isinstance(items, str) or len(items) != total:
-        return []
-    return [index for index, mark in enumerate(items) if mark == "+"]
-
-
 def warm_sweep(
     sweep: SweepSpec,
     store_path: str,
@@ -130,32 +85,35 @@ def warm_sweep(
     are skipped -- their results are already on disk.  ``compact=True``
     runs a store compaction after the sweep and reports its summary.
     """
-    from ..service.batch import SweepStatus
+    # imported here: the service package imports the runner package
+    from ..service.batch import SweepStatus, sweep_digest, sweep_items
     from ..store import ArtifactStore
 
     if not sweep.graphs:
         raise ValueError("nothing to warm: the sweep has no graphs")
-    items = batch_items(sweep, shared=shared)
-    sweep_id = _sweep_identity(items)
-    path = _status_path(store_path, sweep_id)
-    done = _completed_indices(path, len(items)) if resume else []
-    done_set = set(done)
-    pending = [index for index in range(len(items)) if index not in done_set]
+    total = len(sweep.graphs)
+    sweep_id = sweep_digest(sweep_items(sweep.graphs, shared or {}))
+    store = ArtifactStore(store_path)
+    previous = store.get_sweep(sweep_id) if resume else None
+    marks = (previous or {}).get("items")
+    if not isinstance(marks, str) or len(marks) != total:
+        marks = ""
+    done = {index for index, mark in enumerate(marks) if mark == "+"}
+    pending = [index for index in range(total) if index not in done]
 
     status = SweepStatus(
         sweep_id=sweep_id,
-        total=len(items),
+        total=total,
         window=max(1, jobs),
         completed=len(done),
         ok=len(done),
-        item_status=["ok" if index in done_set else "pending" for index in range(len(items))],
+        item_status=["ok" if index in done else "pending" for index in range(total)],
     )
     started = time.perf_counter()
     warmed = 0
     errors = 0
-    store = ArtifactStore(store_path)
     if pending:
-        _persist_status(path, status)
+        store.put_sweep(sweep_id, status.to_dict())
         runner = ExperimentRunner(workers=jobs, store_path=store_path)
         subset = replace(sweep, graphs=tuple(sweep.graphs[index] for index in pending))
         for subset_index, item_status, payload in runner.stream(subset):
@@ -169,7 +127,7 @@ def warm_sweep(
                 status.errors += 1
                 errors += 1
             status.item_status[index] = item_status
-            _persist_status(path, status)
+            store.put_sweep(sweep_id, status.to_dict())
             if progress is not None:
                 progress(
                     status.completed,
@@ -178,11 +136,11 @@ def warm_sweep(
                     item_status,
                 )
     status.apply("completed")
-    _persist_status(path, status)
+    store.put_sweep(sweep_id, status.to_dict())
     compaction = store.compact() if compact else None
     return WarmReport(
         sweep_id=sweep_id,
-        total=len(items),
+        total=total,
         completed=status.completed,
         warmed=warmed,
         skipped=len(done),

@@ -29,11 +29,11 @@ trailer line with totals.  Consistency model:
   a slow reader therefore stalls the sweep's *computation*, not the event
   loop or memory.
 * **Progress and resume.**  Sweep ids are content digests of the expanded
-  item list.  ``GET /sweeps/<id>`` reports per-item status (persisted under
-  ``<store>/sweeps/`` when a store is attached, so it survives restarts);
-  because results write through the artifact store, *re-POSTing the same
-  body* is the resume operation -- already-computed items replay from the
-  store without a single refinement pass.
+  item list.  ``GET /sweeps/<id>`` reports per-item status (saved as the
+  store's progress record of the sweep when a store is attached, so it
+  survives restarts); because results write through the artifact store,
+  *re-POSTing the same body* is the resume operation -- already-computed
+  items replay from the store without a single refinement pass.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional
+from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional
 
 import time
 
@@ -66,6 +65,8 @@ __all__ = [
     "BatchRequest",
     "SweepStatus",
     "expand_sweep",
+    "sweep_digest",
+    "sweep_items",
 ]
 
 #: Hard cap on items per batch; a larger sweep is rejected with 400.
@@ -138,13 +139,22 @@ class SweepStatus:
         }
 
 
-def _sweep_digest(items: List[BatchItem]) -> str:
-    canonical = json.dumps(
-        [item.payload if item.error is None else {"malformed": item.error} for item in items],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def sweep_digest(payloads: List[Any]) -> str:
+    """The sweep id of a batch: a content digest of its item payloads, in order.
+
+    A parse-time error item enters as ``{"malformed": <error>}``.  ``repro
+    warm`` names its sweeps with this digest too, over :func:`sweep_items`,
+    so a warmed corpus and the same declarative ``POST /elections`` sweep
+    share one id and one progress record.
+    """
+    canonical = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=12).hexdigest()
+
+
+def sweep_items(specs: Iterable[Any], shared: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """One single-query payload per graph spec, carrying the ``shared`` options:
+    how a declarative sweep expands into items."""
+    return [dict(shared, spec=spec.to_dict()) for spec in specs]
 
 
 # --------------------------------------------------------------------------- #
@@ -225,7 +235,7 @@ def expand_sweep(sweep: Any, *, max_items: int = MAX_BATCH_ITEMS) -> List[Dict[s
                         )
     else:
         raise ServiceError(400, "'sweep' needs either 'corpus' or 'grid'")
-    return [dict(shared, spec=spec.to_dict()) for spec in specs]
+    return sweep_items(specs, shared)
 
 
 # --------------------------------------------------------------------------- #
@@ -308,7 +318,10 @@ class BatchCoordinator:
         if not is_json_int(window) or window < 1:
             raise ServiceError(400, "'window' must be a positive integer")
         window = min(window, MAX_WINDOW)
-        return BatchRequest(sweep_id=_sweep_digest(items), items=items, window=window)
+        payloads = [
+            item.payload if item.error is None else {"malformed": item.error} for item in items
+        ]
+        return BatchRequest(sweep_id=sweep_digest(payloads), items=items, window=window)
 
     @staticmethod
     def _item_from(raw: Any, index: int) -> BatchItem:
@@ -455,7 +468,9 @@ class BatchCoordinator:
                     if task.done() and not task.cancelled():
                         ledger.release()
                         gate.release()
-            self._persist(status)
+            store = self._service.store
+            if store is not None:
+                store.put_sweep(status.sweep_id, status.to_dict())
 
     # ------------------------------------------------------------------ #
     # sweep registry
@@ -475,41 +490,14 @@ class BatchCoordinator:
                 self._sweeps.popitem(last=False)
         return status
 
-    def _sweep_path(self, sweep_id: str) -> Optional[str]:
-        store = self._service.store
-        if store is None:
-            return None
-        return os.path.join(store.root, "sweeps", f"{sweep_id}.json")
-
-    def _persist(self, status: SweepStatus) -> None:
-        """Write the sweep status through to the store directory (atomic)."""
-        path = self._sweep_path(status.sweep_id)
-        if path is None:
-            return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(status.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp_path, path)
-
     def sweep_status(self, sweep_id: str) -> Optional[Dict[str, Any]]:
         """The progress record of ``sweep_id`` (memory first, then the store)."""
         with self._lock:
             status = self._sweeps.get(sweep_id)
         if status is not None:
             return status.to_dict()
-        path = self._sweep_path(sweep_id)
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    return json.load(handle)
-            except (OSError, ValueError):
-                # OSError beyond FileNotFoundError covers ids that make bad
-                # paths (e.g. `<existing>.json/x` -> ENOTDIR) and embedded
-                # NULs (ValueError): unknown sweep, not a server error
-                return None
-        return None
+        store = self._service.store
+        return store.get_sweep(sweep_id) if store is not None else None
 
     def sweep_ids(self) -> List[str]:
         """Known sweep ids: tracked in memory plus persisted in the store."""
@@ -517,13 +505,7 @@ class BatchCoordinator:
             known = set(self._sweeps)
         store = self._service.store
         if store is not None:
-            sweep_dir = os.path.join(store.root, "sweeps")
-            if os.path.isdir(sweep_dir):
-                known.update(
-                    name[: -len(".json")]
-                    for name in os.listdir(sweep_dir)
-                    if name.endswith(".json")
-                )
+            known.update(store.sweep_ids())
         return sorted(known)
 
     def stats(self) -> Dict[str, int]:

@@ -175,7 +175,7 @@ def compute_election(parsed: Dict[str, Any]) -> Dict[str, Any]:
     """
     with obs_span("compute_election") as sp:
         started = time.perf_counter()
-        delta_section = delta_status = None
+        entry = delta_section = delta_status = None
         with obs_span("graph_build"):
             if parsed.get("delta") is not None:
                 entry, label, delta_section, delta_status = _resolve_delta(parsed)
@@ -202,7 +202,8 @@ def compute_election(parsed: Dict[str, Any]) -> Dict[str, Any]:
             max_depth=parsed["max_depth"],
             max_states=parsed["max_states"],
         )
-        record = evaluate_graph(graph, sweep, label=label)
+        # a delta item's entry is already in hand: no second cache lookup
+        record = evaluate_graph(graph, sweep, label=label, entry=entry)
         indices = {task.value: record[f"psi_{task.value}"] for task in parsed["tasks"]}
         limited = [code for code in record.get("search_limited", "").split(",") if code]
         response: Dict[str, Any] = {

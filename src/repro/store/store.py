@@ -5,11 +5,16 @@ Layout under one root directory::
     <root>/
       objects/<k[:2]>/<k>.rple      # one record per exact labeled graph
       fingerprints/<fp[:2]>/<fp>    # the key stored under fp, or "ambiguous"
-      sweeps/                       # batch and warm progress documents
+      sweeps/<id>.json              # one progress record per sweep
 
 ``k`` is :meth:`~repro.portgraph.graph.PortLabeledGraph.cache_key`, the
 BLAKE2b-128 of the name-free graph body: two records share a file exactly
-when their graphs are equal (``==``), whatever their names.
+when their graphs are equal (``==``), whatever their names.  A sweep's
+progress record is the JSON document the batch service serves at
+``GET /sweeps/<id>``; the service (``POST /elections``) and ``repro warm``
+save, read and list them through :meth:`ArtifactStore.put_sweep`,
+:meth:`ArtifactStore.get_sweep` and :meth:`ArtifactStore.sweep_ids`, so a
+warm run and a service on one store share one record per sweep id.
 
 Consistency model
 -----------------
@@ -18,12 +23,12 @@ Consistency model
   one object read -- no refinement pass, no index file -- and a put touches
   only its own object and its fingerprint alias: its cost does not depend
   on how many records the store holds, and no lock is taken.
-* **Writes are atomic.**  Every write goes to a unique temp file in the same
-  directory followed by ``os.replace`` (an exclusive ``os.link`` when an
-  alias is created); a reader sees a complete file or none.  Records are
-  values: re-putting unchanged bytes is detected by comparison and skipped,
-  and concurrent writers of one labeled graph race only between records of
-  that graph.
+* **Writes are atomic.**  Every write (object, alias or progress record)
+  goes to a unique temp file in the same directory followed by
+  ``os.replace`` (an exclusive ``os.link`` when an alias is created); a
+  reader sees a complete file or none.  Records are values: re-putting
+  unchanged bytes is detected by comparison and skipped, and concurrent
+  writers of one labeled graph race only between records of that graph.
 * **A fingerprint is an alias, never an address.**  The fingerprint is
   relabeling-invariant and only as discriminating as colour refinement, so
   different labeled graphs can share one (relabeled copies; a torus and a
@@ -48,6 +53,7 @@ reclaims the quarantined file.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
@@ -67,6 +73,7 @@ _QUARANTINE_SUFFIX = ".quarantine"
 #: ``..``) could name a file outside the store.
 _KEY_RE = re.compile(r"[0-9a-f]{32}")
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
+_SWEEP_ID_RE = re.compile(r"[0-9a-f]{1,64}")
 #: The alias body once two labeled graphs were stored under one fingerprint.
 _AMBIGUOUS = b"ambiguous"
 #: Errors that mean "this object does not decode": truncation trips either
@@ -97,6 +104,7 @@ class ArtifactStore:
         self._root = os.path.abspath(root)
         self._objects = os.path.join(self._root, "objects")
         self._aliases = os.path.join(self._root, "fingerprints")
+        self._sweeps = os.path.join(self._root, "sweeps")
         if create:
             os.makedirs(self._objects, exist_ok=True)
         elif not os.path.isdir(self._objects):
@@ -318,6 +326,44 @@ class ArtifactStore:
             current = _read(path)
         if current not in (claimed, _AMBIGUOUS):
             _replace(path, _AMBIGUOUS)
+
+    # ------------------------------------------------------------------ #
+    # sweep progress records
+    # ------------------------------------------------------------------ #
+    def put_sweep(self, sweep_id: str, document: Dict[str, object]) -> None:
+        """Atomically replace the progress record of ``sweep_id`` with ``document``.
+
+        Raises ``ValueError`` for an id that is not 1-64 lowercase hex
+        characters: no other name may become a path.
+        """
+        if not _SWEEP_ID_RE.fullmatch(sweep_id):
+            raise ValueError(f"malformed sweep id {sweep_id!r}")
+        payload = json.dumps(document, sort_keys=True) + "\n"
+        _replace(os.path.join(self._sweeps, f"{sweep_id}.json"), payload.encode("utf-8"))
+
+    def get_sweep(self, sweep_id: str) -> Optional[Dict[str, object]]:
+        """The progress record of ``sweep_id``, or ``None``.
+
+        A malformed id, a missing or unreadable file and a file that holds
+        no JSON object are all ``None``: an unknown sweep, never an error.
+        """
+        if not _SWEEP_ID_RE.fullmatch(sweep_id):
+            return None
+        payload = _read(os.path.join(self._sweeps, f"{sweep_id}.json"))
+        try:
+            document = json.loads(payload) if payload is not None else None
+        except ValueError:
+            return None
+        return document if isinstance(document, dict) else None
+
+    def sweep_ids(self) -> List[str]:
+        """The ids of every stored progress record, sorted."""
+        try:
+            names = os.listdir(self._sweeps)
+        except OSError:
+            return []
+        stems = (name[: -len(".json")] for name in names if name.endswith(".json"))
+        return sorted(stem for stem in stems if _SWEEP_ID_RE.fullmatch(stem))
 
     # ------------------------------------------------------------------ #
     # compaction / GC

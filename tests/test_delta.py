@@ -621,6 +621,21 @@ class TestServiceDelta:
         for key in ("fingerprint", "feasible", "indices", "n", "m"):
             assert cold[key] == first[key], key
 
+    def test_a_cold_delta_item_counts_one_miss_and_one_hit(self):
+        """The mutated graph misses once and its cached base hits once: the
+        evaluation takes the entry the delta path resolved, so ``hits`` and
+        ``misses`` count queries on the delta path too."""
+        spec = {"kind": "grid", "params": {"rows": 3, "cols": 3}}
+        compute_election(_parsed({"spec": spec}))  # caches the base
+        before = refinement_cache.stats()
+        response = compute_election(
+            _parsed({"base": spec, "delta": [{"op": "add-edge", "v": 0, "u": 4}]})
+        )
+        after = refinement_cache.stats()
+        assert "replayed" in response["delta_path"]
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 1
+
     def test_fingerprint_base_resolves_through_store(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         refinement_cache.attach_store(store)

@@ -17,7 +17,6 @@ from repro.runner import (
     evaluate_graph_spec,
     graph_kinds,
     refinement_cache,
-    run_sweep,
     shared_refinement,
 )
 
@@ -323,14 +322,31 @@ class TestRunner:
     def test_parallel_and_serial_tables_are_byte_identical(self):
         sweep = self._sweep()
         serial = ExperimentRunner().run(sweep)
-        parallel = ExperimentRunner(workers=2, chunk_size=1).run(sweep)
+        parallel = ExperimentRunner(workers=2).run(sweep)
         assert parallel.workers == 2
         assert parallel.table.to_json() == serial.table.to_json()
         assert parallel.table.to_csv() == serial.table.to_csv()
 
-    def test_run_sweep_wrapper(self):
-        report = run_sweep(self._sweep(), workers=1)
-        assert len(report.table.rows) == 5
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_raises_the_first_error_item_of_the_stream(self, workers):
+        """``run`` collects ``stream``: the item a bad spec fails in the stream
+        is the error ``run`` raises, and a pool is shut down with it."""
+        import multiprocessing
+
+        bad = GraphSpec.make("gdk", delta=4, k=1, index=99)
+        sweep = SweepSpec.make(
+            [GraphSpec.make("path", n=4), bad, GraphSpec.make("path", n=5)],
+            tasks=[Task.SELECTION],
+        )
+        runner = ExperimentRunner(workers=workers)
+        items = list(runner.stream(sweep))
+        assert [status for _index, status, _payload in items] == ["ok", "error", "ok"]
+        message = items[1][2]
+        assert message.startswith(f"{bad.label}: ")
+        with pytest.raises(ValueError) as raised:
+            runner.run(sweep)
+        assert str(raised.value) == message
+        assert multiprocessing.active_children() == []
 
     def test_search_limit_recorded_not_raised(self):
         sweep = SweepSpec.make(
@@ -386,23 +402,18 @@ class TestRunner:
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(workers=0)
-        with pytest.raises(ValueError):
-            ExperimentRunner(workers=2, chunk_size=0)
 
-    def test_pool_worker_bootstrap_attaches_only_a_configured_store(
-        self, tmp_path, isolated_refinement_cache
-    ):
-        from repro.runner import bootstrap_worker
+    def test_attach_store_path_attaches_once_per_path(self, tmp_path, isolated_refinement_cache):
+        """The pool initializer: a worker attaches the configured store once."""
+        from repro.runner import attach_store_path
 
-        bootstrap_worker()
-        assert refinement_cache.store is None
-        bootstrap_worker(str(tmp_path / "store"))
+        attach_store_path(str(tmp_path / "store"))
         attached = refinement_cache.store
         assert attached is not None
         assert attached.root == str(tmp_path / "store")
-        bootstrap_worker(str(tmp_path / "store"))
+        attach_store_path(str(tmp_path / "store"))
         assert refinement_cache.store is attached  # once per path
-        bootstrap_worker(str(tmp_path / "other"))
+        attach_store_path(str(tmp_path / "other"))
         assert refinement_cache.store.root == str(tmp_path / "other")
 
 

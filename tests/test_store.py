@@ -1026,6 +1026,41 @@ class TestStoreRoot:
         assert sorted(os.listdir(root)) == ["fingerprints", "objects", "sweeps"]
 
 
+class TestSweepRecords:
+    def test_round_trip_listing_and_bytes(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        assert store.sweep_ids() == [] and store.get_sweep("ab" * 12) is None
+        document = {"sweep": "ab" * 12, "items": "+.!", "state": "running"}
+        store.put_sweep("ab" * 12, document)
+        store.put_sweep("0f" * 12, {"sweep": "0f" * 12})
+        assert store.get_sweep("ab" * 12) == document
+        assert store.sweep_ids() == ["0f" * 12, "ab" * 12]
+        path = tmp_path / "sweeps" / ("ab" * 12 + ".json")
+        assert path.read_bytes() == (json.dumps(document, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "sweep_id", ["", "../x", "/tmp/x", "AB" * 12, "ab" * 12 + ".json", "a" * 65, "ab\x00"]
+    )
+    def test_only_hex_names_become_paths(self, tmp_path, sweep_id):
+        store = ArtifactStore(str(tmp_path / "store"))
+        with pytest.raises(ValueError):
+            store.put_sweep(sweep_id, {})
+        assert store.get_sweep(sweep_id) is None
+        assert not os.path.exists(tmp_path / "store" / "sweeps")
+
+    def test_unreadable_and_foreign_files_are_unknown_sweeps(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        sweeps = tmp_path / "sweeps"
+        sweeps.mkdir()
+        (sweeps / ("ab" * 12 + ".json")).write_text("{torn")
+        (sweeps / ("cd" * 12 + ".json")).write_text("[1, 2]")
+        (sweeps / "notes.json").write_text("{}")
+        (sweeps / ("ef" * 12 + ".json.tmp.1.2")).write_text("{}")
+        assert store.get_sweep("ab" * 12) is None
+        assert store.get_sweep("cd" * 12) is None
+        assert store.sweep_ids() == ["ab" * 12, "cd" * 12]
+
+
 class TestCompaction:
     def test_compact_reclaims_debris_and_preserves_live_records(self, tmp_path):
         store = ArtifactStore(str(tmp_path))

@@ -20,7 +20,6 @@ from test_service import _RunningServer
 from repro.core import Task, all_election_indices
 from repro.runner import WarmReport, refinement_cache, warm_sweep
 from repro.runner.spec import SweepSpec
-from repro.runner.warm import batch_items
 from repro.scenarios.corpus import corpus_specs
 from repro.service import ElectionService, deterministic_response
 from repro.store import ArtifactStore
@@ -241,20 +240,47 @@ class TestWarmServiceInterop:
         assert store.get(key) is not None
 
     def test_sweep_id_matches_batch_item_expansion(self, tmp_path):
-        """warm's identity digest equals the batch coordinator's over the
-        same item payloads (the interop the shared progress record rests on)."""
-        from repro.runner.warm import _sweep_identity
-        from repro.service.batch import BatchItem, _sweep_digest
+        """warm's sweep id is the id the batch coordinator gives the same
+        declarative sweep (the interop the shared progress record rests on)."""
+        from repro.service.batch import BatchCoordinator, sweep_digest, sweep_items
 
         sweep = _small_sweep(count=2)
-        items = batch_items(sweep, shared={"tasks": ["S"], "max_states": 1000})
-        expected = _sweep_digest(
-            [BatchItem(i, payload=p) for i, p in enumerate(items)]
-        )
-        assert _sweep_identity(items) == expected
-        report = warm_sweep(
-            sweep,
-            str(tmp_path / "store"),
-            shared={"tasks": ["S"], "max_states": 1000},
-        )
-        assert report.sweep_id == expected
+        shared = {"tasks": ["S"], "max_states": 1000}
+        body = {"sweep": dict(shared, corpus="mixed", count=2, seed=11)}
+        service = ElectionService(workers=1)
+        try:
+            request = BatchCoordinator(service).prepare(json.dumps(body).encode("utf-8"))
+        finally:
+            service.close()
+        items = sweep_items(sweep.graphs, shared)
+        assert [item.payload for item in request.items] == items
+        assert sweep_digest(items) == request.sweep_id
+        report = warm_sweep(sweep, str(tmp_path / "store"), shared=shared)
+        assert report.sweep_id == request.sweep_id
+
+    def test_warm_and_served_sweep_cli_share_one_sweep_and_record(self, tmp_path, capsys):
+        """``repro warm`` and ``repro sweep --url`` of one corpus, against one
+        store and one live server, name the same sweep; the service reads its
+        record as done, and a second warm resumes from the record the service
+        wrote."""
+        from repro.cli import main
+
+        store_path = str(tmp_path / "store")
+        corpus = ["--corpus", "mixed", "--count", "4", "--seed", "5"]
+        assert main(["warm", "--store", store_path, *corpus, "--quiet"]) == 0
+        warm_id = capsys.readouterr().out.strip()
+        service = ElectionService(store=ArtifactStore(store_path), workers=1)
+        with _RunningServer(service) as running:
+            assert main(["sweep", "--url", running.base, *corpus]) == 0
+            lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            status = running.get(f"/sweeps/{warm_id}")
+            listed = running.get("/sweeps")["sweeps"]
+        assert lines[0]["sweep"] == warm_id
+        trailer = lines[-1]
+        assert (trailer["sweep"], trailer["status"], trailer["ok"]) == (warm_id, "done", 4)
+        assert status["state"] == "done" and status["items"] == "++++"
+        assert listed == [warm_id]
+        assert main(["warm", "--store", store_path, *corpus]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == warm_id
+        assert "4 resumed" in captured.err
