@@ -9,10 +9,14 @@ declared as :class:`~repro.runner.GraphSpec` objects, one shared refinement
 per graph serves all four ψ_Z queries, and a second bench certifies that
 re-running the same spec is served entirely from the refinement cache.
 
-The runner starts the PPE/CPPE depth searches at the weaker index, so its
-values satisfy the ordering by construction.  The ordering is therefore
-checked on :func:`~repro.core.all_election_indices`, which searches each
-index independently, and the runner's values must equal those.
+Production's indices satisfy the ordering by construction: ψ_PE's search
+starts at ψ_S, a ψ_PPE leader passes the PE check at its depth, and ψ_CPPE
+is the first depth at which all views are distinct.  So the table checks
+the ordering on :func:`~repro.core.all_election_indices` and that the
+runner's values equal those; the independent check of the values is the
+small-scope oracle test (``tests/test_core_oracle.py``), which computes all
+four indices from the definitions on every labeling with n ≤ 4 and finds
+each inequality but ψ_S ≤ ψ_PE strict there (see EXPERIMENTS.md, E13).
 """
 
 from __future__ import annotations

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-states",
         type=int,
         default=200_000,
-        help="default PPE/CPPE search budget for queries that do not set one",
+        help="default PPE search budget for queries that do not set one",
     )
     serve.add_argument(
         "--port-file",

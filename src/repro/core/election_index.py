@@ -14,18 +14,25 @@ view ``B^t``, the indices admit exact combinatorial characterisations:
   unique ``B^t`` such that every other view-equivalence class has a *common*
   port that starts a simple path to ``u`` from each of its members.
 
-* **ψ_PPE(G)** / **ψ_CPPE(G)** are the smallest ``t`` at which there is such
-  a ``u`` and every other class has a *common outgoing-port sequence*
-  (respectively, a common sequence of (outgoing, incoming) port pairs) that
-  traces a simple path from each member to ``u``.
+* **ψ_PPE(G)** is the smallest ``t`` at which there is such a ``u`` and
+  every other class has a *common outgoing-port sequence* that traces a
+  simple path from each member to ``u``.
 
-ψ_S and ψ_PE are computed in polynomial time.  ψ_PPE and ψ_CPPE use an exact
+* **ψ_CPPE(G)** is the smallest ``t`` at which all ``B^t`` are distinct:
+  read backwards from the leader, a common sequence of (outgoing, incoming)
+  port pairs retraces one start node, so every class must be a singleton,
+  and then every node can output its own path.
+
+ψ_S, ψ_PE and ψ_CPPE are computed in polynomial time.  ψ_PPE uses an exact
 joint search over common sequences, which is exponential in the worst case
 but bounded by ``max_states`` (raising :class:`SearchLimitExceeded` rather
-than silently guessing).  The indices only ask whether a sequence exists, so
-their search runs best-first, stops at its first hit and answers each
-(leader, class) once per index; :func:`path_election_assignment`, whose
-sequences are an output, finds them breadth-first, so each is a shortest one.
+than silently guessing).  It asks only the classes of two or more nodes (a
+singleton always has its own shortest path), and only from leaders that
+pass the PE check (a sequence's first port is a PE port).  The index only
+asks whether a sequence exists, so its search runs best-first, stops at its
+first hit and answers each (leader, class) once per index;
+:func:`path_election_assignment`, whose sequences are an output, finds them
+breadth-first, so each is a shortest one.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ __all__ = [
 
 
 class SearchLimitExceeded(RuntimeError):
-    """Raised when the PPE/CPPE sequence search exceeds its state budget."""
+    """Raised when the PPE sequence search exceeds its state budget."""
 
 
 #: When ``max_cells`` is not given explicitly, the footprint cap of the joint
@@ -67,7 +74,7 @@ class SearchLimitExceeded(RuntimeError):
 #: with it the queue, which only holds states already in ``seen``).
 _DEFAULT_CELLS_PER_STATE = 32
 
-#: Process-wide counters of the PPE/CPPE joint searches (monotone; workers
+#: Process-wide counters of the PPE joint searches (monotone; workers
 #: keep their own copies).  ``states``/``cells`` count *stored* search states
 #: and their int-cell footprint, so the CI benchmark gate can certify that a
 #: warm sweep replay performed zero fresh search work.
@@ -75,7 +82,7 @@ _SEARCH_STATS = {"searches": 0, "states": 0, "cells": 0, "limit_hits": 0}
 
 
 def search_statistics() -> Dict[str, int]:
-    """A snapshot of the cumulative PPE/CPPE joint-search counters."""
+    """A snapshot of the cumulative PPE joint-search counters."""
     return dict(_SEARCH_STATS)
 
 
@@ -213,19 +220,18 @@ def _joint_search(
     members: Sequence[int],
     leader: int,
     *,
-    complete: bool,
     witness: bool,
     max_length: Optional[int] = None,
     max_states: int = 200_000,
     max_cells: Optional[int] = None,
     distances=None,
 ) -> Union[Tuple[int, ...], bool, None]:
-    """The joint search over common sequences from ``members`` to ``leader``.
+    """The joint search over common outgoing-port sequences from ``members``
+    to ``leader``.
 
     A state is the members' positions with their visited sets.  A step
-    moves every member through the same outgoing port (and, for
-    ``complete=True``, into the same incoming port) to a node its path has
-    not visited.  Paths are simple, so a state fixes its step count (its
+    moves every member through the same outgoing port to a node its path
+    has not visited.  Paths are simple, so a state fixes its step count (its
     visited sets hold the start plus one node per step), and every cut
     depends on the state alone.  A search that fails therefore stores the
     same closure of states in any order: the same states, the same cells
@@ -273,7 +279,6 @@ def _joint_search(
     csr = graph.csr()
     offsets = csr.offsets
     neighbors = csr.neighbors
-    reverse_ports = csr.reverse_ports
     distance_of = distances.__getitem__
     k = len(members)
     start = (tuple(members), tuple(frozenset((v,)) for v in members))
@@ -294,22 +299,12 @@ def _joint_search(
             min_degree = min(offsets[v + 1] - base for v, base in zip(positions, bases))
             for port in range(min_degree):
                 next_nodes: List[int] = []
-                # CPPE needs one incoming port shared by every member: the
-                # first member's fixes it, and any other port blocks the
-                # extension just like a revisit does
-                incoming = reverse_ports[bases[0] + port]
                 for i, base in enumerate(bases):
-                    dart = base + port
-                    u = neighbors[dart]
-                    if (
-                        u in visited[i]
-                        or distances[u] > remaining
-                        or (complete and reverse_ports[dart] != incoming)
-                    ):
-                        # revisit, provably unable to reach the leader
+                    u = neighbors[base + port]
+                    if u in visited[i] or distances[u] > remaining:
+                        # revisit, or provably unable to reach the leader
                         # within the simple-path budget (distance lower
-                        # bound; never triggers for the leader itself), or
-                        # a second incoming port
+                        # bound; never triggers for the leader itself)
                         break
                     next_nodes.append(u)
                 if len(next_nodes) < k:
@@ -319,12 +314,8 @@ def _joint_search(
                     # Some members reached the leader early: their simple path
                     # can no longer end at the leader later: a dead branch.
                     continue
-                if witness:
-                    step = (port, incoming) if complete else (port,)
-                    if hits:
-                        return sequence + step
-                elif hits:
-                    return True
+                if hits:
+                    return sequence + (port,) if witness else True
                 new_positions = tuple(next_nodes)
                 new_visited = tuple(
                     path | {u} for path, u in zip(visited, next_nodes)
@@ -343,7 +334,7 @@ def _joint_search(
                         f"class size {k})"
                     )
                 if witness:
-                    heappush(frontier, (steps_taken + 1, pushed, key, sequence + step))
+                    heappush(frontier, (steps_taken + 1, pushed, key, sequence + (port,)))
                 else:
                     heappush(frontier, (max(map(distance_of, next_nodes)), pushed, key, ()))
                 pushed += 1
@@ -356,13 +347,10 @@ def _joint_search(
 def _common_path_sequence(
     graph: PortLabeledGraph, members: Sequence[int], leader: int, **search
 ) -> Optional[Tuple[int, ...]]:
-    """A common port sequence tracing a simple path from every member to
-    ``leader``: the breadth-first witness search of :func:`_joint_search`.
-
-    For ``complete=False`` the sequence is the PPE-style outgoing ports
-    ``(p1, ..., pk)``; for ``complete=True`` it is the CPPE-style flat
-    ``(p1, q1, ..., pk, qk)``.  Returns ``None`` if no common sequence of
-    length at most ``max_length`` exists.
+    """A common outgoing-port sequence ``(p1, ..., pk)`` tracing a simple path
+    from every member to ``leader``: the breadth-first witness search of
+    :func:`_joint_search`.  Returns ``None`` if no common sequence of length
+    at most ``max_length`` exists.
     """
     return _joint_search(graph, members, leader, witness=True, **search)
 
@@ -382,13 +370,19 @@ def _path_leader(
     graph: PortLabeledGraph,
     classes: Dict[int, List[int]],
     *,
-    complete: bool,
     max_states: int,
     max_cells: Optional[int],
     answers: Dict[Tuple[int, Tuple[int, ...]], bool],
 ) -> Optional[int]:
     """The smallest node with a unique view from which every other class has a
-    common sequence, or ``None``; existence only.
+    common outgoing-port sequence, or ``None``; existence only.
+
+    Only classes of two or more members are asked: a singleton class always
+    has a sequence, its member's shortest path.  A sequence's first port is
+    a PE port, so a leader from which some such class has no common PE port
+    (:func:`_pe_class_port`) is skipped without a joint search; the CSR
+    view's block-cut tree that answers this is built only when such a class
+    exists.
 
     ``answers`` memoises each ``(leader, members)`` verdict.  A verdict is a
     pure function of the graph, the class, the leader and the budgets, so a
@@ -397,11 +391,12 @@ def _path_leader(
     """
     csr = graph.csr()
     singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
+    shared = [members for members in classes.values() if len(members) > 1]
+    cut = csr.block_cut_tree() if shared else None
     for leader in singleton_nodes:
-        distances = csr.distances_from(leader)
-        for members in classes.values():
-            if members == [leader]:
-                continue
+        if any(_pe_class_port(graph, members, leader, cut) is None for members in shared):
+            continue
+        for members in shared:
             key = (leader, tuple(members))
             found = answers.get(key)
             if found is None:
@@ -409,10 +404,9 @@ def _path_leader(
                     graph,
                     members,
                     leader,
-                    complete=complete,
                     max_states=max_states,
                     max_cells=max_cells,
-                    distances=distances,
+                    distances=csr.distances_from(leader),
                 )
             if not found:
                 break
@@ -432,23 +426,30 @@ def path_election_assignment(
 ) -> Optional[Tuple[int, Dict[int, Tuple[int, ...]]]]:
     """A (leader, per-node sequence) assignment realising PPE/CPPE at ``depth``, or ``None``.
 
-    The leader is the smallest node with a unique view from which every
+    PPE: the leader is the smallest node with a unique view from which every
     other class has a common sequence, found by the existence search; the
     breadth-first witness search then runs for that leader's classes only,
-    so each sequence is a shortest one.  The distance-to-leader arrays
-    that prune both searches are memoised on the graph's CSR view
+    so each sequence is a shortest one.  The distance-to-leader arrays that
+    prune both searches are memoised on the graph's CSR view
     (:meth:`~repro.kernel.csr.CSRGraph.distances_from`), one BFS per leader
     for every depth tried.
+
+    CPPE (``complete=True``) needs a discrete partition (see
+    :func:`complete_port_path_election_index`), so it is ``None`` at any
+    other depth and runs no search: the leader is node 0, and every other
+    node outputs the flat ``(p1, q1, ..., pk, qk)`` (outgoing, incoming)
+    port pairs of its lexicographically smallest shortest path to node 0,
+    the one the breadth-first search finds.  ``max_states`` and
+    ``max_cells`` bound the PPE searches only.
     """
     refinement = refinement if refinement is not None else default_refinement(graph)
+    if complete:
+        if refinement.num_classes(depth) < graph.num_nodes:
+            return None
+        return 0, _shortest_path_pairs(graph, 0)
     classes = refinement.classes(depth)
     leader = _path_leader(
-        graph,
-        classes,
-        complete=complete,
-        max_states=max_states,
-        max_cells=max_cells,
-        answers={},
+        graph, classes, max_states=max_states, max_cells=max_cells, answers={}
     )
     if leader is None:
         return None
@@ -461,7 +462,6 @@ def path_election_assignment(
             graph,
             members,
             leader,
-            complete=complete,
             max_states=max_states,
             max_cells=max_cells,
             distances=distances,
@@ -471,34 +471,56 @@ def path_election_assignment(
     return leader, sequences
 
 
-def _path_index(
+def _shortest_path_pairs(graph: PortLabeledGraph, leader: int) -> Dict[int, Tuple[int, ...]]:
+    """Each other node's ``(p1, q1, ..., pk, qk)`` along its lexicographically
+    smallest shortest path to ``leader``.
+
+    Greedy descent: a node takes its smallest port to a neighbour one hop
+    closer, then that neighbour's pairs.  Nodes are taken by distance, so
+    the neighbour's pairs are already known.
+    """
+    csr = graph.csr()
+    distances = csr.distances_from(leader)
+    offsets = csr.offsets
+    neighbors = csr.neighbors
+    reverse_ports = csr.reverse_ports
+    pairs: Dict[int, Tuple[int, ...]] = {leader: ()}
+    for v in sorted(range(graph.num_nodes), key=distances.__getitem__)[1:]:
+        base = offsets[v]
+        closer = distances[v] - 1
+        dart = base
+        while distances[neighbors[dart]] != closer:
+            dart += 1
+        pairs[v] = (dart - base, reverse_ports[dart]) + pairs[neighbors[dart]]
+    del pairs[leader]
+    return pairs
+
+
+def port_path_election_index(
     graph: PortLabeledGraph,
     *,
-    complete: bool,
-    refinement: Optional[ViewRefinement],
-    max_depth: Optional[int],
-    max_states: int,
+    refinement: Optional[ViewRefinement] = None,
+    max_depth: Optional[int] = None,
+    max_states: int = 200_000,
     max_cells: Optional[int] = None,
-    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
-    """The smallest depth from ``max(ψ_S, lower_bound)`` with a PPE/CPPE assignment.
+    """ψ_PPE(G): the smallest depth from ψ_S with a PPE assignment (exact,
+    bounded search).
 
     Decided by existence alone: no witness sequence is built.  The
     ``(leader, members)`` verdicts are memoised across the depths of this
     one call, whose budgets are fixed.
     """
     refinement = refinement if refinement is not None else default_refinement(graph)
-    start = refinement.first_depth_with_unique_node(max_depth=max_depth)
-    if start is None:
+    depth = refinement.first_depth_with_unique_node(max_depth=max_depth)
+    if depth is None:
         return None
     stable = refinement.ensure_stable()
-    depth = start if lower_bound is None else max(start, lower_bound)
     answers: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
     while max_depth is None or depth <= max_depth:
         leader = _path_leader(
             graph,
             refinement.classes(depth),
-            complete=complete,
             max_states=max_states,
             max_cells=max_cells,
             answers=answers,
@@ -511,54 +533,29 @@ def _path_index(
     return None
 
 
-def port_path_election_index(
-    graph: PortLabeledGraph,
-    *,
-    refinement: Optional[ViewRefinement] = None,
-    max_depth: Optional[int] = None,
-    max_states: int = 200_000,
-    max_cells: Optional[int] = None,
-    lower_bound: Optional[int] = None,
-) -> Optional[int]:
-    """ψ_PPE(G) (exact, bounded search).
-
-    ``lower_bound``, a proven lower bound on the index, seeds the depth
-    search (see :func:`election_index`).
-    """
-    return _path_index(
-        graph,
-        complete=False,
-        refinement=refinement,
-        max_depth=max_depth,
-        max_states=max_states,
-        max_cells=max_cells,
-        lower_bound=lower_bound,
-    )
-
-
 def complete_port_path_election_index(
     graph: PortLabeledGraph,
     *,
     refinement: Optional[ViewRefinement] = None,
     max_depth: Optional[int] = None,
-    max_states: int = 200_000,
-    max_cells: Optional[int] = None,
-    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
-    """ψ_CPPE(G) (exact, bounded search).
+    """ψ_CPPE(G): the first depth at which all n views are distinct.
 
-    ``lower_bound``, a proven lower bound on the index, seeds the depth
-    search (see :func:`election_index`).
+    Read backwards from the leader, a CPPE sequence retraces one start
+    node, so no two nodes share one, while nodes with equal views output
+    equal ones: a CPPE assignment needs a discrete partition.  At a discrete
+    depth every node outputs its own path (:func:`path_election_assignment`).
+    ``None`` if no depth up to ``max_depth`` is discrete (an infeasible
+    graph has none).  No search runs, so no budget applies.
     """
-    return _path_index(
-        graph,
-        complete=True,
-        refinement=refinement,
-        max_depth=max_depth,
-        max_states=max_states,
-        max_cells=max_cells,
-        lower_bound=lower_bound,
-    )
+    refinement = refinement if refinement is not None else default_refinement(graph)
+    last = refinement.ensure_stable()
+    if max_depth is not None:
+        last = min(last, max_depth)
+    for depth in range(last + 1):
+        if refinement.num_classes(depth) == graph.num_nodes:
+            return depth
+    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -571,19 +568,12 @@ def election_index(
     refinement: Optional[ViewRefinement] = None,
     max_depth: Optional[int] = None,
     max_states: int = 200_000,
-    lower_bound: Optional[int] = None,
 ) -> Optional[int]:
     """ψ_Z(G) for any of the four tasks Z.
 
-    ``lower_bound`` seeds the PPE/CPPE depth search: it starts at
-    ``max(ψ_S, lower_bound)`` instead of ψ_S.  It must be a proven lower
-    bound on the index under the same ``max_depth``, such as the exact
-    weaker index of Fact 1.1 (ψ_PE for PPE, ψ_PPE for CPPE); every skipped
-    depth then has no assignment, so the value is unchanged.  A skipped
-    depth cannot exhaust ``max_states`` either, so a seeded search may
-    return an exact value where the unseeded one raises
-    :class:`SearchLimitExceeded`.  S and PE ignore ``lower_bound``: their
-    searches already start at ψ_S, the weakest index.
+    ``max_states`` bounds the PPE joint searches, the only searches left:
+    S, PE and CPPE are decided without one and never raise
+    :class:`SearchLimitExceeded`.
     """
     if task is Task.SELECTION:
         return selection_index(graph, refinement=refinement)
@@ -591,19 +581,11 @@ def election_index(
         return port_election_index(graph, refinement=refinement, max_depth=max_depth)
     if task is Task.PORT_PATH_ELECTION:
         return port_path_election_index(
-            graph,
-            refinement=refinement,
-            max_depth=max_depth,
-            max_states=max_states,
-            lower_bound=lower_bound,
+            graph, refinement=refinement, max_depth=max_depth, max_states=max_states
         )
     if task is Task.COMPLETE_PORT_PATH_ELECTION:
         return complete_port_path_election_index(
-            graph,
-            refinement=refinement,
-            max_depth=max_depth,
-            max_states=max_states,
-            lower_bound=lower_bound,
+            graph, refinement=refinement, max_depth=max_depth
         )
     raise ValueError(f"unknown task {task!r}")
 
@@ -616,9 +598,12 @@ def all_election_indices(
 ) -> Dict[Task, Optional[int]]:
     """ψ_Z(G) for all four tasks, sharing one (process-cached) refinement.
 
-    Each index is searched independently and never seeded with a weaker one
-    (no ``lower_bound``), so the result is the unseeded reference against
-    which Fact 1.1 (:func:`~repro.core.hierarchy.verify_fact_1_1`) is checked.
+    The values satisfy Fact 1.1 by construction: ψ_PE's depth search starts
+    at ψ_S, a ψ_PPE leader passes the PE check at its depth, and ψ_CPPE is
+    the first discrete depth, where every shade has an assignment.  So
+    :func:`~repro.core.hierarchy.verify_fact_1_1` cannot catch a wrong index;
+    the small-scope oracle test, which computes all four from the
+    definitions, is the independent check.
     """
     refinement = default_refinement(graph)
     return {

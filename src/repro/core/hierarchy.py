@@ -45,9 +45,12 @@ def verify_fact_1_1(graph: PortLabeledGraph, **kwargs) -> Dict[Task, Optional[in
     """Compute all four indices of ``graph`` and assert the Fact 1.1 ordering.
 
     The indices come from :func:`~repro.core.election_index.all_election_indices`,
-    which never seeds a search with a weaker index, so the check is
-    independent: seeded values (as the runner computes them) satisfy the
-    ordering by construction and could not test it.
+    whose values satisfy the ordering by construction (ψ_PE's search starts
+    at ψ_S, a ψ_PPE leader passes the PE check, and ψ_CPPE is the first
+    discrete depth), so this check guards the dictionary plumbing, not the
+    searches.  The independent check of the indices is the small-scope
+    oracle test (``tests/test_core_oracle.py``), which computes all four
+    from the definitions.
     """
     indices = all_election_indices(graph, **kwargs)
     if not indices_respect_hierarchy(indices):

@@ -75,8 +75,8 @@ class CSRGraph:
         self.neighbors = neighbors
         self.reverse_ports = reverse_ports
         self._twin_darts = None  # built on first access (message routing)
-        self._blockcut = None  # built on first access (ψ_PE)
-        self._distances = {}  # source -> BFS distances (ψ_PPE/ψ_CPPE pruning)
+        self._blockcut = None  # built on first access (ψ_PE, ψ_PPE)
+        self._distances = {}  # source -> BFS distances (ψ_PPE pruning, ψ_CPPE paths)
 
     @property
     def twin_darts(self) -> array:

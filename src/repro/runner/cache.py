@@ -71,10 +71,10 @@ class CacheEntry:
     max_states)`` or ``("feasible",)`` -- to previously computed answers.
     Every answer memoised here is a pure function of the graph (and of the
     key's own parameters), so replaying a sweep can skip not only the
-    refinement passes but also the expensive PPE/CPPE joint searches.
+    refinement passes but also the expensive PPE joint searches.
 
-    The graph's block-cut tree (ψ_PE) and BFS distance arrays (ψ_PPE/ψ_CPPE
-    pruning) are memoised on its CSR view
+    The graph's block-cut tree (ψ_PE, ψ_PPE) and BFS distance arrays (ψ_PPE
+    pruning, the ψ_CPPE witness paths) are memoised on its CSR view
     (:class:`~repro.kernel.csr.CSRGraph`), which a hit hands to the request
     graph with the engine, so a warm sweep skips their construction exactly
     as it skips refinement passes.

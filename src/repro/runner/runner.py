@@ -25,10 +25,8 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..core.election_index import SearchLimitExceeded, election_index
+from ..core.election_index import SearchLimitExceeded, election_index, search_statistics
 from ..core.feasibility import is_feasible
-from ..core.election_index import search_statistics
-from ..core.tasks import Task
 from ..obs import span as obs_span
 from ..store import ArtifactStore
 from .cache import CacheEntry, refinement_cache
@@ -57,23 +55,18 @@ def evaluate_graph(
     unless the caller already holds it and passes it as ``entry`` (a delta
     item's, from :meth:`~repro.runner.cache.RefinementCache.delta_entry`),
     and answers every requested query against that one refinement (the
-    ψ_PE block-cut tree and the ψ_PPE/ψ_CPPE distances come from the
+    ψ_PE/ψ_PPE block-cut tree and the ψ_PPE distances come from the
     graph's CSR view, which a hit shares).  Feasibility, the ψ_Z values
     (keyed by their search parameters) and the view-class profiles (keyed
     by depth) are memoised on the entry, so replaying a sweep skips the
-    PPE/CPPE joint searches as well as the refinement passes; with a store
+    PPE joint searches as well as the refinement passes; with a store
     attached the entry's memo may arrive warm from disk, and the computed
-    outcome is written through from the same entry at the end.  A PPE or
-    CPPE search that exceeds ``sweep.max_states`` records ``None`` for the
-    index and lists the task under ``search_limited`` instead of aborting
-    the whole sweep.
-
-    The PPE and CPPE depth searches start at the memoised exact index of
-    the next-weaker shade (ψ_PE, respectively ψ_PPE) when one was computed
-    under the same budget: by Fact 1.1 no shallower depth can succeed, so
-    the values are unchanged, but a task listed under ``search_limited``
-    unseeded may come out exact, because a skipped depth cannot run out of
-    budget.
+    outcome is written through from the same entry at the end.  A PPE
+    search that exceeds ``sweep.max_states`` records ``None`` for the index
+    and lists the task under ``search_limited`` instead of aborting the
+    whole sweep (S, PE and CPPE run no search).  Each task is computed on
+    its own, so an outcome depends only on the graph, the task and the
+    budgets, not on which other tasks the memo already holds.
     """
     with obs_span("evaluate_graph") as profile_span:
         return _evaluate_graph_traced(graph, sweep, label, entry, profile_span)
@@ -98,31 +91,6 @@ def _cheap_counters() -> Dict[str, int]:
         counters["store_bytes_read"] = 0
         counters["store_bytes_written"] = 0
     return counters
-
-
-#: The next-weaker shade of each joint-search task in the Fact 1.1 order.
-_WEAKER_TASK = {
-    Task.PORT_PATH_ELECTION: Task.PORT_ELECTION,
-    Task.COMPLETE_PORT_PATH_ELECTION: Task.PORT_PATH_ELECTION,
-}
-
-
-def _weaker_index(memo: Dict[Tuple, Any], task: Task, sweep: SweepSpec) -> Optional[int]:
-    """The memoised exact ψ of ``task``'s next-weaker shade, else ``None``.
-
-    Fact 1.1 makes it a lower bound on ψ of ``task``, so the PPE/CPPE depth
-    search may start there.  Only an exact value (``("ok", int)``) computed
-    under this sweep's ``max_depth`` and ``max_states`` seeds the search: a
-    limited or infeasible outcome, a missing one, or one stored under
-    another budget leaves the search unseeded.
-    """
-    weaker = _WEAKER_TASK.get(task)
-    if weaker is None:
-        return None
-    outcome = memo.get(("psi", weaker.value, sweep.max_depth, sweep.max_states))
-    if outcome is None or outcome[0] != "ok":
-        return None
-    return outcome[1]
 
 
 def _evaluate_graph_traced(graph, sweep: SweepSpec, label, entry, profile_span) -> Dict[str, Any]:
@@ -158,7 +126,6 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, entry, profile_span) 
                     refinement=refinement,
                     max_depth=sweep.max_depth,
                     max_states=sweep.max_states,
-                    lower_bound=_weaker_index(entry.memo, task, sweep),
                 ))
             except SearchLimitExceeded:
                 outcome = ("limited", None)

@@ -243,7 +243,7 @@ class ElectionService:
     workers:
         Size of the bounded compute pool.
     default_max_states:
-        PPE/CPPE search budget applied when a query does not set one.  A
+        PPE search budget applied when a query does not set one.  A
         budget a query could not set (no positive integer) raises
         ``ValueError`` here, not a 400 on every query that leaves it out.
 

@@ -1,7 +1,7 @@
 """The election service's compute backend: one bounded thread pool.
 
 The service's heavy work -- graph construction, partition refinement, the
-ψ_PPE/ψ_CPPE joint searches -- runs off the event loop on a fixed-size
+ψ_PPE joint searches -- runs off the event loop on a fixed-size
 ``ThreadPoolExecutor``, so the loop keeps accepting connections and serving
 ``/stats`` while searches run, and at most ``workers`` computations are in
 flight; the rest queue.  Every computation runs

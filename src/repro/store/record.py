@@ -7,7 +7,7 @@ graph and of the (deterministic) computations performed on it:
 * the compact binary graph encoding (:func:`repro.portgraph.io.graph_to_bytes`);
 * feasibility and the computed ψ_Z outcomes, keyed exactly like the runner
   cache's memo (task, ``max_depth``, ``max_states``), so a warm sweep skips
-  the PPE/CPPE joint searches;
+  the PPE joint searches;
 * the sweep's view-class profile answers (the number of classes and of
   nodes with a unique view at a depth), keyed like the memo's
   ``("profile", depth)`` entries.

@@ -136,6 +136,14 @@ class TestHierarchyAndDispatch:
             complete_port_path_election_index(three_line)
         )
 
+    def test_max_depth_caps_the_depth_searches(self):
+        graph = generators.asymmetric_cycle(9)
+        indices = all_election_indices(graph)
+        for task in (Task.PORT_ELECTION, Task.PORT_PATH_ELECTION, Task.COMPLETE_PORT_PATH_ELECTION):
+            depth = indices[task]
+            assert election_index(task, graph, max_depth=depth) == depth
+            assert election_index(task, graph, max_depth=depth - 1) is None
+
     def test_unknown_task_rejected(self, three_line):
         with pytest.raises(ValueError):
             election_index("bogus", three_line)  # type: ignore[arg-type]

@@ -1,9 +1,11 @@
-"""Tests for the bounded-search guardrails of the PPE/CPPE index computation."""
+"""Tests for the bounded-search guardrails of the PPE index computation, and
+for the CPPE index, which runs no search and so is exact at any budget."""
 
 from __future__ import annotations
 
 import importlib
 from collections import deque
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -12,8 +14,8 @@ from repro.core import (
     SearchLimitExceeded,
     Task,
     complete_port_path_election_index,
+    election_index,
     path_election_assignment,
-    port_election_index,
     port_path_election_index,
     reset_search_statistics,
     search_statistics,
@@ -33,28 +35,33 @@ class TestCommonPathSearch:
     def test_finds_obvious_common_sequence(self):
         graph = generators.star_graph(4)
         # all leaves reach the centre with the single-port sequence (0,)
-        sequence = _common_path_sequence(graph, [1, 2, 3, 4], 0, complete=False)
+        sequence = _common_path_sequence(graph, [1, 2, 3, 4], 0)
         assert sequence == (0,)
 
-    def test_no_common_complete_sequence_for_star_leaves(self):
+    def test_no_complete_assignment_below_the_discrete_depth(self):
         graph = generators.star_graph(3)
-        # the incoming ports at the centre differ, so no common CPPE sequence exists
-        assert _common_path_sequence(graph, [1, 2, 3], 0, complete=True) is None
+        # the leaves share a view at depth 0 and enter the centre on distinct
+        # incoming ports, so no common CPPE sequence exists there
+        assert path_election_assignment(graph, 0, complete=True) is None
+        assert path_election_assignment(graph, 1, complete=True) == (
+            0,
+            {1: (0, 0), 2: (0, 1), 3: (0, 2)},
+        )
 
     def test_leader_inside_the_class_means_no_sequence(self):
         graph = generators.path_graph(4)
-        assert _common_path_sequence(graph, [0, 1], 1, complete=False) is None
+        assert _common_path_sequence(graph, [0, 1], 1) is None
 
     def test_max_length_cuts_off_long_paths(self):
         graph = generators.path_graph(6)
-        assert _common_path_sequence(graph, [5], 0, complete=False, max_length=2) is None
-        assert _common_path_sequence(graph, [5], 0, complete=False) is not None
+        assert _common_path_sequence(graph, [5], 0, max_length=2) is None
+        assert _common_path_sequence(graph, [5], 0) is not None
 
     def test_state_budget_raises_instead_of_guessing(self):
         graph = generators.asymmetric_cycle(8)
         # nodes 3 and 4 need several joint steps to reach node 0 together
         with pytest.raises(SearchLimitExceeded):
-            _common_path_sequence(graph, [3, 4], 0, complete=False, max_states=2)
+            _common_path_sequence(graph, [3, 4], 0, max_states=2)
 
     def test_index_functions_propagate_the_limit(self):
         # at depth ψ_S = 1 the asymmetric cycle still has a large twin class far
@@ -62,8 +69,8 @@ class TestCommonPathSearch:
         graph = generators.asymmetric_cycle(9)
         with pytest.raises(SearchLimitExceeded):
             port_path_election_index(graph, max_states=2)
-        with pytest.raises(SearchLimitExceeded):
-            complete_port_path_election_index(graph, max_states=2)
+        # CPPE runs no search: the first discrete depth is exact at any budget
+        assert election_index(Task.COMPLETE_PORT_PATH_ELECTION, graph, max_states=2) == 4
 
 
 class TestMemoryAccounting:
@@ -73,20 +80,18 @@ class TestMemoryAccounting:
         graph = generators.path_graph(12)
         with pytest.raises(SearchLimitExceeded):
             _common_path_sequence(
-                graph, [11], 0, complete=False, max_states=10_000, max_cells=12
+                graph, [11], 0, max_states=10_000, max_cells=12
             )
         # with the footprint cap lifted the same search completes
         assert (
-            _common_path_sequence(
-                graph, [11], 0, complete=False, max_states=10_000
-            )
+            _common_path_sequence(graph, [11], 0, max_states=10_000)
             is not None
         )
 
     def test_limit_message_reports_states_cells_and_class_size(self):
         graph = generators.asymmetric_cycle(9)
         with pytest.raises(SearchLimitExceeded) as excinfo:
-            _common_path_sequence(graph, [3, 4], 0, complete=False, max_states=2)
+            _common_path_sequence(graph, [3, 4], 0, max_states=2)
         message = str(excinfo.value)
         assert "states" in message
         assert "cells" in message
@@ -96,13 +101,11 @@ class TestMemoryAccounting:
         graph = generators.asymmetric_cycle(9)
         with pytest.raises(SearchLimitExceeded):
             port_path_election_index(graph, max_states=10_000, max_cells=8)
-        with pytest.raises(SearchLimitExceeded):
-            complete_port_path_election_index(graph, max_states=10_000, max_cells=8)
 
     def test_search_statistics_count_states_and_cells(self):
         reset_search_statistics()
         graph = generators.star_graph(4)
-        assert _common_path_sequence(graph, [1, 2, 3, 4], 0, complete=False) == (0,)
+        assert _common_path_sequence(graph, [1, 2, 3, 4], 0) == (0,)
         stats = search_statistics()
         assert stats["searches"] == 1
         assert stats["states"] >= 1
@@ -118,9 +121,10 @@ class TestMemoryAccounting:
 
 
 # --------------------------------------------------------------------------- #
-# seeding the PPE/CPPE depth searches with the weaker index (Fact 1.1)
+# outcomes across budgets: PPE is limited or exact, CPPE is never limited
 # --------------------------------------------------------------------------- #
 BUDGETS = (20, 50, 200, 50_000)
+PATH_TASKS = (Task.PORT_PATH_ELECTION, Task.COMPLETE_PORT_PATH_ELECTION)
 
 
 def _gdk_member(index: int):
@@ -134,141 +138,53 @@ def _outcome(index_function, graph, **kwargs) -> Tuple[str, Optional[int]]:
         return "limited", None
 
 
-def _unseeded(graph, max_states: int) -> Dict[str, Tuple[str, Optional[int]]]:
-    return {
-        "PPE": _outcome(port_path_election_index, graph, max_states=max_states),
-        "CPPE": _outcome(complete_port_path_election_index, graph, max_states=max_states),
+def _assert_budgets_only_limit(graph, budgets: Sequence[int]) -> set:
+    """Every PPE outcome is limited or equals the largest budget's, and every
+    CPPE outcome is exact; returns the PPE verdicts met."""
+    outcomes = {
+        max_states: {
+            task: _outcome(partial(election_index, task), graph, max_states=max_states)
+            for task in PATH_TASKS
+        }
+        for max_states in budgets
     }
-
-
-def _seeded(graph, max_states: int) -> Dict[str, Tuple[str, Optional[int]]]:
-    """The runner's chain: PPE from ψ_PE, CPPE from PPE when that is exact."""
-    ppe = _outcome(
-        port_path_election_index,
-        graph,
-        max_states=max_states,
-        lower_bound=port_election_index(graph),
-    )
-    cppe = _outcome(
-        complete_port_path_election_index,
-        graph,
-        max_states=max_states,
-        lower_bound=ppe[1] if ppe[0] == "ok" else None,
-    )
-    return {"PPE": ppe, "CPPE": cppe}
-
-
-def _assert_seeding_is_exact(graph, budgets: Sequence[int]) -> set:
-    """Seeded outcomes never contradict unseeded ones; returns the unseeded verdicts met.
-
-    A seeded exact value where the unseeded search is limited must agree
-    with the unseeded value at the largest budget whenever that is exact.
-    """
-    unseeded_at = {max_states: _unseeded(graph, max_states) for max_states in budgets}
-    reference = unseeded_at[max(budgets)]
+    reference = outcomes[max(budgets)]
     verdicts = set()
-    for max_states, unseeded in unseeded_at.items():
-        seeded = _seeded(graph, max_states)
-        for task in ("PPE", "CPPE"):
-            verdicts.add(unseeded[task][0])
-            if unseeded[task][0] == "ok":
-                assert seeded[task] == unseeded[task], (graph.name, max_states, task)
-                continue
-            assert seeded[task][0] in ("ok", "limited"), (graph.name, max_states, task)
-            if seeded[task][0] == "ok" and reference[task][0] == "ok":
-                assert seeded[task] == reference[task], (graph.name, max_states, task)
+    for max_states, outcome in outcomes.items():
+        ppe, cppe = (outcome[task] for task in PATH_TASKS)
+        verdicts.add(ppe[0])
+        context = (graph.name, max_states)
+        assert ppe[0] == "limited" or ppe == reference[Task.PORT_PATH_ELECTION], context
+        assert cppe[0] == "ok", context
+        assert cppe == reference[Task.COMPLETE_PORT_PATH_ELECTION], context
     return verdicts
 
 
-class TestSeededSearchIsExact:
+class TestOutcomesAcrossBudgets:
     def test_mixed_corpus_at_every_budget(self, corpus_rng_factory):
-        seed = corpus_rng_factory("seeded-search-corpus").randrange(10**6)
+        seed = corpus_rng_factory("budget-outcomes-corpus").randrange(10**6)
         verdicts = set()
         for spec in corpus_specs(200, seed=seed, corpus="mixed"):
-            verdicts |= _assert_seeding_is_exact(spec.build(), BUDGETS)
+            verdicts |= _assert_budgets_only_limit(spec.build(), BUDGETS)
         assert verdicts == {"ok", "limited"}  # the smallest budget limits some searches
 
     def test_gdk_members_at_every_budget(self):
         verdicts = set()
         for index in (1, 2, 3):
-            verdicts |= _assert_seeding_is_exact(_gdk_member(index), BUDGETS)
+            verdicts |= _assert_budgets_only_limit(_gdk_member(index), BUDGETS)
         assert verdicts == {"ok", "limited"}
 
-    def test_udk_member_at_small_budgets(self):
-        # U_{4,1} (450 nodes) is the smallest U member; its joint searches
-        # take minutes at the largest budget, so only the small ones run.
-        # The smallest J member (J_{2,4}) has 132k nodes: out of reach here.
-        graph = GraphSpec.make("udk", delta=4, k=1).build()
-        _assert_seeding_is_exact(graph, BUDGETS[:3])
-
-    def test_seeding_turns_a_limited_verdict_exact(self):
+    def test_cppe_is_exact_where_the_joint_search_ran_out(self):
+        # the CPPE joint search this replaced ran out of budgets up to 30 here
         graph = _gdk_member(1)
-        with pytest.raises(SearchLimitExceeded):
-            complete_port_path_election_index(graph, max_states=20)
-        assert complete_port_path_election_index(graph, max_states=20, lower_bound=6) == 6
-
-
-class TestRunnerSeedsOnlyFromExactSameBudgetOutcomes:
-    """``evaluate_graph`` seeds CPPE with a memoised ``("ok", int)`` PPE of
-    the same ``max_states`` only; the search counters show which search ran."""
-
-    @staticmethod
-    def _searched(index_function, graph, **kwargs) -> Dict[str, int]:
         before = search_statistics()
-        _outcome(index_function, graph, **kwargs)
-        after = search_statistics()
-        return {key: after[key] - before[key] for key in after}
+        assert election_index(Task.COMPLETE_PORT_PATH_ELECTION, graph, max_states=1) == 6
+        assert search_statistics() == before
 
-    @staticmethod
-    def _evaluated(graph, tasks, max_states) -> Tuple[Dict[str, object], Dict[str, int]]:
-        sweep = SweepSpec.make((), tasks=tasks, max_states=max_states)
-        before = search_statistics()
-        record = evaluate_graph(graph, sweep)
-        after = search_statistics()
-        return record, {key: after[key] - before[key] for key in after}
-
-    def test_exact_ppe_of_the_same_budget_seeds_cppe(self, isolated_refinement_cache):
-        graph = _gdk_member(1)
-        record, _ = self._evaluated(graph, [Task.PORT_PATH_ELECTION], 50)
-        assert record["psi_PPE"] == 6
-        record, searched = self._evaluated(graph, [Task.COMPLETE_PORT_PATH_ELECTION], 50)
-        assert record["psi_CPPE"] == 6
-        seeded = self._searched(complete_port_path_election_index, graph, max_states=50, lower_bound=6)
-        unseeded = self._searched(complete_port_path_election_index, graph, max_states=50)
-        assert searched == seeded
-        assert seeded["searches"] < unseeded["searches"]
-
-    def test_seeded_runner_reports_exact_where_unseeded_is_limited(self, isolated_refinement_cache):
-        graph = _gdk_member(1)
-        record, _ = self._evaluated(graph, list(Task.ordered()), 50)
-        assert (record["psi_PPE"], record["psi_CPPE"], record["search_limited"]) == (6, 6, "")
-        # at max_states=20 PPE seeded from ψ_PE = 2 still runs out of budget
-        record, _ = self._evaluated(graph, list(Task.ordered()), 20)
-        assert record["search_limited"] == "PPE,CPPE"
-
-    def test_limited_ppe_leaves_cppe_unseeded(self, isolated_refinement_cache):
-        graph = _gdk_member(1)
-        record, _ = self._evaluated(graph, [Task.PORT_PATH_ELECTION], 20)
-        assert record["search_limited"] == "PPE"
-        record, searched = self._evaluated(graph, [Task.COMPLETE_PORT_PATH_ELECTION], 20)
-        assert record["search_limited"] == "CPPE"
-        assert searched == self._searched(complete_port_path_election_index, graph, max_states=20)
-
-    def test_exact_ppe_of_another_budget_leaves_cppe_unseeded(self, isolated_refinement_cache):
-        graph = _gdk_member(1)
-        record, _ = self._evaluated(graph, [Task.PORT_PATH_ELECTION], 50)
-        assert record["psi_PPE"] == 6
-        record, searched = self._evaluated(graph, [Task.COMPLETE_PORT_PATH_ELECTION], 200)
-        assert record["psi_CPPE"] == 6
-        unseeded = self._searched(complete_port_path_election_index, graph, max_states=200)
-        seeded = self._searched(complete_port_path_election_index, graph, max_states=200, lower_bound=6)
-        assert searched == unseeded != seeded
-
-    def test_missing_weaker_index_leaves_the_search_unseeded(self, isolated_refinement_cache):
-        graph = _gdk_member(1)
-        record, searched = self._evaluated(graph, [Task.PORT_PATH_ELECTION], 200)
-        assert record["psi_PPE"] == 6
-        assert searched == self._searched(port_path_election_index, graph, max_states=200)
+    def test_the_runner_never_lists_cppe_as_search_limited(self, isolated_refinement_cache):
+        sweep = SweepSpec.make((), tasks=list(Task.ordered()), max_states=1)
+        record = evaluate_graph(_gdk_member(1), sweep)
+        assert (record["psi_CPPE"], record["search_limited"]) == (6, "PPE")
 
 
 # --------------------------------------------------------------------------- #
@@ -361,7 +277,9 @@ class TestSlimJointSearchMatchesTheReferenceLoop:
     def _run_both(graph, members, leader, **kwargs):
         expected_stats = dict.fromkeys(("searches", "states", "cells", "limit_hits"), 0)
         expected = _outcome(
-            lambda g, **kw: _reference_common_path_sequence(g, members, leader, expected_stats, **kw),
+            lambda g, **kw: _reference_common_path_sequence(
+                g, members, leader, expected_stats, complete=False, **kw
+            ),
             graph,
             **kwargs,
         )
@@ -385,10 +303,7 @@ class TestSlimJointSearchMatchesTheReferenceLoop:
             leader = rng.randrange(n)
             others = [v for v in graph.nodes() if v != leader]
             members = sorted(rng.sample(others, rng.randint(1, min(4, len(others)))))
-            kwargs = {
-                "complete": trial % 2 == 1,
-                "max_states": rng.choice((3, 10, 100, 200_000)),
-            }
+            kwargs = {"max_states": rng.choice((3, 10, 100, 200_000))}
             if trial % 5 == 0:
                 kwargs["max_length"] = rng.randint(1, n - 1)
             verdicts.add(self._run_both(graph, members, leader, **kwargs))
@@ -405,13 +320,8 @@ class TestSlimJointSearchMatchesTheReferenceLoop:
         verdicts = set()
         for leader in leaders:
             for members in classes:
-                for complete in (False, True):
-                    for max_states in (20, 5_000):
-                        verdicts.add(
-                            self._run_both(
-                                graph, members, leader, complete=complete, max_states=max_states
-                            )
-                        )
+                for max_states in (20, 5_000):
+                    verdicts.add(self._run_both(graph, members, leader, max_states=max_states))
         assert "limited" in verdicts
 
 
@@ -460,10 +370,7 @@ class TestExistenceSearchMatchesTheWitnessSearch:
             leader = rng.randrange(n)
             others = [v for v in graph.nodes() if v != leader]
             members = sorted(rng.sample(others, rng.randint(1, min(4, len(others)))))
-            kwargs = {
-                "complete": trial % 2 == 1,
-                "max_states": rng.choice((3, 10, 100, 200_000)),
-            }
+            kwargs = {"max_states": rng.choice((3, 10, 100, 200_000))}
             if trial % 5 == 0:
                 kwargs["max_length"] = rng.randint(1, n - 1)
             verdicts.add(self._run_both(graph, members, leader, **kwargs))
@@ -479,13 +386,8 @@ class TestExistenceSearchMatchesTheWitnessSearch:
         verdicts = set()
         for leader in leaders:
             for members in classes:
-                for complete in (False, True):
-                    for max_states in (20, 5_000):
-                        verdicts.add(
-                            self._run_both(
-                                graph, members, leader, complete=complete, max_states=max_states
-                            )
-                        )
+                for max_states in (20, 5_000):
+                    verdicts.add(self._run_both(graph, members, leader, max_states=max_states))
         # no class has a common sequence to these leaders at depth 2 (ψ is 6)
         assert verdicts == {"none", "limited"}
 
@@ -496,9 +398,9 @@ class TestPathIndexSearchesEachLeaderAndClassOnce:
         # fewer states than the breadth-first search, which runs out of a
         # 5-state budget on this cycle; the value is the unbounded one
         graph = generators.asymmetric_cycle(7)
-        for index_function in (port_path_election_index, complete_port_path_election_index):
-            assert index_function(graph, max_states=5) == 3
-            assert index_function(graph, max_states=50_000) == 3
+        assert port_path_election_index(graph, max_states=5) == 3
+        assert port_path_election_index(graph, max_states=50_000) == 3
+        assert complete_port_path_election_index(graph) == 3
 
     def test_memo_spans_the_depths_of_one_index(self, monkeypatch):
         module = importlib.import_module("repro.core.election_index")
@@ -513,18 +415,19 @@ class TestPathIndexSearchesEachLeaderAndClassOnce:
         graph = _gdk_member(1)
         before = search_statistics()
         assert port_path_election_index(graph, max_states=50) == 6
-        ppe_searched = list(searched)
-        searched.clear()
-        assert complete_port_path_election_index(graph, max_states=50) == 6
         after = search_statistics()
-        for calls in (ppe_searched, searched):
-            assert calls and len(set(calls)) == len(calls)
+        assert searched and len(set(searched)) == len(searched)
         # searches run, memo hits excluded
-        assert after["searches"] - before["searches"] == len(ppe_searched) + len(searched)
-        # the per-depth breadth-first loop stored 6 968 states for the two
-        # (3 526 + 3 442), running 244 searches over 168 distinct (leader,
-        # class) pairs for each; this search stores 3 542 (1 813 + 1 729)
-        assert after["states"] - before["states"] <= 6_968 * 51 // 100
+        assert after["searches"] - before["searches"] == len(searched)
+        # the per-depth breadth-first loop stored 3 526 states, running 244
+        # searches over 168 distinct (leader, class) pairs; the existence
+        # search stored 1 813 in those 168; asking only classes of two or
+        # more nodes, from leaders that pass the PE check, it stores 944 in 46
+        assert after["states"] - before["states"] <= 1_813 * 55 // 100
+        # the CPPE index runs no joint search
+        searched.clear()
+        assert complete_port_path_election_index(graph) == 6
+        assert searched == [] and search_statistics() == after
 
 
 # --------------------------------------------------------------------------- #
@@ -532,23 +435,19 @@ class TestPathIndexSearchesEachLeaderAndClassOnce:
 # --------------------------------------------------------------------------- #
 def _reference_path_election_assignment(graph, depth, *, complete, refinement):
     """``path_election_assignment`` as it was before its leader was chosen by
-    the existence search (a verbatim copy of its per-leader loop)."""
+    the existence search (a verbatim copy of its per-leader loop, over the
+    verbatim breadth-first search above, which still has CPPE steps)."""
     classes = refinement.classes(depth)
-    csr = graph.csr()
+    stats = dict.fromkeys(("searches", "states", "cells", "limit_hits"), 0)
     singleton_nodes = sorted(m[0] for m in classes.values() if len(m) == 1)
     for leader in singleton_nodes:
-        distances = csr.distances_from(leader)
         sequences: Dict[int, Tuple[int, ...]] = {}
         feasible = True
         for members in classes.values():
             if members == [leader]:
                 continue
-            sequence = _common_path_sequence(
-                graph,
-                members,
-                leader,
-                complete=complete,
-                distances=distances,
+            sequence = _reference_common_path_sequence(
+                graph, members, leader, stats, complete=complete
             )
             if sequence is None:
                 feasible = False

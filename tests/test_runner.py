@@ -351,12 +351,12 @@ class TestRunner:
     def test_search_limit_recorded_not_raised(self):
         sweep = SweepSpec.make(
             [GraphSpec.make("random", n=10, extra_edges=8, seed=6)],
-            tasks=[Task.COMPLETE_PORT_PATH_ELECTION],
+            tasks=[Task.PORT_PATH_ELECTION],
             max_states=1,
         )
         record = ExperimentRunner().run(sweep).table.records()[0]
-        assert record["psi_CPPE"] is None
-        assert "CPPE" in record["search_limited"]
+        assert record["psi_PPE"] is None
+        assert "PPE" in record["search_limited"]
 
     def test_evaluate_graph_spec_memoises_indices(self):
         spec = GraphSpec.make("asymmetric-cycle", n=7)
