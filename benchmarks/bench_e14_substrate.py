@@ -82,14 +82,17 @@ def bench_full_member_refinement(benchmark, table_printer):
 
 @pytest.mark.parametrize("n", [200, 800])
 def bench_blockcut_vs_removed_node_bfs(benchmark, table_printer, n):
-    """ψ_PE's cut queries: one block-cut DFS vs the legacy per-removed-node BFS."""
+    """ψ_PE's port checks: one block-labelling DFS, then a dart's block against
+    ``block_toward``, vs the legacy per-removed-node BFS."""
     graph = generators.random_connected_graph(n, extra_edges=n // 4, seed=7)
     leader = 0
     queries = [(v, p) for v in list(graph.nodes())[1:] for p in graph.ports(v)]
 
     def kernel_queries():
-        tree = BlockCutTree(build_csr(graph))
-        return sum(tree.starts_simple_path(v, p, leader) for v, p in queries)
+        csr = build_csr(graph)
+        tree = BlockCutTree(csr)
+        block, offsets = tree.block, csr.offsets
+        return sum(block[offsets[v] + p] == tree.block_toward(v, leader) for v, p in queries)
 
     def legacy_queries():
         hits = 0
@@ -123,7 +126,7 @@ def bench_blockcut_vs_removed_node_bfs(benchmark, table_printer, n):
     kernel_hits = benchmark(kernel_queries)
     assert kernel_hits == legacy_queries()
     table_printer(
-        "E14: simple-path query throughput (block-cut tree vs per-removed-node BFS)",
+        "E14: simple-path query throughput (dart block labels vs per-removed-node BFS)",
         ["n", "m", "queries", "ports starting a simple path to the leader"],
         [[graph.num_nodes, graph.num_edges, len(queries), kernel_hits]],
     )

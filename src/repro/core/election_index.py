@@ -136,18 +136,23 @@ def _pe_class_port(
     leader: int,
     cut,
 ) -> Optional[int]:
-    """A single port valid as PE output for every member of a class, or ``None``.
+    """The smallest port valid as PE output for every member of a class, or ``None``.
 
-    ``cut`` is the graph's :class:`~repro.kernel.blockcut.BlockCutTree`: one
-    DFS per graph answers every "does this port start a simple path to the
-    leader?" question in O(log Δ), replacing the per-removed-node BFS family
-    this helper used to drive.  Each class is checked by
-    :meth:`~repro.kernel.blockcut.BlockCutTree.class_port_ok`, which stops
-    at the first member the port fails.
+    ``cut`` is the graph's :class:`~repro.kernel.blockcut.BlockCutTree`, whose
+    one DFS labels every dart with its biconnected block: port ``p`` at ``v``
+    starts a simple path to the leader iff its dart's label is
+    ``cut.block_toward(v, leader)``.  So each member costs one
+    ``block_toward`` call, and each port tried one comparison per member,
+    stopping at the first member the port fails.
     """
-    min_degree = min(graph.degree(v) for v in members)
-    for port in range(min_degree):
-        if cut.class_port_ok(members, port, leader):
+    offsets = graph.csr().offsets
+    block = cut.block
+    wanted = [(offsets[v], cut.block_toward(v, leader)) for v in members]
+    for port in range(min(offsets[v + 1] - offsets[v] for v in members)):
+        for base, want in wanted:
+            if block[base + port] != want:
+                break
+        else:
             return port
     return None
 

@@ -2,9 +2,9 @@
 
 Every quantitative claim of the paper funnels through three computations:
 view-equivalence refinement (ψ_S, feasibility, the twin queries of Lemmas
-2.8/3.6/4.6), the simple-path reachability checks behind ψ_PE, and the joint
-common-sequence searches behind ψ_PPE/ψ_CPPE.  This package is their common
-low-level substrate:
+2.8/3.6/4.6), the simple-path reachability checks behind ψ_PE (and ψ_PPE's
+leader filter), and the joint common-sequence search behind ψ_PPE.  This
+package is their common low-level substrate:
 
 * :mod:`repro.kernel.csr` — the flat compressed-sparse-row encoding of a
   port-labeled graph (``offsets`` / ``neighbors`` / ``reverse_ports`` int
@@ -25,9 +25,11 @@ low-level substrate:
   in-process hook that forces one pass kind.  Results are byte-identical
   whichever kinds run; numpy stays an optional extra.  BFS, block-cut
   queries and message routing have a single python implementation.
-* :mod:`repro.kernel.blockcut` — one block-cut-tree (biconnected components)
-  DFS per graph, answering every "does port ``p`` at ``v`` start a simple
-  path to the leader?" query of ψ_PE without a per-removed-node BFS.
+* :mod:`repro.kernel.blockcut` — one DFS per graph labels every dart with
+  its biconnected block, so "does port ``p`` at ``v`` start a simple path to
+  the leader?" is one comparison of the dart's label with
+  :meth:`BlockCutTree.block_toward`, an O(deg v) query with no per-leader
+  set-up.
 
 The kernel sits directly above :mod:`repro.portgraph` in the layer diagram;
 :mod:`repro.views`, :mod:`repro.core` and :mod:`repro.sim` build on it.

@@ -1,43 +1,38 @@
-"""Block-cut-tree (biconnected components) queries on CSR graphs.
+"""Biconnected-block labelling of CSR graphs: ψ_PE's port check in one comparison.
 
-ψ_PE's correctness condition asks, for a candidate leader ``u`` and every
-member ``v`` of every other view class: *does port ``p`` at ``v`` start a
-simple path from ``v`` to ``u``?*  Equivalently (for ``w`` the neighbour via
-``p``): ``w == u``, or ``w`` and ``u`` lie in the same connected component of
-``G - v``.  The previous implementation answered this with a cached BFS of
-``G - v`` per removed node — O(n·(n+m)) per (leader, class) family and
-rebuilt for every depth probed.
+ψ_PE's correctness condition asks, for a candidate leader ``t`` and every
+member ``v != t`` of every other view class: *does port ``p`` at ``v`` start
+a simple path from ``v`` to ``t``?*  The answer is a fact about biconnected
+blocks (Hopcroft–Tarjan): every simple path from ``v`` to ``t`` leaves ``v``
+through an edge of one block, ``B_t(v)``, the block at ``v`` on the
+block-cut-tree path toward ``t``, and every edge of ``B_t(v)`` at ``v`` starts
+one.  An edge at ``v`` in any other block leads into a part of the graph that
+``v`` cuts off from ``t``.
 
-One depth-first search computes everything needed to answer all such queries
-for *all* removed nodes at once (Hopcroft–Tarjan):
+One iterative DFS from node 0 labels every dart with its block (both darts of
+an edge share one id) and records each node's parent dart and its preorder
+interval, so ``u`` lies in the DFS subtree of ``v`` iff
+``tin[v] <= tin[u] < tout[v]``.
 
-* ``tin`` / ``tout`` — preorder entry time and subtree interval end, so
-  "is ``u`` in the DFS subtree of ``v``" is two comparisons;
-* ``low`` — the classic lowlink: the smallest ``tin`` reachable from a
-  subtree using at most one back edge;
-* the DFS children of every node in increasing-``tin`` order, so "which child
-  subtree of ``v`` contains ``u``" is a binary search over the children.
+**Query contract** (:meth:`BlockCutTree.block_toward`): the DFS-tree path from
+``v`` to ``t`` is a simple path, so its first dart lies in ``B_t(v)``.  That
+dart is ``v``'s parent dart when ``t`` lies outside the subtree of ``v``, and
+otherwise the dart to the child whose interval holds ``t``.  A back edge from
+``v`` down to a node whose interval holds ``t`` closes a cycle through that
+child's edge, so its block is the same and the O(deg v) scan may stop at
+either.  Port ``p`` at ``v`` therefore starts a simple path to ``t`` iff
+``block[offsets[v] + p] == block_toward(v, t)``; this includes the edge to
+``t`` itself.
 
-**Query contract** (``component_key``): for a removed node ``v`` and any
-``u != v``, the key identifies the connected component of ``u`` in ``G - v``:
-
-* if ``v`` is the DFS root, each child subtree is its own component (there
-  are no cross edges between root subtrees in an undirected DFS);
-* otherwise everything outside the subtree of ``v`` forms the "up" component
-  (key ``-1``), a child subtree ``c`` with ``low[c] < tin[v]`` escapes along
-  a back edge above ``v`` and merges with "up", and a child subtree with
-  ``low[c] >= tin[v]`` is a separate component keyed by ``c``.
-
-Two nodes are connected in ``G - v`` iff their keys match; each query costs
-O(log deg v).  The biconnected components themselves (edge-partition blocks)
-and the articulation points are exposed for tests and analyses.
+The articulation points (nodes whose darts carry two or more ids) and the
+bridges (blocks of one edge) are read off the same labels.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from typing import List, Sequence, Set, Tuple
+from collections import Counter
+from typing import Set, Tuple
 
 from .csr import INT_TYPECODE, CSRGraph
 
@@ -45,157 +40,122 @@ __all__ = ["BlockCutTree"]
 
 
 class BlockCutTree:
-    """One DFS pass over a connected CSR graph; O(log Δ) cut queries forever after."""
+    """One DFS pass over a connected CSR graph: a block id per dart, O(deg v) queries."""
 
-    __slots__ = (
-        "_csr",
-        "_root",
-        "_tin",
-        "_tout",
-        "_low",
-        "_parent",
-        "_children",
-        "_child_tins",
-        "_blocks",
-        "_articulation",
-    )
+    __slots__ = ("block", "_offsets", "_neighbors", "_parent_dart", "_tin", "_tout")
 
-    def __init__(self, csr: CSRGraph, root: int = 0) -> None:
-        self._csr = csr
-        self._root = root
+    def __init__(self, csr: CSRGraph) -> None:
         n = csr.num_nodes
-        self._tin = array(INT_TYPECODE, [-1] * n)
-        self._tout = array(INT_TYPECODE, [-1] * n)
-        self._low = array(INT_TYPECODE, [-1] * n)
-        self._parent = array(INT_TYPECODE, [-1] * n)
-        self._children: List[List[int]] = [[] for _ in range(n)]
-        self._blocks: List[Tuple[int, ...]] = []
-        self._articulation: Set[int] = set()
-        self._dfs()
-        self._child_tins = [
-            array(INT_TYPECODE, [self._tin[c] for c in kids]) for kids in self._children
-        ]
-
-    def _dfs(self) -> None:
-        csr = self._csr
         offsets = csr.offsets
         neighbors = csr.neighbors
-        tin, tout, low, parent = self._tin, self._tout, self._low, self._parent
-        children = self._children
-        root = self._root
-        timer = 0
-        edge_stack: List[Tuple[int, int]] = []
-        # iterative DFS: (node, index of next dart to scan)
-        tin[root] = low[root] = timer
-        timer += 1
-        stack = [(root, offsets[root])]
-        while stack:
-            v, i = stack[-1]
-            if i < offsets[v + 1]:
-                stack[-1] = (v, i + 1)
+        reverse_ports = csr.reverse_ports
+        tin = [-1] * n
+        tout = [0] * n
+        low = [0] * n
+        parent_dart = [-1] * n
+        up = [-1] * n  # the block of each node's parent edge
+        resume = list(offsets)  # the next dart each node scans
+        path = [0]  # the DFS stack
+        open_nodes = [0]  # discovered nodes whose parent edge has no block yet
+        tin[0] = 0
+        timer = 1
+        blocks = 0
+        while path:
+            v = path[-1]
+            low_v = low[v]
+            for i in range(resume[v], offsets[v + 1]):
                 u = neighbors[i]
-                if tin[u] < 0:
-                    parent[u] = v
-                    children[v].append(u)
-                    edge_stack.append((v, u))
+                seen = tin[u]
+                if seen < 0:
+                    resume[v] = i + 1
+                    low[v] = low_v
+                    parent_dart[u] = offsets[u] + reverse_ports[i]
                     tin[u] = low[u] = timer
                     timer += 1
-                    stack.append((u, offsets[u]))
-                elif u != parent[v] and tin[u] < tin[v]:
-                    # a genuine back edge (each undirected edge handled once)
-                    edge_stack.append((v, u))
-                    if tin[u] < low[v]:
-                        low[v] = tin[u]
+                    path.append(u)
+                    open_nodes.append(u)
+                    break
+                # a visited neighbour: only an ancestor can lower the
+                # lowlink, and counting the parent edge too leaves the
+                # ``low_v >= tin[p]`` test below unchanged
+                if seen < low_v:
+                    low_v = seen
             else:
-                stack.pop()
+                path.pop()
                 tout[v] = timer
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= tin[p]:
-                        # p separates v's subtree: close one biconnected block
-                        block_nodes: Set[int] = set()
-                        while edge_stack:
-                            a, b = edge_stack.pop()
-                            block_nodes.add(a)
-                            block_nodes.add(b)
-                            if (a, b) == (p, v):
+                if path:
+                    p = path[-1]
+                    if low_v >= tin[p]:
+                        # p cuts v's subtree off: v's parent edge and those
+                        # of the nodes opened after v form one block
+                        while True:
+                            x = open_nodes.pop()
+                            up[x] = blocks
+                            if x == v:
                                 break
-                        self._blocks.append(tuple(sorted(block_nodes)))
-                        if p != root:
-                            self._articulation.add(p)
-        if len(children[root]) >= 2:
-            self._articulation.add(root)
+                        blocks += 1
+                    elif low_v < low[p]:
+                        low[p] = low_v
+        # a dart's edge is the parent edge of its later-discovered end, or a
+        # back edge, which lies in that end's parent-edge block
+        block = [0] * len(neighbors)
+        for v in range(n):
+            tin_v = tin[v]
+            up_v = up[v]
+            for i in range(offsets[v], offsets[v + 1]):
+                u = neighbors[i]
+                block[i] = up[u] if tin[u] > tin_v else up_v
+        self.block = array(INT_TYPECODE, block)
+        self._offsets = offsets
+        self._neighbors = neighbors
+        self._parent_dart = array(INT_TYPECODE, parent_dart)
+        self._tin = array(INT_TYPECODE, tin)
+        self._tout = array(INT_TYPECODE, tout)
 
-    # ------------------------------------------------------------------ #
-    # structure accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def root(self) -> int:
-        return self._root
+    def block_toward(self, v: int, target: int) -> int:
+        """The block of the darts at ``v`` that start a simple path to ``target``.
+
+        ``-1`` when ``v == target``, which no dart starts a simple path to.
+        """
+        tin = self._tin
+        tout = self._tout
+        tin_v = tin[v]
+        at = tin[target]
+        if not tin_v <= at < tout[v]:
+            return self.block[self._parent_dart[v]]
+        neighbors = self._neighbors
+        for i in range(self._offsets[v], self._offsets[v + 1]):
+            u = neighbors[i]
+            if tin_v < tin[u] <= at < tout[u]:
+                return self.block[i]
+        return -1
 
     def articulation_points(self) -> Set[int]:
-        """The cut vertices of the graph."""
-        return set(self._articulation)
+        """The cut vertices: the nodes whose darts lie in two or more blocks."""
+        offsets = self._offsets
+        block = self.block
+        return {
+            v
+            for v in range(len(offsets) - 1)
+            if len(set(block[offsets[v] : offsets[v + 1]])) > 1
+        }
 
-    def biconnected_components(self) -> List[Tuple[int, ...]]:
-        """The biconnected blocks as sorted node tuples (bridges are 2-blocks)."""
-        return list(self._blocks)
+    def bridges(self) -> Set[Tuple[int, int]]:
+        """The bridges as ``(v, u)`` pairs with ``v < u``: the blocks of one edge."""
+        offsets = self._offsets
+        neighbors = self._neighbors
+        block = self.block
+        darts = Counter(block)
+        return {
+            (v, neighbors[i])
+            for v in range(len(offsets) - 1)
+            for i in range(offsets[v], offsets[v + 1])
+            if v < neighbors[i] and darts[block[i]] == 2
+        }
 
-    def is_articulation(self, v: int) -> bool:
-        return v in self._articulation
-
-    # ------------------------------------------------------------------ #
-    # removed-node connectivity queries
-    # ------------------------------------------------------------------ #
-    def _in_subtree(self, u: int, v: int) -> bool:
-        return self._tin[v] <= self._tin[u] < self._tout[v]
-
-    def _child_containing(self, u: int, v: int) -> int:
-        """The DFS child of ``v`` whose subtree contains ``u`` (``u`` must be below ``v``)."""
-        kids = self._children[v]
-        index = bisect_right(self._child_tins[v], self._tin[u]) - 1
-        return kids[index]
-
-    def component_key(self, u: int, removed: int) -> int:
-        """Identifier of the component of ``u`` in ``G - removed`` (``u != removed``)."""
-        if u == removed:
-            raise ValueError("component_key: u must differ from the removed node")
-        if removed == self._root:
-            return self._child_containing(u, removed)
-        if not self._in_subtree(u, removed):
-            return -1
-        child = self._child_containing(u, removed)
-        if self._low[child] < self._tin[removed]:
-            # the child's subtree climbs past `removed` along a back edge
-            return -1
-        return child
-
-    def same_component_without(self, a: int, b: int, removed: int) -> bool:
-        """Whether ``a`` and ``b`` are connected in ``G - removed``."""
-        if not self._articulation or removed not in self._articulation:
-            # removing a non-cut vertex of a connected graph keeps it connected
-            return True
-        return self.component_key(a, removed) == self.component_key(b, removed)
-
-    def class_port_ok(self, members: Sequence[int], port: int, target: int) -> bool:
-        """Whether ``port`` starts a simple path to ``target`` from *every* member.
-
-        The per-class feasibility test of ψ_PE's port search (``port`` must
-        be < every member's degree); stops at the first member that fails.
-        """
-        return all(self.starts_simple_path(v, port, target) for v in members)
-
-    def starts_simple_path(self, v: int, port: int, target: int) -> bool:
-        """Whether ``port`` at ``v`` is the first port of a simple path ``v -> target``.
-
-        The PE output-correctness condition: the neighbour ``w`` via ``port``
-        either *is* the target, or stays connected to it once ``v`` is gone.
-        """
-        if v == target:
-            return False
-        w = self._csr.neighbor(v, port)
-        if w == target:
-            return True
-        return self.same_component_without(w, target, v)
+    def nbytes(self) -> int:
+        """Bytes of the labelling's own arrays (the CSR arrays it reads are the view's)."""
+        return sum(
+            len(arr) * arr.itemsize
+            for arr in (self.block, self._parent_dart, self._tin, self._tout)
+        )

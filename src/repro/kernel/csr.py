@@ -118,9 +118,8 @@ class CSRGraph:
     def nbytes(self) -> int:
         """Footprint of the arrays and the memos built so far (bytes).
 
-        The arrays are counted exactly; the block-cut tree is charged at a
-        flat per-node rate (its arrays and maps are all O(n)).  Feeds the
-        runner cache's eviction accounting.
+        Every array is counted exactly, the block labelling's included.
+        Feeds the runner cache's ``live_bytes`` / ``evicted_bytes`` accounting.
         """
         arrays = [self.offsets, self.neighbors, self.reverse_ports]
         if self._twin_darts is not None:
@@ -129,7 +128,7 @@ class CSRGraph:
         arrays.extend(list(self._distances.values()))
         total = sum(len(arr) * arr.itemsize for arr in arrays)
         if self._blockcut is not None:
-            total += 48 * self.num_nodes
+            total += self._blockcut.nbytes()
         return total
 
     # ------------------------------------------------------------------ #

@@ -10,10 +10,11 @@ graphs around its base.
 
 Connectivity is preserved *by construction*, not by rejection sampling alone:
 edge removals draw from the non-bridge edges and node leaves from the
-non-articulation nodes, both read off the base's
-:class:`~repro.kernel.blockcut.BlockCutTree` (a block of size two is exactly
-a bridge).  The emitted scripts are **cumulative**: entry ``i`` of a stream
-is a :class:`~repro.portgraph.delta.GraphDelta` of edit distance ``i + 1``
+non-articulation nodes, both read off the biconnected-block label of every
+dart (:class:`~repro.kernel.blockcut.BlockCutTree`): a block of one edge is
+a bridge, and a node whose darts lie in two or more blocks is a cut vertex.
+The emitted scripts are **cumulative**: entry ``i`` of a stream is a
+:class:`~repro.portgraph.delta.GraphDelta` of edit distance ``i + 1``
 against the *base* graph, which is the shape both the ``{"base": ...,
 "delta": [...]}`` sweep items and the E19 speedup-vs-edit-distance curve
 consume.
@@ -38,10 +39,7 @@ def _bridges_and_cuts(graph: PortLabeledGraph) -> Tuple[set, set]:
     from ..kernel.blockcut import BlockCutTree  # lazy: scenarios sit below kernel users
 
     tree = BlockCutTree(graph.csr())
-    bridges = {
-        (block[0], block[1]) for block in tree.biconnected_components() if len(block) == 2
-    }
-    return bridges, tree.articulation_points()
+    return tree.bridges(), tree.articulation_points()
 
 
 def _candidate_op(

@@ -1,9 +1,9 @@
-"""Unit tests for the flat-array kernel: CSR views and block-cut-tree queries."""
+"""Unit tests for the flat-array kernel: CSR views and the dart block labelling."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel import BlockCutTree, bfs_distances_csr, build_csr
 from repro.portgraph import generators
@@ -76,6 +76,25 @@ class TestBlockCutTree:
                 points.add(v)
         return points
 
+    @staticmethod
+    def _brute_bridges(graph):
+        """Every edge whose removal disconnects its two ends."""
+        bridges = set()
+        for v in graph.nodes():
+            for u in graph.neighbors(v):
+                if v > u:
+                    continue
+                seen, frontier = {v}, [v]
+                while frontier:
+                    x = frontier.pop()
+                    for y in graph.neighbors(x):
+                        if {x, y} != {v, u} and y not in seen:
+                            seen.add(y)
+                            frontier.append(y)
+                if u not in seen:
+                    bridges.add((v, u))
+        return bridges
+
     @given(graph=graph_strategy)
     @settings(max_examples=40, deadline=None)
     def test_articulation_points_match_brute_force(self, graph):
@@ -83,68 +102,103 @@ class TestBlockCutTree:
         assert tree.articulation_points() == self._brute_articulation_points(graph)
 
     @given(graph=graph_strategy)
-    @settings(max_examples=25, deadline=None)
-    def test_removed_node_connectivity_matches_brute_force(self, graph):
+    @settings(max_examples=40, deadline=None)
+    def test_bridges_match_brute_force(self, graph):
         tree = BlockCutTree(graph.csr())
-        for removed in graph.nodes():
-            for a in graph.nodes():
-                if a == removed:
-                    continue
-                reach = reachable_without(graph, a, removed)
-                for b in graph.nodes():
-                    if b in (removed, a):
-                        continue
-                    assert tree.same_component_without(a, b, removed) == reach[b]
+        assert tree.bridges() == self._brute_bridges(graph)
 
+    # The DFS starts at node 0.  The star's centre is a cut vertex at the DFS
+    # root, where every target lies inside the root's subtree; from a leaf,
+    # every other target lies outside it.  The path has both cases at one node.
     @given(graph=graph_strategy)
+    @example(graph=generators.star_graph(3))
+    @example(graph=generators.path_graph(5))
     @settings(max_examples=25, deadline=None)
-    def test_starts_simple_path_matches_the_paths_module(self, graph):
+    def test_block_comparison_matches_the_paths_module(self, graph):
         from repro.portgraph.paths import is_first_port_of_simple_path
 
         tree = BlockCutTree(graph.csr())
-        nodes = list(graph.nodes())
-        for v in nodes[:6]:
-            for target in nodes[:6]:
+        offsets = graph.csr().offsets
+        for v in graph.nodes():
+            for target in graph.nodes():
+                toward = tree.block_toward(v, target)
                 for port in graph.ports(v):
-                    assert tree.starts_simple_path(v, port, target) == (
+                    assert (tree.block[offsets[v] + port] == toward) == (
                         is_first_port_of_simple_path(graph, v, port, target)
                     )
+
+    def test_block_toward_at_the_cut_root_and_from_a_leaf(self):
+        graph = generators.star_graph(3)
+        tree = BlockCutTree(graph.csr())
+        offsets = graph.csr().offsets
+        dart_to = {u: offsets[0] + p for p, u in enumerate(graph.neighbors(0))}
+        # every leaf lies in the root's subtree, each behind its own block
+        assert len({tree.block[dart] for dart in dart_to.values()}) == 3
+        for leaf, dart in dart_to.items():
+            assert tree.block_toward(0, leaf) == tree.block[dart]
+            # from a leaf, every other node lies outside its subtree
+            for target in graph.nodes():
+                if target != leaf:
+                    assert tree.block_toward(leaf, target) == tree.block[offsets[leaf]]
+        # no dart starts a simple path from a node to itself
+        assert all(tree.block_toward(v, v) == -1 for v in graph.nodes())
 
     def test_blocks_of_a_tree_are_its_edges(self):
         graph = generators.path_graph(5)
         tree = BlockCutTree(graph.csr())
-        blocks = sorted(tree.biconnected_components())
-        assert blocks == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        offsets = graph.csr().offsets
+        edge_blocks = {
+            (v, u): tree.block[offsets[v] + p]
+            for v in graph.nodes()
+            for p, u in enumerate(graph.neighbors(v))
+        }
+        assert all(edge_blocks[v, u] == edge_blocks[u, v] for v, u in edge_blocks)
+        assert len(set(edge_blocks.values())) == 4
+        assert tree.bridges() == {(0, 1), (1, 2), (2, 3), (3, 4)}
         assert tree.articulation_points() == {1, 2, 3}
 
     def test_cycle_is_one_block(self):
         graph = generators.cycle_graph(6)
         tree = BlockCutTree(graph.csr())
-        assert tree.biconnected_components() == [tuple(range(6))]
+        assert len(tree.block) == 12
+        assert len(set(tree.block)) == 1
+        assert tree.bridges() == set()
         assert tree.articulation_points() == set()
 
-    def test_component_key_rejects_the_removed_node(self):
-        graph = generators.path_graph(3)
-        tree = BlockCutTree(graph.csr())
-        with pytest.raises(ValueError):
-            tree.component_key(1, 1)
 
-
-def _class_port_cases(graph):
-    """Every (class, port, target) of ψ_PE's port search over all depths:
-    classes of the refinement at each depth up to the fixpoint, every port
-    below the class's minimum degree, every target node."""
+def _class_target_cases(graph):
+    """Every (class, target) of ψ_PE's port search over all depths: classes
+    of the refinement at each depth up to the fixpoint, every target node."""
     engine = graph.refinement_engine()
     stable = engine.ensure_stable()
     classes = {tuple(group) for depth in range(stable + 1) for group in engine.members_at(depth)}
     for members in sorted(classes):
-        for port in range(min(graph.degree(v) for v in members)):
-            for target in graph.nodes():
-                yield list(members), port, target
+        for target in graph.nodes():
+            yield list(members), target
+
+
+def _reference_class_port(graph, members, target, reach):
+    """The smallest port below the class's minimum degree that starts a simple
+    path to ``target`` from every member, by the paths module's condition:
+    the neighbour ``w`` is the target, or reaches it without the member.
+    ``reach`` memoises ``reachable_without(graph, w, v)`` per ``(v, port)``."""
+
+    def starts_simple_path(v, port):
+        if v == target:
+            return False
+        w = graph.neighbor(v, port)
+        if w == target:
+            return True
+        if (v, port) not in reach:
+            reach[v, port] = reachable_without(graph, w, v)
+        return reach[v, port][target]
+
+    ports = range(min(graph.degree(v) for v in members))
+    return next((p for p in ports if all(starts_simple_path(v, p) for v in members)), None)
 
 
 class TestClassPortScreen:
-    """``class_port_ok`` is the per-member definition, whichever backend was
+    """``_pe_class_port`` is the per-member definition, whichever backend was
     active when the tree was built."""
 
     @staticmethod
@@ -155,46 +209,50 @@ class TestClassPortScreen:
         graphs = [spec.build() for spec in corpus_specs(16, seed=7, corpus="mixed")]
         return graphs + [build_gdk_member(4, 1, 1).graph]
 
-    def test_class_port_ok_matches_the_definition(self):
+    def test_pe_class_port_matches_the_definition(self):
+        from repro.core.election_index import _pe_class_port
+
         large_with_cuts = 0
         for graph in self._graphs():
             tree = BlockCutTree(graph.csr())
             cut = tree.articulation_points()
-            for members, port, target in _class_port_cases(graph):
-                expected = all(tree.starts_simple_path(v, port, target) for v in members)
-                assert tree.class_port_ok(members, port, target) == expected
+            reach = {}
+            for members, target in _class_target_cases(graph):
+                expected = _reference_class_port(graph, members, target, reach)
+                assert _pe_class_port(graph, members, target, tree) == expected
                 if len(members) >= 8 and cut.intersection(members):
                     large_with_cuts += 1
-        # the cases cover large classes whose articulation members need the
-        # exact removed-node component comparison
+        # the cases cover large classes whose cut-vertex members have darts
+        # in several blocks, so the block toward the target decides
         assert large_with_cuts > 0
 
     @pytest.mark.parametrize("built_under", ["numpy", "python"])
-    def test_tree_built_under_either_backend_asks_every_member(self, monkeypatch, built_under):
+    def test_pe_class_port_asks_block_toward_once_per_member(self, monkeypatch, built_under):
         if built_under == "numpy":
             pytest.importorskip("numpy")
+        from repro.core.election_index import _pe_class_port
         from repro.families import build_gdk_member
         from repro.kernel import use_backend
 
         graph = build_gdk_member(4, 1, 1).graph
         with use_backend(built_under):
             tree = BlockCutTree(graph.csr())
-        members, port, target = next(
-            (members, port, target)
-            for members, port, target in _class_port_cases(graph)
-            if len(members) >= 8
-            and all(tree.starts_simple_path(v, port, target) for v in members)
+        reach = {}
+        members, target = next(
+            (members, target)
+            for members, target in _class_target_cases(graph)
+            if len(members) >= 8 and _reference_class_port(graph, members, target, reach) is not None
         )
         calls = []
-        original = BlockCutTree.starts_simple_path
+        original = BlockCutTree.block_toward
 
         def counted(self, *args):
             calls.append(args)
             return original(self, *args)
 
-        monkeypatch.setattr(BlockCutTree, "starts_simple_path", counted)
-        assert tree.class_port_ok(members, port, target)
-        assert calls == [(v, port, target) for v in members]
+        monkeypatch.setattr(BlockCutTree, "block_toward", counted)
+        assert _pe_class_port(graph, members, target, tree) is not None
+        assert calls == [(v, target) for v in members]
 
 
 class TestCSRMemos:
@@ -202,11 +260,17 @@ class TestCSRMemos:
         graph = generators.random_connected_graph(9, extra_edges=3, seed=1)
         csr = graph.csr()
         bare = csr.nbytes()
-        assert csr.block_cut_tree() is csr.block_cut_tree()
+        tree = csr.block_cut_tree()
+        assert csr.block_cut_tree() is tree
+        # the labelling is charged exactly: a block per dart, and a parent
+        # dart and a DFS interval (tin, tout) per node
+        labelled = csr.nbytes()
+        assert labelled - bare == tree.nbytes()
+        assert tree.nbytes() == (2 * csr.num_edges + 3 * csr.num_nodes) * tree.block.itemsize
         assert csr.distances_from(2) is csr.distances_from(2)
         assert list(csr.distances_from(2)) == bfs_distances(graph, 2)
-        # both memos are sized with the view, for the cache's eviction bytes
-        assert csr.nbytes() > bare
+        # both memos are sized with the view, for the cache's byte accounting
+        assert csr.nbytes() == labelled + len(csr.distances_from(2)) * csr.distances_from(2).itemsize
 
     def test_an_equal_graph_shares_the_cached_view_and_its_memos(self):
         from repro.runner import RefinementCache
